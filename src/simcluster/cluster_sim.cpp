@@ -133,23 +133,16 @@ sim::SimTime TraceDrivenSimulator::horizon_of(
 
 TraceDrivenSimulator::TraceDrivenSimulator(std::vector<trace::VmRecord> records,
                                            SimConfig config)
-    : records_(std::move(records)),
-      config_(std::move(config)),
-      runtimes_(records_.size()) {
-  horizon_ = horizon_of(records_);
-  trace_peak_committed_ = peak_committed(records_);
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    runtimes_[i].record = &records_[i];
-    id_to_idx_[records_[i].id] = i;
-  }
+    : config_(std::move(config)),
+      owned_stream_(
+          std::make_unique<trace::VectorArrivalStream>(std::move(records))),
+      stream_(owned_stream_.get()) {
   init_common();
 }
 
 TraceDrivenSimulator::TraceDrivenSimulator(trace::VmArrivalStream& stream,
                                            SimConfig config)
     : config_(std::move(config)), stream_(&stream) {
-  horizon_ = stream_->horizon();
-  trace_peak_committed_ = stream_->peak_committed();
   init_common();
 }
 
@@ -161,12 +154,12 @@ TraceDrivenSimulator::TraceDrivenSimulator(SimConfig config)
   }
   owned_stream_ = trace::make_arrival_stream(*config_.replay);
   stream_ = owned_stream_.get();
-  horizon_ = stream_->horizon();
-  trace_peak_committed_ = stream_->peak_committed();
   init_common();
 }
 
 void TraceDrivenSimulator::init_common() {
+  horizon_ = stream_->horizon();
+  trace_peak_committed_ = stream_->peak_committed();
   apply_policy_set(config_);
   plan_ = make_plan(horizon_, config_);
   manager_ = make_manager(config_, plan_);
@@ -291,12 +284,8 @@ void TraceDrivenSimulator::init_common() {
 
 TraceDrivenSimulator::VmRuntime* TraceDrivenSimulator::runtime_of(
     std::uint64_t id) {
-  if (stream_ != nullptr) {
-    const auto it = active_.find(id);
-    return it == active_.end() ? nullptr : &it->second.rt;
-  }
-  const auto it = id_to_idx_.find(id);
-  return it == id_to_idx_.end() ? nullptr : &runtimes_[it->second];
+  const auto it = active_.find(id);
+  return it == active_.end() ? nullptr : &it->second.rt;
 }
 
 bool TraceDrivenSimulator::timed_migration() const noexcept {
@@ -469,16 +458,27 @@ void TraceDrivenSimulator::finalize(VmRuntime& vm, sim::SimTime at) {
 }
 
 void TraceDrivenSimulator::on_vm_end(VmRuntime& vm) {
-  if (!vm.running) return;  // rejected, deferred-in-queue or already preempted
-  const bool launched_late = vm.deferred;
-  finalize(vm, now_);
-  if (launched_late) {
-    // finalize() integrated the samples the late launch actually served;
-    // the displaced tail is demand the deferral pushed past the VM's
-    // departure — lost throughput.
-    charge_unserved_tail(vm, now_);
+  if (vm.running) {
+    const bool launched_late = vm.deferred;
+    finalize(vm, now_);
+    if (launched_late) {
+      // finalize() integrated the samples the late launch actually served;
+      // the displaced tail is demand the deferral pushed past the VM's
+      // departure — lost throughput.
+      charge_unserved_tail(vm, now_);
+    }
+    manager_->remove_vm(vm.record->id);
   }
-  manager_->remove_vm(vm.record->id);
+  // Non-admission unserved demand, in committed core-hours: capacity
+  // rejections in full, preempted/killed VMs from their eviction onwards.
+  // (Admission-caused unserved demand is billed into the cost report.)
+  const double cores = static_cast<double>(vm.record->vcpus);
+  if (vm.rejected && !vm.expired) {
+    unserved_core_hours_ += cores * vm.record->lifetime().hours();
+  } else if (vm.preempted) {
+    unserved_core_hours_ +=
+        cores * std::max(0.0, (vm.record->end - vm.finished_at).hours());
+  }
 }
 
 void TraceDrivenSimulator::publish_utilization() {
@@ -539,7 +539,7 @@ TraceDrivenSimulator::build_plan_events() const {
   std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
     if (a.at != b.at) return a.at < b.at;
     if (a.kind != b.kind) return a.kind < b.kind;
-    return a.idx < b.idx;
+    return a.server < b.server;
   });
   return events;
 }
@@ -646,149 +646,20 @@ SimMetrics TraceDrivenSimulator::run() {
     throw std::logic_error("TraceDrivenSimulator::run is single-shot");
   }
   ran_ = true;
-  if (stream_ != nullptr) {
-    run_streaming();
-  } else {
-    run_vector();
-  }
+  run_events();
   return build_metrics();
 }
 
-void TraceDrivenSimulator::run_vector() {
-  // Controller-enabled runs keep the plan's Restore/Warn/Revoke schedule
-  // in the spliceable member queue (a re-optimization may rewrite its
-  // unconsumed suffix); disabled runs merge it into the static vector
-  // exactly as before. Either way the three sources' kinds are disjoint,
-  // so merging by (at, kind) reproduces the single sorted vector's
-  // canonical (at, kind, idx) order bit-for-bit.
-  std::vector<Event> events;
-  if (controller_) {
-    plan_queue_ = build_plan_events();
-  } else {
-    events = build_plan_events();
-  }
-  events.reserve(events.size() + records_.size() * 2);
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    events.push_back({records_[i].start, Event::Kind::VmStart, i, {}});
-    events.push_back({records_[i].end, Event::Kind::VmEnd, i, {}});
-  }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.idx < b.idx;
-  });
-
-  std::size_t next_event = 0;
-  while (next_event < events.size() || next_plan_ < plan_queue_.size() ||
-         next_reopt_ != sim::SimTime::max() || !pending_allocs_.empty() ||
-         admission_->next_retry()) {
-    // Earliest static event across the sources: the arrival/departure
-    // vector, the plan queue and the controller's next wakeup.
-    const Event reopt_event{next_reopt_, Event::Kind::Reopt, 0, {}};
-    const Event* candidate =
-        next_event < events.size() ? &events[next_event] : nullptr;
-    int candidate_source = 0;  // 0 = events, 1 = plan queue, 2 = reopt
-    const auto consider = [&](const Event& event, int source) {
-      if (candidate == nullptr || event.at < candidate->at ||
-          (event.at == candidate->at && event.kind < candidate->kind)) {
-        candidate = &event;
-        candidate_source = source;
-      }
-    };
-    if (next_plan_ < plan_queue_.size()) consider(plan_queue_[next_plan_], 1);
-    if (next_reopt_ != sim::SimTime::max()) consider(reopt_event, 2);
-
-    // Deferral-queue retries come due between static events. A retry is an
-    // arrival (of an older request): at equal timestamps it slots into the
-    // canonical event order *after* departures/restores/revocations and
-    // re-optimizations — price-crossing restores land exactly on the
-    // price-drop step the retry waited for, the re-entry must see the
-    // restored fleet, and a drained request re-evaluates against freshly
-    // pushed ceilings — but *ahead* of same-instant fresh arrivals.
-    const sim::SimTime next_static =
-        candidate != nullptr ? candidate->at : sim::SimTime::max();
-    const bool retry_before_static =
-        candidate == nullptr || candidate->kind == Event::Kind::VmStart;
-    if (const auto retry = admission_->next_retry();
-        retry &&
-        (*retry < next_static ||
-         (*retry == next_static && retry_before_static)) &&
-        (pending_allocs_.empty() || *retry <= pending_allocs_.top().at)) {
-      now_ = std::max(now_, *retry);
-      for (const cluster::AdmissionController::Resolved& resolved :
-           admission_->drain(now_)) {
-        if (VmRuntime* rt = runtime_of(resolved.request.spec.id)) {
-          apply_admission(*rt, resolved.decision);
-        }
-      }
-      continue;
-    }
-    // In-flight migration cutovers come due between static events; they
-    // only touch allocation timelines, never the manager.
-    if (!pending_allocs_.empty() &&
-        (candidate == nullptr || pending_allocs_.top().at <= next_static)) {
-      const AllocEvent alloc = pending_allocs_.top();
-      pending_allocs_.pop();
-      apply_alloc_event(alloc);
-      continue;
-    }
-    // Copy, not reference: a Reopt may splice plan_queue_ under us.
-    const Event event = *candidate;
-    if (candidate_source == 0) {
-      ++next_event;
-    } else if (candidate_source == 1) {
-      ++next_plan_;
-    }
-    // Batched view maintenance: dirty views/aggregates accumulated by the
-    // events of one simulated tick are flushed once at the tick boundary
-    // instead of once per event (placement stays exact either way). The
-    // telemetry bus reports on the same cadence: one UtilizationReport per
-    // active server per tick, from the freshly flushed state.
-    if (event.at != now_) {
-      manager_->flush_views();
-      publish_utilization();
-    }
-    now_ = event.at;
-    switch (event.kind) {
-      case Event::Kind::VmStart: on_vm_start(runtimes_[event.idx]); break;
-      case Event::Kind::VmEnd: on_vm_end(runtimes_[event.idx]); break;
-      case Event::Kind::Warn: handle_warn(event.idx, event.deadline); break;
-      case Event::Kind::Revoke: handle_revoke(event.idx); break;
-      case Event::Kind::Reopt: run_reopt(); break;
-      case Event::Kind::Restore: manager_->restore_server(event.idx); break;
-    }
-  }
-
-  vm_count_ = records_.size();
-  for (const trace::VmRecord& record : records_) {
-    if (record.deflatable()) ++deflatable_count_;
-  }
-  // Non-admission unserved demand, in committed core-hours: capacity
-  // rejections in full, preempted/killed VMs from their eviction onwards.
-  // (Admission-caused unserved demand is billed into the cost report.)
-  for (const VmRuntime& vm : runtimes_) {
-    const double cores = static_cast<double>(vm.record->vcpus);
-    if (vm.rejected && !vm.expired) {
-      unserved_core_hours_ += cores * vm.record->lifetime().hours();
-    } else if (vm.preempted) {
-      unserved_core_hours_ +=
-          cores *
-          std::max(0.0, (vm.record->end - vm.finished_at).hours());
-    }
-  }
-}
-
-void TraceDrivenSimulator::run_streaming() {
+void TraceDrivenSimulator::run_events() {
   // Static events come from four ordered sources merged on the fly:
   //   * the plan's Restore/Warn/Revoke schedule (the spliceable member
   //     queue — a re-optimization may rewrite its unconsumed suffix),
   //   * departures of VMs admitted so far (a min-heap fed at arrival),
   //   * the arrival stream itself (one-record lookahead),
   //   * the controller's next re-optimization wakeup.
-  // Ids never collide across same-kind sources, so ordering candidates by
-  // (at, kind) reproduces the vector loop's canonical (at, kind, id) order
-  // — which is what keeps streaming results consistent with vector-mode
-  // replays of the same trace.
+  // Kinds never collide across sources and each source yields its own
+  // events in (at, id) order, so ordering candidates by (at, kind) gives
+  // the canonical (at, kind, id) order.
   plan_queue_ = build_plan_events();
 
   struct EndEvent {
@@ -808,24 +679,6 @@ void TraceDrivenSimulator::run_streaming() {
                 kSourceReopt = 3;
   constexpr int kArrivalRank = static_cast<int>(Event::Kind::VmStart);
   constexpr int kReoptRank = static_cast<int>(Event::Kind::Reopt);
-
-  const auto release_vm = [&](std::uint64_t id) {
-    const auto it = active_.find(id);
-    if (it == active_.end()) return;
-    VmRuntime& vm = it->second.rt;
-    on_vm_end(vm);
-    // The vector loop bills non-admission unserved demand in a final pass
-    // over all runtimes; a streaming run cannot revisit released VMs, so
-    // bill it here, before the record leaves memory.
-    const double cores = static_cast<double>(vm.record->vcpus);
-    if (vm.rejected && !vm.expired) {
-      unserved_core_hours_ += cores * vm.record->lifetime().hours();
-    } else if (vm.preempted) {
-      unserved_core_hours_ +=
-          cores * std::max(0.0, (vm.record->end - vm.finished_at).hours());
-    }
-    active_.erase(it);
-  };
 
   while (true) {
     // Pick the earliest static event by (at, kind rank).
@@ -857,7 +710,6 @@ void TraceDrivenSimulator::run_streaming() {
       break;
     }
 
-    // Retry/cutover interleaving: identical rules to the vector loop.
     const sim::SimTime next_static = source >= 0 ? at : sim::SimTime::max();
     const bool retry_before_static = source < 0 || rank == kArrivalRank;
     if (const auto retry = admission_->next_retry();
@@ -882,8 +734,11 @@ void TraceDrivenSimulator::run_streaming() {
       continue;
     }
 
-    // Tick boundary: same batched view/telemetry cadence as the vector
-    // loop.
+    // Batched view maintenance: dirty views/aggregates accumulated by the
+    // events of one simulated tick are flushed once at the tick boundary
+    // instead of once per event (placement stays exact either way). The
+    // telemetry bus reports on the same cadence: one UtilizationReport per
+    // active server per tick, from the freshly flushed state.
     if (at != now_) {
       manager_->flush_views();
       publish_utilization();
@@ -891,20 +746,21 @@ void TraceDrivenSimulator::run_streaming() {
     now_ = at;
     switch (source) {
       case kSourceEnd: {
-        const std::uint64_t id = ends.top().id;
+        const auto it = active_.find(ends.top().id);
         ends.pop();
-        release_vm(id);
+        on_vm_end(it->second.rt);
+        active_.erase(it);
         break;
       }
       case kSourcePlan: {
         const Event& event = plan_queue_[next_plan_++];
         switch (event.kind) {
           case Event::Kind::Warn:
-            handle_warn(event.idx, event.deadline);
+            handle_warn(event.server, event.deadline);
             break;
-          case Event::Kind::Revoke: handle_revoke(event.idx); break;
+          case Event::Kind::Revoke: handle_revoke(event.server); break;
           case Event::Kind::Restore:
-            manager_->restore_server(event.idx);
+            manager_->restore_server(event.server);
             break;
           default: break;  // plan events are never VmStart/VmEnd
         }
@@ -936,8 +792,7 @@ void TraceDrivenSimulator::run_streaming() {
   }
 
   // The loop can only exit with `ends` empty (a pending departure keeps a
-  // static source alive), so every admitted VM has been released and
-  // active_ holds nothing but never-materialized entries — there are none.
+  // static source alive), so every VM has been released.
 }
 
 SimMetrics TraceDrivenSimulator::build_metrics() {
@@ -1051,46 +906,17 @@ SimMetrics TraceDrivenSimulator::build_metrics() {
 
 res::ResourceVector TraceDrivenSimulator::peak_committed(
     const std::vector<trace::VmRecord>& records) {
-  struct Change {
-    sim::SimTime at;
-    bool add;
-    res::ResourceVector amount;
-  };
-  std::vector<Change> changes;
-  changes.reserve(records.size() * 2);
-  for (const trace::VmRecord& record : records) {
-    const res::ResourceVector v = record.to_spec().vector();
-    changes.push_back({record.start, true, v});
-    changes.push_back({record.end, false, v});
-  }
-  std::sort(changes.begin(), changes.end(), [](const Change& a, const Change& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return !a.add && b.add;  // removals first
-  });
-  res::ResourceVector current, peak;
-  for (const Change& change : changes) {
-    if (change.add) {
-      current += change.amount;
-    } else {
-      current -= change.amount;
-    }
-    peak = peak.elementwise_max(current);
-  }
-  return peak;
+  std::vector<trace::ArrivalStub> stubs;
+  stubs.reserve(records.size());
+  for (const trace::VmRecord& record : records) stubs.push_back(record.stub());
+  return trace::peak_committed(std::move(stubs));
 }
 
 std::size_t TraceDrivenSimulator::servers_for_overcommit(
     const std::vector<trace::VmRecord>& records,
     const res::ResourceVector& server_capacity, double overcommit) {
-  const res::ResourceVector peak = peak_committed(records);
-  double servers = 1.0;
-  for (const res::Resource r : {res::Resource::Cpu, res::Resource::Memory}) {
-    if (server_capacity[r] > 0.0) {
-      servers = std::max(servers,
-                         peak[r] / (server_capacity[r] * (1.0 + overcommit)));
-    }
-  }
-  return static_cast<std::size_t>(std::ceil(servers));
+  return trace::servers_for_overcommit(peak_committed(records),
+                                       server_capacity, overcommit);
 }
 
 std::size_t TraceDrivenSimulator::minimum_feasible_servers(

@@ -95,13 +95,12 @@ struct SimConfig {
   cluster::wire::MessageBus* telemetry_bus = nullptr;
 
   // --- trace-driven arrivals (src/trace/replay) ---
-  /// When set, `TraceDrivenSimulator(SimConfig)` replaces the materialized
-  /// record vector with a bounded-memory streaming arrival source: VMs are
+  /// The arrival source of `TraceDrivenSimulator(SimConfig)`: VMs are
   /// generated in time order from the configured trace (Azure, Alibaba or
-  /// a PR-6 capture file), held only while active, and released at
+  /// a `deflated` capture file), held only while active, and released at
   /// departure. Results are bit-identical across `replay->window` and
   /// `worker_threads` (tests/test_trace_replay.cpp). Ignored by the
-  /// record-vector constructor.
+  /// record-vector and external-stream constructors.
   std::optional<trace::ReplayConfig> replay;
 
   // --- declarative policy selection (src/policy) ---
@@ -201,28 +200,31 @@ struct SimMetrics {
   std::uint64_t deflatable_count = 0;
 };
 
+/// Every constructor feeds one event loop from a trace::VmArrivalStream;
+/// only the VMs currently active are resident in the simulator.
 class TraceDrivenSimulator {
  public:
+  /// Replays an in-memory trace (wrapped in a trace::VectorArrivalStream,
+  /// so the records may come in any order). Throws std::invalid_argument
+  /// on a duplicate VM id.
   TraceDrivenSimulator(std::vector<trace::VmRecord> records, SimConfig config);
 
-  /// Streaming mode: replays arrivals from `stream` (non-owning; must
-  /// outlive the simulator, and must be freshly constructed or reset()).
-  /// Only active VMs are resident; memory is O(active + stream window)
-  /// instead of O(fleet).
+  /// Replays arrivals from `stream` (non-owning; must outlive the
+  /// simulator, and must be freshly constructed or reset()). Memory is
+  /// O(active + stream window) instead of O(fleet).
   TraceDrivenSimulator(trace::VmArrivalStream& stream, SimConfig config);
 
-  /// Streaming mode from `config.replay` (the simulator owns the stream).
-  /// Throws std::invalid_argument when `config.replay` is unset.
+  /// Replays the stream built from `config.replay` (the simulator owns
+  /// it). Throws std::invalid_argument when `config.replay` is unset.
   explicit TraceDrivenSimulator(SimConfig config);
 
   /// Replays the whole trace; single-shot (construct a new simulator for
   /// another run).
   SimMetrics run();
 
-  /// Streaming mode: high-water mark of concurrently-resident VM records.
-  /// The megafleet bench gates on this staying far below the stream's
-  /// total size (the bounded-memory claim, made measurable). Zero in
-  /// record-vector mode.
+  /// High-water mark of concurrently-resident VM records. The megafleet
+  /// bench gates on this staying far below the stream's total size (the
+  /// bounded-memory claim, made measurable).
   [[nodiscard]] std::size_t peak_active_records() const noexcept {
     return peak_active_;
   }
@@ -278,17 +280,18 @@ class TraceDrivenSimulator {
     std::uint32_t displacement_epoch = 0;
   };
 
-  /// Shared constructor tail: market plan, manager, admission controller
-  /// and the manager callbacks. Requires horizon_/peak_committed_ and the
-  /// per-mode VM storage to be initialized.
+  /// Shared constructor tail: trace horizon and peak from `stream_`,
+  /// market plan, manager, admission controller and the manager
+  /// callbacks.
   void init_common();
 
-  /// The VM's runtime state, or nullptr when unknown/already released —
-  /// the one lookup both storage modes (record vector / streaming active
-  /// set) sit behind.
+  /// The active VM's runtime state, or nullptr when unknown, not yet
+  /// arrived or already released.
   [[nodiscard]] VmRuntime* runtime_of(std::uint64_t id);
 
   void on_vm_start(VmRuntime& vm);
+  /// Departure: finalizes and removes a running VM, and bills the
+  /// non-admission unserved demand of one that never ran to its end.
   void on_vm_end(VmRuntime& vm);
   void finalize(VmRuntime& vm, sim::SimTime at);
 
@@ -330,22 +333,23 @@ class TraceDrivenSimulator {
   /// loss), then revocations (arrivals see the reduced fleet), then
   /// re-optimization wakeups (the controller sees the post-revocation
   /// fleet but re-plans before the tick's arrivals are admitted), then
-  /// arrivals; ties broken by VM/server id.
+  /// arrivals; ties broken by VM/server id. Only plan events are stored
+  /// as Events; VmEnd/VmStart are the ranks of the departure heap and the
+  /// arrival stream.
   struct Event {
     sim::SimTime at;
     enum class Kind { VmEnd, Restore, Warn, Revoke, Reopt, VmStart } kind;
-    std::size_t idx;        ///< VM index or server id
+    std::size_t server;
     sim::SimTime deadline;  ///< Warn only: when the server actually dies
   };
 
   /// The market plan's Restore/Warn/Revoke events, sorted canonically.
   [[nodiscard]] std::vector<Event> build_plan_events() const;
 
-  /// Replays the materialized record vector (the classic mode).
-  void run_vector();
-  /// Replays the arrival stream with only active VMs resident.
-  void run_streaming();
-  /// Folds the accumulators into the returned metrics (both modes).
+  /// The event loop: merges arrivals, departures, plan events, reopt
+  /// wakeups, deferral retries and migration cutovers in canonical order.
+  void run_events();
+  /// Folds the accumulators into the returned metrics.
   [[nodiscard]] SimMetrics build_metrics();
 
   void handle_warn(std::size_t server, sim::SimTime deadline);
@@ -356,8 +360,12 @@ class TraceDrivenSimulator {
   /// not-yet-consumed suffix. Advances next_reopt_.
   void run_reopt();
 
-  std::vector<trace::VmRecord> records_;
   SimConfig config_;
+  /// Built by the record-vector and SimConfig constructors; null when the
+  /// caller owns the stream.
+  std::unique_ptr<trace::VmArrivalStream> owned_stream_;
+  /// The arrival source (non-owning; points at owned_stream_ when set).
+  trace::VmArrivalStream* stream_ = nullptr;
   /// Market plan computed before the manager so portfolio pool weights can
   /// shape the cluster partitions. Empty when the market is disabled.
   std::optional<transient::CapacityPlan> plan_;
@@ -374,7 +382,7 @@ class TraceDrivenSimulator {
   /// estimators and the authoritative revocation timeline once moves have
   /// been scheduled.
   std::unique_ptr<control::FleetController> controller_;
-  /// Plan-driven Restore/Warn/Revoke events. Both event loops consume
+  /// Plan-driven Restore/Warn/Revoke events. The event loop consumes
   /// this via next_plan_ so a re-optimization can splice a rewritten
   /// future (everything strictly after `now_`) into the unconsumed
   /// suffix. Events already consumed are never touched.
@@ -384,8 +392,6 @@ class TraceDrivenSimulator {
   /// (disabled, reopt_hours = inf, or no further window fits the
   /// horizon).
   sim::SimTime next_reopt_ = sim::SimTime::max();
-  std::vector<VmRuntime> runtimes_;
-  std::unordered_map<std::uint64_t, std::size_t> id_to_idx_;
   /// Suspended (checkpointed-awaiting-destination) VM ids per doomed
   /// server, between a warning and its deadline.
   std::unordered_map<std::size_t, std::vector<std::uint64_t>> suspended_;
@@ -410,15 +416,10 @@ class TraceDrivenSimulator {
                       std::greater<AllocEvent>>
       pending_allocs_;
   /// Applies a due cutover pause/resume to the VM's allocation timeline
-  /// (stale epochs dropped); shared by both event loops.
+  /// (stale epochs dropped).
   void apply_alloc_event(const AllocEvent& alloc);
   sim::SimTime now_;
 
-  // --- streaming-mode state ---------------------------------------------------
-  /// Arrival source (null in record-vector mode). Non-owning; points at
-  /// owned_stream_ when the SimConfig-level constructor built it.
-  trace::VmArrivalStream* stream_ = nullptr;
-  std::unique_ptr<trace::VmArrivalStream> owned_stream_;
   /// An active VM: the materialized record plus its runtime. Erased at
   /// departure — the unordered_map's node-based storage keeps the record
   /// pointer in VmRuntime stable meanwhile.
@@ -429,13 +430,12 @@ class TraceDrivenSimulator {
   std::unordered_map<std::uint64_t, OwnedVm> active_;
   std::size_t peak_active_ = 0;
 
-  // --- shared per-run context (set per mode, read by build_metrics) -----------
+  // --- per-run context (read by build_metrics) -------------------------------
   sim::SimTime horizon_;
   res::ResourceVector trace_peak_committed_;
   std::uint64_t vm_count_ = 0;
   std::uint64_t deflatable_count_ = 0;
-  /// Non-admission unserved demand (vector mode: final index-order pass;
-  /// streaming mode: accumulated as VMs are released).
+  /// Non-admission unserved demand, accumulated as VMs are released.
   double unserved_core_hours_ = 0.0;
 
   // accumulators

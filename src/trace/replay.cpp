@@ -23,6 +23,42 @@ res::ResourceVector stub_committed(const ArrivalStub& stub) noexcept {
   return {static_cast<double>(stub.vcpus), stub.memory_mib, 0.0, 0.0};
 }
 
+bool arrives_before(const ArrivalStub& a, const ArrivalStub& b) noexcept {
+  if (a.start != b.start) return a.start < b.start;
+  return a.id < b.id;
+}
+
+/// Peak sweep over an index sorted by (start, id): arrivals in start
+/// order, with a min-heap retiring departures before each arrival
+/// (departures at the same instant free capacity first).
+res::ResourceVector sweep_peak(const std::vector<ArrivalStub>& sorted) {
+  using Departure = std::pair<sim::SimTime, res::ResourceVector>;
+  const auto later = [](const Departure& a, const Departure& b) {
+    return a.first > b.first;
+  };
+  std::priority_queue<Departure, std::vector<Departure>, decltype(later)>
+      departures(later);
+  res::ResourceVector current;
+  res::ResourceVector peak;
+  for (const ArrivalStub& stub : sorted) {
+    while (!departures.empty() && departures.top().first <= stub.start) {
+      current -= departures.top().second;
+      departures.pop();
+    }
+    const res::ResourceVector committed = stub_committed(stub);
+    current += committed;
+    departures.push({stub.end, committed});
+    peak = peak.elementwise_max(current);
+  }
+  return peak;
+}
+
+sim::SimTime latest_end(const std::vector<ArrivalStub>& stubs) noexcept {
+  sim::SimTime horizon;
+  for (const ArrivalStub& stub : stubs) horizon = std::max(horizon, stub.end);
+  return horizon;
+}
+
 void check_scaling(const ReplayConfig& config) {
   if (!(config.rate_multiplier > 0.0) || !(config.duration_scale > 0.0)) {
     throw std::invalid_argument(
@@ -371,33 +407,9 @@ IndexedArrivalStream::IndexedArrivalStream(std::vector<ArrivalStub> stubs,
       materialize_(std::move(materialize)),
       window_(std::max<std::size_t>(1, window)),
       threads_(worker_threads != 0 ? worker_threads : util::env_threads()) {
-  std::sort(stubs_.begin(), stubs_.end(),
-            [](const ArrivalStub& a, const ArrivalStub& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.id < b.id;
-            });
-  // Horizon + peak sweep over the index: arrivals in start order, with a
-  // min-heap retiring departures before each arrival (departures at the
-  // same instant free capacity first, matching
-  // TraceDrivenSimulator::peak_committed).
-  using Departure = std::pair<sim::SimTime, res::ResourceVector>;
-  const auto later = [](const Departure& a, const Departure& b) {
-    return a.first > b.first;
-  };
-  std::priority_queue<Departure, std::vector<Departure>, decltype(later)>
-      departures(later);
-  res::ResourceVector current;
-  for (const ArrivalStub& stub : stubs_) {
-    horizon_ = std::max(horizon_, stub.end);
-    while (!departures.empty() && departures.top().first <= stub.start) {
-      current -= departures.top().second;
-      departures.pop();
-    }
-    const res::ResourceVector committed = stub_committed(stub);
-    current += committed;
-    departures.push({stub.end, committed});
-    peak_ = peak_.elementwise_max(current);
-  }
+  std::sort(stubs_.begin(), stubs_.end(), arrives_before);
+  horizon_ = latest_end(stubs_);
+  peak_ = sweep_peak(stubs_);
 }
 
 IndexedArrivalStream::~IndexedArrivalStream() = default;
@@ -437,6 +449,40 @@ void IndexedArrivalStream::reset() {
   buffer_pos_ = 0;
 }
 
+VectorArrivalStream::VectorArrivalStream(std::vector<VmRecord> records)
+    : records_(std::move(records)) {
+  std::vector<ArrivalStub> stubs;
+  std::vector<std::uint64_t> ids;
+  stubs.reserve(records_.size());
+  ids.reserve(records_.size());
+  for (const VmRecord& record : records_) {
+    stubs.push_back(record.stub());
+    ids.push_back(record.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  if (const auto dup = std::adjacent_find(ids.begin(), ids.end());
+      dup != ids.end()) {
+    throw std::invalid_argument("trace replay: duplicate vm id " +
+                                std::to_string(*dup) + " in record vector");
+  }
+  std::sort(records_.begin(), records_.end(),
+            [](const VmRecord& a, const VmRecord& b) {
+              return arrives_before(a.stub(), b.stub());
+            });
+  horizon_ = latest_end(stubs);
+  peak_ = trace::peak_committed(std::move(stubs));
+}
+
+std::optional<VmRecord> VectorArrivalStream::next() {
+  if (cursor_ >= records_.size()) return std::nullopt;
+  return records_[cursor_++];
+}
+
+res::ResourceVector peak_committed(std::vector<ArrivalStub> stubs) {
+  std::sort(stubs.begin(), stubs.end(), arrives_before);
+  return sweep_peak(stubs);
+}
+
 std::unique_ptr<VmArrivalStream> make_arrival_stream(
     const ReplayConfig& config) {
   check_scaling(config);
@@ -451,7 +497,13 @@ std::unique_ptr<VmArrivalStream> make_arrival_stream(
 std::size_t servers_for_overcommit(const VmArrivalStream& stream,
                                    const res::ResourceVector& server_capacity,
                                    double overcommit) {
-  const res::ResourceVector peak = stream.peak_committed();
+  return servers_for_overcommit(stream.peak_committed(), server_capacity,
+                                overcommit);
+}
+
+std::size_t servers_for_overcommit(const res::ResourceVector& peak,
+                                   const res::ResourceVector& server_capacity,
+                                   double overcommit) {
   double servers = 1.0;
   for (const res::Resource r : {res::Resource::Cpu, res::Resource::Memory}) {
     if (server_capacity[r] > 0.0) {

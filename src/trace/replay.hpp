@@ -66,7 +66,7 @@ class VmArrivalStream {
   [[nodiscard]] virtual res::ResourceVector peak_committed() const noexcept = 0;
 };
 
-/// The one concrete stream: a sorted stub index plus a windowed
+/// The generated-trace stream: a sorted stub index plus a windowed
 /// materializer. All three sources are an index + a (seed, id)-keyed
 /// record function.
 class IndexedArrivalStream final : public VmArrivalStream {
@@ -115,6 +115,39 @@ class IndexedArrivalStream final : public VmArrivalStream {
   sim::SimTime horizon_;
   res::ResourceVector peak_;
 };
+
+/// An in-memory trace as a stream: the records are sorted by (start, id)
+/// once and next() hands out copies, so a materialized vector replays
+/// through the same event loop as a generated trace. Throws
+/// std::invalid_argument on a duplicate id (the (start, id) order, and
+/// the simulator's per-VM bookkeeping, need ids to be unique).
+class VectorArrivalStream final : public VmArrivalStream {
+ public:
+  explicit VectorArrivalStream(std::vector<VmRecord> records);
+
+  [[nodiscard]] std::optional<VmRecord> next() override;
+  void reset() override { cursor_ = 0; }
+  [[nodiscard]] std::size_t size() const noexcept override {
+    return records_.size();
+  }
+  [[nodiscard]] sim::SimTime horizon() const noexcept override {
+    return horizon_;
+  }
+  [[nodiscard]] res::ResourceVector peak_committed() const noexcept override {
+    return peak_;
+  }
+
+ private:
+  std::vector<VmRecord> records_;
+  std::size_t cursor_ = 0;
+  sim::SimTime horizon_;
+  res::ResourceVector peak_;
+};
+
+/// Peak concurrently-committed (cpu, memory) over a set of arrivals, in
+/// any order; departures at an instant free capacity before that
+/// instant's arrivals. The one sweep every stream and sizing helper uses.
+[[nodiscard]] res::ResourceVector peak_committed(std::vector<ArrivalStub> stubs);
 
 enum class ArrivalSource { Azure, Alibaba, Capture };
 [[nodiscard]] const char* arrival_source_name(ArrivalSource s) noexcept;
@@ -181,6 +214,13 @@ struct ReplayConfig {
 /// TraceDrivenSimulator::servers_for_overcommit, O(index) memory.
 [[nodiscard]] std::size_t servers_for_overcommit(
     const VmArrivalStream& stream, const res::ResourceVector& server_capacity,
+    double overcommit);
+
+/// Servers that fit a trace with peak committed resources `peak` at
+/// `overcommit` (0.5 = 50%): capacity = peak / (1 + overcommit), rounded
+/// up, at least one server.
+[[nodiscard]] std::size_t servers_for_overcommit(
+    const res::ResourceVector& peak, const res::ResourceVector& server_capacity,
     double overcommit);
 
 }  // namespace deflate::trace

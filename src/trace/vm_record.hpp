@@ -45,6 +45,9 @@ struct VmRecord {
   UtilizationSeries cpu;  ///< fraction of the VM's CPU allocation, per 5 min
 
   [[nodiscard]] sim::SimTime lifetime() const noexcept { return end - start; }
+  [[nodiscard]] ArrivalStub stub() const noexcept {
+    return {id, start, end, vcpus, memory_mib};
+  }
   [[nodiscard]] double p95_cpu() const { return cpu.percentile(0.95); }
   [[nodiscard]] SizeBucket size_bucket() const noexcept {
     return size_bucket_for_memory(memory_mib);

@@ -6,7 +6,8 @@
 //     loss, fleet cost) to exact values.
 //   * Replays of the same trace must be BIT-IDENTICAL across streaming
 //     window sizes and prefetch worker-thread counts — those knobs buy
-//     wall-clock time, never results.
+//     wall-clock time, never results — and identical to a record-vector
+//     replay of the same trace, in any record order.
 //   * Generator property tests pin the (seed, id) keying contract: arrival
 //     order is monotone, stubs agree with materialized records, the class
 //     mix survives the rate multiplier, and generation order is
@@ -188,38 +189,35 @@ TEST(TraceReplayParity, OwningConfigCtorMatchesExternalStream) {
 
 TEST(TraceReplayParity, StreamingMatchesMaterializedVectorReplay) {
   const trace::ReplayConfig replay = golden_replay();
-  const simcluster::SimMetrics s = run_streaming(replay);
+  std::size_t streaming_peak = 0;
+  const simcluster::SimMetrics s = run_streaming(replay, &streaming_peak);
 
   const auto records = trace::AzureTraceGenerator(replay.azure).generate();
   simcluster::TraceDrivenSimulator vector_sim(records, golden_config());
   const simcluster::SimMetrics v = vector_sim.run();
 
-  // Event order is identical, so every counter matches exactly.
-  EXPECT_EQ(s.vm_count, v.vm_count);
-  EXPECT_EQ(s.deflatable_count, v.deflatable_count);
-  EXPECT_EQ(s.rejections, v.rejections);
-  EXPECT_EQ(s.preemptions, v.preemptions);
-  EXPECT_EQ(s.revocations, v.revocations);
-  EXPECT_EQ(s.revocation_migrations, v.revocation_migrations);
-  EXPECT_EQ(s.revocation_kills, v.revocation_kills);
-  EXPECT_EQ(s.live_migrations, v.live_migrations);
-  EXPECT_EQ(s.checkpoint_restores, v.checkpoint_restores);
-  EXPECT_EQ(s.checkpoint_kills, v.checkpoint_kills);
-  EXPECT_EQ(s.admission_deferrals, v.admission_deferrals);
-  EXPECT_EQ(s.admission_expired, v.admission_expired);
-  EXPECT_EQ(s.admission_retries, v.admission_retries);
-  // Per-VM integrals accumulate at VM release in both modes (same order):
-  // exact. The two final reductions that differ in summation order
-  // (unserved billed at release vs. one index-ordered pass; the peak sweep
-  // heap vs. sorted vector) compare within FP tolerance.
-  EXPECT_EQ(s.throughput_loss, v.throughput_loss);
-  EXPECT_EQ(s.mean_cpu_deflation, v.mean_cpu_deflation);
-  EXPECT_EQ(s.migration_downtime_hours, v.migration_downtime_hours);
-  EXPECT_NEAR(s.unserved_core_hours, v.unserved_core_hours,
-              1e-6 * std::max(1.0, v.unserved_core_hours));
-  EXPECT_NEAR(s.achieved_overcommit, v.achieved_overcommit, 1e-9);
-  EXPECT_NEAR(s.cost.total_cost(), v.cost.total_cost(),
-              1e-6 * std::max(1.0, v.cost.total_cost()));
+  // One event loop: the record vector replays through a
+  // VectorArrivalStream, so the whole metric surface matches exactly and
+  // only the active VMs are resident.
+  expect_identical(s, v, "streaming-vs-vector");
+  EXPECT_EQ(vector_sim.peak_active_records(), streaming_peak);
+}
+
+TEST(TraceReplayParity, RecordVectorOrderNeverChangesResults) {
+  auto records = trace::AzureTraceGenerator(golden_replay().azure).generate();
+  simcluster::TraceDrivenSimulator sorted(records, golden_config());
+  const simcluster::SimMetrics reference = sorted.run();
+
+  std::shuffle(records.begin(), records.end(), std::mt19937{5});
+  simcluster::TraceDrivenSimulator shuffled(records, golden_config());
+  expect_identical(reference, shuffled.run(), "shuffled records");
+}
+
+TEST(TraceReplayParity, DuplicateRecordIdsAreRejected) {
+  auto records = trace::AzureTraceGenerator(golden_replay().azure).generate();
+  records[7].id = records[3].id;
+  EXPECT_THROW(simcluster::TraceDrivenSimulator(records, golden_config()),
+               std::invalid_argument);
 }
 
 // --- bounded memory ---------------------------------------------------------
@@ -288,6 +286,39 @@ TEST(TraceReplayProperties, ResetReplaysTheIdenticalSequence) {
     EXPECT_EQ(r->cpu.samples(), first[i].cpu.samples());
   }
   EXPECT_EQ(i, first.size());
+}
+
+TEST(TraceReplayProperties, VectorStreamMatchesIndexedStream) {
+  trace::ReplayConfig replay = golden_replay();
+  replay.azure.vm_count = 300;
+  const auto indexed = trace::make_arrival_stream(replay);
+  auto records = trace::AzureTraceGenerator(replay.azure).generate();
+  std::reverse(records.begin(), records.end());
+  trace::VectorArrivalStream vector(records);
+
+  EXPECT_EQ(vector.size(), indexed->size());
+  EXPECT_EQ(vector.horizon(), indexed->horizon());
+  for (const res::Resource r : {res::Resource::Cpu, res::Resource::Memory}) {
+    EXPECT_EQ(vector.peak_committed()[r], indexed->peak_committed()[r]);
+    EXPECT_EQ(simcluster::TraceDrivenSimulator::peak_committed(records)[r],
+              indexed->peak_committed()[r]);
+  }
+  // Same (start, id) sequence, whatever order the vector came in; reset()
+  // rewinds it.
+  for (int pass = 0; pass < 2; ++pass) {
+    indexed->reset();
+    vector.reset();
+    std::size_t n = 0;
+    for (auto a = indexed->next(); a.has_value(); a = indexed->next(), ++n) {
+      const auto b = vector.next();
+      ASSERT_TRUE(b.has_value());
+      EXPECT_EQ(a->id, b->id);
+      EXPECT_EQ(a->start, b->start);
+      EXPECT_EQ(a->cpu.samples(), b->cpu.samples());
+    }
+    EXPECT_FALSE(vector.next().has_value());
+    EXPECT_EQ(n, records.size());
+  }
 }
 
 TEST(TraceReplayProperties, KeyedGenerationIsIndependentOfOrder) {
