@@ -95,6 +95,8 @@ struct ClusterStats {
   // deferrals are also added to `rejections` there).
   std::uint64_t admission_deferrals = 0;  ///< requests deferred at least once
   std::uint64_t admission_expired = 0;    ///< deferrals that hit their deadline
+
+  bool operator==(const ClusterStats&) const = default;
 };
 
 /// Displacement order shared by every revocation path: protect the most

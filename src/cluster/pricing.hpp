@@ -32,6 +32,7 @@ struct RevenueTotals {
   double df_priority_committed_core_hours = 0.0;
 
   RevenueTotals& operator+=(const RevenueTotals& rhs) noexcept;
+  bool operator==(const RevenueTotals&) const = default;
 };
 
 /// Revenue earned from on-demand VMs.

@@ -45,12 +45,11 @@ bool Client::handle(Message message) {
     decisions_[decision->request_id] = decision->decision;
     return true;
   }
-  if (const auto* place = std::get_if<cluster::wire::PlaceResponse>(&message)) {
+  if (const auto* place = std::get_if<PlaceResponse>(&message)) {
     last_place_ = *place;
     return true;
   }
-  if (const auto* report =
-          std::get_if<cluster::wire::UtilizationReport>(&message)) {
+  if (const auto* report = std::get_if<UtilizationReport>(&message)) {
     // Interleaved telemetry (codec v3): count and keep the latest; it is
     // never what a read_until predicate waits for.
     last_telemetry_ = *report;
@@ -94,8 +93,7 @@ std::optional<cluster::AdmissionDecision> Client::admit(
   return it->second;
 }
 
-std::optional<cluster::wire::PlaceResponse> Client::place(
-    const cluster::wire::PlaceRequest& request) {
+std::optional<PlaceResponse> Client::place(const PlaceRequest& request) {
   const auto frame = encode_frame(Message{request});
   if (!socket_.send_all(frame.data(), frame.size())) return std::nullopt;
   last_place_.reset();

@@ -48,8 +48,8 @@ class Client {
       const cluster::AdmissionRequest& request);
 
   /// Raw placement round-trip (no admission protocol).
-  [[nodiscard]] std::optional<cluster::wire::PlaceResponse> place(
-      const cluster::wire::PlaceRequest& request);
+  [[nodiscard]] std::optional<PlaceResponse> place(
+      const PlaceRequest& request);
 
   /// Sends Shutdown and waits for the Bye.
   [[nodiscard]] bool shutdown_server();
@@ -64,8 +64,8 @@ class Client {
   [[nodiscard]] std::uint64_t telemetry_reports() const noexcept {
     return telemetry_reports_;
   }
-  [[nodiscard]] const std::optional<cluster::wire::UtilizationReport>&
-  last_telemetry() const noexcept {
+  [[nodiscard]] const std::optional<UtilizationReport>& last_telemetry()
+      const noexcept {
     return last_telemetry_;
   }
 
@@ -101,8 +101,8 @@ class Client {
   std::set<std::uint64_t> outstanding_;
   std::map<std::uint64_t, cluster::AdmissionDecision> decisions_;
   std::map<std::uint64_t, cluster::AdmissionDecision> resolved_;
-  std::optional<cluster::wire::PlaceResponse> last_place_;
-  std::optional<cluster::wire::UtilizationReport> last_telemetry_;
+  std::optional<PlaceResponse> last_place_;
+  std::optional<UtilizationReport> last_telemetry_;
   std::uint64_t telemetry_reports_ = 0;
   bool saw_hello_ = false;
   bool saw_bye_ = false;

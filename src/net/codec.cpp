@@ -207,32 +207,57 @@ struct PayloadEncoder {
     put_placement(w, m.decision.placement);
     w.time(m.decision.retry_at);
   }
-  void operator()(const cluster::wire::PlaceRequest& m) {
+  void operator()(const PlaceRequest& m) {
     w.u64(m.vm_id);
     w.vec(m.demand);
     w.f64(m.priority);
     w.u8(m.deflatable ? 1 : 0);
   }
-  void operator()(const cluster::wire::PlaceResponse& m) {
+  void operator()(const PlaceResponse& m) {
     w.u64(m.vm_id);
     w.u8(m.accepted ? 1 : 0);
     w.u64(m.host_id);
     w.f64(m.launch_fraction);
   }
-  void operator()(const cluster::wire::DeflateCommand& m) {
+  void operator()(const DeflateCommand& m) {
     w.u64(m.vm_id);
     w.vec(m.target);
   }
-  void operator()(const cluster::wire::DeflationNotice& m) {
+  void operator()(const DeflationNotice& m) {
     w.u64(m.vm_id);
     w.vec(m.old_alloc);
     w.vec(m.new_alloc);
   }
-  void operator()(const cluster::wire::UtilizationReport& m) {
+  void operator()(const UtilizationReport& m) {
     w.u64(m.host_id);
     w.vec(m.available);
     w.vec(m.committed);
     w.f64(m.overcommit_ratio);
+  }
+  void operator()(const CaptureHeader& m) {
+    const ServiceConfig& c = m.config;
+    w.u64(c.server_count);
+    w.u64(c.shard_count);
+    w.u8(static_cast<std::uint8_t>(c.shard_policy));
+    w.str(c.shard_policy_name);
+    w.str(c.placement_policy);
+    w.u64(c.routing_seed);
+    w.str(c.admission_policy);
+    w.u32(static_cast<std::uint32_t>(c.admission.class_ceilings.size()));
+    for (const double ceiling : c.admission.class_ceilings) w.f64(ceiling);
+    w.f64(c.admission.default_ceiling);
+    w.f64(c.admission.max_defer_hours);
+    w.f64(c.on_demand_price);
+    w.f64(c.price_trace_hours);
+    w.u64(c.price_seed);
+    w.f64(c.spot.mean_price);
+    w.f64(c.spot.reversion_rate);
+    w.f64(c.spot.volatility);
+    w.f64(c.spot.shock_rate_per_hour);
+    w.f64(c.spot.shock_multiplier);
+    w.f64(c.spot.shock_decay_hours);
+    w.f64(c.spot.floor_price);
+    w.time(c.spot.step);
   }
 };
 
@@ -317,7 +342,7 @@ std::optional<Message> decode_payload(MsgType type, const std::uint8_t* data,
       break;
     }
     case MsgType::PlaceRequest: {
-      cluster::wire::PlaceRequest m;
+      PlaceRequest m;
       std::uint8_t deflatable = 0;
       ok = r.u64(m.vm_id) && r.vec(m.demand) && r.f64(m.priority) &&
            r.u8(deflatable) && deflatable <= 1;
@@ -326,7 +351,7 @@ std::optional<Message> decode_payload(MsgType type, const std::uint8_t* data,
       break;
     }
     case MsgType::PlaceResponse: {
-      cluster::wire::PlaceResponse m;
+      PlaceResponse m;
       std::uint8_t accepted = 0;
       ok = r.u64(m.vm_id) && r.u8(accepted) && accepted <= 1 &&
            r.u64(m.host_id) && r.f64(m.launch_fraction);
@@ -335,21 +360,51 @@ std::optional<Message> decode_payload(MsgType type, const std::uint8_t* data,
       break;
     }
     case MsgType::DeflateCommand: {
-      cluster::wire::DeflateCommand m;
+      DeflateCommand m;
       ok = r.u64(m.vm_id) && r.vec(m.target);
       out = std::move(m);
       break;
     }
     case MsgType::DeflationNotice: {
-      cluster::wire::DeflationNotice m;
+      DeflationNotice m;
       ok = r.u64(m.vm_id) && r.vec(m.old_alloc) && r.vec(m.new_alloc);
       out = std::move(m);
       break;
     }
     case MsgType::UtilizationReport: {
-      cluster::wire::UtilizationReport m;
+      UtilizationReport m;
       ok = r.u64(m.host_id) && r.vec(m.available) && r.vec(m.committed) &&
            r.f64(m.overcommit_ratio);
+      out = std::move(m);
+      break;
+    }
+    case MsgType::CaptureHeader: {
+      CaptureHeader m;
+      ServiceConfig& c = m.config;
+      std::uint64_t servers = 0, shards = 0;
+      std::uint32_t ceiling_count = 0;
+      ok = r.u64(servers) && r.u64(shards) &&
+           r.enum8(c.shard_policy,
+                   static_cast<std::uint8_t>(
+                       cluster::ShardSelectionPolicy::RoundRobin)) &&
+           r.str(c.shard_policy_name) && r.str(c.placement_policy) &&
+           r.u64(c.routing_seed) && r.str(c.admission_policy) &&
+           r.u32(ceiling_count) && ceiling_count <= 4096;
+      for (std::uint32_t i = 0; ok && i < ceiling_count; ++i) {
+        double ceiling = 0.0;
+        ok = r.f64(ceiling);
+        c.admission.class_ceilings.push_back(ceiling);
+      }
+      ok = ok && r.f64(c.admission.default_ceiling) &&
+           r.f64(c.admission.max_defer_hours) && r.f64(c.on_demand_price) &&
+           r.f64(c.price_trace_hours) && r.u64(c.price_seed) &&
+           r.f64(c.spot.mean_price) && r.f64(c.spot.reversion_rate) &&
+           r.f64(c.spot.volatility) && r.f64(c.spot.shock_rate_per_hour) &&
+           r.f64(c.spot.shock_multiplier) &&
+           r.f64(c.spot.shock_decay_hours) && r.f64(c.spot.floor_price) &&
+           r.time(c.spot.step);
+      c.server_count = static_cast<std::size_t>(servers);
+      c.shard_count = static_cast<std::size_t>(shards);
       out = std::move(m);
       break;
     }
@@ -382,6 +437,7 @@ const char* msg_type_name(MsgType type) noexcept {
     case MsgType::DeflateCommand: return "deflate_command";
     case MsgType::DeflationNotice: return "deflation_notice";
     case MsgType::UtilizationReport: return "utilization_report";
+    case MsgType::CaptureHeader: return "capture_header";
   }
   return "unknown";
 }
@@ -398,21 +454,18 @@ MsgType message_type(const Message& message) noexcept {
     MsgType operator()(const AdmissionDecisionMsg&) {
       return MsgType::AdmissionDecision;
     }
-    MsgType operator()(const cluster::wire::PlaceRequest&) {
-      return MsgType::PlaceRequest;
-    }
-    MsgType operator()(const cluster::wire::PlaceResponse&) {
-      return MsgType::PlaceResponse;
-    }
-    MsgType operator()(const cluster::wire::DeflateCommand&) {
+    MsgType operator()(const PlaceRequest&) { return MsgType::PlaceRequest; }
+    MsgType operator()(const PlaceResponse&) { return MsgType::PlaceResponse; }
+    MsgType operator()(const DeflateCommand&) {
       return MsgType::DeflateCommand;
     }
-    MsgType operator()(const cluster::wire::DeflationNotice&) {
+    MsgType operator()(const DeflationNotice&) {
       return MsgType::DeflationNotice;
     }
-    MsgType operator()(const cluster::wire::UtilizationReport&) {
+    MsgType operator()(const UtilizationReport&) {
       return MsgType::UtilizationReport;
     }
+    MsgType operator()(const CaptureHeader&) { return MsgType::CaptureHeader; }
   };
   return std::visit(Visitor{}, message);
 }
@@ -451,7 +504,7 @@ DecodeResult decode_frame(const std::uint8_t* data, std::size_t size) {
 
   const auto raw_type = data[2];
   if (raw_type < static_cast<std::uint8_t>(MsgType::Hello) ||
-      raw_type > static_cast<std::uint8_t>(MsgType::UtilizationReport)) {
+      raw_type > static_cast<std::uint8_t>(MsgType::CaptureHeader)) {
     return malformed("unknown message type " + std::to_string(raw_type));
   }
   const auto type = static_cast<MsgType>(raw_type);

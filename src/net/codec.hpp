@@ -1,8 +1,8 @@
-// Binary transport codec for the admission service (the deflated daemon).
-//
-// cluster/wire.hpp models the paper's §6 REST boundary as text messages on
-// an in-process bus; this codec is what actually crosses a socket. Every
-// message travels in a versioned, length-prefixed frame:
+// Binary codec for the admission service (the deflated daemon), and the
+// one message format for the paper's §6 boundary between the central
+// cluster manager and the per-server controllers. The same frames cross
+// the daemon's socket and fill capture files (capture.hpp). Every message
+// travels in a versioned, length-prefixed frame:
 //
 //   offset  size  field
 //   0       1     magic (0xDF)
@@ -27,7 +27,8 @@
 #include <vector>
 
 #include "cluster/admission.hpp"
-#include "cluster/wire.hpp"
+#include "net/service.hpp"
+#include "resources/resource_vector.hpp"
 
 namespace deflate::net {
 
@@ -36,7 +37,8 @@ inline constexpr std::uint8_t kFrameMagic = 0xDF;
 /// v2: Hello advertises every policy registry surface (Hello::surfaces).
 /// v3: Hello carries `telemetry_every` — a client's Hello subscribes the
 ///     connection to periodic UtilizationReport telemetry frames.
-inline constexpr std::uint8_t kCodecVersion = 3;
+/// v4: CaptureHeader — a capture file opens with a header frame.
+inline constexpr std::uint8_t kCodecVersion = 4;
 /// Hard cap on advertised surfaces in a Hello (decode rejects above it).
 inline constexpr std::uint32_t kMaxHelloSurfaces = 64;
 /// Hard upper bound on payload length; a length field above this is
@@ -56,6 +58,7 @@ enum class MsgType : std::uint8_t {
   DeflateCommand = 9,
   DeflationNotice = 10,
   UtilizationReport = 11,
+  CaptureHeader = 12,     ///< first frame of a capture file, never sent
 };
 
 [[nodiscard]] const char* msg_type_name(MsgType type) noexcept;
@@ -108,12 +111,60 @@ struct AdmissionDecisionMsg {
   cluster::AdmissionDecision decision;
 };
 
+/// Raw placement, manager -> server (the prototype's POST /vms): a
+/// spec-only request that bypasses admission.
+struct PlaceRequest {
+  std::uint64_t vm_id = 0;
+  res::ResourceVector demand;
+  double priority = 1.0;
+  bool deflatable = false;
+};
+
+/// Response to PlaceRequest.
+struct PlaceResponse {
+  std::uint64_t vm_id = 0;
+  bool accepted = false;
+  std::uint64_t host_id = 0;
+  double launch_fraction = 1.0;
+};
+
+/// Manager-initiated deflation/reinflation (POST /vms/{id}/allocation).
+struct DeflateCommand {
+  std::uint64_t vm_id = 0;
+  res::ResourceVector target;
+};
+
+/// Server -> application manager notification (Fig. 1's "Deflate VM
+/// Notification" arrow).
+struct DeflationNotice {
+  std::uint64_t vm_id = 0;
+  res::ResourceVector old_alloc;
+  res::ResourceVector new_alloc;
+};
+
+/// Server -> manager state update ("each server updates the central
+/// master about all changes in server utilization after every deflation
+/// event", §6). The daemon sends fleet-wide aggregates as telemetry.
+struct UtilizationReport {
+  std::uint64_t host_id = 0;
+  res::ResourceVector available;
+  res::ResourceVector committed;
+  double overcommit_ratio = 0.0;
+};
+
+/// First frame of a capture file: the decision-relevant ServiceConfig the
+/// daemon ran with (fleet, routing, admission and price-trace fields).
+/// Socket-level fields (port, worker threads, capture path, banner) are
+/// not encoded and decode to their defaults.
+struct CaptureHeader {
+  ServiceConfig config;
+};
+
 using Message =
     std::variant<Hello, ErrorMsg, Shutdown, Bye, AdmissionRequestMsg,
-                 AdmissionDecisionMsg, cluster::wire::PlaceRequest,
-                 cluster::wire::PlaceResponse, cluster::wire::DeflateCommand,
-                 cluster::wire::DeflationNotice,
-                 cluster::wire::UtilizationReport>;
+                 AdmissionDecisionMsg, PlaceRequest, PlaceResponse,
+                 DeflateCommand, DeflationNotice, UtilizationReport,
+                 CaptureHeader>;
 
 [[nodiscard]] MsgType message_type(const Message& message) noexcept;
 

@@ -155,8 +155,7 @@ void Server::serve_connection(std::uint32_t conn_id,
         stats_.decisions += sent_decisions;
         if (telemetry_due) ++stats_.telemetry_reports;
       } else if (const auto* place =
-                     std::get_if<cluster::wire::PlaceRequest>(
-                         &result.message)) {
+                     std::get_if<PlaceRequest>(&result.message)) {
         // The raw placement path: a spec-only request straight to the
         // manager, bypassing admission (the legacy place_vm contract).
         hv::VmSpec spec;
@@ -167,7 +166,7 @@ void Server::serve_connection(std::uint32_t conn_id,
         spec.net_bw_mbps = place->demand.net_bw();
         spec.priority = place->priority;
         spec.deflatable = place->deflatable;
-        cluster::wire::PlaceResponse response;
+        PlaceResponse response;
         response.vm_id = place->vm_id;
         {
           std::lock_guard<std::mutex> admission(admission_mutex_);
@@ -213,8 +212,8 @@ void Server::serve_connection(std::uint32_t conn_id,
   }
 }
 
-cluster::wire::UtilizationReport Server::fleet_utilization() {
-  cluster::wire::UtilizationReport report;
+UtilizationReport Server::fleet_utilization() {
+  UtilizationReport report;
   report.host_id = kFleetTelemetryHostId;
   cluster::ClusterManagerBase& manager = core_.manager();
   res::ResourceVector capacity;

@@ -30,7 +30,6 @@
 #include <mutex>
 #include <thread>
 
-#include "cluster/wire.hpp"
 #include "net/capture.hpp"
 #include "net/service.hpp"
 #include "net/socket.hpp"
@@ -88,7 +87,7 @@ class Server {
   /// available/committed summed over active servers, worst per-resource
   /// commit ratio). Caller must hold admission_mutex_ — the manager is
   /// shared state.
-  [[nodiscard]] cluster::wire::UtilizationReport fleet_utilization();
+  [[nodiscard]] UtilizationReport fleet_utilization();
 
   ServiceCore core_;
   std::unique_ptr<CaptureWriter> capture_;

@@ -482,16 +482,9 @@ void TraceDrivenSimulator::on_vm_end(VmRuntime& vm) {
 }
 
 void TraceDrivenSimulator::publish_utilization() {
-  if (config_.telemetry_bus == nullptr) return;
+  if (!config_.telemetry_bus) return;
   for (std::size_t s = 0; s < manager_->server_count(); ++s) {
-    if (!manager_->server_active(s)) continue;
-    const hv::Host& host = manager_->host(s);
-    cluster::wire::UtilizationReport report;
-    report.host_id = s;
-    report.available = host.available();
-    report.committed = host.committed();
-    report.overcommit_ratio = host.overcommit_ratio();
-    config_.telemetry_bus->publish(kUtilizationTopic, report.encode());
+    if (manager_->server_active(s)) config_.telemetry_bus(s, manager_->host(s));
   }
 }
 
@@ -737,8 +730,8 @@ void TraceDrivenSimulator::run_events() {
     // Batched view maintenance: dirty views/aggregates accumulated by the
     // events of one simulated tick are flushed once at the tick boundary
     // instead of once per event (placement stays exact either way). The
-    // telemetry bus reports on the same cadence: one UtilizationReport per
-    // active server per tick, from the freshly flushed state.
+    // telemetry observer sees every active server on the same cadence,
+    // in the freshly flushed state.
     if (at != now_) {
       manager_->flush_views();
       publish_utilization();

@@ -25,7 +25,6 @@
 #include "cluster/migration.hpp"
 #include "cluster/pricing.hpp"
 #include "cluster/sharded_manager.hpp"
-#include "cluster/wire.hpp"
 #include "control/controller.hpp"
 #include "policy/policy_set.hpp"
 #include "trace/replay.hpp"
@@ -33,10 +32,6 @@
 #include "transient/market.hpp"
 
 namespace deflate::simcluster {
-
-/// Bus topic the per-tick per-server UtilizationReports are published on
-/// (SimConfig::telemetry_bus).
-inline constexpr const char* kUtilizationTopic = "utilization";
 
 struct SimConfig {
   core::PolicyKind policy = core::PolicyKind::Proportional;
@@ -84,15 +79,16 @@ struct SimConfig {
   /// price-aware policies degrade to AdmitAll.
   cluster::AdmissionConfig admission;
 
-  // --- wire telemetry (src/cluster/wire) ---
+  // --- telemetry observer ---
   /// When set, the simulator stands in for the per-server controllers of
-  /// the paper's §6 REST boundary: at every tick boundary (the same
-  /// cadence as flush_views) it publishes one versioned, encoded
-  /// `UtilizationReport` per active server on topic
-  /// `kUtilizationTopic` — "each server updates the central master about
-  /// all changes in server utilization". Null (default) publishes
-  /// nothing and costs nothing. Non-owning; must outlive run().
-  cluster::wire::MessageBus* telemetry_bus = nullptr;
+  /// the paper's §6 boundary ("each server updates the central master
+  /// about all changes in server utilization"): at every tick boundary
+  /// (the same cadence as flush_views) it calls this once per active
+  /// server with the server's id and host. An observer only reads — it
+  /// never feeds a decision, so a run is identical with or without one.
+  /// Empty (default) costs nothing.
+  std::function<void(std::size_t server, const hv::Host& host)>
+      telemetry_bus;
 
   // --- trace-driven arrivals (src/trace/replay) ---
   /// The arrival source of `TraceDrivenSimulator(SimConfig)`: VMs are
@@ -198,6 +194,8 @@ struct SimMetrics {
   double mean_cpu_deflation = 0.0;   ///< time-weighted over deflatable VMs
   std::uint64_t vm_count = 0;
   std::uint64_t deflatable_count = 0;
+
+  bool operator==(const SimMetrics&) const = default;
 };
 
 /// Every constructor feeds one event loop from a trace::VmArrivalStream;
@@ -227,6 +225,12 @@ class TraceDrivenSimulator {
   /// bounded-memory claim, made measurable).
   [[nodiscard]] std::size_t peak_active_records() const noexcept {
     return peak_active_;
+  }
+
+  /// The manager's counters with the admission breakdown folded in — the
+  /// source of SimMetrics' reclamation/rejection counts.
+  [[nodiscard]] cluster::ClusterStats cluster_stats() const {
+    return admission_->cluster_stats();
   }
 
   // --- sizing helpers --------------------------------------------------------
@@ -305,10 +309,9 @@ class TraceDrivenSimulator {
   /// deferral) as lost throughput.
   void charge_never_served(const VmRuntime& vm);
 
-  // --- wire telemetry plumbing -----------------------------------------------
-  /// Publishes one encoded UtilizationReport per active server on
-  /// `config_.telemetry_bus` (no-op when the bus is null). Called at every
-  /// tick boundary, right after flush_views.
+  // --- telemetry plumbing ----------------------------------------------------
+  /// Hands every active server to `config_.telemetry_bus` (no-op when it
+  /// is empty). Called at every tick boundary, right after flush_views.
   void publish_utilization();
 
   // --- timed migration plumbing ---------------------------------------------

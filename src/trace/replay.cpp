@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <fstream>
 #include <queue>
 #include <stdexcept>
 #include <utility>
@@ -248,54 +247,21 @@ double flat_level_for_priority(double priority, bool deflatable) noexcept {
   throw std::runtime_error("replay capture '" + path + "': " + what);
 }
 
-/// Walks the capture file and returns the AdmissionRequests in captured
-/// order. Every structural defect — missing/garbled header, truncated
-/// record or frame, oversized length, codec-rejected payload — throws; a
+/// The AdmissionRequests of a capture file, in captured order. Structural
+/// defects come from net::CaptureReader; every defect throws, so a
 /// partial fleet is never returned.
 std::vector<cluster::AdmissionRequest> read_capture_requests(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) capture_error(path, "cannot open");
-  std::string header_line;
-  if (!std::getline(in, header_line)) capture_error(path, "empty file");
-  if (!net::decode_capture_header(header_line).has_value()) {
-    capture_error(path, "bad capture header");
-  }
-
+  net::CaptureReader reader(path);
   std::vector<cluster::AdmissionRequest> requests;
-  for (std::size_t record = 0;; ++record) {
+  net::CaptureRecord record;
+  while (reader.next(record)) {
     const auto at_record = [&](const char* what) {
-      capture_error(path, std::string(what) + " at record " +
-                              std::to_string(record));
+      capture_error(path,
+                    "record " + std::to_string(record.index) + ": " + what);
     };
-    char id_bytes[4];
-    in.read(id_bytes, sizeof(id_bytes));
-    if (in.gcount() == 0) break;  // clean EOF between records
-    if (in.gcount() != sizeof(id_bytes)) at_record("truncated record header");
-
-    std::vector<std::uint8_t> frame(net::kHeaderSize);
-    in.read(reinterpret_cast<char*>(frame.data()), net::kHeaderSize);
-    if (in.gcount() != static_cast<std::streamsize>(net::kHeaderSize)) {
-      at_record("truncated frame header");
-    }
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(frame[3 + i]) << (8 * i);
-    }
-    if (len > net::kMaxPayload) at_record("oversized frame");
-    frame.resize(net::kHeaderSize + len);
-    in.read(reinterpret_cast<char*>(frame.data() + net::kHeaderSize), len);
-    if (in.gcount() != static_cast<std::streamsize>(len)) {
-      at_record("truncated frame payload");
-    }
-    const net::DecodeResult decoded =
-        net::decode_frame(frame.data(), frame.size());
-    if (decoded.status != net::DecodeStatus::Ok) {
-      capture_error(path, "corrupt frame at record " + std::to_string(record) +
-                              ": " + decoded.error);
-    }
     if (const auto* request =
-            std::get_if<net::AdmissionRequestMsg>(&decoded.message)) {
+            std::get_if<net::AdmissionRequestMsg>(&record.message)) {
       // Semantic validation: the codec only checks structure, but a bit
       // flip inside a payload can decode into an impossible request (a
       // negative arrival time, zero cores). Reject those here — a stream
@@ -309,10 +275,11 @@ std::vector<cluster::AdmissionRequest> read_capture_requests(
       if (!std::isfinite(r.spec.priority)) at_record("non-finite priority");
       requests.push_back(r);
     } else if (!std::holds_alternative<net::AdmissionDecisionMsg>(
-                   decoded.message)) {
+                   record.message)) {
       at_record("unexpected frame type");
     }
   }
+  if (!reader.error().empty()) capture_error(path, reader.error());
   if (requests.empty()) capture_error(path, "no admission requests");
   return requests;
 }

@@ -174,6 +174,8 @@ struct CostReport {
     std::size_t servers = 0;
     double core_hours = 0.0;  ///< held (billable)
     double cost = 0.0;        ///< integral of this market's spot price
+
+    bool operator==(const MarketCost&) const = default;
   };
 
   double on_demand_core_hours = 0.0;
@@ -208,6 +210,8 @@ struct CostReport {
                ? 100.0 * (1.0 - total_cost() / all_on_demand_cost)
                : 0.0;
   }
+
+  bool operator==(const CostReport&) const = default;
 };
 
 class TransientMarketEngine {

@@ -46,6 +46,13 @@ cluster::AdmissionRequest request_at(std::uint64_t id, double hours,
                                               sim::SimTime::from_hours(hours));
 }
 
+void write_file(const std::string& path,
+                const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
 /// A tight price-policy service on a real (noisy) OU trace with a
 /// mid-range ceiling: decisions flip between admit and defer as the
 /// price wanders, which is exactly the churn replay must reproduce.
@@ -80,40 +87,81 @@ TEST(NetCapture, HeaderRoundTripsConfigExactly) {
   config.price_seed = 424242;
   config.spot.mean_price = 0.275;
   config.spot.volatility = 0.0625;
+  config.spot.step = sim::SimTime::from_minutes(7);
+  config.shard_policy_name = "least-loaded";
+  config.placement_policy = "best-fit";
 
-  const auto decoded =
-      net::decode_capture_header(net::encode_capture_header(config));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->server_count, config.server_count);
-  EXPECT_EQ(decoded->shard_count, config.shard_count);
-  EXPECT_EQ(decoded->shard_policy, config.shard_policy);
-  EXPECT_EQ(decoded->routing_seed, config.routing_seed);
-  EXPECT_EQ(decoded->admission_policy, config.admission_policy);
-  ASSERT_EQ(decoded->admission.class_ceilings.size(),
+  const auto frame = net::encode_frame(net::CaptureHeader{config});
+  const auto result = net::decode_frame(frame.data(), frame.size());
+  ASSERT_EQ(result.status, net::DecodeStatus::Ok) << result.error;
+  const net::ServiceConfig& decoded =
+      std::get<net::CaptureHeader>(result.message).config;
+  EXPECT_EQ(decoded.server_count, config.server_count);
+  EXPECT_EQ(decoded.shard_count, config.shard_count);
+  EXPECT_EQ(decoded.shard_policy, config.shard_policy);
+  EXPECT_EQ(decoded.shard_policy_name, config.shard_policy_name);
+  EXPECT_EQ(decoded.placement_policy, config.placement_policy);
+  EXPECT_EQ(decoded.routing_seed, config.routing_seed);
+  EXPECT_EQ(decoded.admission_policy, config.admission_policy);
+  ASSERT_EQ(decoded.admission.class_ceilings.size(),
             config.admission.class_ceilings.size());
   for (std::size_t i = 0; i < config.admission.class_ceilings.size(); ++i) {
-    // Bit-exact, not approximately: hexfloat round-trip.
-    EXPECT_EQ(decoded->admission.class_ceilings[i],
+    // Bit-exact, not approximately: doubles travel as IEEE-754 bits.
+    EXPECT_EQ(decoded.admission.class_ceilings[i],
               config.admission.class_ceilings[i]);
   }
-  EXPECT_EQ(decoded->admission.default_ceiling,
+  EXPECT_EQ(decoded.admission.default_ceiling,
             config.admission.default_ceiling);
-  EXPECT_EQ(decoded->admission.max_defer_hours,
+  EXPECT_EQ(decoded.admission.max_defer_hours,
             config.admission.max_defer_hours);
-  EXPECT_EQ(decoded->on_demand_price, config.on_demand_price);
-  EXPECT_EQ(decoded->price_trace_hours, config.price_trace_hours);
-  EXPECT_EQ(decoded->price_seed, config.price_seed);
-  EXPECT_EQ(decoded->spot.mean_price, config.spot.mean_price);
-  EXPECT_EQ(decoded->spot.volatility, config.spot.volatility);
+  EXPECT_EQ(decoded.on_demand_price, config.on_demand_price);
+  EXPECT_EQ(decoded.price_trace_hours, config.price_trace_hours);
+  EXPECT_EQ(decoded.price_seed, config.price_seed);
+  EXPECT_EQ(decoded.spot.mean_price, config.spot.mean_price);
+  EXPECT_EQ(decoded.spot.volatility, config.spot.volatility);
+  EXPECT_EQ(decoded.spot.step, config.spot.step);
 }
 
 TEST(NetCapture, HeaderRejectsGarbageAndForeignVersions) {
-  EXPECT_FALSE(net::decode_capture_header("not a header").has_value());
-  EXPECT_FALSE(net::decode_capture_header("").has_value());
-  // A valid envelope of the wrong type.
-  EXPECT_FALSE(net::decode_capture_header(
-                   deflate::cluster::wire::encode_envelope("place_request", {}))
-                   .has_value());
+  TempFile file("test_net_capture_bad_header.bin");
+  const auto rejection = [&file](const std::vector<std::uint8_t>& bytes,
+                                 const char* label) {
+    write_file(file.path(), bytes);
+    EXPECT_FALSE(net::CaptureReader(file.path()).error().empty()) << label;
+    const auto report = net::replay_capture(file.path());
+    EXPECT_FALSE(report.ok()) << label;
+    EXPECT_FALSE(report.error.empty()) << label;
+    return report.error;
+  };
+  (void)rejection({}, "empty file");
+  // A valid frame of the wrong type where the header belongs.
+  net::AdmissionRequestMsg request;
+  request.request = request_at(1, 0.0, 0.5, true);
+  (void)rejection(net::encode_frame(request), "request frame first");
+  // A header frame stamped by a codec-v3 peer.
+  auto header = net::encode_frame(net::CaptureHeader{});
+  header[1] = 3;
+  EXPECT_NE(rejection(header, "codec v3 header").find("version"),
+            std::string::npos);
+}
+
+TEST(NetCapture, UnregisteredPolicyInHeaderIsReportedNotThrown) {
+  // ServiceCore throws on a policy name no registry knows; replay must
+  // report that as a load failure, like any other bad header.
+  TempFile file("test_net_capture_unknown_policy.bin");
+  std::vector<net::ServiceConfig> configs(3);
+  configs[0].admission_policy = "no-such-policy";
+  configs[1].shard_count = 2;  // shard selection only runs when sharded
+  configs[1].shard_policy_name = "no-such-policy";
+  configs[2].placement_policy = "no-such-policy";
+  for (const net::ServiceConfig& config : configs) {
+    write_file(file.path(), net::encode_frame(net::CaptureHeader{config}));
+    net::ReplayReport report;
+    EXPECT_NO_THROW(report = net::replay_capture(file.path()));
+    EXPECT_FALSE(report.ok());
+    EXPECT_NE(report.error.find("no-such-policy"), std::string::npos)
+        << report.error;
+  }
 }
 
 TEST(NetCapture, ReplayReproducesDeferralHeavySession) {

@@ -12,7 +12,6 @@
 
 namespace net = deflate::net;
 namespace cluster = deflate::cluster;
-namespace wire = deflate::cluster::wire;
 namespace hv = deflate::hv;
 namespace res = deflate::res;
 namespace sim = deflate::sim;
@@ -41,7 +40,7 @@ res::ResourceVector random_vector(Rng& rng) {
 }
 
 net::Message random_message(Rng& rng) {
-  switch (rng.uniform_int(0, 8)) {
+  switch (rng.uniform_int(0, 9)) {
     case 0: {
       net::Hello m;
       m.server = "deflated/test";
@@ -103,7 +102,7 @@ net::Message random_message(Rng& rng) {
       return m;
     }
     case 4: {
-      wire::PlaceRequest m;
+      net::PlaceRequest m;
       m.vm_id = rng.next_u64();
       m.demand = random_vector(rng);
       m.priority = rng.uniform(0.0, 1.0);
@@ -111,7 +110,7 @@ net::Message random_message(Rng& rng) {
       return m;
     }
     case 5: {
-      wire::PlaceResponse m;
+      net::PlaceResponse m;
       m.vm_id = rng.next_u64();
       m.accepted = rng.bernoulli(0.5);
       m.host_id = rng.next_u64();
@@ -119,24 +118,50 @@ net::Message random_message(Rng& rng) {
       return m;
     }
     case 6: {
-      wire::DeflateCommand m;
+      net::DeflateCommand m;
       m.vm_id = rng.next_u64();
       m.target = random_vector(rng);
       return m;
     }
     case 7: {
-      wire::DeflationNotice m;
+      net::DeflationNotice m;
       m.vm_id = rng.next_u64();
       m.old_alloc = random_vector(rng);
       m.new_alloc = random_vector(rng);
       return m;
     }
-    default: {
-      wire::UtilizationReport m;
+    case 8: {
+      net::UtilizationReport m;
       m.host_id = rng.next_u64();
       m.available = random_vector(rng);
       m.committed = random_vector(rng);
       m.overcommit_ratio = rng.uniform(0.0, 3.0);
+      return m;
+    }
+    default: {
+      net::CaptureHeader m;
+      net::ServiceConfig& c = m.config;
+      c.server_count = static_cast<std::size_t>(rng.uniform_int(1, 1 << 16));
+      c.shard_count = static_cast<std::size_t>(rng.uniform_int(1, 64));
+      c.shard_policy =
+          static_cast<cluster::ShardSelectionPolicy>(rng.uniform_int(0, 2));
+      c.shard_policy_name = rng.bernoulli(0.5) ? "" : "least-loaded";
+      c.placement_policy = rng.bernoulli(0.5) ? "" : "best-fit";
+      c.routing_seed = rng.next_u64();
+      c.admission_policy = "price";
+      const auto ceilings = rng.uniform_int(0, 5);
+      for (std::int64_t i = 0; i < ceilings; ++i) {
+        c.admission.class_ceilings.push_back(rng.uniform(0.0, 1.0));
+      }
+      c.admission.default_ceiling = rng.uniform(0.0, 1.0);
+      c.admission.max_defer_hours = rng.uniform(0.0, 24.0);
+      c.on_demand_price = rng.uniform(0.5, 2.0);
+      c.price_trace_hours = rng.uniform(0.0, 200.0);
+      c.price_seed = rng.next_u64();
+      c.spot.mean_price = rng.uniform(0.05, 0.5);
+      c.spot.volatility = rng.uniform(0.0, 0.2);
+      c.spot.step = sim::SimTime::from_micros(
+          static_cast<std::int64_t>(rng.next_u64() >> 20));
       return m;
     }
   }

@@ -292,7 +292,7 @@ TEST(NetService, RawPlacementPathOverSocket) {
   auto client = net::Client::connect(server.port());
   ASSERT_TRUE(client.has_value());
 
-  cluster::wire::PlaceRequest request;
+  net::PlaceRequest request;
   request.vm_id = 99;
   request.demand = {4.0, 8192.0, 100.0, 1000.0};
   request.priority = 0.5;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "trace/azure.hpp"
 
 namespace sc = deflate::simcluster;
@@ -266,4 +268,39 @@ TEST(SimCluster, SubsetSelectionRespectsBudget) {
   EXPECT_LE(selected, df_core_hours / 2 + 1e-6);
   EXPECT_GT(selected, df_core_hours / 4);  // greedy fill gets close
   EXPECT_EQ(od_count, od_total);           // on-demand always kept
+}
+
+TEST(SimCluster, TelemetryObserverSeesActiveServersAndChangesNothing) {
+  // The sim stands in for the paper's per-server controllers: every tick
+  // boundary hands each active server to the observer. Instrumentation
+  // never feeds a decision, so the run is identical with or without one.
+  tr::AzureTraceConfig trace_config;
+  trace_config.vm_count = 30;
+  trace_config.duration = deflate::sim::SimTime::from_hours(6);
+  trace_config.seed = 7;
+  const auto records = tr::AzureTraceGenerator(trace_config).generate();
+
+  sc::SimConfig config;
+  config.server_count = 8;
+  config.market_enabled = true;
+  config.market.revocation.model = deflate::transient::RevocationModel::Poisson;
+  sc::TraceDrivenSimulator plain(records, config);
+  const sc::SimMetrics expected = plain.run();
+
+  std::uint64_t reports = 0;
+  std::size_t max_server = 0;
+  config.telemetry_bus = [&](std::size_t server, const deflate::hv::Host&) {
+    max_server = std::max(max_server, server);
+    ++reports;
+  };
+  sc::TraceDrivenSimulator observed(records, config);
+  const sc::SimMetrics metrics = observed.run();
+
+  EXPECT_GT(metrics.vm_count, 0U);
+  // Multiple ticks, each reporting every active server.
+  EXPECT_GE(reports, 2U * config.server_count);
+  EXPECT_LT(max_server, config.server_count);
+  EXPECT_EQ(metrics, expected);
+  EXPECT_EQ(metrics.cost, expected.cost);
+  EXPECT_EQ(observed.cluster_stats(), plain.cluster_stats());
 }

@@ -191,10 +191,17 @@ TEST(TraceIoFuzz, SemanticallyInvalidRowsAreRejected) {
 
 namespace {
 
+/// The header frame `deflated --capture` writes for a default config.
+std::string capture_header() {
+  const std::vector<std::uint8_t> frame =
+      net::encode_frame(net::CaptureHeader{net::ServiceConfig{}});
+  return std::string(frame.begin(), frame.end());
+}
+
 /// Synthesizes capture bytes exactly as `deflated --capture` writes them:
-/// a text header line, then [4-byte LE conn id][frame] records.
+/// the header frame, then [4-byte LE conn id][frame] records.
 std::string synthetic_capture(std::size_t requests) {
-  std::string bytes = net::encode_capture_header(net::ServiceConfig{}) + "\n";
+  std::string bytes = capture_header();
   for (std::size_t i = 0; i < requests; ++i) {
     hv::VmSpec spec;
     spec.id = i + 1;
@@ -291,7 +298,7 @@ TEST(CaptureFuzz, EveryByteBitFlipIsRejectedOrYieldsCompleteStream) {
 }
 
 TEST(CaptureFuzz, OversizedFrameLengthIsRejected) {
-  std::string bytes = net::encode_capture_header(net::ServiceConfig{}) + "\n";
+  std::string bytes = capture_header();
   bytes.append(4, '\0');  // conn id
   // Frame header claiming a payload over kMaxPayload.
   bytes.push_back(static_cast<char>(net::kFrameMagic));
@@ -331,8 +338,7 @@ TEST(CaptureFuzz, DecisionFramesAreSkippedNotIngested) {
 TEST(CaptureFuzz, ReorderedRecordsStillStreamInArrivalOrder) {
   // Swap the two request records wholesale: structurally valid, and the
   // stream must still emit arrivals in (start, id) order.
-  const std::string header =
-      net::encode_capture_header(net::ServiceConfig{}) + "\n";
+  const std::string header = capture_header();
   const std::string full = synthetic_capture(2);
   const std::string records = full.substr(header.size());
   const std::size_t record_size = records.size() / 2;
