@@ -1,12 +1,16 @@
-// Micro-benchmark: fitness-based placement scan over large clusters, and
+// Micro-benchmark: fitness-based placement scan over large clusters, the
+// SoA scan (scan_pick_host) serial and pooled, the sharded tick flush, and
 // end-to-end ClusterManager placement (flat vs sharded) at fleet scale.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
+#include <numeric>
 
 #include "cluster/placement.hpp"
 #include "cluster/sharded_manager.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -127,4 +131,128 @@ BENCHMARK(bench_manager_place)
     ->Args({10000, 16})
     ->Args({10000, 64})
     ->Iterations(2000)
+    ->Unit(benchmark::kMicrosecond);
+
+// --- layer benches: the in-shard scan and the tick flush --------------------
+
+namespace {
+
+/// A scan table of `n` random rows (the make_views distribution), written
+/// through the same row setter the cluster manager's view refresh uses.
+deflate::cluster::HostScanTable make_table(std::size_t n) {
+  deflate::util::Rng rng(42);
+  deflate::cluster::HostScanTable table;
+  table.capacity = {48.0, 131072.0, 4000.0, 40000.0};
+  table.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const ResourceVector available{
+        rng.uniform(0.0, 48.0), rng.uniform(0.0, 131072.0),
+        rng.uniform(0.0, 4000.0), rng.uniform(0.0, 40000.0)};
+    const ResourceVector deflatable{rng.uniform(0.0, 24.0),
+                                    rng.uniform(0.0, 65536.0), 0.0, 0.0};
+    table.set_row(i, available, deflatable, rng.uniform(0.5, 2.0));
+    table.eligible[i] = rng.bernoulli(0.9) ? 1 : 0;
+  }
+  return table;
+}
+
+}  // namespace
+
+/// One free-capacity scan over every row. range(0) = servers, range(1) =
+/// strategy (0 fitness, 2 best-fit), range(2) = pool threads (1 = serial;
+/// the pool only engages at >= 1024 candidates). Wall-clock time, so the
+/// pooled rows compare with the serial ones.
+static void bench_scan_pick_host(benchmark::State& state) {
+  const auto servers = static_cast<std::size_t>(state.range(0));
+  const auto strategy =
+      static_cast<deflate::cluster::PlacementStrategy>(state.range(1));
+  const auto threads = static_cast<std::size_t>(state.range(2));
+  const auto table = make_table(servers);
+  std::vector<std::size_t> candidates(servers);
+  std::iota(candidates.begin(), candidates.end(), std::size_t{0});
+  std::unique_ptr<deflate::util::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<deflate::util::ThreadPool>(threads);
+  const ResourceVector demand(8.0, 16384.0, 100.0, 1000.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(deflate::cluster::scan_pick_host(
+        strategy, demand, table, candidates,
+        deflate::cluster::ScanFeasibility::FreeCapacity,
+        /*under_pressure=*/false, pool.get()));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(bench_scan_pick_host)
+    ->ArgNames({"servers", "strategy", "threads"})
+    ->ArgsProduct({{125, 1250, 12500}, {0, 2}, {1}})
+    ->ArgsProduct({{1250, 12500}, {0}, {2, 4}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+/// One sharded tick flush with `range(0)` dirty servers per shard (0 =
+/// every server) on a 4 x 1024-server fleet warmed to ~50% CPU. Each
+/// iteration dirties the servers by removing one resident VM from each,
+/// times only flush_views, then re-places the VMs untimed.
+static void bench_sharded_flush(benchmark::State& state) {
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kPerShard = 1024;
+  const auto requested = static_cast<std::size_t>(state.range(0));
+  const std::size_t dirty = requested == 0 ? kPerShard : requested;
+  deflate::cluster::ShardedClusterConfig config;
+  config.cluster.server_count = kShards * kPerShard;
+  config.cluster.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
+  config.shard_count = kShards;
+  deflate::cluster::ShardedClusterManager manager(config);
+  deflate::util::Rng rng(42);
+  std::uint64_t next_id = 1;
+  double committed = 0.0;
+  const double target = 0.5 * 48.0 * static_cast<double>(kShards * kPerShard);
+  while (committed < target) {
+    const auto spec = bench_spec(rng, next_id++);
+    if (manager.place_vm(spec).ok()) {
+      committed += static_cast<double>(spec.vcpus);
+    }
+  }
+  manager.flush_views();
+
+  std::size_t cursor = 0;
+  for (auto _ : state) {
+    std::size_t removed = 0;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      std::size_t taken = 0;
+      for (std::size_t k = 0; k < kPerShard && taken < dirty; ++k) {
+        const std::size_t server = s * kPerShard + (cursor + k) % kPerShard;
+        const auto& vms = manager.host(server).vms();
+        if (vms.empty()) continue;
+        manager.remove_vm(vms.front()->spec().id);
+        ++taken;
+      }
+      removed += taken;
+    }
+    cursor += dirty;
+    const auto start = std::chrono::steady_clock::now();
+    manager.flush_views();
+    const auto stop = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
+    for (std::size_t i = 0; i < removed; ++i) {
+      manager.place_vm(bench_spec(rng, next_id++));
+    }
+  }
+}
+BENCHMARK(bench_sharded_flush)
+    ->ArgName("dirty_per_shard")
+    ->Arg(1)
+    ->Iterations(2000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(bench_sharded_flush)
+    ->ArgName("dirty_per_shard")
+    ->Arg(64)
+    ->Iterations(300)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(bench_sharded_flush)
+    ->ArgName("dirty_per_shard")
+    ->Arg(0)
+    ->Iterations(20)
+    ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);

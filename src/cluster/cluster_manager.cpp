@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "mechanisms/mechanism.hpp"
 #include "util/logging.hpp"
@@ -9,12 +10,67 @@
 
 namespace deflate::cluster {
 
+namespace {
+
+/// Rejects configs the manager cannot serve before any member is built: a
+/// zero-server fleet would leave every partition pool naming a server
+/// that does not exist.
+ClusterConfig validated(ClusterConfig config) {
+  if (config.server_count == 0) {
+    throw std::invalid_argument("ClusterManager: server_count must be >= 1");
+  }
+  return config;
+}
+
+/// Per-server bound on free + deflatable capacity for the fixed-point
+/// scale: free capacity is at most the capacity, and reclaimable headroom
+/// is at most what the residents hold. The factor leaves slack for
+/// overcommitted allocations; quantize clamps anything beyond it.
+constexpr double kFreeRowBound = 4.0;
+
+}  // namespace
+
+FixedPointScale::FixedPointScale(const res::ResourceVector& row_bound,
+                                 std::size_t rows)
+    : bound_(row_bound.clamped_nonneg()) {
+  for (const res::Resource r : res::all_resources) {
+    const double total =
+        bound_[r] * static_cast<double>(std::max<std::size_t>(rows, 1));
+    if (!(total > 0.0)) continue;  // quantum 1; every value clamps to 0
+    int magnitude = 0;             // total < 2^magnitude
+    (void)std::frexp(total, &magnitude);
+    exponent_[static_cast<std::size_t>(r)] = magnitude - 62;
+  }
+}
+
+FixedPointRow FixedPointScale::quantize(
+    const res::ResourceVector& v) const noexcept {
+  FixedPointRow units{};
+  for (const res::Resource r : res::all_resources) {
+    const auto k = static_cast<std::size_t>(r);
+    const double clamped = std::clamp(v[r], -bound_[r], bound_[r]);
+    // Scaling by a power of two is exact; only the rounding drops bits.
+    units[k] = std::llround(std::ldexp(clamped, -exponent_[k]));
+  }
+  return units;
+}
+
+res::ResourceVector FixedPointScale::to_vector(
+    const FixedPointRow& units) const noexcept {
+  res::ResourceVector v;
+  for (const res::Resource r : res::all_resources) {
+    const auto k = static_cast<std::size_t>(r);
+    v[r] = std::ldexp(static_cast<double>(units[k]), exponent_[k]);
+  }
+  return v;
+}
+
 ClusterManager::ServerNode::ServerNode(std::uint64_t id,
                                        const ClusterConfig& config)
     : hypervisor(id, config.server_capacity) {}
 
 ClusterManager::ClusterManager(ClusterConfig config)
-    : config_(std::move(config)),
+    : config_(validated(std::move(config))),
       policy_(core::make_policy(config_.policy)),
       scorer_(make_placement_scorer(
           config_.placement_name.empty()
@@ -36,12 +92,16 @@ ClusterManager::ClusterManager(ClusterConfig config)
   dirty_queue_.reserve(config_.server_count);
   scan_.capacity = config_.server_capacity;
   scan_.resize(config_.server_count);
+  free_scale_ = FixedPointScale(config_.server_capacity * kFreeRowBound,
+                                config_.server_count);
+  free_rows_.assign(config_.server_count, FixedPointRow{});
   for (std::size_t i = 0; i < config_.server_count; ++i) {
     auto node = std::make_unique<ServerNode>(i, config_);
     node->controller = std::make_unique<core::LocalDeflationController>(
         node->hypervisor, policy_, mechanism);
     nodes_.push_back(std::move(node));
     refresh_view(i);
+    fold_free_row(i);
   }
 }
 
@@ -54,48 +114,69 @@ void ClusterManager::mark_view_dirty(std::size_t server) {
 void ClusterManager::flush_views() {
   DEFLATE_PROFILE_SCOPE("cluster.flush_views");
   // Each queued server touches only its own table row (the queue is
-  // deduped), so the drain parallelizes without synchronization and the
-  // resulting columns are identical for any thread count.
+  // deduped), so the refresh pass parallelizes without synchronization
+  // and the resulting columns are identical for any thread count. The
+  // running free total is then folded serially; integer sums make the
+  // fold order irrelevant anyway.
   constexpr std::size_t kMinParallelDrain = 256;
   if (pool_ != nullptr && dirty_queue_.size() >= kMinParallelDrain) {
     util::parallel_for(pool_, dirty_queue_.size(),
                        [this](std::size_t begin, std::size_t end) {
                          for (std::size_t i = begin; i < end; ++i) {
-                           const std::size_t server = dirty_queue_[i];
-                           view_dirty_[server] = 0;
-                           refresh_view(server);
+                           refresh_view(dirty_queue_[i]);
                          }
                        });
   } else {
-    for (const std::size_t server : dirty_queue_) {
-      view_dirty_[server] = 0;
-      refresh_view(server);
-    }
+    for (const std::size_t server : dirty_queue_) refresh_view(server);
+  }
+  for (const std::size_t server : dirty_queue_) {
+    view_dirty_[server] = 0;
+    fold_free_row(server);
   }
   dirty_queue_.clear();
 }
 
-FleetAggregate ClusterManager::aggregate_free() {
+res::ResourceVector ClusterManager::aggregate_free() {
+  return free_scale_.to_vector(aggregate_free_units());
+}
+
+FixedPointRow ClusterManager::aggregate_free_units() {
   flush_views();
-  FleetAggregate aggregate;
+  return free_units_;
+}
+
+FixedPointRow ClusterManager::rescan_free_units() const {
+  FixedPointRow total{};
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i]->active) continue;
-    aggregate.available += scan_.available_of(i);
-    aggregate.deflatable += scan_.deflatable_of(i);
-    ++aggregate.active_servers;
+    const FixedPointRow row = free_row(i);
+    for (std::size_t k = 0; k < total.size(); ++k) total[k] += row[k];
   }
-  return aggregate;
+  return total;
+}
+
+FixedPointRow ClusterManager::free_row(std::size_t server) const noexcept {
+  if (!nodes_[server]->active) return {};
+  return free_scale_.quantize(scan_.available_of(server) +
+                              scan_.deflatable_of(server));
+}
+
+void ClusterManager::fold_free_row(std::size_t server) {
+  const FixedPointRow row = free_row(server);
+  FixedPointRow& folded = free_rows_[server];
+  for (std::size_t k = 0; k < row.size(); ++k) {
+    free_units_[k] += row[k] - folded[k];
+  }
+  folded = row;
 }
 
 void ClusterManager::refresh_view(std::size_t server) {
   ServerNode& node = *nodes_[server];
   const hv::Host& host = node.hypervisor.host();
-  scan_.set_available(server, host.available());
-  scan_.set_deflatable(server,
-                       config_.mode == ReclamationMode::Deflation
-                           ? node.controller->reclaimable_headroom()
-                           : res::ResourceVector{});
-  scan_.overcommit[server] = host.overcommit_ratio();
+  scan_.set_row(server, host.available(),
+                config_.mode == ReclamationMode::Deflation
+                    ? node.controller->reclaimable_headroom()
+                    : res::ResourceVector{},
+                host.overcommit_ratio());
 }
 
 void ClusterManager::update_eligible(std::size_t server) {
@@ -176,7 +257,9 @@ PlacementResult ClusterManager::place_with_preemption(
   PlacementResult result;
 
   // Feasibility with preemption: free capacity plus everything the
-  // deflatable (low-priority) VMs currently hold.
+  // deflatable (low-priority) VMs currently hold. The scorers derive A_j
+  // from each view's own fields on this path, so the overwritten
+  // deflatable (not the table's cached column) is what gets scored.
   std::vector<HostView> views;
   views.reserve(candidates.size());
   for (const std::size_t idx : candidates) {

@@ -11,6 +11,7 @@
 // size.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -115,12 +116,30 @@ struct RevocationOutcome {
   std::size_t vms_killed = 0;     ///< no surviving server could take them
 };
 
-/// Aggregate placement capacity of a (sub-)fleet, computed from the cached
-/// per-server views; the sharded scheduler routes on this.
-struct FleetAggregate {
-  res::ResourceVector available;   ///< sum of free capacity, active servers
-  res::ResourceVector deflatable;  ///< sum of reclaimable headroom
-  std::size_t active_servers = 0;
+/// Per-resource capacity in int64 fixed-point units (see FixedPointScale).
+using FixedPointRow = std::array<std::int64_t, res::kNumResources>;
+
+/// Exact fixed-point encoding for summing per-server resource values. Each
+/// resource gets a power-of-two quantum: the smallest one for which `rows`
+/// values bounded by `row_bound` sum below 2^62 units, so no total can
+/// overflow an int64 while integral cores and MiB stay exact on any
+/// realistic fleet. Integer sums do not depend on summation order, so a
+/// total maintained by incremental add/subtract equals a from-scratch sum
+/// bit for bit, whatever order and thread count produced it.
+class FixedPointScale {
+ public:
+  FixedPointScale() = default;
+  FixedPointScale(const res::ResourceVector& row_bound, std::size_t rows);
+
+  /// Rounds each component (clamped to +-row_bound) to the nearest unit.
+  [[nodiscard]] FixedPointRow quantize(
+      const res::ResourceVector& v) const noexcept;
+  [[nodiscard]] res::ResourceVector to_vector(
+      const FixedPointRow& units) const noexcept;
+
+ private:
+  res::ResourceVector bound_;
+  std::array<int, res::kNumResources> exponent_{};  ///< quantum = 2^exponent
 };
 
 /// Common interface of the flat ClusterManager and the sharded scheduler
@@ -272,10 +291,18 @@ class ClusterManager : public ClusterManagerBase {
   /// them because place_vm flushes first.
   void flush_views() override;
 
-  /// Fleet-wide free + reclaimable capacity from the cached views (exact:
-  /// flushes first). O(server_count); the sharded scheduler calls this per
-  /// shard on its own flush cadence, not per placement.
-  [[nodiscard]] FleetAggregate aggregate_free();
+  /// Free + reclaimable capacity summed over the active servers (exact:
+  /// flushes first). O(1) after the flush: every view refresh folds the
+  /// server's change into a running fixed-point total, so a flush costs
+  /// O(dirty servers), not O(server_count). The sharded scheduler routes
+  /// on this, refreshed once per tick for each dirty shard.
+  [[nodiscard]] res::ResourceVector aggregate_free();
+  /// The same total in fixed-point units (flushes first).
+  [[nodiscard]] FixedPointRow aggregate_free_units();
+  /// The total recomputed from scratch over the active servers' cached
+  /// rows, ignoring the running sum; equals aggregate_free_units() after
+  /// any flush (invariant checks).
+  [[nodiscard]] FixedPointRow rescan_free_units() const;
 
   /// Re-resolves the placement scorer from the registry by name (PolicySet
   /// re-binding). Only call at a tick barrier — between flush_views and the
@@ -298,7 +325,13 @@ class ClusterManager : public ClusterManagerBase {
     bool accepting = true;
   };
 
+  /// Rewrites the server's scan-table row (parallel-safe: one row each).
   void refresh_view(std::size_t server);
+  /// Replaces the server's contribution to free_units_ with its current
+  /// row (zero while inactive). Serial: runs after the refresh pass.
+  void fold_free_row(std::size_t server);
+  /// The server's contribution to the free total from its table row.
+  [[nodiscard]] FixedPointRow free_row(std::size_t server) const noexcept;
   /// Queues `server` for a view rescan at the next flush (dedups repeated
   /// mutations of the same server between placements).
   void mark_view_dirty(std::size_t server);
@@ -328,6 +361,11 @@ class ClusterManager : public ClusterManagerBase {
   util::ThreadPool* pool_ = nullptr;  ///< scan/drain pool (nullptr = serial)
   std::vector<std::uint8_t> view_dirty_;   ///< per-server dirty flag
   std::vector<std::size_t> dirty_queue_;   ///< servers awaiting a rescan
+  /// Free + deflatable capacity in fixed-point units: each server's folded
+  /// row, and their running sum (what aggregate_free returns).
+  FixedPointScale free_scale_;
+  std::vector<FixedPointRow> free_rows_;
+  FixedPointRow free_units_{};
   ClusterStats stats_;
   std::vector<PreemptionCallback> preemption_callbacks_;
   std::vector<RevocationCallback> revocation_callbacks_;

@@ -1,6 +1,7 @@
 #include "cluster/placement.hpp"
 
 #include <algorithm>
+#include <array>
 #include <mutex>
 #include <stdexcept>
 
@@ -8,49 +9,86 @@ namespace deflate::cluster {
 
 namespace {
 
-/// Capacity-normalized leftover mass after placing the demand; the
-/// BestFit/WorstFit score. Shared by pick_host and scan_pick_host so the
-/// two paths can never drift apart.
-double leftover_score(const res::ResourceVector& demand, const HostView& host) {
-  res::ResourceVector leftover_n;
-  const res::ResourceVector availability = availability_vector(host);
+// --- scoring kernels --------------------------------------------------------
+//
+// The one definition of each score's arithmetic. The span path (score() on
+// a HostView) and the scan path (score_rows() over cached table columns)
+// both call these with the same operands, so the two paths are
+// bit-identical by construction.
+
+/// §5.2: A_j = Total - Used + deflatable_j / overcommitted_j. A server at
+/// or below full commitment divides by 1 (no discount); overcommitted
+/// servers see their deflatable headroom count for less, steering new VMs
+/// toward less-loaded servers.
+res::ResourceVector availability_kernel(const res::ResourceVector& available,
+                                        const res::ResourceVector& deflatable,
+                                        double overcommit_ratio) noexcept {
+  const double overcommit_divisor = std::max(1.0, overcommit_ratio);
+  return (available + deflatable * (1.0 / overcommit_divisor))
+      .clamped_nonneg();
+}
+
+/// Cosine similarity of demand and availability.
+double fitness_kernel(const DemandTerms& terms,
+                      const res::ResourceVector& availability,
+                      double availability_norm) noexcept {
+  constexpr double kEps = 1e-12;
+  const double denom = terms.norm * availability_norm;
+  return terms.demand.dot(availability) / (denom > kEps ? denom : kEps);
+}
+
+/// Capacity-normalized availability projected onto the demand direction
+/// (normalizing by capacity makes cores and MiB commensurate).
+double pressure_kernel(const DemandTerms& terms,
+                       const res::ResourceVector& availability) noexcept {
+  res::ResourceVector avail_n;
   for (const res::Resource r : res::all_resources) {
-    if (host.capacity[r] <= 0.0) continue;
-    leftover_n[r] = (availability[r] - demand[r]) / host.capacity[r];
+    if (terms.capacity[r] <= 0.0) continue;
+    avail_n[r] = availability[r] / terms.capacity[r];
+  }
+  if (terms.normalized_norm <= 1e-12) return avail_n.norm();
+  return terms.normalized.dot(avail_n) / terms.normalized_norm;
+}
+
+/// Capacity-normalized leftover mass after placing the demand; the
+/// BestFit/WorstFit score.
+double leftover_kernel(const DemandTerms& terms,
+                       const res::ResourceVector& availability) noexcept {
+  res::ResourceVector leftover_n;
+  for (const res::Resource r : res::all_resources) {
+    if (terms.capacity[r] <= 0.0) continue;
+    leftover_n[r] = (availability[r] - terms.demand[r]) / terms.capacity[r];
   }
   return leftover_n.clamped_nonneg().norm();
 }
 
 }  // namespace
 
+DemandTerms::DemandTerms(const res::ResourceVector& demand_in,
+                         const res::ResourceVector& capacity_in) noexcept
+    : demand(demand_in), capacity(capacity_in), norm(demand_in.norm()) {
+  for (const res::Resource r : res::all_resources) {
+    if (capacity[r] <= 0.0) continue;
+    normalized[r] = demand[r] / capacity[r];
+  }
+  normalized_norm = normalized.norm();
+}
+
 res::ResourceVector availability_vector(const HostView& host) {
-  // §5.2: A_j = Total - Used + deflatable_j / overcommitted_j. A server at
-  // or below full commitment divides by 1 (no discount); overcommitted
-  // servers see their deflatable headroom count for less, steering new VMs
-  // toward less-loaded servers.
-  const double overcommit_divisor = std::max(1.0, host.overcommit_ratio);
-  return (host.available + host.deflatable * (1.0 / overcommit_divisor))
-      .clamped_nonneg();
+  return availability_kernel(host.available, host.deflatable,
+                             host.overcommit_ratio);
 }
 
 double fitness(const res::ResourceVector& demand, const HostView& host) {
-  return res::cosine_similarity(demand, availability_vector(host));
+  const res::ResourceVector availability = availability_vector(host);
+  return fitness_kernel(DemandTerms(demand, host.capacity), availability,
+                        availability.norm());
 }
 
 double pressure_fitness(const res::ResourceVector& demand,
                         const HostView& host) {
-  // Normalize both vectors by the server capacity so cores and MiB are
-  // commensurate, then project availability onto the demand direction.
-  res::ResourceVector demand_n, avail_n;
-  const res::ResourceVector availability = availability_vector(host);
-  for (const res::Resource r : res::all_resources) {
-    if (host.capacity[r] <= 0.0) continue;
-    demand_n[r] = demand[r] / host.capacity[r];
-    avail_n[r] = availability[r] / host.capacity[r];
-  }
-  const double demand_norm = demand_n.norm();
-  if (demand_norm <= 1e-12) return avail_n.norm();
-  return demand_n.dot(avail_n) / demand_norm;
+  return pressure_kernel(DemandTerms(demand, host.capacity),
+                         availability_vector(host));
 }
 
 std::optional<std::size_t> pick_best_host(const res::ResourceVector& demand,
@@ -84,7 +122,30 @@ const char* placement_strategy_name(PlacementStrategy s) noexcept {
 
 // --- builtin scorers --------------------------------------------------------
 
+void PlacementScorer::score_rows(const DemandTerms& terms,
+                                 const HostScanTable& table,
+                                 std::span<const std::size_t> servers,
+                                 bool under_pressure,
+                                 std::span<double> scores) const {
+  for (std::size_t k = 0; k < servers.size(); ++k) {
+    scores[k] = score(terms.demand, table.view_of(servers[k]), under_pressure);
+  }
+}
+
 namespace {
+
+double leftover_score(const res::ResourceVector& demand, const HostView& host) {
+  return leftover_kernel(DemandTerms(demand, host.capacity),
+                         availability_vector(host));
+}
+
+void leftover_rows(const DemandTerms& terms, const HostScanTable& table,
+                   std::span<const std::size_t> servers,
+                   std::span<double> scores) {
+  for (std::size_t k = 0; k < servers.size(); ++k) {
+    scores[k] = leftover_kernel(terms, table.availability_of(servers[k]));
+  }
+}
 
 /// §5.2 cosine fitness (pressure-aware). The only builtin whose span-path
 /// ties break by host id: its sentinel-free score range (>= 0) made the
@@ -102,6 +163,18 @@ class FitnessScorer final : public PlacementScorer {
                              bool under_pressure) const override {
     return under_pressure ? pressure_fitness(demand, host)
                           : fitness(demand, host);
+  }
+  void score_rows(const DemandTerms& terms, const HostScanTable& table,
+                  std::span<const std::size_t> servers, bool under_pressure,
+                  std::span<double> scores) const override {
+    for (std::size_t k = 0; k < servers.size(); ++k) {
+      const std::size_t i = servers[k];
+      const res::ResourceVector availability = table.availability_of(i);
+      scores[k] = under_pressure
+                      ? pressure_kernel(terms, availability)
+                      : fitness_kernel(terms, availability,
+                                       table.availability_norm[i]);
+    }
   }
 };
 
@@ -123,6 +196,11 @@ class BestFitScorer final : public PlacementScorer {
                              const HostView& host, bool) const override {
     return leftover_score(demand, host);
   }
+  void score_rows(const DemandTerms& terms, const HostScanTable& table,
+                  std::span<const std::size_t> servers, bool,
+                  std::span<double> scores) const override {
+    leftover_rows(terms, table, servers, scores);
+  }
 };
 
 class WorstFitScorer final : public PlacementScorer {
@@ -133,6 +211,11 @@ class WorstFitScorer final : public PlacementScorer {
   [[nodiscard]] double score(const res::ResourceVector& demand,
                              const HostView& host, bool) const override {
     return leftover_score(demand, host);
+  }
+  void score_rows(const DemandTerms& terms, const HostScanTable& table,
+                  std::span<const std::size_t> servers, bool,
+                  std::span<double> scores) const override {
+    leftover_rows(terms, table, servers, scores);
   }
 };
 
@@ -239,22 +322,26 @@ std::optional<std::size_t> pick_host(const PlacementScorer& scorer,
 void HostScanTable::resize(std::size_t servers) {
   for (auto& column : available) column.assign(servers, 0.0);
   for (auto& column : deflatable) column.assign(servers, 0.0);
+  for (auto& column : availability) column.assign(servers, 0.0);
   overcommit.assign(servers, 0.0);
+  availability_norm.assign(servers, 0.0);
   eligible.assign(servers, 1);
 }
 
-void HostScanTable::set_available(std::size_t i,
-                                  const res::ResourceVector& v) noexcept {
-  for (std::size_t r = 0; r < res::kNumResources; ++r) {
-    available[r][i] = v[static_cast<res::Resource>(r)];
+void HostScanTable::set_row(std::size_t i,
+                            const res::ResourceVector& available_i,
+                            const res::ResourceVector& deflatable_i,
+                            double overcommit_i) noexcept {
+  const res::ResourceVector a =
+      availability_kernel(available_i, deflatable_i, overcommit_i);
+  for (const res::Resource r : res::all_resources) {
+    const auto k = static_cast<std::size_t>(r);
+    available[k][i] = available_i[r];
+    deflatable[k][i] = deflatable_i[r];
+    availability[k][i] = a[r];
   }
-}
-
-void HostScanTable::set_deflatable(std::size_t i,
-                                   const res::ResourceVector& v) noexcept {
-  for (std::size_t r = 0; r < res::kNumResources; ++r) {
-    deflatable[r][i] = v[static_cast<res::Resource>(r)];
-  }
+  overcommit[i] = overcommit_i;
+  availability_norm[i] = a.norm();
 }
 
 res::ResourceVector HostScanTable::available_of(std::size_t i) const noexcept {
@@ -264,6 +351,12 @@ res::ResourceVector HostScanTable::available_of(std::size_t i) const noexcept {
 res::ResourceVector HostScanTable::deflatable_of(std::size_t i) const noexcept {
   return {deflatable[0][i], deflatable[1][i], deflatable[2][i],
           deflatable[3][i]};
+}
+
+res::ResourceVector HostScanTable::availability_of(
+    std::size_t i) const noexcept {
+  return {availability[0][i], availability[1][i], availability[2][i],
+          availability[3][i]};
 }
 
 HostView HostScanTable::view_of(std::size_t i) const noexcept {
@@ -307,6 +400,26 @@ bool scan_better(PlacementScorer::Order order, double score, std::size_t host,
   return false;
 }
 
+/// The two place_vm feasibility passes over the raw columns, with the
+/// span path's epsilons: free capacity alone, or the shortfall covered by
+/// the policy-deflatable headroom.
+bool row_feasible(const HostScanTable& table, std::size_t server,
+                  const res::ResourceVector& demand,
+                  ScanFeasibility feasibility) noexcept {
+  for (const res::Resource r : res::all_resources) {
+    const auto k = static_cast<std::size_t>(r);
+    const double available = table.available[k][server];
+    if (feasibility == ScanFeasibility::FreeCapacity) {
+      if (demand[r] > available + 1e-9) return false;
+    } else {
+      double need = demand[r] - available;
+      if (need < 0.0) need = 0.0;
+      if (need > table.deflatable[k][server] + 1e-9) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 std::optional<std::size_t> scan_pick_host(PlacementStrategy strategy,
@@ -328,24 +441,35 @@ std::optional<std::size_t> scan_pick_host(const PlacementScorer& scorer,
                                           bool under_pressure,
                                           util::ThreadPool* pool) {
   const PlacementScorer::Order order = scorer.order();
+  const DemandTerms terms(demand, table.capacity);
   const auto evaluate = [&](std::size_t begin, std::size_t end,
                             ScanBest& best) {
-    for (std::size_t c = begin; c < end; ++c) {
-      const std::size_t server = candidates[c];
-      if (!table.eligible[server]) continue;
-      const res::ResourceVector avail = table.available_of(server);
-      if (feasibility == ScanFeasibility::FreeCapacity) {
-        if (!demand.all_leq(avail, 1e-9)) continue;
-      } else {
-        const res::ResourceVector need = (demand - avail).clamped_nonneg();
-        if (!need.all_leq(table.deflatable_of(server), 1e-9)) continue;
+    // Feasible rows are gathered into fixed blocks and scored with one
+    // score_rows call per block: one virtual call per block, not per
+    // candidate.
+    constexpr std::size_t kBlock = 128;
+    std::array<std::size_t, kBlock> rows{};
+    std::array<double, kBlock> scores{};
+    std::size_t c = begin;
+    while (c < end) {
+      std::size_t n = 0;
+      for (; c < end && n < kBlock; ++c) {
+        const std::size_t server = candidates[c];
+        if (table.eligible[server] && row_feasible(table, server, demand,
+                                                   feasibility)) {
+          rows[n++] = server;
+        }
       }
-      double score = 0.0;
+      if (n == 0) continue;
+      const std::span<const std::size_t> block(rows.data(), n);
       if (order != PlacementScorer::Order::ById) {
-        score = scorer.score(demand, table.view_of(server), under_pressure);
+        scorer.score_rows(terms, table, block, under_pressure,
+                          std::span<double>(scores.data(), n));
       }
-      if (scan_better(order, score, server, best)) {
-        best = {score, server, true};
+      for (std::size_t k = 0; k < n; ++k) {
+        if (scan_better(order, scores[k], rows[k], best)) {
+          best = {scores[k], rows[k], true};
+        }
       }
     }
   };

@@ -36,6 +36,19 @@ struct HostView {
 /// Availability vector A_j as defined above.
 [[nodiscard]] res::ResourceVector availability_vector(const HostView& host);
 
+/// The demand-only terms of every builtin score, computed once per scan
+/// (and once per call on the span path) instead of once per candidate.
+struct DemandTerms {
+  DemandTerms(const res::ResourceVector& demand,
+              const res::ResourceVector& capacity) noexcept;
+
+  res::ResourceVector demand;
+  res::ResourceVector capacity;    ///< per-server capacity (fleet-uniform)
+  double norm = 0.0;               ///< ||d||, the cosine denominator
+  res::ResourceVector normalized;  ///< d / capacity (0 where capacity <= 0)
+  double normalized_norm = 0.0;    ///< ||d / capacity||
+};
+
 /// Fitness score; larger is better.
 [[nodiscard]] double fitness(const res::ResourceVector& demand,
                              const HostView& host);
@@ -68,6 +81,8 @@ enum class PlacementStrategy { Fitness, FirstFit, BestFit, WorstFit };
 
 [[nodiscard]] const char* placement_strategy_name(PlacementStrategy s) noexcept;
 
+struct HostScanTable;
+
 /// Strategy object behind PlacementStrategy: scores one (demand, host)
 /// pair; the shared selection loops (pick_host / scan_pick_host) own the
 /// feasibility mask and the deterministic tie order. Scorers are stateless
@@ -93,6 +108,17 @@ class PlacementScorer {
   [[nodiscard]] virtual double score(const res::ResourceVector& demand,
                                      const HostView& host,
                                      bool under_pressure) const = 0;
+
+  /// Scan-path scoring: writes the score of each row in `servers` (all
+  /// eligible and feasible) into `scores`. scan_pick_host calls this once
+  /// per block of candidates, never once per candidate. The default
+  /// rebuilds each row's HostView and calls score(), so plugin scorers
+  /// work unchanged; the builtins override it to read the table's cached
+  /// availability columns through the same kernels score() uses, so both
+  /// paths return bit-identical scores.
+  virtual void score_rows(const DemandTerms& terms, const HostScanTable& table,
+                          std::span<const std::size_t> servers,
+                          bool under_pressure, std::span<double> scores) const;
 };
 
 /// Registry surface for placement scoring policies.
@@ -138,22 +164,36 @@ using PlacementRegistry = policy::PolicyRegistry<PlacementSurface>;
 /// deflation sweeps read a handful of sequential double streams instead of
 /// striding over per-server structs behind pointers, so the hot scan is
 /// cache-linear and trivially chunkable across worker threads.
+///
+/// Alongside the raw view fields the table caches each row's
+/// demand-independent scoring terms: the availability vector A_j and its
+/// norm ||A_j||. set_row recomputes them whenever the cluster manager
+/// refreshes a server's view, so a scan scores a candidate from columns
+/// instead of rebuilding a HostView and re-deriving A_j per candidate.
 struct HostScanTable {
   /// Fleet-uniform server capacity (every server shares the config's).
   res::ResourceVector capacity;
   std::array<std::vector<double>, res::kNumResources> available;
   std::array<std::vector<double>, res::kNumResources> deflatable;
   std::vector<double> overcommit;
+  /// Cached A_j = availability_vector(view_of(i)), per resource.
+  std::array<std::vector<double>, res::kNumResources> availability;
+  /// Cached ||A_j||.
+  std::vector<double> availability_norm;
   /// active && accepting: the scan considers only eligible servers.
   std::vector<std::uint8_t> eligible;
 
   void resize(std::size_t servers);
   [[nodiscard]] std::size_t size() const noexcept { return overcommit.size(); }
 
-  void set_available(std::size_t i, const res::ResourceVector& v) noexcept;
-  void set_deflatable(std::size_t i, const res::ResourceVector& v) noexcept;
+  /// Writes server `i`'s view fields and recomputes its cached terms.
+  void set_row(std::size_t i, const res::ResourceVector& available_i,
+               const res::ResourceVector& deflatable_i,
+               double overcommit_i) noexcept;
   [[nodiscard]] res::ResourceVector available_of(std::size_t i) const noexcept;
   [[nodiscard]] res::ResourceVector deflatable_of(std::size_t i) const noexcept;
+  [[nodiscard]] res::ResourceVector availability_of(
+      std::size_t i) const noexcept;
   /// Materializes the classic HostView for server `i` (bit-identical to
   /// what the old per-node views held — the columns store the same
   /// doubles), for the cold paths that still want the struct form.

@@ -136,8 +136,20 @@ std::unique_ptr<ClusterManagerBase> make_cluster_manager(
   return std::make_unique<ShardedClusterManager>(std::move(config));
 }
 
+namespace {
+
+ShardedClusterConfig validated(ShardedClusterConfig config) {
+  if (config.cluster.server_count == 0) {
+    throw std::invalid_argument(
+        "ShardedClusterManager: server_count must be >= 1");
+  }
+  return config;
+}
+
+}  // namespace
+
 ShardedClusterManager::ShardedClusterManager(ShardedClusterConfig config)
-    : config_(std::move(config)),
+    : config_(validated(std::move(config))),
       total_servers_(config_.cluster.server_count),
       routing_rng_(util::Rng::keyed(config_.routing_seed, /*stream=*/0x5a4d)),
       selector_(make_shard_selector(
@@ -199,43 +211,26 @@ ShardedClusterManager::ShardedClusterManager(ShardedClusterConfig config)
 }
 
 void ShardedClusterManager::mark_dirty(std::size_t s) {
-  std::scoped_lock lock(dirty_mutex_);
   if (shards_[s].dirty) return;
   shards_[s].dirty = true;
   dirty_queue_.push_back(s);
 }
 
 void ShardedClusterManager::refresh_shard(Shard& shard) {
-  const FleetAggregate aggregate = shard.manager->aggregate_free();
-  shard.free = aggregate.available + aggregate.deflatable;
+  shard.free = shard.manager->aggregate_free();
 }
 
 void ShardedClusterManager::flush_views() {
   DEFLATE_PROFILE_SCOPE("sharded.flush_views");
-  // Drain to a fixpoint: snapshot the dirty set under the lock, clear the
-  // flags, refresh the snapshot concurrently, then re-check — a shard
-  // dirtied during the pass (its flag re-set by mark_dirty) lands in the
-  // next pass instead of being silently dropped with the cleared queue.
-  std::vector<std::size_t> snapshot;
-  for (;;) {
-    {
-      std::scoped_lock lock(dirty_mutex_);
-      if (dirty_queue_.empty()) return;
-      snapshot.swap(dirty_queue_);
-      dirty_queue_.clear();
-      for (const std::size_t s : snapshot) shards_[s].dirty = false;
-    }
-    // Each refresh touches only its own shard's state, so the pass
-    // parallelizes cleanly and the aggregates are thread-count
-    // independent.
-    util::parallel_for(pool_.get(), snapshot.size(),
-                       [this, &snapshot](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           refresh_shard(shards_[snapshot[i]]);
-                         }
-                       });
-    snapshot.clear();
+  // One serial pass: only this (coordinator) thread marks shards dirty,
+  // and a refresh costs O(the shard's dirty servers) — each shard's own
+  // flush runs its refresh pass on the shared pool once enough servers
+  // are dirty to pay for the dispatch.
+  for (const std::size_t s : dirty_queue_) {
+    refresh_shard(shards_[s]);
+    shards_[s].dirty = false;
   }
+  dirty_queue_.clear();
 }
 
 double ShardedClusterManager::shard_score(const Shard& shard,

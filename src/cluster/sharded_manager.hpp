@@ -10,11 +10,16 @@
 // O(fleet / shards) + O(shards).
 //
 // Aggregates are maintained as a dirty set: mutations apply a cheap
-// incremental estimate and mark the shard dirty; exact recomputation is
-// batched into flush_views(), which the simulator calls once per simulated
-// tick. Stale aggregates only ever affect routing *order* — every shard
-// remains a fallback candidate, and the shard-internal scan is always
-// exact — so a placement is rejected only when every shard rejects it.
+// incremental estimate and mark the shard dirty; the exact value is
+// re-read in flush_views(), which the simulator calls once per simulated
+// tick. The exact value is itself incremental: each shard keeps its free
+// + deflatable total as int64 fixed-point sums that every server-view
+// refresh updates (ClusterManager::aggregate_free), so a flush costs
+// O(dirty servers), not O(shard), and the totals are independent of the
+// order and thread count that produced them. Stale aggregates only ever
+// affect routing *order* — every shard remains a fallback candidate, and
+// the shard-internal scan is always exact — so a placement is rejected
+// only when every shard rejects it.
 //
 // Server ids: shard s owns the contiguous global range
 // [first_s, first_s + size_s). All public parameters, PlacementResults and
@@ -27,7 +32,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -122,8 +126,8 @@ struct ShardedClusterConfig {
   /// Seed of the (deterministic) routing stream used by power-of-two
   /// sampling; independent of the market / trace seeds.
   std::uint64_t routing_seed = 42;
-  /// Size of the worker pool shared by every shard: dirty shards refresh
-  /// concurrently at the flush barrier and the in-shard placement scans
+  /// Size of the worker pool shared by every shard: large dirty-server
+  /// refresh passes at the flush barrier and the in-shard placement scans
   /// chunk across the same workers. 0 or 1 = fully serial. Results are
   /// identical for every value — all reductions merge under a fixed total
   /// order — so this knob (like DEFLATE_THREADS, which the simulator feeds
@@ -188,13 +192,11 @@ class ShardedClusterManager : public ClusterManagerBase {
     migration_callbacks_.push_back(std::move(callback));
   }
 
-  /// Tick-boundary barrier: recomputes the cached aggregate of every shard
-  /// marked dirty since the last flush (and flushes the shards' own
-  /// per-server views), draining the dirty set *to a fixpoint* — shards
-  /// dirtied while a refresh pass runs are picked up by another pass
-  /// before the barrier completes. Dirty shards refresh concurrently on
-  /// the worker pool; each shard touches only its own state, so the
-  /// refreshed aggregates are identical for any thread count.
+  /// Tick-boundary barrier: flushes the per-server views of every shard
+  /// marked dirty since the last flush and re-reads its exact aggregate.
+  /// One serial pass over the dirty shards; each shard's refresh pass
+  /// uses the shared pool when it has enough dirty servers. The
+  /// aggregates are integer sums, identical for any thread count.
   void flush_views() override;
 
   /// Re-resolves the shard selector from the registry by name (PolicySet
@@ -212,6 +214,11 @@ class ShardedClusterManager : public ClusterManagerBase {
   [[nodiscard]] ClusterManager& shard(std::size_t s) {
     return *shards_.at(s).manager;
   }
+  /// The routing aggregate cached for shard `s` (exact after flush_views).
+  [[nodiscard]] const res::ResourceVector& cached_shard_free(
+      std::size_t s) const {
+    return shards_.at(s).free;
+  }
 
  private:
   struct Shard {
@@ -224,14 +231,11 @@ class ShardedClusterManager : public ClusterManagerBase {
     bool dirty = false;
   };
 
-  /// Thread-safe (guarded by dirty_mutex_): pool workers may mark shards
-  /// dirty while a flush pass is in flight; the fixpoint loop picks the
-  /// late arrivals up before the barrier returns.
+  /// Queues shard `s` for the next flush (coordinator thread only).
   void mark_dirty(std::size_t s);
-  /// Recomputes the cached aggregate. Does NOT clear the dirty flag — the
-  /// flush barrier owns flag lifecycle (clearing inside the refresh raced
-  /// with concurrent mark_dirty and lost updates); direct callers outside
-  /// the barrier at worst schedule one redundant exact refresh.
+  /// Re-reads the shard's exact aggregate. Does not clear the dirty flag:
+  /// direct callers outside the flush at worst schedule one redundant
+  /// refresh.
   void refresh_shard(Shard& shard);
   /// Copies of the demand the shard's cached aggregate could hold; the
   /// routing score (larger = more headroom).
@@ -251,12 +255,10 @@ class ShardedClusterManager : public ClusterManagerBase {
 
   ShardedClusterConfig config_;
   std::size_t total_servers_ = 0;
-  /// Worker pool shared by every shard (scan_pool) and by the flush
-  /// barrier's concurrent shard refresh. Null when worker_threads <= 1.
+  /// Worker pool shared by every shard (scan_pool: placement scans and
+  /// dirty-view refresh passes). Null when worker_threads <= 1.
   std::unique_ptr<util::ThreadPool> pool_;
   std::vector<Shard> shards_;
-  /// Guards dirty flags + queue (mutated from pool workers mid-flush).
-  std::mutex dirty_mutex_;
   std::vector<std::size_t> dirty_queue_;
   std::unordered_map<std::uint64_t, std::size_t> vm_shard_;
   util::Rng routing_rng_;

@@ -1,6 +1,5 @@
 #include "resources/resource_vector.hpp"
 
-#include <cmath>
 #include <ostream>
 
 namespace deflate::res {
@@ -14,14 +13,6 @@ std::string_view resource_name(Resource r) noexcept {
   }
   return "unknown";
 }
-
-double ResourceVector::dot(const ResourceVector& rhs) const noexcept {
-  double sum = 0.0;
-  for (const Resource r : all_resources) sum += (*this)[r] * rhs[r];
-  return sum;
-}
-
-double ResourceVector::norm() const noexcept { return std::sqrt(dot(*this)); }
 
 double cosine_similarity(const ResourceVector& a, const ResourceVector& b) noexcept {
   constexpr double kEps = 1e-12;

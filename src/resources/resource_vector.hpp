@@ -4,6 +4,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <iosfwd>
 #include <string_view>
@@ -127,8 +128,17 @@ class ResourceVector {
     return out;
   }
 
-  [[nodiscard]] double dot(const ResourceVector& rhs) const noexcept;
-  [[nodiscard]] double norm() const noexcept;
+  /// Inline so the placement scan's per-candidate kernels inline them.
+  /// The summation order (Cpu, Memory, DiskBw, NetBw, from 0.0) is fixed:
+  /// golden runs pin placement scores bit for bit.
+  [[nodiscard]] constexpr double dot(const ResourceVector& rhs) const noexcept {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < kNumResources; ++i) {
+      sum += values_[i] * rhs.values_[i];
+    }
+    return sum;
+  }
+  [[nodiscard]] double norm() const noexcept { return std::sqrt(dot(*this)); }
 
  private:
   std::array<double, kNumResources> values_{};

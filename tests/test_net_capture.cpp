@@ -164,6 +164,34 @@ TEST(NetCapture, UnregisteredPolicyInHeaderIsReportedNotThrown) {
   }
 }
 
+TEST(NetCapture, ZeroServerHeaderIsReportedNotCrashed) {
+  // The codec accepts servers = 0; the fleet must refuse it before any
+  // placement could index a server that does not exist.
+  TempFile file("test_net_capture_zero_servers.bin");
+  for (const std::size_t shards : {1U, 4U}) {
+    net::ServiceConfig config;
+    config.server_count = 0;
+    config.shard_count = shards;
+    std::vector<std::uint8_t> bytes =
+        net::encode_frame(net::CaptureHeader{config});
+    // One captured request, so a replay that got past the header would
+    // have to place it.
+    const std::uint8_t conn_id[4] = {1, 0, 0, 0};
+    bytes.insert(bytes.end(), conn_id, conn_id + 4);
+    net::AdmissionRequestMsg request;
+    request.request_id = 1;
+    request.request = request_at(1, 0.5, 1.0, false);
+    const auto frame = net::encode_frame(net::Message{request});
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+    write_file(file.path(), bytes);
+
+    net::ReplayReport report;
+    EXPECT_NO_THROW(report = net::replay_capture(file.path()));
+    EXPECT_FALSE(report.ok());
+    EXPECT_NE(report.error.find("header:"), std::string::npos) << report.error;
+  }
+}
+
 TEST(NetCapture, ReplayReproducesDeferralHeavySession) {
   TempFile capture("test_net_capture_session.bin");
   {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cl = deflate::cluster;
 namespace res = deflate::res;
+namespace util = deflate::util;
 
 namespace {
 
@@ -102,4 +107,151 @@ TEST(Placement, LoadBalancingAcrossEqualHosts) {
   const auto a1 = cl::availability_vector(hosts[1]);
   EXPECT_GT(a1.cpu(), a0.cpu());
   EXPECT_GT(a1.memory(), a0.memory());
+}
+
+// --- scan/span parity -------------------------------------------------------
+
+namespace {
+
+const res::ResourceVector kCapacity{48.0, 131072.0, 4000.0, 40000.0};
+
+/// A random scan table written through set_row (the path the cluster
+/// manager's view refresh takes), mixing ordinary rows with the edge cases
+/// the scan must agree on: all-zero availability, exact duplicates of the
+/// previous row (score ties) and ineligible rows.
+cl::HostScanTable random_table(util::Rng& rng, std::size_t servers) {
+  cl::HostScanTable table;
+  table.capacity = kCapacity;
+  table.resize(servers);
+  for (std::size_t i = 0; i < servers; ++i) {
+    const double kind = rng.u01();
+    if (kind < 0.1 && i > 0) {
+      table.set_row(i, table.available_of(i - 1), table.deflatable_of(i - 1),
+                    table.overcommit[i - 1]);
+    } else if (kind < 0.2) {
+      table.set_row(i, {}, rng.bernoulli(0.5) ? kCapacity * 0.25
+                                              : res::ResourceVector{},
+                    rng.uniform(0.0, 3.0));
+    } else {
+      res::ResourceVector available, deflatable;
+      for (const res::Resource r : res::all_resources) {
+        available[r] = rng.uniform(0.0, kCapacity[r]);
+        deflatable[r] = rng.uniform(0.0, 0.5 * kCapacity[r]);
+      }
+      table.set_row(i, available, deflatable, rng.uniform(0.2, 2.5));
+    }
+    table.eligible[i] = rng.bernoulli(0.85) ? 1 : 0;
+  }
+  return table;
+}
+
+res::ResourceVector random_demand(util::Rng& rng) {
+  res::ResourceVector demand;
+  const double scale = rng.bernoulli(0.5) ? 0.1 : 0.6;
+  for (const res::Resource r : res::all_resources) {
+    if (rng.bernoulli(0.15)) continue;  // some zero dimensions
+    demand[r] = rng.uniform(0.0, scale * kCapacity[r]);
+  }
+  return demand;
+}
+
+/// The span-path answer for the same question: the candidates' HostViews
+/// with the scan's feasibility mask, ranked by pick_host.
+std::optional<std::size_t> span_pick(const cl::PlacementScorer& scorer,
+                                     const res::ResourceVector& demand,
+                                     const cl::HostScanTable& table,
+                                     const std::vector<std::size_t>& candidates,
+                                     cl::ScanFeasibility feasibility,
+                                     bool under_pressure) {
+  std::vector<cl::HostView> views;
+  for (const std::size_t i : candidates) {
+    cl::HostView view = table.view_of(i);
+    view.feasible =
+        table.eligible[i] != 0 &&
+        (feasibility == cl::ScanFeasibility::FreeCapacity
+             ? demand.all_leq(view.available, 1e-9)
+             : (demand - view.available)
+                   .clamped_nonneg()
+                   .all_leq(view.deflatable, 1e-9));
+    views.push_back(view);
+  }
+  const auto best = cl::pick_host(scorer, demand, views, under_pressure);
+  if (!best) return std::nullopt;
+  return views[*best].host_id;
+}
+
+/// A plugin-style scorer that only implements score(): the scan reaches it
+/// through the default score_rows.
+class MostFreeMemoryScorer final : public cl::PlacementScorer {
+ public:
+  [[nodiscard]] Order order() const noexcept override {
+    return Order::HigherBetter;
+  }
+  [[nodiscard]] bool prefer_lower_id_on_tie() const noexcept override {
+    return true;
+  }
+  [[nodiscard]] double score(const res::ResourceVector&,
+                             const cl::HostView& host, bool) const override {
+    return host.available.memory();
+  }
+};
+
+}  // namespace
+
+TEST(PlacementScan, CachedColumnsAreBitEqualToTheSpanKernels) {
+  util::Rng rng(5);
+  const cl::HostScanTable table = random_table(rng, 500);
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const res::ResourceVector a = cl::availability_vector(table.view_of(i));
+    EXPECT_EQ(table.availability_of(i), a) << "row " << i;
+    EXPECT_EQ(table.availability_norm[i], a.norm()) << "row " << i;
+  }
+}
+
+TEST(PlacementScan, PicksTheSameServerAsTheSpanPath) {
+  util::ThreadPool pool(4);
+  const MostFreeMemoryScorer plugin;
+  std::vector<const cl::PlacementScorer*> scorers{&plugin};
+  for (const auto strategy :
+       {cl::PlacementStrategy::Fitness, cl::PlacementStrategy::FirstFit,
+        cl::PlacementStrategy::BestFit, cl::PlacementStrategy::WorstFit}) {
+    scorers.push_back(&cl::builtin_placement_scorer(strategy));
+  }
+
+  util::Rng rng(11);
+  std::size_t compared = 0, placed = 0;
+  // 1500 rows clear the pooled scan's size cutoff, so the chunked
+  // reduction is compared too.
+  for (const std::size_t servers : {1U, 7U, 60U, 1500U}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const cl::HostScanTable table = random_table(rng, servers);
+      std::vector<std::size_t> candidates;
+      for (std::size_t i = 0; i < servers; ++i) {
+        if (trial % 3 != 0 || rng.bernoulli(0.6)) candidates.push_back(i);
+      }
+      const res::ResourceVector demand = random_demand(rng);
+      for (const cl::PlacementScorer* scorer : scorers) {
+        for (const auto feasibility : {cl::ScanFeasibility::FreeCapacity,
+                                       cl::ScanFeasibility::WithDeflation}) {
+          for (const bool pressure : {false, true}) {
+            const auto expected = span_pick(*scorer, demand, table, candidates,
+                                            feasibility, pressure);
+            for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
+                                        &pool}) {
+              const auto got = cl::scan_pick_host(*scorer, demand, table,
+                                                  candidates, feasibility,
+                                                  pressure, p);
+              EXPECT_EQ(got, expected)
+                  << "servers " << servers << " trial " << trial
+                  << " pressure " << pressure;
+            }
+            ++compared;
+            if (expected) ++placed;
+          }
+        }
+      }
+    }
+  }
+  // The comparison is not vacuous: most scans find a server.
+  EXPECT_GT(placed, compared / 2);
 }

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -474,4 +477,170 @@ TEST(ShardedClusterManager, SelectionPoliciesAllPlaceAndBalance) {
                                 << " shard " << shard;
     }
   }
+}
+
+TEST(ShardedClusterManager, ZeroServerFleetsAreRejected) {
+  cl::ShardedClusterConfig config = sharded_config(0, 4);
+  EXPECT_THROW(cl::ClusterManager{config.cluster}, std::invalid_argument);
+  EXPECT_THROW(cl::ShardedClusterManager{config}, std::invalid_argument);
+  EXPECT_THROW((void)cl::make_cluster_manager(config), std::invalid_argument);
+  config.shard_count = 1;
+  EXPECT_THROW((void)cl::make_cluster_manager(config), std::invalid_argument);
+}
+
+// --- incremental fixed-point aggregates --------------------------------------
+
+namespace {
+
+/// After a flush, the manager's running free total equals a from-scratch
+/// fixed-point sum over its active rows exactly, and a plain double
+/// rescan of the servers themselves to within rounding.
+void expect_free_total_exact(cl::ClusterManager& manager,
+                             const std::string& where) {
+  const cl::FixedPointRow incremental = manager.aggregate_free_units();
+  EXPECT_EQ(incremental, manager.rescan_free_units()) << where;
+  res::ResourceVector rescan;
+  for (std::size_t i = 0; i < manager.server_count(); ++i) {
+    if (!manager.server_active(i)) continue;
+    rescan += manager.host(i).available() +
+              manager.controller(i).reclaimable_headroom();
+  }
+  const res::ResourceVector total = manager.aggregate_free();
+  for (const res::Resource r : res::all_resources) {
+    EXPECT_NEAR(total[r], rescan[r], 1e-9 * std::max(1.0, std::abs(rescan[r])))
+        << where << " " << res::resource_name(r);
+  }
+}
+
+/// Flushes and checks every shard (or the flat manager) plus the sharded
+/// scheduler's routing cache; returns the per-shard totals.
+std::vector<cl::FixedPointRow> flush_and_check(cl::ClusterManagerBase& manager,
+                                               const std::string& where) {
+  manager.flush_views();
+  std::vector<cl::FixedPointRow> totals;
+  if (auto* flat = dynamic_cast<cl::ClusterManager*>(&manager)) {
+    expect_free_total_exact(*flat, where);
+    totals.push_back(flat->aggregate_free_units());
+    return totals;
+  }
+  auto& sharded = dynamic_cast<cl::ShardedClusterManager&>(manager);
+  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+    expect_free_total_exact(sharded.shard(s), where);
+    EXPECT_EQ(sharded.cached_shard_free(s), sharded.shard(s).aggregate_free())
+        << where << " shard " << s;
+    totals.push_back(sharded.shard(s).aggregate_free_units());
+  }
+  return totals;
+}
+
+/// Randomized place/remove/revoke/restore/drain churn with irregular
+/// flushes and periodic mass departures. Returns the final per-shard
+/// totals.
+std::vector<cl::FixedPointRow> churn_with_checks(std::size_t shards,
+                                                 std::size_t threads) {
+  constexpr std::size_t kServers = 1200;
+  cl::ShardedClusterConfig config = sharded_config(kServers, shards);
+  config.worker_threads = threads;
+  config.cluster.worker_threads = threads;
+  std::unique_ptr<cl::ClusterManagerBase> manager =
+      shards == 1 ? std::make_unique<cl::ClusterManager>(config.cluster)
+                  : std::unique_ptr<cl::ClusterManagerBase>(
+                        std::make_unique<cl::ShardedClusterManager>(config));
+  const std::string where = "shards " + std::to_string(shards) + " threads " +
+                            std::to_string(threads);
+
+  util::Rng rng(99);
+  std::vector<std::uint64_t> live;
+  std::uint64_t next_id = 1;
+  const auto remove_at = [&](std::size_t pick) {
+    EXPECT_TRUE(manager->remove_vm(live[pick]));
+    live[pick] = live.back();
+    live.pop_back();
+  };
+  for (int step = 0; step < 4500; ++step) {
+    const double roll = rng.u01();
+    if (step % 1500 == 1499) {
+      // Mass departure: most residents leave between two flushes, which
+      // dirties enough servers per shard for the pooled refresh pass.
+      while (live.size() > 20) remove_at(live.size() / 2);
+    } else if (roll < 0.8 || live.empty()) {
+      hv::VmSpec spec = random_spec(rng, next_id++);
+      spec.memory_mib += rng.uniform(0.0, 1.0);  // fractional MiB
+      if (manager->place_vm(spec).ok()) live.push_back(spec.id);
+    } else if (roll < 0.92) {
+      remove_at(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1)));
+    } else if (roll < 0.95) {
+      const auto server = static_cast<std::size_t>(
+          rng.uniform_int(0, kServers - 1));
+      if (manager->active_server_count() > kServers / 2) {
+        manager->revoke_server(server);
+        std::erase_if(live, [&](std::uint64_t id) {
+          return manager->find_vm(id) == nullptr;
+        });
+      }
+    } else if (roll < 0.98) {
+      manager->restore_server(
+          static_cast<std::size_t>(rng.uniform_int(0, kServers - 1)));
+    } else {
+      manager->drain_server(
+          static_cast<std::size_t>(rng.uniform_int(0, kServers - 1)));
+    }
+    if (rng.bernoulli(0.2)) flush_and_check(*manager, where);
+  }
+  return flush_and_check(*manager, where);
+}
+
+}  // namespace
+
+TEST(ShardedClusterManager, IncrementalFreeTotalsMatchRescanThroughChurn) {
+  for (const std::size_t shards : {1U, 4U}) {
+    const auto serial = churn_with_checks(shards, 0);
+    // Integer totals cannot depend on how the refresh pass was split.
+    EXPECT_EQ(churn_with_checks(shards, 4), serial) << "shards " << shards;
+  }
+}
+
+TEST(ShardedClusterManager, FreeTotalIsIndependentOfMutationOrder) {
+  // Two fleets reach one end state along different paths: the same
+  // placements, then the same departures and empty-server revocations in
+  // opposite orders and at different flush cadences. Fractional memory
+  // sizes make a running double sum order-dependent; the fixed-point total
+  // must not be.
+  cl::ClusterConfig config = sharded_config(40, 1).cluster;
+  config.placement = cl::PlacementStrategy::FirstFit;  // leaves servers empty
+  cl::ClusterManager forward(config);
+  cl::ClusterManager backward(config);
+  std::vector<std::uint64_t> departures;
+  for (std::uint64_t id = 1; id <= 120; ++id) {
+    const hv::VmSpec spec = make_spec(id, 1, 1000.0 + 0.1 * id, id % 3 == 0);
+    ASSERT_EQ(forward.place_vm(spec).host_id, backward.place_vm(spec).host_id);
+    if (id % 2 == 0) departures.push_back(id);
+  }
+  std::vector<std::size_t> empty_servers;
+  for (std::size_t i = 0; i < config.server_count; ++i) {
+    if (forward.host(i).vms().empty()) empty_servers.push_back(i);
+  }
+  ASSERT_FALSE(empty_servers.empty());
+
+  for (const std::uint64_t id : departures) {
+    ASSERT_TRUE(forward.remove_vm(id));
+    forward.flush_views();
+  }
+  for (const std::size_t server : empty_servers) forward.revoke_server(server);
+  std::reverse(departures.begin(), departures.end());
+  std::reverse(empty_servers.begin(), empty_servers.end());
+  for (const std::size_t server : empty_servers) backward.revoke_server(server);
+  for (const std::uint64_t id : departures) ASSERT_TRUE(backward.remove_vm(id));
+
+  // Same end state, server by server...
+  for (std::size_t i = 0; i < config.server_count; ++i) {
+    ASSERT_EQ(forward.host(i).available(), backward.host(i).available());
+    ASSERT_EQ(forward.controller(i).reclaimable_headroom(),
+              backward.controller(i).reclaimable_headroom());
+  }
+  // ...so the same total, bit for bit.
+  EXPECT_EQ(forward.aggregate_free_units(), backward.aggregate_free_units());
+  EXPECT_EQ(forward.aggregate_free(), backward.aggregate_free());
+  EXPECT_EQ(forward.aggregate_free_units(), forward.rescan_free_units());
 }
