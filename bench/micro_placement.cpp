@@ -1,5 +1,5 @@
 // Micro-benchmark: fitness-based placement scan over large clusters, the
-// SoA scan (scan_pick_host) serial and pooled, the sharded tick flush, and
+// SoA scan (scan_pick_host), the sharded tick flush, and
 // end-to-end ClusterManager placement (flat vs sharded) at fleet scale.
 #include <benchmark/benchmark.h>
 
@@ -10,7 +10,6 @@
 #include "cluster/placement.hpp"
 #include "cluster/sharded_manager.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -159,32 +158,26 @@ deflate::cluster::HostScanTable make_table(std::size_t n) {
 }  // namespace
 
 /// One free-capacity scan over every row. range(0) = servers, range(1) =
-/// strategy (0 fitness, 2 best-fit), range(2) = pool threads (1 = serial;
-/// the pool only engages at >= 1024 candidates). Wall-clock time, so the
-/// pooled rows compare with the serial ones.
+/// strategy (0 fitness, 2 best-fit). Wall-clock time.
 static void bench_scan_pick_host(benchmark::State& state) {
   const auto servers = static_cast<std::size_t>(state.range(0));
   const auto strategy =
       static_cast<deflate::cluster::PlacementStrategy>(state.range(1));
-  const auto threads = static_cast<std::size_t>(state.range(2));
   const auto table = make_table(servers);
   std::vector<std::size_t> candidates(servers);
   std::iota(candidates.begin(), candidates.end(), std::size_t{0});
-  std::unique_ptr<deflate::util::ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<deflate::util::ThreadPool>(threads);
   const ResourceVector demand(8.0, 16384.0, 100.0, 1000.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(deflate::cluster::scan_pick_host(
         strategy, demand, table, candidates,
         deflate::cluster::ScanFeasibility::FreeCapacity,
-        /*under_pressure=*/false, pool.get()));
+        /*under_pressure=*/false));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(bench_scan_pick_host)
-    ->ArgNames({"servers", "strategy", "threads"})
-    ->ArgsProduct({{125, 1250, 12500}, {0, 2}, {1}})
-    ->ArgsProduct({{1250, 12500}, {0}, {2, 4}})
+    ->ArgNames({"servers", "strategy"})
+    ->ArgsProduct({{125, 1250, 12500}, {0, 2}})
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

@@ -1,28 +1,17 @@
 // Scenario: placement throughput at fleet scale — flat manager vs the
-// sharded scheduler at increasing shard counts, then the sharded
-// scheduler's worker-thread sweep on a 100k-server fleet (the ROADMAP's
-// "Parallel simulation core + data-oriented hot paths" perf item).
+// sharded scheduler at increasing shard counts.
 //
-// Part 1 (sharding): each configuration owns an identical 10k fleet, is
-// warmed to ~50% CPU with the same seeded arrival stream, then runs a
-// steady-state churn of place+remove pairs. The flat manager scans all 10k
-// rows per placement; shards cut the scan to fleet/shards plus an
-// O(shards) routing step.
+// Each configuration owns an identical 10k fleet, is warmed to ~50% CPU
+// with the same seeded arrival stream, then runs a steady-state churn of
+// place+remove pairs. The flat manager scans all 10k rows per placement;
+// shards cut the scan to fleet/shards plus an O(shards) routing step.
 //
-// Part 2 (threading): a 100k-server fleet under 16 shards, swept across
-// worker-thread counts. The in-shard SoA placement scan chunks across the
-// pool and dirty shards refresh concurrently at the flush barrier; results
-// are bit-identical at every thread count (test_parallel_parity), so the
-// sweep only moves wall-clock time. Each run prints the scoped-profiler
-// phase breakdown.
-//
-//   $ ./build/bench_scenario_cluster_scale            # full 10k/100k fleets
+//   $ ./build/bench_scenario_cluster_scale            # full 10k fleet
 //   $ DEFLATE_BENCH_SCALE=0.1 ./build/bench_...       # quick smoke
 #include <chrono>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -147,84 +136,20 @@ void shard_sweep() {
   table.print(std::cout);
 }
 
-void thread_sweep() {
-  const std::size_t servers = bench::scaled(100000);
-  const std::size_t churn_ops = bench::scaled(2000);
-  const std::size_t shards = 16;
-  std::cout << "\n-- worker-thread sweep --\n"
-            << "fleet: " << servers << " servers under " << shards
-            << " shards, warm to 30% CPU, then " << churn_ops
-            << " churn ops per thread count\n"
-            << "(identical decisions at every thread count; only wall-clock "
-               "moves)\n\n";
-
-  cluster::ClusterConfig fleet;
-  fleet.server_count = servers;
-  fleet.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
-
-  util::Table table({"worker_threads", "fill_s", "churn_s",
-                     "placements_per_s", "speedup_vs_1t", "rejections"});
-  const std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
-  double base_throughput = 0.0;
-  double speedup_at_8 = 0.0;
-  for (const std::size_t threads : thread_counts) {
-    cluster::ShardedClusterConfig config;
-    config.cluster = fleet;
-    config.shard_count = shards;
-    config.worker_threads = threads;
-    std::unique_ptr<cluster::ClusterManagerBase> manager =
-        cluster::make_cluster_manager(config);
-    util::Profiler::instance().reset();
-    const RunResult result = run(*manager, servers, churn_ops, 0.3);
-    if (threads == 1) base_throughput = result.placements_per_second;
-    const double speedup = base_throughput > 0.0
-                               ? result.placements_per_second / base_throughput
-                               : 0.0;
-    if (threads == 8) speedup_at_8 = speedup;
-    table.add_row({std::to_string(threads),
-                   util::format_double(result.fill_seconds, 2),
-                   util::format_double(result.churn_seconds, 2),
-                   util::format_double(result.placements_per_second, 0),
-                   util::format_double(speedup, 2),
-                   std::to_string(result.rejections)});
-    std::cout << "[threads=" << threads << "]\n";
-    bench::print_profile();
-  }
-  table.print(std::cout);
-
-  // The >= 3x-at-8-threads target only means something when the machine
-  // has 8 cores to run them on; smaller hosts (CI runners, laptops) report
-  // the sweep without judging it.
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores >= 8) {
-    std::cout << "\nplacement-loop speedup at 8 threads: "
-              << util::format_double(speedup_at_8, 2)
-              << "x (target >= 3x) -> "
-              << (speedup_at_8 >= 3.0 ? "PASS" : "MISS") << "\n";
-  } else {
-    std::cout << "\nplacement-loop speedup at 8 threads: "
-              << util::format_double(speedup_at_8, 2) << "x (target >= 3x "
-              << "not judged: only " << cores << " hardware threads)\n";
-  }
-}
-
 }  // namespace
 
 int main() {
   bench::print_header(
-      "Scenario: fleet-scale placement throughput (sharded + threaded)",
+      "Scenario: fleet-scale placement throughput (sharded)",
       "sharding turns the O(fleet) placement scan into O(fleet/shards); "
-      "the SoA scan table and the shared worker pool then parallelize the "
-      "remaining in-shard scan and the tick-barrier view drains");
+      "the in-shard scan reads the SoA scan table's cached columns and the "
+      "tick-barrier flush refreshes only dirty servers");
 
   shard_sweep();
-  thread_sweep();
 
   std::cout << "\nPower-of-two-choices routing consults two cached shard "
                "aggregates per placement;\nonly the chosen shard runs the "
                "exact fitness scan, so the per-placement cost\ndrops from "
-               "O(fleet) to O(fleet/shards) + O(shards). Worker threads "
-               "chunk that\nscan and the flush-barrier refresh without "
-               "changing any decision.\n";
+               "O(fleet) to O(fleet/shards) + O(shards).\n";
   return 0;
 }

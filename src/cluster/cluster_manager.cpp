@@ -81,12 +81,6 @@ ClusterManager::ClusterManager(ClusterConfig config)
                       : ClusterPartitions::single_pool(config_.server_count)) {
   std::shared_ptr<mech::DeflationMechanism> mechanism =
       mech::make_mechanism(config_.mechanism);
-  if (config_.scan_pool != nullptr) {
-    pool_ = config_.scan_pool;
-  } else if (config_.worker_threads > 1) {
-    owned_pool_ = std::make_unique<util::ThreadPool>(config_.worker_threads);
-    pool_ = owned_pool_.get();
-  }
   nodes_.reserve(config_.server_count);
   view_dirty_.assign(config_.server_count, 0);
   dirty_queue_.reserve(config_.server_count);
@@ -101,7 +95,6 @@ ClusterManager::ClusterManager(ClusterConfig config)
         node->hypervisor, policy_, mechanism);
     nodes_.push_back(std::move(node));
     refresh_view(i);
-    fold_free_row(i);
   }
 }
 
@@ -113,25 +106,9 @@ void ClusterManager::mark_view_dirty(std::size_t server) {
 
 void ClusterManager::flush_views() {
   DEFLATE_PROFILE_SCOPE("cluster.flush_views");
-  // Each queued server touches only its own table row (the queue is
-  // deduped), so the refresh pass parallelizes without synchronization
-  // and the resulting columns are identical for any thread count. The
-  // running free total is then folded serially; integer sums make the
-  // fold order irrelevant anyway.
-  constexpr std::size_t kMinParallelDrain = 256;
-  if (pool_ != nullptr && dirty_queue_.size() >= kMinParallelDrain) {
-    util::parallel_for(pool_, dirty_queue_.size(),
-                       [this](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           refresh_view(dirty_queue_[i]);
-                         }
-                       });
-  } else {
-    for (const std::size_t server : dirty_queue_) refresh_view(server);
-  }
   for (const std::size_t server : dirty_queue_) {
     view_dirty_[server] = 0;
-    fold_free_row(server);
+    refresh_view(server);
   }
   dirty_queue_.clear();
 }
@@ -160,15 +137,6 @@ FixedPointRow ClusterManager::free_row(std::size_t server) const noexcept {
                               scan_.deflatable_of(server));
 }
 
-void ClusterManager::fold_free_row(std::size_t server) {
-  const FixedPointRow row = free_row(server);
-  FixedPointRow& folded = free_rows_[server];
-  for (std::size_t k = 0; k < row.size(); ++k) {
-    free_units_[k] += row[k] - folded[k];
-  }
-  folded = row;
-}
-
 void ClusterManager::refresh_view(std::size_t server) {
   ServerNode& node = *nodes_[server];
   const hv::Host& host = node.hypervisor.host();
@@ -177,6 +145,13 @@ void ClusterManager::refresh_view(std::size_t server) {
                     ? node.controller->reclaimable_headroom()
                     : res::ResourceVector{},
                 host.overcommit_ratio());
+  // Replace the server's old contribution to the running free total.
+  const FixedPointRow row = free_row(server);
+  FixedPointRow& folded = free_rows_[server];
+  for (std::size_t k = 0; k < row.size(); ++k) {
+    free_units_[k] += row[k] - folded[k];
+  }
+  folded = row;
 }
 
 void ClusterManager::update_eligible(std::size_t server) {
@@ -342,12 +317,12 @@ PlacementResult ClusterManager::place_vm(const hv::VmSpec& spec) {
     // rank servers by their deflatable headroom.
     if (const auto server = scan_pick_host(
             *scorer_, demand, scan_, pool_candidates,
-            ScanFeasibility::FreeCapacity, /*under_pressure=*/false, pool_)) {
+            ScanFeasibility::FreeCapacity, /*under_pressure=*/false)) {
       return server;
     }
     return scan_pick_host(*scorer_, demand, scan_, pool_candidates,
                           ScanFeasibility::WithDeflation,
-                          /*under_pressure=*/true, pool_);
+                          /*under_pressure=*/true);
   };
 
   if (const auto server = try_fraction(1.0)) {

@@ -23,7 +23,6 @@
 #include "cluster/placement.hpp"
 #include "core/local_controller.hpp"
 #include "core/policy.hpp"
-#include "util/thread_pool.hpp"
 
 namespace deflate::cluster {
 
@@ -55,13 +54,8 @@ struct ClusterConfig {
   std::vector<double> pool_weights{0.5, 0.125, 0.125, 0.125, 0.125};
   /// Granularity of deflated-launch attempts (fraction steps).
   double deflated_launch_step = 0.05;
-  /// Worker threads for the placement scan and dirty-view drains. 0 or 1 =
-  /// serial. Ignored when `scan_pool` is set. Thread count never changes
-  /// decisions — the scan reduction is order-independent — only speed.
+  /// ignored: the fleet places serially; delete once perfbench/ stops assigning it
   std::size_t worker_threads = 0;
-  /// Non-owning pool override: the sharded scheduler points every shard at
-  /// one shared pool instead of letting each shard spawn its own workers.
-  util::ThreadPool* scan_pool = nullptr;
 };
 
 struct PlacementResult {
@@ -125,7 +119,7 @@ using FixedPointRow = std::array<std::int64_t, res::kNumResources>;
 /// overflow an int64 while integral cores and MiB stay exact on any
 /// realistic fleet. Integer sums do not depend on summation order, so a
 /// total maintained by incremental add/subtract equals a from-scratch sum
-/// bit for bit, whatever order and thread count produced it.
+/// bit for bit, whatever order produced it.
 class FixedPointScale {
  public:
   FixedPointScale() = default;
@@ -325,11 +319,9 @@ class ClusterManager : public ClusterManagerBase {
     bool accepting = true;
   };
 
-  /// Rewrites the server's scan-table row (parallel-safe: one row each).
+  /// Rewrites the server's scan-table row and replaces its contribution
+  /// to free_units_ with the new row (zero while inactive).
   void refresh_view(std::size_t server);
-  /// Replaces the server's contribution to free_units_ with its current
-  /// row (zero while inactive). Serial: runs after the refresh pass.
-  void fold_free_row(std::size_t server);
   /// The server's contribution to the free total from its table row.
   [[nodiscard]] FixedPointRow free_row(std::size_t server) const noexcept;
   /// Queues `server` for a view rescan at the next flush (dedups repeated
@@ -357,8 +349,6 @@ class ClusterManager : public ClusterManagerBase {
   /// SoA per-server scan state: the placement loops and deflation sweeps
   /// read these dense columns instead of chasing per-node structs.
   HostScanTable scan_;
-  std::unique_ptr<util::ThreadPool> owned_pool_;
-  util::ThreadPool* pool_ = nullptr;  ///< scan/drain pool (nullptr = serial)
   std::vector<std::uint8_t> view_dirty_;   ///< per-server dirty flag
   std::vector<std::size_t> dirty_queue_;   ///< servers awaiting a rescan
   /// Free + deflatable capacity in fixed-point units: each server's folded

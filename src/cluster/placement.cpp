@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <mutex>
 #include <stdexcept>
 
 namespace deflate::cluster {
@@ -369,7 +368,7 @@ HostView HostScanTable::view_of(std::size_t i) const noexcept {
   return view;
 }
 
-// --- deterministic (thread-count independent) strategy scan -----------------
+// --- deterministic strategy scan --------------------------------------------
 
 namespace {
 
@@ -379,11 +378,10 @@ struct ScanBest {
   bool valid = false;
 };
 
-/// Strict total order on (score, host id): exactly the serial pick_host
-/// preference, so merging chunk winners in *any* order yields the same
-/// final answer as one serial sweep. Ties always break by lowest host id
-/// here — the scan's determinism contract — even for scorers whose span
-/// path keeps the first-seen winner.
+/// Strict total order on (score, host id): the scan's tie-break contract.
+/// Ties always break by lowest host id here, even for scorers whose span
+/// path keeps the first-seen winner, so the winner does not depend on the
+/// order of `candidates`.
 bool scan_better(PlacementScorer::Order order, double score, std::size_t host,
                  const ScanBest& best) {
   if (!best.valid) return true;
@@ -427,10 +425,9 @@ std::optional<std::size_t> scan_pick_host(PlacementStrategy strategy,
                                           const HostScanTable& table,
                                           std::span<const std::size_t> candidates,
                                           ScanFeasibility feasibility,
-                                          bool under_pressure,
-                                          util::ThreadPool* pool) {
+                                          bool under_pressure) {
   return scan_pick_host(builtin_placement_scorer(strategy), demand, table,
-                        candidates, feasibility, under_pressure, pool);
+                        candidates, feasibility, under_pressure);
 }
 
 std::optional<std::size_t> scan_pick_host(const PlacementScorer& scorer,
@@ -438,63 +435,37 @@ std::optional<std::size_t> scan_pick_host(const PlacementScorer& scorer,
                                           const HostScanTable& table,
                                           std::span<const std::size_t> candidates,
                                           ScanFeasibility feasibility,
-                                          bool under_pressure,
-                                          util::ThreadPool* pool) {
+                                          bool under_pressure) {
   const PlacementScorer::Order order = scorer.order();
   const DemandTerms terms(demand, table.capacity);
-  const auto evaluate = [&](std::size_t begin, std::size_t end,
-                            ScanBest& best) {
-    // Feasible rows are gathered into fixed blocks and scored with one
-    // score_rows call per block: one virtual call per block, not per
-    // candidate.
-    constexpr std::size_t kBlock = 128;
-    std::array<std::size_t, kBlock> rows{};
-    std::array<double, kBlock> scores{};
-    std::size_t c = begin;
-    while (c < end) {
-      std::size_t n = 0;
-      for (; c < end && n < kBlock; ++c) {
-        const std::size_t server = candidates[c];
-        if (table.eligible[server] && row_feasible(table, server, demand,
-                                                   feasibility)) {
-          rows[n++] = server;
-        }
-      }
-      if (n == 0) continue;
-      const std::span<const std::size_t> block(rows.data(), n);
-      if (order != PlacementScorer::Order::ById) {
-        scorer.score_rows(terms, table, block, under_pressure,
-                          std::span<double>(scores.data(), n));
-      }
-      for (std::size_t k = 0; k < n; ++k) {
-        if (scan_better(order, scores[k], rows[k], best)) {
-          best = {scores[k], rows[k], true};
-        }
+  // Feasible rows are gathered into fixed blocks and scored with one
+  // score_rows call per block: one virtual call per block, not per
+  // candidate.
+  constexpr std::size_t kBlock = 128;
+  std::array<std::size_t, kBlock> rows{};
+  std::array<double, kBlock> scores{};
+  ScanBest best;
+  std::size_t c = 0;
+  while (c < candidates.size()) {
+    std::size_t n = 0;
+    for (; c < candidates.size() && n < kBlock; ++c) {
+      const std::size_t server = candidates[c];
+      if (table.eligible[server] && row_feasible(table, server, demand,
+                                                 feasibility)) {
+        rows[n++] = server;
       }
     }
-  };
-
-  // Below this size the chunk dispatch costs more than the scan; the cutoff
-  // cannot change results (serial and chunked agree bit-for-bit), only
-  // where the work runs.
-  constexpr std::size_t kMinParallelScan = 1024;
-  ScanBest best;
-  if (pool == nullptr || pool->size() <= 1 ||
-      candidates.size() < kMinParallelScan) {
-    evaluate(0, candidates.size(), best);
-  } else {
-    std::mutex merge_mutex;
-    util::parallel_for(pool, candidates.size(),
-                       [&](std::size_t begin, std::size_t end) {
-                         ScanBest local;
-                         evaluate(begin, end, local);
-                         if (!local.valid) return;
-                         std::scoped_lock lock(merge_mutex);
-                         if (scan_better(order, local.score, local.host,
-                                         best)) {
-                           best = local;
-                         }
-                       });
+    if (n == 0) continue;
+    const std::span<const std::size_t> block(rows.data(), n);
+    if (order != PlacementScorer::Order::ById) {
+      scorer.score_rows(terms, table, block, under_pressure,
+                        std::span<double>(scores.data(), n));
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      if (scan_better(order, scores[k], rows[k], best)) {
+        best = {scores[k], rows[k], true};
+      }
+    }
   }
   if (!best.valid) return std::nullopt;
   return best.host;

@@ -19,7 +19,6 @@
 
 #include "policy/registry.hpp"
 #include "resources/resource_vector.hpp"
-#include "util/thread_pool.hpp"
 
 namespace deflate::cluster {
 
@@ -99,8 +98,8 @@ class PlacementScorer {
 
   /// Whether the span-path loop breaks score ties by lower host id.
   /// Historically only Fitness did (BestFit/WorstFit keep the first-seen
-  /// winner); the SoA scan path *always* ties by id regardless — that
-  /// total order is what makes the chunked scan thread-count invariant.
+  /// winner); the SoA scan path *always* ties by id regardless — its
+  /// (score, lowest id) total order is the scan's tie-break contract.
   [[nodiscard]] virtual bool prefer_lower_id_on_tie() const noexcept {
     return false;
   }
@@ -163,7 +162,7 @@ using PlacementRegistry = policy::PolicyRegistry<PlacementSurface>;
 /// view field, indexed by server id. The placement scoring loop and the
 /// deflation sweeps read a handful of sequential double streams instead of
 /// striding over per-server structs behind pointers, so the hot scan is
-/// cache-linear and trivially chunkable across worker threads.
+/// cache-linear.
 ///
 /// Alongside the raw view fields the table caches each row's
 /// demand-independent scoring terms: the availability vector A_j and its
@@ -208,16 +207,10 @@ enum class ScanFeasibility { FreeCapacity, WithDeflation };
 /// servers are skipped). Returns the winning *server id*. Semantics are
 /// identical to filtering the candidates and calling pick_host: same
 /// feasibility epsilons, same scores, ties broken by lowest host id.
-///
-/// When `pool` is non-null and the candidate set is large, the scan is
-/// chunked across the pool's workers. The reduction merges chunk winners
-/// under the same total order (score, then lowest id), so the result is
-/// bit-identical for any thread count — including zero (serial).
 [[nodiscard]] std::optional<std::size_t> scan_pick_host(
     PlacementStrategy strategy, const res::ResourceVector& demand,
     const HostScanTable& table, std::span<const std::size_t> candidates,
-    ScanFeasibility feasibility, bool under_pressure,
-    util::ThreadPool* pool = nullptr);
+    ScanFeasibility feasibility, bool under_pressure);
 
 /// Scorer-driven scan; the enum overload forwards here with the builtin
 /// scorer. Ties always break by lowest host id (the scan's total order),
@@ -225,7 +218,6 @@ enum class ScanFeasibility { FreeCapacity, WithDeflation };
 [[nodiscard]] std::optional<std::size_t> scan_pick_host(
     const PlacementScorer& scorer, const res::ResourceVector& demand,
     const HostScanTable& table, std::span<const std::size_t> candidates,
-    ScanFeasibility feasibility, bool under_pressure,
-    util::ThreadPool* pool = nullptr);
+    ScanFeasibility feasibility, bool under_pressure);
 
 }  // namespace deflate::cluster

@@ -128,9 +128,6 @@ std::size_t clamp_shard_count(const ShardedClusterConfig& config) {
 std::unique_ptr<ClusterManagerBase> make_cluster_manager(
     ShardedClusterConfig config) {
   if (config.shard_count <= 1) {
-    // The degenerate flat fleet still gets the worker pool: its placement
-    // scans chunk across the same thread budget.
-    config.cluster.worker_threads = config.worker_threads;
     return std::make_unique<ClusterManager>(std::move(config.cluster));
   }
   return std::make_unique<ShardedClusterManager>(std::move(config));
@@ -157,9 +154,6 @@ ShardedClusterManager::ShardedClusterManager(ShardedClusterConfig config)
               ? shard_selection_name(config_.selection)
               : config_.selection_name)) {
   const std::size_t shard_count = clamp_shard_count(config_);
-  if (config_.worker_threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(config_.worker_threads);
-  }
   shards_.resize(shard_count);
   dirty_queue_.reserve(shard_count);
 
@@ -176,10 +170,6 @@ ShardedClusterManager::ShardedClusterManager(ShardedClusterConfig config)
 
     ClusterConfig shard_config = config_.cluster;
     shard_config.server_count = shard.size;
-    // All shards share one pool (a pool per shard would oversubscribe the
-    // machine shard_count-fold).
-    shard_config.worker_threads = 0;
-    shard_config.scan_pool = pool_.get();
     shard.manager = std::make_unique<ClusterManager>(std::move(shard_config));
     refresh_shard(shard);
 
@@ -222,10 +212,8 @@ void ShardedClusterManager::refresh_shard(Shard& shard) {
 
 void ShardedClusterManager::flush_views() {
   DEFLATE_PROFILE_SCOPE("sharded.flush_views");
-  // One serial pass: only this (coordinator) thread marks shards dirty,
-  // and a refresh costs O(the shard's dirty servers) — each shard's own
-  // flush runs its refresh pass on the shared pool once enough servers
-  // are dirty to pay for the dispatch.
+  // A refresh costs O(the shard's dirty servers): each shard keeps its
+  // aggregate as an incremental fixed-point sum.
   for (const std::size_t s : dirty_queue_) {
     refresh_shard(shards_[s]);
     shards_[s].dirty = false;

@@ -16,10 +16,11 @@
 // + deflatable total as int64 fixed-point sums that every server-view
 // refresh updates (ClusterManager::aggregate_free), so a flush costs
 // O(dirty servers), not O(shard), and the totals are independent of the
-// order and thread count that produced them. Stale aggregates only ever
-// affect routing *order* — every shard remains a fallback candidate, and
-// the shard-internal scan is always exact — so a placement is rejected
-// only when every shard rejects it.
+// order that produced them. Placement, flushes and routing all run on the
+// caller's thread. Stale aggregates only ever affect routing *order* —
+// every shard remains a fallback candidate, and the shard-internal scan is
+// always exact — so a placement is rejected only when every shard rejects
+// it.
 //
 // Server ids: shard s owns the contiguous global range
 // [first_s, first_s + size_s). All public parameters, PlacementResults and
@@ -39,7 +40,6 @@
 #include "cluster/cluster_manager.hpp"
 #include "policy/registry.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace deflate::cluster {
 
@@ -126,12 +126,7 @@ struct ShardedClusterConfig {
   /// Seed of the (deterministic) routing stream used by power-of-two
   /// sampling; independent of the market / trace seeds.
   std::uint64_t routing_seed = 42;
-  /// Size of the worker pool shared by every shard: large dirty-server
-  /// refresh passes at the flush barrier and the in-shard placement scans
-  /// chunk across the same workers. 0 or 1 = fully serial. Results are
-  /// identical for every value — all reductions merge under a fixed total
-  /// order — so this knob (like DEFLATE_THREADS, which the simulator feeds
-  /// into it) only changes wall-clock time.
+  /// ignored: the fleet places serially; delete once perfbench/ stops assigning it
   std::size_t worker_threads = 0;
 };
 
@@ -194,9 +189,8 @@ class ShardedClusterManager : public ClusterManagerBase {
 
   /// Tick-boundary barrier: flushes the per-server views of every shard
   /// marked dirty since the last flush and re-reads its exact aggregate.
-  /// One serial pass over the dirty shards; each shard's refresh pass
-  /// uses the shared pool when it has enough dirty servers. The
-  /// aggregates are integer sums, identical for any thread count.
+  /// One serial pass over the dirty shards, each refreshing only its
+  /// dirty servers.
   void flush_views() override;
 
   /// Re-resolves the shard selector from the registry by name (PolicySet
@@ -231,7 +225,7 @@ class ShardedClusterManager : public ClusterManagerBase {
     bool dirty = false;
   };
 
-  /// Queues shard `s` for the next flush (coordinator thread only).
+  /// Queues shard `s` for the next flush.
   void mark_dirty(std::size_t s);
   /// Re-reads the shard's exact aggregate. Does not clear the dirty flag:
   /// direct callers outside the flush at worst schedule one redundant
@@ -255,9 +249,6 @@ class ShardedClusterManager : public ClusterManagerBase {
 
   ShardedClusterConfig config_;
   std::size_t total_servers_ = 0;
-  /// Worker pool shared by every shard (scan_pool: placement scans and
-  /// dirty-view refresh passes). Null when worker_threads <= 1.
-  std::unique_ptr<util::ThreadPool> pool_;
   std::vector<Shard> shards_;
   std::vector<std::size_t> dirty_queue_;
   std::unordered_map<std::uint64_t, std::size_t> vm_shard_;

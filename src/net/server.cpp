@@ -203,13 +203,17 @@ void Server::serve_connection(std::uint32_t conn_id,
     if (!out.empty() && !socket->send_all(out.data(), out.size())) break;
   }
 
-  socket->close();
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  open_connections_.erase(conn_id);
-  if (request_shutdown) {
-    shutdown_requested_ = true;
-    shutdown_cv_.notify_all();
+  {
+    // Leave open_connections_ before closing: stop() reads the fd of
+    // every socket still listed there.
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    open_connections_.erase(conn_id);
+    if (request_shutdown) {
+      shutdown_requested_ = true;
+      shutdown_cv_.notify_all();
+    }
   }
+  socket->close();
 }
 
 UtilizationReport Server::fleet_utilization() {
@@ -248,8 +252,10 @@ void Server::stop() {
     // Wake every handler parked in recv().
     for (auto& [id, socket] : open_connections_) socket->shutdown_both();
   }
-  listener_.close();  // wakes the accept loop
+  // Wake the accept loop, and release the fd only once it has exited.
+  listener_.shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.close();
   if (pool_ != nullptr) pool_->wait_idle();
   if (capture_ != nullptr) {
     std::lock_guard<std::mutex> admission(admission_mutex_);

@@ -127,10 +127,12 @@ std::optional<Socket> ListenSocket::accept_one() noexcept {
   }
 }
 
+void ListenSocket::shutdown() noexcept {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void ListenSocket::close() noexcept {
   if (fd_ >= 0) {
-    // shutdown() before close wakes a thread parked in accept().
-    ::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
     fd_ = -1;
   }

@@ -78,10 +78,13 @@ class ListenSocket {
   /// The bound port (the kernel-assigned one when opened with port 0).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// Blocks for one connection; nullopt when the socket was closed from
+  /// Blocks for one connection; nullopt when the socket was shut down from
   /// another thread (the server's stop path) or accept failed.
   [[nodiscard]] std::optional<Socket> accept_one() noexcept;
 
+  /// Wakes a thread parked in accept_one() without releasing the fd, so
+  /// it may run concurrently with accept_one(); close() may not.
+  void shutdown() noexcept;
   void close() noexcept;
 
  private:

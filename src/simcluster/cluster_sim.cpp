@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/thread_pool.hpp"
-
 namespace deflate::simcluster {
 
 namespace {
@@ -114,9 +112,6 @@ std::unique_ptr<cluster::ClusterManagerBase> make_manager(
   sharded.selection = config.shard_selection;
   sharded.selection_name = config.policies.shard_selection.name;
   sharded.routing_seed = config.shard_routing_seed;
-  sharded.worker_threads = config.worker_threads != 0
-                               ? config.worker_threads
-                               : util::env_threads();
   return cluster::make_cluster_manager(std::move(sharded));
 }
 

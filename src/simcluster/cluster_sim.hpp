@@ -50,9 +50,7 @@ struct SimConfig {
   cluster::ShardSelectionPolicy shard_selection =
       cluster::ShardSelectionPolicy::PowerOfTwoChoices;
   std::uint64_t shard_routing_seed = 42;
-  /// Worker threads for the manager's placement scans and tick-barrier
-  /// view drains. 0 = take DEFLATE_THREADS from the environment (unset =
-  /// serial). Never changes results — only wall-clock time.
+  /// ignored: the fleet places serially; delete once perfbench/ stops assigning it
   std::size_t worker_threads = 0;
 
   // --- transient market (src/transient) ---
@@ -95,7 +93,7 @@ struct SimConfig {
   /// generated in time order from the configured trace (Azure, Alibaba or
   /// a `deflated` capture file), held only while active, and released at
   /// departure. Results are bit-identical across `replay->window` and
-  /// `worker_threads` (tests/test_trace_replay.cpp). Ignored by the
+  /// `replay->worker_threads` (tests/test_trace_replay.cpp). Ignored by the
   /// record-vector and external-stream constructors.
   std::optional<trace::ReplayConfig> replay;
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <vector>
 
 #include "net/client.hpp"
 #include "net/registry.hpp"
@@ -303,6 +304,42 @@ TEST(NetService, RawPlacementPathOverSocket) {
   EXPECT_TRUE(response->accepted);
   EXPECT_EQ(server.stats().place_requests, 1U);
   server.stop();
+}
+
+TEST(NetService, StopWakesIdleConnectionsAndTheAcceptLoop) {
+  net::ServiceConfig config;
+  config.server_count = 4;
+  net::Server server(config);
+  ASSERT_TRUE(server.start());
+
+  // Three idle peers: connected and greeted, nothing sent. Their handlers
+  // are parked in recv() and the accept thread is back in accept().
+  std::vector<net::Socket> peers;
+  for (int i = 0; i < 3; ++i) {
+    net::Socket peer = net::connect_loopback(server.port());
+    ASSERT_TRUE(peer.valid());
+    net::FrameBuffer frames;
+    std::uint8_t chunk[4096];
+    net::DecodeResult hello;
+    while (hello.status != net::DecodeStatus::Ok) {
+      const long n = peer.recv_some(chunk, sizeof(chunk));
+      ASSERT_GT(n, 0);
+      frames.append(chunk, static_cast<std::size_t>(n));
+      hello = frames.next();
+      ASSERT_NE(hello.status, net::DecodeStatus::Malformed);
+    }
+    EXPECT_TRUE(std::holds_alternative<net::Hello>(hello.message));
+    peers.push_back(std::move(peer));
+  }
+
+  server.stop();
+  // Every idle peer sees an orderly close, and the listener is gone.
+  for (net::Socket& peer : peers) {
+    std::uint8_t byte = 0;
+    EXPECT_EQ(peer.recv_some(&byte, 1), 0);
+  }
+  EXPECT_EQ(server.stats().connections, 3U);
+  EXPECT_FALSE(net::connect_loopback(server.port()).valid());
 }
 
 TEST(NetService, ShutdownFrameStopsTheServer) {

@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cl = deflate::cluster;
 namespace res = deflate::res;
@@ -209,7 +208,6 @@ TEST(PlacementScan, CachedColumnsAreBitEqualToTheSpanKernels) {
 }
 
 TEST(PlacementScan, PicksTheSameServerAsTheSpanPath) {
-  util::ThreadPool pool(4);
   const MostFreeMemoryScorer plugin;
   std::vector<const cl::PlacementScorer*> scorers{&plugin};
   for (const auto strategy :
@@ -220,8 +218,7 @@ TEST(PlacementScan, PicksTheSameServerAsTheSpanPath) {
 
   util::Rng rng(11);
   std::size_t compared = 0, placed = 0;
-  // 1500 rows clear the pooled scan's size cutoff, so the chunked
-  // reduction is compared too.
+  // 1500 rows span several 128-row scoring blocks.
   for (const std::size_t servers : {1U, 7U, 60U, 1500U}) {
     for (int trial = 0; trial < 12; ++trial) {
       const cl::HostScanTable table = random_table(rng, servers);
@@ -236,15 +233,12 @@ TEST(PlacementScan, PicksTheSameServerAsTheSpanPath) {
           for (const bool pressure : {false, true}) {
             const auto expected = span_pick(*scorer, demand, table, candidates,
                                             feasibility, pressure);
-            for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
-                                        &pool}) {
-              const auto got = cl::scan_pick_host(*scorer, demand, table,
-                                                  candidates, feasibility,
-                                                  pressure, p);
-              EXPECT_EQ(got, expected)
-                  << "servers " << servers << " trial " << trial
-                  << " pressure " << pressure;
-            }
+            const auto got = cl::scan_pick_host(*scorer, demand, table,
+                                                candidates, feasibility,
+                                                pressure);
+            EXPECT_EQ(got, expected)
+                << "servers " << servers << " trial " << trial
+                << " pressure " << pressure;
             ++compared;
             if (expected) ++placed;
           }

@@ -513,41 +513,32 @@ void expect_free_total_exact(cl::ClusterManager& manager,
 }
 
 /// Flushes and checks every shard (or the flat manager) plus the sharded
-/// scheduler's routing cache; returns the per-shard totals.
-std::vector<cl::FixedPointRow> flush_and_check(cl::ClusterManagerBase& manager,
-                                               const std::string& where) {
+/// scheduler's routing cache.
+void flush_and_check(cl::ClusterManagerBase& manager,
+                     const std::string& where) {
   manager.flush_views();
-  std::vector<cl::FixedPointRow> totals;
   if (auto* flat = dynamic_cast<cl::ClusterManager*>(&manager)) {
     expect_free_total_exact(*flat, where);
-    totals.push_back(flat->aggregate_free_units());
-    return totals;
+    return;
   }
   auto& sharded = dynamic_cast<cl::ShardedClusterManager&>(manager);
   for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
     expect_free_total_exact(sharded.shard(s), where);
     EXPECT_EQ(sharded.cached_shard_free(s), sharded.shard(s).aggregate_free())
         << where << " shard " << s;
-    totals.push_back(sharded.shard(s).aggregate_free_units());
   }
-  return totals;
 }
 
 /// Randomized place/remove/revoke/restore/drain churn with irregular
-/// flushes and periodic mass departures. Returns the final per-shard
-/// totals.
-std::vector<cl::FixedPointRow> churn_with_checks(std::size_t shards,
-                                                 std::size_t threads) {
+/// flushes and periodic mass departures.
+void churn_with_checks(std::size_t shards) {
   constexpr std::size_t kServers = 1200;
-  cl::ShardedClusterConfig config = sharded_config(kServers, shards);
-  config.worker_threads = threads;
-  config.cluster.worker_threads = threads;
+  const cl::ShardedClusterConfig config = sharded_config(kServers, shards);
   std::unique_ptr<cl::ClusterManagerBase> manager =
       shards == 1 ? std::make_unique<cl::ClusterManager>(config.cluster)
                   : std::unique_ptr<cl::ClusterManagerBase>(
                         std::make_unique<cl::ShardedClusterManager>(config));
-  const std::string where = "shards " + std::to_string(shards) + " threads " +
-                            std::to_string(threads);
+  const std::string where = "shards " + std::to_string(shards);
 
   util::Rng rng(99);
   std::vector<std::uint64_t> live;
@@ -561,7 +552,7 @@ std::vector<cl::FixedPointRow> churn_with_checks(std::size_t shards,
     const double roll = rng.u01();
     if (step % 1500 == 1499) {
       // Mass departure: most residents leave between two flushes, which
-      // dirties enough servers per shard for the pooled refresh pass.
+      // dirties most servers of every shard at once.
       while (live.size() > 20) remove_at(live.size() / 2);
     } else if (roll < 0.8 || live.empty()) {
       hv::VmSpec spec = random_spec(rng, next_id++);
@@ -588,17 +579,13 @@ std::vector<cl::FixedPointRow> churn_with_checks(std::size_t shards,
     }
     if (rng.bernoulli(0.2)) flush_and_check(*manager, where);
   }
-  return flush_and_check(*manager, where);
+  flush_and_check(*manager, where);
 }
 
 }  // namespace
 
 TEST(ShardedClusterManager, IncrementalFreeTotalsMatchRescanThroughChurn) {
-  for (const std::size_t shards : {1U, 4U}) {
-    const auto serial = churn_with_checks(shards, 0);
-    // Integer totals cannot depend on how the refresh pass was split.
-    EXPECT_EQ(churn_with_checks(shards, 4), serial) << "shards " << shards;
-  }
+  for (const std::size_t shards : {1U, 4U}) churn_with_checks(shards);
 }
 
 TEST(ShardedClusterManager, FreeTotalIsIndependentOfMutationOrder) {
