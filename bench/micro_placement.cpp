@@ -1,6 +1,6 @@
-// Micro-benchmark: fitness-based placement scan over large clusters, the
-// SoA scan (scan_pick_host), the sharded tick flush, and
-// end-to-end ClusterManager placement (flat vs sharded) at fleet scale.
+// Micro-benchmark: end-to-end ClusterManager placement (flat vs sharded)
+// at fleet scale, preemption-mode placement as residents per server grow,
+// the SoA scan (scan_pick_host) and the sharded tick flush.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -11,50 +11,7 @@
 #include "cluster/sharded_manager.hpp"
 #include "util/rng.hpp"
 
-namespace {
-
-using deflate::cluster::HostView;
 using deflate::res::ResourceVector;
-
-std::vector<HostView> make_views(std::size_t n) {
-  deflate::util::Rng rng(42);
-  std::vector<HostView> views;
-  views.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    HostView view;
-    view.host_id = i;
-    view.capacity = {48.0, 131072.0, 4000.0, 40000.0};
-    view.available = {rng.uniform(0.0, 48.0), rng.uniform(0.0, 131072.0),
-                      rng.uniform(0.0, 4000.0), rng.uniform(0.0, 40000.0)};
-    view.deflatable = {rng.uniform(0.0, 24.0), rng.uniform(0.0, 65536.0), 0.0,
-                       0.0};
-    view.overcommit_ratio = rng.uniform(0.5, 2.0);
-    view.feasible = rng.bernoulli(0.8);
-    views.push_back(view);
-  }
-  return views;
-}
-
-}  // namespace
-
-static void bench_pick_best_host(benchmark::State& state) {
-  const auto views = make_views(static_cast<std::size_t>(state.range(0)));
-  const ResourceVector demand(8.0, 16384.0, 100.0, 1000.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(deflate::cluster::pick_best_host(demand, views));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(bench_pick_best_host)->Arg(40)->Arg(400)->Arg(4000)->Arg(10000);
-
-static void bench_fitness(benchmark::State& state) {
-  const auto views = make_views(1);
-  const ResourceVector demand(8.0, 16384.0, 100.0, 1000.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(deflate::cluster::fitness(demand, views[0]));
-  }
-}
-BENCHMARK(bench_fitness);
 
 // --- end-to-end manager placement: flat scan vs sharded routing ------------
 
@@ -132,12 +89,68 @@ BENCHMARK(bench_manager_place)
     ->Iterations(2000)
     ->Unit(benchmark::kMicrosecond);
 
+/// One on-demand placement on a flat preemption-mode fleet of 256 servers,
+/// each holding range(0) deflatable VMs on half its capacity. The VM fits
+/// in free capacity, so nothing is evicted; the cost measured is choosing
+/// the server. Each iteration times one place_vm, then removes the VM and
+/// flushes untimed, so every iteration starts from the same state.
+static void bench_preemption_place(benchmark::State& state) {
+  constexpr std::size_t kServers = 256;
+  constexpr int kCores = 128;
+  const auto per_server = static_cast<int>(state.range(0));
+  deflate::cluster::ClusterConfig config;
+  config.server_count = kServers;
+  config.server_capacity = {kCores, kCores * 2048.0, 1e9, 1e9};
+  config.mode = deflate::cluster::ReclamationMode::Preemption;
+  deflate::cluster::ClusterManager manager(config);
+
+  // Fill every server exactly with 2 x range(0) deflatable VMs, then
+  // remove every second VM of each server.
+  deflate::hv::VmSpec spec;
+  spec.vcpus = kCores / (2 * per_server);
+  spec.memory_mib = spec.vcpus * 2048.0;
+  spec.deflatable = true;
+  std::vector<std::vector<std::uint64_t>> residents(kServers);
+  const std::size_t fill = kServers * 2 * static_cast<std::size_t>(per_server);
+  for (std::uint64_t id = 1; id <= fill; ++id) {
+    spec.id = id;
+    residents[manager.place_vm(spec).host_id].push_back(id);
+  }
+  for (const auto& ids : residents) {
+    for (std::size_t k = 1; k < ids.size(); k += 2) manager.remove_vm(ids[k]);
+  }
+  manager.flush_views();
+
+  spec.id = fill + 1;
+  spec.vcpus = 8;
+  spec.memory_mib = 16384.0;
+  spec.deflatable = false;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    const bool placed = manager.place_vm(spec).ok();
+    const auto stop = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
+    if (!placed) {
+      state.SkipWithError("on-demand placement rejected");
+      return;
+    }
+    manager.remove_vm(spec.id);
+    manager.flush_views();
+  }
+}
+BENCHMARK(bench_preemption_place)
+    ->ArgName("vms_per_server")
+    ->Arg(4)->Arg(16)->Arg(64)
+    ->Iterations(2000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+
 // --- layer benches: the in-shard scan and the tick flush --------------------
 
 namespace {
 
-/// A scan table of `n` random rows (the make_views distribution), written
-/// through the same row setter the cluster manager's view refresh uses.
+/// A scan table of `n` random rows, written through the same row setter
+/// the cluster manager's view refresh uses.
 deflate::cluster::HostScanTable make_table(std::size_t n) {
   deflate::util::Rng rng(42);
   deflate::cluster::HostScanTable table;

@@ -28,6 +28,16 @@ ClusterConfig validated(ClusterConfig config) {
 /// overcommitted allocations; quantize clamps anything beyond it.
 constexpr double kFreeRowBound = 4.0;
 
+/// What evicting every deflatable resident would free: their effective
+/// allocations summed in residence order.
+res::ResourceVector preemptable_allocation(const hv::Host& host) {
+  res::ResourceVector preemptable;
+  for (const hv::Vm* vm : host.vms()) {
+    if (vm->spec().deflatable) preemptable += vm->effective_allocation();
+  }
+  return preemptable;
+}
+
 }  // namespace
 
 FixedPointScale::FixedPointScale(const res::ResourceVector& row_bound,
@@ -86,6 +96,10 @@ ClusterManager::ClusterManager(ClusterConfig config)
   dirty_queue_.reserve(config_.server_count);
   scan_.capacity = config_.server_capacity;
   scan_.resize(config_.server_count);
+  if (config_.mode == ReclamationMode::Preemption) {
+    evict_scan_.capacity = config_.server_capacity;
+    evict_scan_.resize(config_.server_count);
+  }
   free_scale_ = FixedPointScale(config_.server_capacity * kFreeRowBound,
                                 config_.server_count);
   free_rows_.assign(config_.server_count, FixedPointRow{});
@@ -140,11 +154,16 @@ FixedPointRow ClusterManager::free_row(std::size_t server) const noexcept {
 void ClusterManager::refresh_view(std::size_t server) {
   ServerNode& node = *nodes_[server];
   const hv::Host& host = node.hypervisor.host();
-  scan_.set_row(server, host.available(),
-                config_.mode == ReclamationMode::Deflation
-                    ? node.controller->reclaimable_headroom()
-                    : res::ResourceVector{},
-                host.overcommit_ratio());
+  const res::ResourceVector available = host.available();
+  const double overcommit = host.overcommit_ratio();
+  if (config_.mode == ReclamationMode::Deflation) {
+    scan_.set_row(server, available, node.controller->reclaimable_headroom(),
+                  overcommit);
+  } else {
+    scan_.set_row(server, available, res::ResourceVector{}, overcommit);
+    evict_scan_.set_row(server, available, preemptable_allocation(host),
+                        overcommit);
+  }
   // Replace the server's old contribution to the running free total.
   const FixedPointRow row = free_row(server);
   FixedPointRow& folded = free_rows_[server];
@@ -156,20 +175,11 @@ void ClusterManager::refresh_view(std::size_t server) {
 
 void ClusterManager::update_eligible(std::size_t server) {
   const ServerNode& node = *nodes_[server];
-  scan_.eligible[server] = node.active && node.accepting ? 1 : 0;
-}
-
-std::vector<std::size_t> ClusterManager::candidate_servers(
-    const hv::VmSpec& spec) const {
-  const std::size_t pool = config_.partitioned
-                               ? pool_for_priority(spec.deflatable, spec.priority,
-                                                   partitions_.pool_count())
-                               : 0;
-  std::vector<std::size_t> candidates;
-  for (const std::size_t idx : partitions_.pool(pool)) {
-    if (nodes_[idx]->active && nodes_[idx]->accepting) candidates.push_back(idx);
+  const std::uint8_t eligible = node.active && node.accepting ? 1 : 0;
+  scan_.eligible[server] = eligible;
+  if (config_.mode == ReclamationMode::Preemption) {
+    evict_scan_.eligible[server] = eligible;
   }
-  return candidates;
 }
 
 double ClusterManager::min_launch_fraction(const hv::VmSpec& spec) const {
@@ -227,36 +237,24 @@ PlacementResult ClusterManager::admit(const hv::VmSpec& spec, std::size_t server
 }
 
 PlacementResult ClusterManager::place_with_preemption(
-    const hv::VmSpec& spec, const std::vector<std::size_t>& candidates) {
+    const hv::VmSpec& spec, const std::vector<std::size_t>& pool) {
   const res::ResourceVector demand = spec.vector();
   PlacementResult result;
 
   // Feasibility with preemption: free capacity plus everything the
-  // deflatable (low-priority) VMs currently hold. The scorers derive A_j
-  // from each view's own fields on this path, so the overwritten
-  // deflatable (not the table's cached column) is what gets scored.
-  std::vector<HostView> views;
-  views.reserve(candidates.size());
-  for (const std::size_t idx : candidates) {
-    HostView view = scan_.view_of(idx);
-    res::ResourceVector preemptable;
-    if (!spec.deflatable) {  // only on-demand VMs may evict others
-      for (const hv::Vm* vm : nodes_[idx]->hypervisor.host().vms()) {
-        if (vm->spec().deflatable) preemptable += vm->effective_allocation();
-      }
-    }
-    view.deflatable = preemptable;
-    view.feasible = (demand - view.available).clamped_nonneg().all_leq(
-        preemptable, 1e-9);
-    views.push_back(view);
-  }
-  const auto best = pick_host(*scorer_, demand, views);
+  // deflatable (low-priority) VMs currently hold. Only on-demand VMs may
+  // evict others, so they scan the eviction table; deflatable VMs scan
+  // the placement table, whose deflatable column is zero in this mode.
+  const HostScanTable& table = spec.deflatable ? scan_ : evict_scan_;
+  const auto best = scan_pick_host(*scorer_, demand, table, pool,
+                                   ScanFeasibility::WithDeflation,
+                                   /*under_pressure=*/false);
   if (!best) {
     ++stats_.rejections;
     result.status = PlacementResult::Status::Rejected;
     return result;
   }
-  const std::size_t server = candidates[*best];
+  const std::size_t server = *best;
   ServerNode& node = *nodes_[server];
 
   // Preempt lowest-priority deflatable VMs until the demand fits (§7.4.1's
@@ -294,19 +292,19 @@ PlacementResult ClusterManager::place_vm(const hv::VmSpec& spec) {
   // feasibility decision below sees exact state (same decisions as the old
   // eager per-mutation rescan, minus the redundant rescans in between).
   flush_views();
-  if (config_.mode == ReclamationMode::Preemption) {
-    return place_with_preemption(spec, candidate_servers(spec));
-  }
 
-  // The deflation path scans the whole partition pool through the SoA
-  // table (ineligible servers are masked by the eligibility column), so
-  // there is no per-placement candidate vector to build.
+  // Both modes scan the whole partition pool through the SoA tables
+  // (ineligible servers are masked by the eligibility column), so there
+  // is no per-placement candidate vector to build.
   const std::size_t pool_index =
       config_.partitioned ? pool_for_priority(spec.deflatable, spec.priority,
                                               partitions_.pool_count())
                           : 0;
   const std::vector<std::size_t>& pool_candidates =
       partitions_.pool(pool_index);
+  if (config_.mode == ReclamationMode::Preemption) {
+    return place_with_preemption(spec, pool_candidates);
+  }
 
   const res::ResourceVector full_demand = spec.vector();
   auto try_fraction = [&](double fraction) -> std::optional<std::size_t> {

@@ -308,6 +308,13 @@ class ClusterManager : public ClusterManagerBase {
     return *scorer_;
   }
 
+  /// Preemption mode's eviction table (empty in Deflation mode): the
+  /// placement table's rows with each server's preemptable allocation
+  /// in the deflatable column. Exact after a flush.
+  [[nodiscard]] const HostScanTable& eviction_table() const noexcept {
+    return evict_scan_;
+  }
+
  private:
   struct ServerNode {
     explicit ServerNode(std::uint64_t id, const ClusterConfig& config);
@@ -327,14 +334,12 @@ class ClusterManager : public ClusterManagerBase {
   /// Queues `server` for a view rescan at the next flush (dedups repeated
   /// mutations of the same server between placements).
   void mark_view_dirty(std::size_t server);
-  /// Mirrors active && accepting into the scan table's eligibility column.
+  /// Mirrors active && accepting into the scan tables' eligibility columns.
   void update_eligible(std::size_t server);
-  [[nodiscard]] std::vector<std::size_t> candidate_servers(
-      const hv::VmSpec& spec) const;
   PlacementResult admit(const hv::VmSpec& spec, std::size_t server,
                         double fraction);
-  PlacementResult place_with_preemption(const hv::VmSpec& spec,
-                                        const std::vector<std::size_t>& candidates);
+  PlacementResult place_with_preemption(
+      const hv::VmSpec& spec, const std::vector<std::size_t>& pool);
   /// Smallest launch fraction the configured policy would ever leave the
   /// VM with (deflated-launch lower bound).
   [[nodiscard]] double min_launch_fraction(const hv::VmSpec& spec) const;
@@ -346,9 +351,14 @@ class ClusterManager : public ClusterManagerBase {
   std::vector<std::unique_ptr<ServerNode>> nodes_;
   ClusterPartitions partitions_;
   std::unordered_map<std::uint64_t, std::size_t> vm_locations_;
-  /// SoA per-server scan state: the placement loops and deflation sweeps
+  /// SoA per-server scan state: the placement scan and deflation sweeps
   /// read these dense columns instead of chasing per-node structs.
   HostScanTable scan_;
+  /// Preemption mode only: scan_'s rows with the deflatable column holding
+  /// the summed effective allocation of each server's deflatable
+  /// residents, what an on-demand placement may evict. Kept apart because
+  /// scan_'s deflatable column feeds the free totals and shard routing.
+  HostScanTable evict_scan_;
   std::vector<std::uint8_t> view_dirty_;   ///< per-server dirty flag
   std::vector<std::size_t> dirty_queue_;   ///< servers awaiting a rescan
   /// Free + deflatable capacity in fixed-point units: each server's folded

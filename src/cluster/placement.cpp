@@ -10,10 +10,9 @@ namespace {
 
 // --- scoring kernels --------------------------------------------------------
 //
-// The one definition of each score's arithmetic. The span path (score() on
-// a HostView) and the scan path (score_rows() over cached table columns)
-// both call these with the same operands, so the two paths are
-// bit-identical by construction.
+// The one definition of each score's arithmetic: HostScanTable::set_row
+// caches availability_kernel per row, and the builtins' score_rows read
+// those columns through the other kernels.
 
 /// §5.2: A_j = Total - Used + deflatable_j / overcommitted_j. A server at
 /// or below full commitment divides by 1 (no discount); overcommitted
@@ -36,8 +35,15 @@ double fitness_kernel(const DemandTerms& terms,
   return terms.demand.dot(availability) / (denom > kEps ? denom : kEps);
 }
 
-/// Capacity-normalized availability projected onto the demand direction
-/// (normalizing by capacity makes cores and MiB commensurate).
+/// Magnitude-aware fitness for placements that *require* deflation:
+/// capacity-normalized availability projected onto the demand direction
+/// (normalizing by capacity makes cores and MiB commensurate). Cosine
+/// similarity is scale-invariant, so by itself it cannot express the
+/// paper's "prefers servers with lower overcommitment" behaviour; ranking
+/// pressured placements by projected availability spreads the reclamation
+/// across the servers with the most deflatable headroom, keeping per-VM
+/// deflation shallow (§5.2; Tetris [19], which the paper builds on, scores
+/// with the dot product for the same reason).
 double pressure_kernel(const DemandTerms& terms,
                        const res::ResourceVector& availability) noexcept {
   res::ResourceVector avail_n;
@@ -73,42 +79,6 @@ DemandTerms::DemandTerms(const res::ResourceVector& demand_in,
   normalized_norm = normalized.norm();
 }
 
-res::ResourceVector availability_vector(const HostView& host) {
-  return availability_kernel(host.available, host.deflatable,
-                             host.overcommit_ratio);
-}
-
-double fitness(const res::ResourceVector& demand, const HostView& host) {
-  const res::ResourceVector availability = availability_vector(host);
-  return fitness_kernel(DemandTerms(demand, host.capacity), availability,
-                        availability.norm());
-}
-
-double pressure_fitness(const res::ResourceVector& demand,
-                        const HostView& host) {
-  return pressure_kernel(DemandTerms(demand, host.capacity),
-                         availability_vector(host));
-}
-
-std::optional<std::size_t> pick_best_host(const res::ResourceVector& demand,
-                                          std::span<const HostView> hosts,
-                                          bool under_pressure) {
-  std::optional<std::size_t> best;
-  double best_fitness = -1.0;
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    if (!hosts[i].feasible) continue;
-    const double f = under_pressure ? pressure_fitness(demand, hosts[i])
-                                    : fitness(demand, hosts[i]);
-    if (f > best_fitness ||
-        (f == best_fitness && best &&
-         hosts[i].host_id < hosts[*best].host_id)) {
-      best = i;
-      best_fitness = f;
-    }
-  }
-  return best;
-}
-
 const char* placement_strategy_name(PlacementStrategy s) noexcept {
   switch (s) {
     case PlacementStrategy::Fitness: return "fitness";
@@ -121,22 +91,7 @@ const char* placement_strategy_name(PlacementStrategy s) noexcept {
 
 // --- builtin scorers --------------------------------------------------------
 
-void PlacementScorer::score_rows(const DemandTerms& terms,
-                                 const HostScanTable& table,
-                                 std::span<const std::size_t> servers,
-                                 bool under_pressure,
-                                 std::span<double> scores) const {
-  for (std::size_t k = 0; k < servers.size(); ++k) {
-    scores[k] = score(terms.demand, table.view_of(servers[k]), under_pressure);
-  }
-}
-
 namespace {
-
-double leftover_score(const res::ResourceVector& demand, const HostView& host) {
-  return leftover_kernel(DemandTerms(demand, host.capacity),
-                         availability_vector(host));
-}
 
 void leftover_rows(const DemandTerms& terms, const HostScanTable& table,
                    std::span<const std::size_t> servers,
@@ -146,22 +101,11 @@ void leftover_rows(const DemandTerms& terms, const HostScanTable& table,
   }
 }
 
-/// §5.2 cosine fitness (pressure-aware). The only builtin whose span-path
-/// ties break by host id: its sentinel-free score range (>= 0) made the
-/// historical tie branch reachable, and golden runs pin that order.
+/// §5.2 cosine fitness; the magnitude-aware projection under pressure.
 class FitnessScorer final : public PlacementScorer {
  public:
   [[nodiscard]] Order order() const noexcept override {
     return Order::HigherBetter;
-  }
-  [[nodiscard]] bool prefer_lower_id_on_tie() const noexcept override {
-    return true;
-  }
-  [[nodiscard]] double score(const res::ResourceVector& demand,
-                             const HostView& host,
-                             bool under_pressure) const override {
-    return under_pressure ? pressure_fitness(demand, host)
-                          : fitness(demand, host);
   }
   void score_rows(const DemandTerms& terms, const HostScanTable& table,
                   std::span<const std::size_t> servers, bool under_pressure,
@@ -177,12 +121,15 @@ class FitnessScorer final : public PlacementScorer {
   }
 };
 
+/// Lowest feasible host id: every row scores 0, so the id tie-break alone
+/// decides (scan_pick_host skips the call for Order::ById).
 class FirstFitScorer final : public PlacementScorer {
  public:
   [[nodiscard]] Order order() const noexcept override { return Order::ById; }
-  [[nodiscard]] double score(const res::ResourceVector&, const HostView&,
-                             bool) const override {
-    return 0.0;
+  void score_rows(const DemandTerms&, const HostScanTable&,
+                  std::span<const std::size_t>, bool,
+                  std::span<double> scores) const override {
+    std::fill(scores.begin(), scores.end(), 0.0);
   }
 };
 
@@ -190,10 +137,6 @@ class BestFitScorer final : public PlacementScorer {
  public:
   [[nodiscard]] Order order() const noexcept override {
     return Order::LowerBetter;
-  }
-  [[nodiscard]] double score(const res::ResourceVector& demand,
-                             const HostView& host, bool) const override {
-    return leftover_score(demand, host);
   }
   void score_rows(const DemandTerms& terms, const HostScanTable& table,
                   std::span<const std::size_t> servers, bool,
@@ -206,10 +149,6 @@ class WorstFitScorer final : public PlacementScorer {
  public:
   [[nodiscard]] Order order() const noexcept override {
     return Order::HigherBetter;
-  }
-  [[nodiscard]] double score(const res::ResourceVector& demand,
-                             const HostView& host, bool) const override {
-    return leftover_score(demand, host);
   }
   void score_rows(const DemandTerms& terms, const HostScanTable& table,
                   std::span<const std::size_t> servers, bool,
@@ -276,46 +215,6 @@ std::optional<PlacementStrategy> placement_strategy_from_name(
   return std::nullopt;
 }
 
-std::optional<std::size_t> pick_host(PlacementStrategy strategy,
-                                     const res::ResourceVector& demand,
-                                     std::span<const HostView> hosts,
-                                     bool under_pressure) {
-  return pick_host(builtin_placement_scorer(strategy), demand, hosts,
-                   under_pressure);
-}
-
-std::optional<std::size_t> pick_host(const PlacementScorer& scorer,
-                                     const res::ResourceVector& demand,
-                                     std::span<const HostView> hosts,
-                                     bool under_pressure) {
-  const PlacementScorer::Order order = scorer.order();
-  std::optional<std::size_t> best;
-  double best_score = 0.0;
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    if (!hosts[i].feasible) continue;
-    if (order == PlacementScorer::Order::ById) {
-      if (!best || hosts[i].host_id < hosts[*best].host_id) best = i;
-      continue;
-    }
-    const double s = scorer.score(demand, hosts[i], under_pressure);
-    bool better = false;
-    if (!best) {
-      better = true;
-    } else if (s != best_score) {
-      better = order == PlacementScorer::Order::HigherBetter ? s > best_score
-                                                             : s < best_score;
-    } else {
-      better = scorer.prefer_lower_id_on_tie() &&
-               hosts[i].host_id < hosts[*best].host_id;
-    }
-    if (better) {
-      best = i;
-      best_score = s;
-    }
-  }
-  return best;
-}
-
 // --- SoA scan table ---------------------------------------------------------
 
 void HostScanTable::resize(std::size_t servers) {
@@ -358,16 +257,6 @@ res::ResourceVector HostScanTable::availability_of(
           availability[3][i]};
 }
 
-HostView HostScanTable::view_of(std::size_t i) const noexcept {
-  HostView view;
-  view.host_id = i;
-  view.capacity = capacity;
-  view.available = available_of(i);
-  view.deflatable = deflatable_of(i);
-  view.overcommit_ratio = overcommit[i];
-  return view;
-}
-
 // --- deterministic strategy scan --------------------------------------------
 
 namespace {
@@ -378,9 +267,8 @@ struct ScanBest {
   bool valid = false;
 };
 
-/// Strict total order on (score, host id): the scan's tie-break contract.
-/// Ties always break by lowest host id here, even for scorers whose span
-/// path keeps the first-seen winner, so the winner does not depend on the
+/// Strict total order on (score, host id): the only tie-break contract.
+/// Ties break by lowest host id, so the winner does not depend on the
 /// order of `candidates`.
 bool scan_better(PlacementScorer::Order order, double score, std::size_t host,
                  const ScanBest& best) {
@@ -398,9 +286,8 @@ bool scan_better(PlacementScorer::Order order, double score, std::size_t host,
   return false;
 }
 
-/// The two place_vm feasibility passes over the raw columns, with the
-/// span path's epsilons: free capacity alone, or the shortfall covered by
-/// the policy-deflatable headroom.
+/// The two feasibility passes over the raw columns, with 1e-9 epsilons:
+/// free capacity alone, or the shortfall covered by the deflatable column.
 bool row_feasible(const HostScanTable& table, std::size_t server,
                   const res::ResourceVector& demand,
                   ScanFeasibility feasibility) noexcept {

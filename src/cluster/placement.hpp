@@ -6,6 +6,14 @@
 // where deflatable_j is what deflation could reclaim and overcommitted_j
 // discounts servers that are already squeezed — preferring less-
 // overcommitted servers and thus balancing load (§5.2).
+//
+// There is one selection loop, scan_pick_host, over one data layout, the
+// SoA HostScanTable. Every placement goes through it: both feasibility
+// passes of deflation mode, and preemption mode, whose manager keeps a
+// second table with each server's preemptable allocation in the
+// deflatable column. Scorers plug in through score_rows alone, and the
+// loop ranks candidates under (score, lowest host id) — the only tie
+// contract.
 #pragma once
 
 #include <array>
@@ -22,21 +30,8 @@
 
 namespace deflate::cluster {
 
-/// Cheap per-server snapshot maintained by the cluster manager.
-struct HostView {
-  std::uint64_t host_id = 0;
-  res::ResourceVector capacity;
-  res::ResourceVector available;   ///< Total - Used (allocation-based)
-  res::ResourceVector deflatable;  ///< policy-reclaimable headroom
-  double overcommit_ratio = 0.0;   ///< committed / capacity (max of cpu, mem)
-  bool feasible = false;           ///< can_fit(demand) on this server
-};
-
-/// Availability vector A_j as defined above.
-[[nodiscard]] res::ResourceVector availability_vector(const HostView& host);
-
 /// The demand-only terms of every builtin score, computed once per scan
-/// (and once per call on the span path) instead of once per candidate.
+/// instead of once per candidate.
 struct DemandTerms {
   DemandTerms(const res::ResourceVector& demand,
               const res::ResourceVector& capacity) noexcept;
@@ -47,29 +42,6 @@ struct DemandTerms {
   res::ResourceVector normalized;  ///< d / capacity (0 where capacity <= 0)
   double normalized_norm = 0.0;    ///< ||d / capacity||
 };
-
-/// Fitness score; larger is better.
-[[nodiscard]] double fitness(const res::ResourceVector& demand,
-                             const HostView& host);
-
-/// Magnitude-aware fitness used when a placement *requires* deflation:
-/// the projection of the (per-dimension capacity-normalized) availability
-/// vector onto the demand direction. Cosine similarity is scale-invariant,
-/// so by itself it cannot express the paper's "prefers servers with lower
-/// overcommitment" behaviour; ranking pressured placements by projected
-/// availability spreads the reclamation across the servers with the most
-/// deflatable headroom, keeping per-VM deflation shallow (§5.2's load
-/// balancing intent; Tetris [19], which the paper builds on, scores with
-/// the dot product for the same reason).
-[[nodiscard]] double pressure_fitness(const res::ResourceVector& demand,
-                                      const HostView& host);
-
-/// Index of the feasible host with the highest fitness (ties -> lower
-/// host_id), or nullopt if no host is feasible. `under_pressure` selects
-/// the magnitude-aware score.
-[[nodiscard]] std::optional<std::size_t> pick_best_host(
-    const res::ResourceVector& demand, std::span<const HostView> hosts,
-    bool under_pressure = false);
 
 /// Placement-strategy ablation (DESIGN.md §5): the paper's fitness policy
 /// vs the classic bin-packing heuristics it competes with (§5.2 "policies
@@ -82,10 +54,9 @@ enum class PlacementStrategy { Fitness, FirstFit, BestFit, WorstFit };
 
 struct HostScanTable;
 
-/// Strategy object behind PlacementStrategy: scores one (demand, host)
-/// pair; the shared selection loops (pick_host / scan_pick_host) own the
-/// feasibility mask and the deterministic tie order. Scorers are stateless
-/// and shared across threads.
+/// Strategy object behind PlacementStrategy: scores rows of the scan
+/// table; scan_pick_host owns the feasibility mask and the deterministic
+/// tie order. Scorers are stateless.
 class PlacementScorer {
  public:
   /// How the selection loop ranks scores. ById skips scoring entirely
@@ -96,28 +67,14 @@ class PlacementScorer {
 
   [[nodiscard]] virtual Order order() const noexcept = 0;
 
-  /// Whether the span-path loop breaks score ties by lower host id.
-  /// Historically only Fitness did (BestFit/WorstFit keep the first-seen
-  /// winner); the SoA scan path *always* ties by id regardless — its
-  /// (score, lowest id) total order is the scan's tie-break contract.
-  [[nodiscard]] virtual bool prefer_lower_id_on_tie() const noexcept {
-    return false;
-  }
-
-  [[nodiscard]] virtual double score(const res::ResourceVector& demand,
-                                     const HostView& host,
-                                     bool under_pressure) const = 0;
-
-  /// Scan-path scoring: writes the score of each row in `servers` (all
-  /// eligible and feasible) into `scores`. scan_pick_host calls this once
-  /// per block of candidates, never once per candidate. The default
-  /// rebuilds each row's HostView and calls score(), so plugin scorers
-  /// work unchanged; the builtins override it to read the table's cached
-  /// availability columns through the same kernels score() uses, so both
-  /// paths return bit-identical scores.
+  /// Writes the score of each row in `servers` (all eligible and feasible)
+  /// into `scores`. scan_pick_host calls this once per block of
+  /// candidates, never once per candidate, and never for Order::ById.
+  /// The builtins read the table's cached availability columns.
   virtual void score_rows(const DemandTerms& terms, const HostScanTable& table,
                           std::span<const std::size_t> servers,
-                          bool under_pressure, std::span<double> scores) const;
+                          bool under_pressure,
+                          std::span<double> scores) const = 0;
 };
 
 /// Registry surface for placement scoring policies.
@@ -145,37 +102,25 @@ using PlacementRegistry = policy::PolicyRegistry<PlacementSurface>;
 [[nodiscard]] std::optional<PlacementStrategy> placement_strategy_from_name(
     const std::string& name) noexcept;
 
-/// Strategy-parameterized host selection over the same feasibility mask:
-///   FirstFit — lowest host id; BestFit — least leftover capacity (tightest
-///   pack); WorstFit — most leftover capacity (max spreading).
-[[nodiscard]] std::optional<std::size_t> pick_host(
-    PlacementStrategy strategy, const res::ResourceVector& demand,
-    std::span<const HostView> hosts, bool under_pressure = false);
-
-/// Scorer-driven selection; the enum overload forwards here with the
-/// builtin scorer, bit-identical per strategy.
-[[nodiscard]] std::optional<std::size_t> pick_host(
-    const PlacementScorer& scorer, const res::ResourceVector& demand,
-    std::span<const HostView> hosts, bool under_pressure = false);
-
 /// SoA (structure-of-arrays) per-server scan storage: one dense column per
-/// view field, indexed by server id. The placement scoring loop and the
+/// field, indexed by server id. The placement scoring loop and the
 /// deflation sweeps read a handful of sequential double streams instead of
 /// striding over per-server structs behind pointers, so the hot scan is
 /// cache-linear.
 ///
-/// Alongside the raw view fields the table caches each row's
-/// demand-independent scoring terms: the availability vector A_j and its
-/// norm ||A_j||. set_row recomputes them whenever the cluster manager
-/// refreshes a server's view, so a scan scores a candidate from columns
-/// instead of rebuilding a HostView and re-deriving A_j per candidate.
+/// Alongside the raw fields the table caches each row's demand-independent
+/// scoring terms: the availability vector A_j and its norm ||A_j||. set_row
+/// recomputes them whenever the cluster manager refreshes a server, so a
+/// scan scores a candidate from columns instead of re-deriving A_j.
 struct HostScanTable {
   /// Fleet-uniform server capacity (every server shares the config's).
   res::ResourceVector capacity;
   std::array<std::vector<double>, res::kNumResources> available;
+  /// What the WithDeflation pass may take back: policy-deflatable headroom
+  /// in the placement table, preemptable allocation in the eviction table.
   std::array<std::vector<double>, res::kNumResources> deflatable;
   std::vector<double> overcommit;
-  /// Cached A_j = availability_vector(view_of(i)), per resource.
+  /// Cached A_j from (available, deflatable, overcommit), per resource.
   std::array<std::vector<double>, res::kNumResources> availability;
   /// Cached ||A_j||.
   std::vector<double> availability_norm;
@@ -185,7 +130,7 @@ struct HostScanTable {
   void resize(std::size_t servers);
   [[nodiscard]] std::size_t size() const noexcept { return overcommit.size(); }
 
-  /// Writes server `i`'s view fields and recomputes its cached terms.
+  /// Writes server `i`'s fields and recomputes its cached terms.
   void set_row(std::size_t i, const res::ResourceVector& available_i,
                const res::ResourceVector& deflatable_i,
                double overcommit_i) noexcept;
@@ -193,28 +138,23 @@ struct HostScanTable {
   [[nodiscard]] res::ResourceVector deflatable_of(std::size_t i) const noexcept;
   [[nodiscard]] res::ResourceVector availability_of(
       std::size_t i) const noexcept;
-  /// Materializes the classic HostView for server `i` (bit-identical to
-  /// what the old per-node views held — the columns store the same
-  /// doubles), for the cold paths that still want the struct form.
-  [[nodiscard]] HostView view_of(std::size_t i) const noexcept;
 };
 
 /// Which feasibility test the scan applies (the two passes of place_vm):
-/// free capacity alone, or free capacity plus policy-deflatable headroom.
+/// free capacity alone, or free capacity plus the deflatable column.
 enum class ScanFeasibility { FreeCapacity, WithDeflation };
 
 /// Strategy scan over the SoA table restricted to `candidates` (ineligible
-/// servers are skipped). Returns the winning *server id*. Semantics are
-/// identical to filtering the candidates and calling pick_host: same
-/// feasibility epsilons, same scores, ties broken by lowest host id.
+/// servers are skipped). Returns the winning *server id*: the feasible
+/// candidate that ranks first under (score, lowest host id), or nullopt
+/// when none is feasible.
 [[nodiscard]] std::optional<std::size_t> scan_pick_host(
     PlacementStrategy strategy, const res::ResourceVector& demand,
     const HostScanTable& table, std::span<const std::size_t> candidates,
     ScanFeasibility feasibility, bool under_pressure);
 
 /// Scorer-driven scan; the enum overload forwards here with the builtin
-/// scorer. Ties always break by lowest host id (the scan's total order),
-/// independent of the scorer's span-path tie preference.
+/// scorer. The winner does not depend on the order of `candidates`.
 [[nodiscard]] std::optional<std::size_t> scan_pick_host(
     const PlacementScorer& scorer, const res::ResourceVector& demand,
     const HostScanTable& table, std::span<const std::size_t> candidates,

@@ -173,28 +173,17 @@ ShardedClusterManager::ShardedClusterManager(ShardedClusterConfig config)
     shard.manager = std::make_unique<ClusterManager>(std::move(shard_config));
     refresh_shard(shard);
 
-    // Forward shard callbacks with local ids translated to global ones;
-    // the preemption hook also retires killed VMs from the routing map
-    // (covers preemption-mode evictions and revocation kills alike).
+    // Forward preemption-mode evictions with the local server id
+    // translated to the global one, and retire the evicted VMs from the
+    // routing map. Shards never fire revocation or migration callbacks:
+    // revoke_server below strips the server with take_server_offline and
+    // fires those callbacks itself.
     const std::size_t first = shard.first;
     shard.manager->subscribe_preemption(
         [this, first](const hv::VmSpec& spec, std::uint64_t host) {
           vm_shard_.erase(spec.id);
           for (const auto& callback : preemption_callbacks_) {
             callback(spec, first + host);
-          }
-        });
-    shard.manager->subscribe_revocation(
-        [this, first](std::uint64_t host, const RevocationOutcome& outcome) {
-          for (const auto& callback : revocation_callbacks_) {
-            callback(first + host, outcome);
-          }
-        });
-    shard.manager->subscribe_migration(
-        [this, first](const hv::VmSpec& spec, std::uint64_t from,
-                      std::uint64_t to, double fraction) {
-          for (const auto& callback : migration_callbacks_) {
-            callback(spec, first + from, first + to, fraction);
           }
         });
   }

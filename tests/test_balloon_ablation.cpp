@@ -2,6 +2,9 @@
 // (mechanism choice, placement strategy, reinflation toggle).
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <optional>
+
 #include "cluster/cluster_manager.hpp"
 #include "core/perf_model.hpp"
 #include "mechanisms/mechanism.hpp"
@@ -124,37 +127,53 @@ TEST(PlacementStrategies, NamesDistinct) {
                "worst-fit");
 }
 
-TEST(PlacementStrategies, FirstFitTakesLowestId) {
-  std::vector<cl::HostView> hosts(3);
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    hosts[i].host_id = i;
-    hosts[i].capacity = {48.0, 131072.0, 0.0, 0.0};
-    hosts[i].available = {20.0, 40000.0, 0.0, 0.0};
-    hosts[i].feasible = i != 0;  // host 0 infeasible
+namespace {
+
+/// Free-capacity pick over rows with the given free capacity (nothing
+/// deflatable), written the way the cluster manager's refresh writes them.
+std::optional<std::size_t> strategy_pick(
+    cl::PlacementStrategy strategy, const res::ResourceVector& demand,
+    const std::vector<res::ResourceVector>& free,
+    std::optional<std::size_t> ineligible = std::nullopt) {
+  cl::HostScanTable table;
+  table.capacity = {48.0, 131072.0, 0.0, 0.0};
+  table.resize(free.size());
+  std::vector<std::size_t> candidates(free.size());
+  std::iota(candidates.begin(), candidates.end(), std::size_t{0});
+  for (const std::size_t i : candidates) {
+    table.set_row(i, free[i], {}, /*overcommit_i=*/0.0);
+    table.eligible[i] = ineligible == i ? 0 : 1;
   }
-  const auto best = cl::pick_host(cl::PlacementStrategy::FirstFit,
-                                  {8.0, 16384.0, 0.0, 0.0}, hosts);
+  return cl::scan_pick_host(strategy, demand, table, candidates,
+                            cl::ScanFeasibility::FreeCapacity,
+                            /*under_pressure=*/false);
+}
+
+}  // namespace
+
+TEST(PlacementStrategies, FirstFitTakesLowestId) {
+  const auto best = strategy_pick(
+      cl::PlacementStrategy::FirstFit, {8.0, 16384.0, 0.0, 0.0},
+      std::vector<res::ResourceVector>(3, {20.0, 40000.0, 0.0, 0.0}),
+      /*ineligible=*/0);  // host 0 ineligible
   ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(hosts[*best].host_id, 1U);
+  EXPECT_EQ(*best, 1U);
 }
 
 TEST(PlacementStrategies, BestFitPicksTightestServer) {
-  std::vector<cl::HostView> hosts(2);
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    hosts[i].host_id = i;
-    hosts[i].capacity = {48.0, 131072.0, 0.0, 0.0};
-    hosts[i].feasible = true;
-  }
-  hosts[0].available = {40.0, 100000.0, 0.0, 0.0};  // roomy
-  hosts[1].available = {9.0, 17000.0, 0.0, 0.0};    // tight
+  const std::vector<res::ResourceVector> free{
+      {40.0, 100000.0, 0.0, 0.0},  // roomy
+      {9.0, 17000.0, 0.0, 0.0},    // tight
+  };
   const res::ResourceVector demand(8.0, 16384.0, 0.0, 0.0);
-  const auto best_fit = cl::pick_host(cl::PlacementStrategy::BestFit, demand, hosts);
+  const auto best_fit =
+      strategy_pick(cl::PlacementStrategy::BestFit, demand, free);
   const auto worst_fit =
-      cl::pick_host(cl::PlacementStrategy::WorstFit, demand, hosts);
+      strategy_pick(cl::PlacementStrategy::WorstFit, demand, free);
   ASSERT_TRUE(best_fit.has_value());
   ASSERT_TRUE(worst_fit.has_value());
-  EXPECT_EQ(hosts[*best_fit].host_id, 1U);
-  EXPECT_EQ(hosts[*worst_fit].host_id, 0U);
+  EXPECT_EQ(*best_fit, 1U);
+  EXPECT_EQ(*worst_fit, 0U);
 }
 
 TEST(AblationKnobs, ReinflationToggle) {

@@ -233,6 +233,42 @@ TEST(ShardedClusterManager, PreemptionCallbacksCarryGlobalServerIds) {
   EXPECT_GE(kills, 1U);
 }
 
+TEST(ShardedClusterManager, PreemptionModeEvictionForwardsGlobalIds) {
+  // Shard 0 (servers 0-1) ends up holding only on-demand VMs and shard 1
+  // (servers 2-3) only deflatable ones, so the last on-demand VM can land
+  // only by evicting in shard 1. The shard's preemption callback must
+  // reach subscribers with the global server id and retire the victim.
+  cl::ShardedClusterManager manager(
+      sharded_config(4, 2, cl::ReclamationMode::Preemption));
+  std::unordered_map<std::uint64_t, std::size_t> placed_on;
+  for (std::uint64_t id = 1; id <= 8; ++id) {
+    placed_on[id] =
+        manager.place_vm(make_spec(id, 8, 16384.0, true, 0.2)).host_id;
+  }
+  for (std::uint64_t id = 1; id <= 8; ++id) {
+    if (placed_on.at(id) < 2) {
+      EXPECT_TRUE(manager.remove_vm(id));
+    }
+  }
+  for (std::uint64_t id = 9; id <= 10; ++id) {
+    ASSERT_LT(manager.place_vm(make_spec(id, 16, 32768.0, false)).host_id, 2U);
+  }
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> evicted;  // vm, host
+  manager.subscribe_preemption([&](const hv::VmSpec& spec, std::uint64_t host) {
+    evicted.emplace_back(spec.id, host);
+  });
+  const cl::PlacementResult placed =
+      manager.place_vm(make_spec(11, 8, 16384.0, false));
+  ASSERT_TRUE(placed.ok());
+  ASSERT_EQ(evicted.size(), 1U);
+  const auto [victim, host] = evicted.front();
+  EXPECT_EQ(host, placed.host_id);  // first + local, not the local id
+  EXPECT_EQ(host, placed_on.at(victim));
+  EXPECT_FALSE(manager.server_of(victim).has_value());
+  EXPECT_FALSE(manager.remove_vm(victim));  // retired from routing
+  EXPECT_EQ(manager.stats().preemptions, evicted.size());
+}
+
 TEST(ShardedClusterManager, RejectionStatsAreEndToEnd) {
   // Two single-server shards, both full: a third on-demand VM is turned
   // away by *both* shards but must count as one cluster-level rejection,
@@ -494,16 +530,27 @@ namespace {
 
 /// After a flush, the manager's running free total equals a from-scratch
 /// fixed-point sum over its active rows exactly, and a plain double
-/// rescan of the servers themselves to within rounding.
+/// rescan of the servers themselves to within rounding. In preemption
+/// mode every eviction-table row also equals a fresh in-order sum over
+/// the server's deflatable residents, bit for bit.
 void expect_free_total_exact(cl::ClusterManager& manager,
                              const std::string& where) {
   const cl::FixedPointRow incremental = manager.aggregate_free_units();
   EXPECT_EQ(incremental, manager.rescan_free_units()) << where;
+  const cl::HostScanTable& eviction = manager.eviction_table();
+  const bool preemption = eviction.size() != 0;
   res::ResourceVector rescan;
   for (std::size_t i = 0; i < manager.server_count(); ++i) {
+    if (preemption) {
+      res::ResourceVector preemptable;
+      for (const hv::Vm* vm : manager.host(i).vms()) {
+        if (vm->spec().deflatable) preemptable += vm->effective_allocation();
+      }
+      EXPECT_EQ(eviction.deflatable_of(i), preemptable) << where << " " << i;
+    }
     if (!manager.server_active(i)) continue;
-    rescan += manager.host(i).available() +
-              manager.controller(i).reclaimable_headroom();
+    rescan += manager.host(i).available();
+    if (!preemption) rescan += manager.controller(i).reclaimable_headroom();
   }
   const res::ResourceVector total = manager.aggregate_free();
   for (const res::Resource r : res::all_resources) {
@@ -531,9 +578,11 @@ void flush_and_check(cl::ClusterManagerBase& manager,
 
 /// Randomized place/remove/revoke/restore/drain churn with irregular
 /// flushes and periodic mass departures.
-void churn_with_checks(std::size_t shards) {
-  constexpr std::size_t kServers = 1200;
-  const cl::ShardedClusterConfig config = sharded_config(kServers, shards);
+void churn_with_checks(std::size_t shards, std::size_t servers = 1200,
+                       cl::ReclamationMode mode =
+                           cl::ReclamationMode::Deflation) {
+  const cl::ShardedClusterConfig config =
+      sharded_config(servers, shards, mode);
   std::unique_ptr<cl::ClusterManagerBase> manager =
       shards == 1 ? std::make_unique<cl::ClusterManager>(config.cluster)
                   : std::unique_ptr<cl::ClusterManagerBase>(
@@ -548,6 +597,11 @@ void churn_with_checks(std::size_t shards) {
     live[pick] = live.back();
     live.pop_back();
   };
+  const auto forget_gone = [&] {
+    std::erase_if(live, [&](std::uint64_t id) {
+      return manager->find_vm(id) == nullptr;
+    });
+  };
   for (int step = 0; step < 4500; ++step) {
     const double roll = rng.u01();
     if (step % 1500 == 1499) {
@@ -558,34 +612,41 @@ void churn_with_checks(std::size_t shards) {
       hv::VmSpec spec = random_spec(rng, next_id++);
       spec.memory_mib += rng.uniform(0.0, 1.0);  // fractional MiB
       if (manager->place_vm(spec).ok()) live.push_back(spec.id);
+      if (mode == cl::ReclamationMode::Preemption) forget_gone();  // evicted
     } else if (roll < 0.92) {
       remove_at(static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1)));
     } else if (roll < 0.95) {
       const auto server = static_cast<std::size_t>(
-          rng.uniform_int(0, kServers - 1));
-      if (manager->active_server_count() > kServers / 2) {
+          rng.uniform_int(0, servers - 1));
+      if (manager->active_server_count() > servers / 2) {
         manager->revoke_server(server);
-        std::erase_if(live, [&](std::uint64_t id) {
-          return manager->find_vm(id) == nullptr;
-        });
+        forget_gone();
       }
     } else if (roll < 0.98) {
       manager->restore_server(
-          static_cast<std::size_t>(rng.uniform_int(0, kServers - 1)));
+          static_cast<std::size_t>(rng.uniform_int(0, servers - 1)));
     } else {
       manager->drain_server(
-          static_cast<std::size_t>(rng.uniform_int(0, kServers - 1)));
+          static_cast<std::size_t>(rng.uniform_int(0, servers - 1)));
     }
     if (rng.bernoulli(0.2)) flush_and_check(*manager, where);
   }
   flush_and_check(*manager, where);
+  if (mode == cl::ReclamationMode::Preemption) {
+    EXPECT_GT(manager->stats().preemptions, 0U) << where;  // evictions ran
+  }
 }
 
 }  // namespace
 
 TEST(ShardedClusterManager, IncrementalFreeTotalsMatchRescanThroughChurn) {
   for (const std::size_t shards : {1U, 4U}) churn_with_checks(shards);
+}
+
+TEST(ShardedClusterManager, EvictionTableMatchesRescanThroughPreemptionChurn) {
+  // A small flat fleet fills up, so on-demand placements evict.
+  churn_with_checks(1, 120, cl::ReclamationMode::Preemption);
 }
 
 TEST(ShardedClusterManager, FreeTotalIsIndependentOfMutationOrder) {
