@@ -51,7 +51,6 @@ net::ServiceConfig fleet_config() {
   net::ServiceConfig config;
   config.server_count = 8;
   config.shard_count = 1;
-  config.worker_threads = kConnections;
   config.admission_policy = "admit-all";
   return config;
 }

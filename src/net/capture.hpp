@@ -11,7 +11,7 @@
 // The daemon appends every AdmissionRequest frame it accepts and every
 // AdmissionDecision frame it sends (direct responses and drained deferral
 // resolutions alike), in the global decision order — records are written
-// under the same lock that serializes admission, so file order IS
+// by the server's one loop thread as it decides, so file order IS
 // decision order.
 //
 // replay_capture() rebuilds a fresh ServiceCore from the header, feeds
@@ -33,8 +33,8 @@
 
 namespace deflate::net {
 
-/// Append-only capture writer. Not thread-safe: the server calls it under
-/// its admission lock (which is what makes file order = decision order).
+/// Append-only capture writer. Not thread-safe: only the server's loop
+/// thread calls it (which is what makes file order = decision order).
 class CaptureWriter {
  public:
   /// Opens `path` (truncating) and writes the header frame; `valid()`

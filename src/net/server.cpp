@@ -1,11 +1,104 @@
 #include "net/server.hpp"
 
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <exception>
+#include <map>
 
 #include "net/registry.hpp"
 #include "policy/catalog.hpp"
+#include "util/logging.hpp"
 
 namespace deflate::net {
+
+namespace {
+
+/// Pending output (bytes) above which the loop stops reading a peer until
+/// the peer has read enough of its decisions.
+constexpr std::size_t kMaxPendingOutput = std::size_t{1} << 20;
+
+bool would_block(int error) noexcept {
+  return error == EAGAIN || error == EWOULDBLOCK;
+}
+
+std::vector<std::uint8_t> hello_frame(const ServiceConfig& config) {
+  Hello hello;
+  hello.server = config.banner;
+  hello.admission_policy = config.admission_policy;
+  hello.policies = AdmissionPolicyRegistry::instance().names();
+  for (const policy::SurfaceInfo& info : policy::describe_all_surfaces()) {
+    PolicySurface surface;
+    surface.surface = info.surface;
+    for (const policy::PolicyInfo& p : info.policies) {
+      surface.policies.push_back(p.name);
+    }
+    hello.surfaces.push_back(std::move(surface));
+  }
+  return encode_frame(Message{hello});
+}
+
+}  // namespace
+
+/// One client connection: a non-blocking socket and its protocol state.
+struct Server::Connection {
+  std::uint32_t id = 0;
+  Socket socket;
+  FrameBuffer frames;
+  std::unique_ptr<cluster::AdmissionController> controller;
+  /// vm id -> client request id of each request still Deferred: drained
+  /// resolutions echo the id the client attached when it submitted the
+  /// request. Erased at the request's final decision.
+  std::map<std::uint64_t, std::uint64_t> request_ids;
+  /// Telemetry subscription (codec v3): a client Hello with a non-zero
+  /// `telemetry_every` asks for one aggregate UtilizationReport after
+  /// every N admission requests on this connection.
+  std::uint32_t telemetry_every = 0;
+  std::uint32_t telemetry_countdown = 0;
+  /// Encoded output; the first `out_sent` bytes are already written.
+  std::vector<std::uint8_t> out;
+  std::size_t out_sent = 0;
+  /// No more reads: the peer closed its side, or the connection ends once
+  /// its output (Bye, Error) is written.
+  bool closing = false;
+  /// The socket failed: close without writing the rest.
+  bool broken = false;
+  /// The peer sent Shutdown: stop the server once this connection ends.
+  bool shutdown_requested = false;
+
+  void append(const std::vector<std::uint8_t>& frame) {
+    out.insert(out.end(), frame.begin(), frame.end());
+  }
+
+  [[nodiscard]] std::size_t pending() const noexcept {
+    return out.size() - out_sent;
+  }
+
+  /// Writes as much pending output as the socket takes now.
+  void flush() {
+    while (pending() != 0) {
+      const long n = socket.send_some(out.data() + out_sent, pending());
+      if (n < 0) {
+        if (!would_block(errno)) broken = true;
+        break;
+      }
+      out_sent += static_cast<std::size_t>(n);
+    }
+    // Drop the written prefix once it is most of the buffer, so a slow
+    // reader costs O(1) copying per byte.
+    if (out_sent * 2 >= out.size()) {
+      out.erase(out.begin(),
+                out.begin() + static_cast<std::ptrdiff_t>(out_sent));
+      out_sent = 0;
+    }
+  }
+
+  [[nodiscard]] bool finished() const noexcept {
+    return broken || (closing && pending() == 0);
+  }
+};
 
 Server::Server(ServiceConfig config) : core_(config) {
   if (!core_.config().capture_path.empty()) {
@@ -20,200 +113,231 @@ bool Server::start() {
   auto listener = ListenSocket::open_loopback(core_.config().port);
   if (!listener.has_value()) return false;
   if (capture_ != nullptr && !capture_->valid()) return false;
+  int pipe_fds[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, pipe_fds) != 0) return false;
+  wake_read_ = Socket{pipe_fds[0]};
+  wake_write_ = Socket{pipe_fds[1]};
   listener_ = std::move(*listener);
   port_ = listener_.port();
-  pool_ = std::make_unique<util::ThreadPool>(core_.config().worker_threads);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  loop_thread_ = std::thread([this] {
+    try {
+      run();
+    } catch (const std::exception& error) {
+      util::logf(util::LogLevel::Error, "deflated: loop stopped: ",
+                 error.what());
+      request_shutdown();
+    }
+  });
   return true;
 }
 
-void Server::accept_loop() {
+void Server::run() {
+  std::vector<pollfd> fds;
+  bool accepting = true;
   for (;;) {
-    auto accepted = listener_.accept_one();
-    if (!accepted.has_value()) return;  // listener closed: stopping
-    auto socket = std::make_shared<Socket>(std::move(*accepted));
-    std::uint32_t conn_id = 0;
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      if (stopped_) return;
-      conn_id = next_conn_id_++;
-      open_connections_.emplace(conn_id, socket);
-      ++stats_.connections;
+    fds.clear();
+    fds.push_back({wake_read_.fd(), POLLIN, 0});
+    // poll() skips a negative fd: out of descriptors, the listener waits
+    // for a connection to close instead of spinning on accept().
+    fds.push_back({accepting ? listener_.fd() : -1, POLLIN, 0});
+    for (const auto& conn : connections_) {
+      short events = 0;
+      if (!conn->closing && conn->pending() <= kMaxPendingOutput) {
+        events |= POLLIN;
+      }
+      if (conn->pending() != 0) events |= POLLOUT;
+      fds.push_back({conn->socket.fd(), events, 0});
     }
-    pool_->submit([this, conn_id, socket] {
-      serve_connection(conn_id, std::move(socket));
+    if (::poll(fds.data(), static_cast<nfds_t>(fds.size()), -1) < 0) {
+      if (errno == EINTR) continue;
+      util::logf(util::LogLevel::Error, "deflated: poll failed, errno ",
+                 errno);
+      request_shutdown();
+      return;
+    }
+    if (fds[0].revents != 0) return;  // stop()
+
+    for (std::size_t i = 0; i < connections_.size(); ++i) {
+      Connection& conn = *connections_[i];
+      const short revents = fds[i + 2].revents;
+      if (revents == 0) continue;
+      if ((fds[i + 2].events & POLLIN) != 0 &&
+          (revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+        try {
+          read_and_serve(conn);
+        } catch (const std::exception& error) {
+          util::logf(util::LogLevel::Error, "deflated: connection ", conn.id,
+                     " dropped: ", error.what());
+          conn.broken = true;
+        }
+      }
+      // Answer in the same round: a pipelined batch's decisions leave in
+      // one write.
+      if (conn.pending() != 0) conn.flush();
+    }
+
+    const auto closed = std::erase_if(connections_, [this](const auto& conn) {
+      if (!conn->finished()) return false;
+      if (conn->shutdown_requested) request_shutdown();
+      return true;
     });
+    if (closed != 0) accepting = true;
+
+    if ((fds[1].revents & POLLIN) != 0) accepting = accept_pending();
   }
 }
 
-void Server::serve_connection(std::uint32_t conn_id,
-                              std::shared_ptr<Socket> socket) {
-  {
-    Hello hello;
-    hello.server = core_.config().banner;
-    hello.admission_policy = core_.config().admission_policy;
-    hello.policies = AdmissionPolicyRegistry::instance().names();
-    for (const policy::SurfaceInfo& info : policy::describe_all_surfaces()) {
-      PolicySurface surface;
-      surface.surface = info.surface;
-      for (const policy::PolicyInfo& p : info.policies) {
-        surface.policies.push_back(p.name);
+bool Server::accept_pending() {
+  for (;;) {
+    Socket socket = listener_.accept();
+    if (!socket.valid()) {
+      if (would_block(errno)) return true;  // the backlog is empty
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        return false;
       }
-      hello.surfaces.push_back(std::move(surface));
+      continue;  // a network error on one queued connection: drop it
     }
-    const auto frame = encode_frame(Message{hello});
-    if (!socket->send_all(frame.data(), frame.size())) {
+    {
       std::lock_guard<std::mutex> lock(state_mutex_);
-      open_connections_.erase(conn_id);
+      ++stats_.connections;
+    }
+    auto conn = std::make_unique<Connection>();
+    conn->id = next_conn_id_++;
+    conn->socket = std::move(socket);
+    conn->controller = core_.make_controller();
+    conn->append(hello_frame(core_.config()));
+    conn->flush();
+    connections_.push_back(std::move(conn));
+  }
+}
+
+void Server::read_and_serve(Connection& conn) {
+  std::uint8_t chunk[16384];
+  const long received = conn.socket.recv_some(chunk, sizeof(chunk));
+  if (received == 0) {
+    // The peer closed its side: write what it is owed, then close.
+    conn.closing = true;
+    return;
+  }
+  if (received < 0) {
+    if (!would_block(errno)) conn.broken = true;
+    return;
+  }
+  conn.frames.append(chunk, static_cast<std::size_t>(received));
+
+  // Serve every complete frame before writing once: responses to a
+  // pipelined batch leave in a single send.
+  for (;;) {
+    DecodeResult result = conn.frames.next();
+    if (result.status == DecodeStatus::NeedMore) return;
+    if (result.status == DecodeStatus::Malformed) {
+      ErrorMsg error;
+      error.code = 400;
+      error.message = result.error;
+      conn.append(encode_frame(Message{std::move(error)}));
+      conn.closing = true;
+      std::lock_guard<std::mutex> lock(state_mutex_);
+      ++stats_.malformed_frames;
+      return;
+    }
+    if (!serve_frame(conn, result.message)) {
+      conn.closing = true;
       return;
     }
   }
+}
 
-  auto controller = core_.make_controller();
-  /// vm id -> client request id: drained resolutions echo the id the
-  /// client attached when it submitted the (then deferred) request.
-  std::map<std::uint64_t, std::uint64_t> request_ids;
-  /// Telemetry subscription (codec v3): a client Hello with a non-zero
-  /// `telemetry_every` asks for one aggregate UtilizationReport after
-  /// every N admission decisions on this connection.
-  std::uint32_t telemetry_every = 0;
-  std::uint32_t telemetry_countdown = 0;
-  FrameBuffer frames;
-  std::vector<std::uint8_t> out;
-  std::uint8_t chunk[16384];
-  bool close_connection = false;
-  bool request_shutdown = false;
-
-  const auto append = [&out](const std::vector<std::uint8_t>& frame) {
-    out.insert(out.end(), frame.begin(), frame.end());
-  };
-
-  while (!close_connection) {
-    const long received = socket->recv_some(chunk, sizeof(chunk));
-    if (received <= 0) break;  // peer gone, or stop() shut the socket down
-    frames.append(chunk, static_cast<std::size_t>(received));
-    out.clear();
-
-    // Drain every complete frame before writing once: responses to a
-    // pipelined batch leave in a single send.
-    for (;;) {
-      DecodeResult result = frames.next();
-      if (result.status == DecodeStatus::NeedMore) break;
-      if (result.status == DecodeStatus::Malformed) {
-        ErrorMsg error;
-        error.code = 400;
-        error.message = result.error;
-        append(encode_frame(Message{std::move(error)}));
-        close_connection = true;
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        ++stats_.malformed_frames;
-        break;
-      }
-
-      if (const auto* request =
-              std::get_if<AdmissionRequestMsg>(&result.message)) {
-        std::lock_guard<std::mutex> admission(admission_mutex_);
-        const sim::SimTime now = core_.advance_clock(request->request.arrival);
-        if (capture_ != nullptr) {
-          capture_->record(conn_id, encode_frame(result.message));
-        }
-        std::uint64_t sent_decisions = 0;
-        // Piggyback drain: deferral resolutions due by now go out first,
-        // ahead of the fresh request's own decision.
-        for (auto& resolved : controller->drain(now)) {
-          AdmissionDecisionMsg msg;
-          const auto it = request_ids.find(resolved.request.spec.id);
-          msg.request_id = it == request_ids.end() ? 0 : it->second;
-          msg.decision = resolved.decision;
-          const auto frame = encode_frame(Message{msg});
-          if (capture_ != nullptr) capture_->record(conn_id, frame);
-          append(frame);
-          ++sent_decisions;
-        }
-        request_ids[request->request.spec.id] = request->request_id;
-        AdmissionDecisionMsg direct;
-        direct.request_id = request->request_id;
-        direct.decision = controller->decide(request->request, now);
-        const auto frame = encode_frame(Message{direct});
-        if (capture_ != nullptr) capture_->record(conn_id, frame);
-        append(frame);
-        ++sent_decisions;
-        // Interleaved telemetry: after every `telemetry_every` requests a
-        // subscribed connection gets one fleet-wide utilization frame,
-        // snapshotted under the same admission mutex as the decision it
-        // follows. Telemetry frames are not captured: replaying a capture
-        // must reproduce the decision stream regardless of who was
-        // subscribed to what.
-        bool telemetry_due = false;
-        if (telemetry_every != 0 && ++telemetry_countdown >= telemetry_every) {
-          telemetry_countdown = 0;
-          telemetry_due = true;
-          append(encode_frame(Message{fleet_utilization()}));
-        }
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        ++stats_.admission_requests;
-        stats_.decisions += sent_decisions;
-        if (telemetry_due) ++stats_.telemetry_reports;
-      } else if (const auto* place =
-                     std::get_if<PlaceRequest>(&result.message)) {
-        // The raw placement path: a spec-only request straight to the
-        // manager, bypassing admission (the legacy place_vm contract).
-        hv::VmSpec spec;
-        spec.id = place->vm_id;
-        spec.vcpus = static_cast<int>(place->demand.cpu());
-        spec.memory_mib = place->demand.memory();
-        spec.disk_bw_mbps = place->demand.disk_bw();
-        spec.net_bw_mbps = place->demand.net_bw();
-        spec.priority = place->priority;
-        spec.deflatable = place->deflatable;
-        PlaceResponse response;
-        response.vm_id = place->vm_id;
-        {
-          std::lock_guard<std::mutex> admission(admission_mutex_);
-          const auto placement = core_.manager().place_vm(spec);
-          response.accepted =
-              placement.status != cluster::PlacementResult::Status::Rejected;
-          response.host_id = placement.host_id;
-          response.launch_fraction = placement.launch_fraction;
-        }
-        append(encode_frame(Message{response}));
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        ++stats_.place_requests;
-      } else if (const auto* hello = std::get_if<Hello>(&result.message)) {
-        // A client Hello is a subscription update: it (re)arms or cancels
-        // the periodic telemetry stream for this connection. Nothing is
-        // answered — the next due report is the acknowledgement.
-        telemetry_every = hello->telemetry_every;
-        telemetry_countdown = 0;
-      } else if (std::holds_alternative<Shutdown>(result.message)) {
-        append(encode_frame(Message{Bye{}}));
-        close_connection = true;
-        request_shutdown = true;
-        break;
-      } else {
-        ErrorMsg error;
-        error.code = 422;
-        error.message =
-            std::string("unexpected ") +
-            msg_type_name(message_type(result.message)) + " frame";
-        append(encode_frame(Message{std::move(error)}));
-      }
+bool Server::serve_frame(Connection& conn, const Message& message) {
+  if (const auto* request = std::get_if<AdmissionRequestMsg>(&message)) {
+    const sim::SimTime now = core_.advance_clock(request->request.arrival);
+    if (capture_ != nullptr) {
+      capture_->record(conn.id, encode_frame(message));
     }
-
-    if (!out.empty() && !socket->send_all(out.data(), out.size())) break;
-  }
-
-  {
-    // Leave open_connections_ before closing: stop() reads the fd of
-    // every socket still listed there.
+    std::uint64_t sent_decisions = 0;
+    // Piggyback drain: deferral resolutions due by now go out first,
+    // ahead of the fresh request's own decision.
+    for (auto& resolved : conn.controller->drain(now)) {
+      AdmissionDecisionMsg msg;
+      const auto it = conn.request_ids.find(resolved.request.spec.id);
+      msg.request_id = it == conn.request_ids.end() ? 0 : it->second;
+      if (it != conn.request_ids.end() &&
+          resolved.decision.status !=
+              cluster::AdmissionDecision::Status::Deferred) {
+        conn.request_ids.erase(it);
+      }
+      msg.decision = resolved.decision;
+      const auto frame = encode_frame(Message{msg});
+      if (capture_ != nullptr) capture_->record(conn.id, frame);
+      conn.append(frame);
+      ++sent_decisions;
+    }
+    AdmissionDecisionMsg direct;
+    direct.request_id = request->request_id;
+    direct.decision = conn.controller->decide(request->request, now);
+    if (direct.decision.status ==
+        cluster::AdmissionDecision::Status::Deferred) {
+      conn.request_ids[request->request.spec.id] = request->request_id;
+    }
+    const auto frame = encode_frame(Message{direct});
+    if (capture_ != nullptr) capture_->record(conn.id, frame);
+    conn.append(frame);
+    ++sent_decisions;
+    // Interleaved telemetry: after every `telemetry_every` requests a
+    // subscribed connection gets one fleet-wide utilization frame,
+    // snapshotted right after the decision it follows. Telemetry frames
+    // are not captured: replaying a capture must reproduce the decision
+    // stream regardless of who was subscribed to what.
+    bool telemetry_due = false;
+    if (conn.telemetry_every != 0 &&
+        ++conn.telemetry_countdown >= conn.telemetry_every) {
+      conn.telemetry_countdown = 0;
+      telemetry_due = true;
+      conn.append(encode_frame(Message{fleet_utilization()}));
+    }
     std::lock_guard<std::mutex> lock(state_mutex_);
-    open_connections_.erase(conn_id);
-    if (request_shutdown) {
-      shutdown_requested_ = true;
-      shutdown_cv_.notify_all();
-    }
+    ++stats_.admission_requests;
+    stats_.decisions += sent_decisions;
+    if (telemetry_due) ++stats_.telemetry_reports;
+  } else if (const auto* place = std::get_if<PlaceRequest>(&message)) {
+    // The raw placement path: a spec-only request straight to the
+    // manager, bypassing admission (the legacy place_vm contract).
+    hv::VmSpec spec;
+    spec.id = place->vm_id;
+    spec.vcpus = static_cast<int>(place->demand.cpu());
+    spec.memory_mib = place->demand.memory();
+    spec.disk_bw_mbps = place->demand.disk_bw();
+    spec.net_bw_mbps = place->demand.net_bw();
+    spec.priority = place->priority;
+    spec.deflatable = place->deflatable;
+    const auto placement = core_.manager().place_vm(spec);
+    PlaceResponse response;
+    response.vm_id = place->vm_id;
+    response.accepted =
+        placement.status != cluster::PlacementResult::Status::Rejected;
+    response.host_id = placement.host_id;
+    response.launch_fraction = placement.launch_fraction;
+    conn.append(encode_frame(Message{response}));
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    ++stats_.place_requests;
+  } else if (const auto* hello = std::get_if<Hello>(&message)) {
+    // A client Hello is a subscription update: it (re)arms or cancels
+    // the periodic telemetry stream for this connection. Nothing is
+    // answered — the next due report is the acknowledgement.
+    conn.telemetry_every = hello->telemetry_every;
+    conn.telemetry_countdown = 0;
+  } else if (std::holds_alternative<Shutdown>(message)) {
+    conn.append(encode_frame(Message{Bye{}}));
+    conn.shutdown_requested = true;
+    return false;
+  } else {
+    ErrorMsg error;
+    error.code = 422;
+    error.message = std::string("unexpected ") +
+                    msg_type_name(message_type(message)) + " frame";
+    conn.append(encode_frame(Message{std::move(error)}));
   }
-  socket->close();
+  return true;
 }
 
 UtilizationReport Server::fleet_utilization() {
@@ -238,6 +362,12 @@ UtilizationReport Server::fleet_utilization() {
   return report;
 }
 
+void Server::request_shutdown() {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  shutdown_requested_ = true;
+  shutdown_cv_.notify_all();
+}
+
 void Server::wait() {
   std::unique_lock<std::mutex> lock(state_mutex_);
   shutdown_cv_.wait(lock,
@@ -249,18 +379,17 @@ void Server::stop() {
     std::lock_guard<std::mutex> lock(state_mutex_);
     stopped_ = true;
     shutdown_cv_.notify_all();
-    // Wake every handler parked in recv().
-    for (auto& [id, socket] : open_connections_) socket->shutdown_both();
   }
-  // Wake the accept loop, and release the fd only once it has exited.
-  listener_.shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
+  if (loop_thread_.joinable()) {
+    const std::uint8_t wake = 1;
+    (void)wake_write_.send_all(&wake, 1);
+    loop_thread_.join();
+  }
+  connections_.clear();
   listener_.close();
-  if (pool_ != nullptr) pool_->wait_idle();
-  if (capture_ != nullptr) {
-    std::lock_guard<std::mutex> admission(admission_mutex_);
-    capture_->flush();
-  }
+  wake_read_.close();
+  wake_write_.close();
+  if (capture_ != nullptr) capture_->flush();
 }
 
 ServerStats Server::stats() const {

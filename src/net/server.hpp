@@ -1,39 +1,44 @@
 // The deflated daemon's engine: admission-as-a-service over loopback TCP.
 //
 // One Server owns a ServiceCore (fleet manager + price feed + clock), a
-// listening socket and a util::ThreadPool of connection handlers. The
-// accept loop runs in its own thread and hands each connection to the
-// pool; a handler greets with Hello, then serves pipelined frames — a
-// client may write a whole batch of AdmissionRequests before reading, and
-// the handler answers them in order with one buffered write per read
-// chunk (this is what the batching client and bench/scenario_service
-// exploit).
+// listening socket and one loop thread. The loop runs one poll() over the
+// listener, a self-pipe and every connection; each connection is a small
+// state machine over its FrameBuffer. A connection is greeted with Hello,
+// then served pipelined frames — a client may write a whole batch of
+// AdmissionRequests before reading, and the loop answers them in order
+// with one buffered write per read chunk (this is what the batching client
+// and bench/scenario_service exploit).
 //
-// Concurrency model: each connection gets its *own* AdmissionController
-// (so the deferral queue — and therefore every drained resolution — is
-// unambiguously owned by one connection), while the cluster manager,
-// price feed, service clock and capture log are shared and serialized by
-// one admission mutex. Decisions are therefore globally ordered, which is
-// what makes the capture log replayable (capture.hpp).
+// Concurrency model: the loop thread is the only thread that touches the
+// cluster manager, price feed, service clock, capture log and every
+// connection. Decisions are therefore globally ordered without a lock,
+// which is what makes the capture log replayable (capture.hpp). Each
+// connection gets its *own* AdmissionController, so the deferral queue —
+// and therefore every drained resolution — is unambiguously owned by one
+// connection. Other threads only call stats(), wait() and stop().
+//
+// Liveness: no peer can hold the loop. Sockets are non-blocking; an idle
+// or slow peer costs one poll entry. A peer whose pending output exceeds
+// a fixed bound (1 MiB) is not read until its output drains to it, and an
+// accept() that runs out of descriptors takes the listener out of the
+// poll set until a connection closes, so the loop never spins.
 //
 // Deferral resolutions are delivered in-stream: before deciding a fresh
-// request, the handler drains its connection's queue at the advanced
-// clock and pushes every resolved deferral as an AdmissionDecisionMsg
-// (echoing the original request id) ahead of the direct response.
+// request, the loop drains its connection's queue at the advanced clock
+// and pushes every resolved deferral as an AdmissionDecisionMsg (echoing
+// the original request id) ahead of the direct response.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "net/capture.hpp"
 #include "net/service.hpp"
 #include "net/socket.hpp"
-#include "util/thread_pool.hpp"
 
 namespace deflate::net {
 
@@ -61,7 +66,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and starts the accept loop; false when the port
+  /// Binds, listens and starts the loop thread; false when the port
   /// cannot be bound. Idempotent failure: the server can be destroyed.
   [[nodiscard]] bool start();
 
@@ -71,8 +76,9 @@ class Server {
   /// Blocks until a client sends Shutdown (or stop() is called).
   void wait();
 
-  /// Stops accepting, wakes every connection, joins all handlers. Safe to
-  /// call more than once; the destructor calls it.
+  /// Wakes and joins the loop, closes the listener and every connection,
+  /// and flushes the capture. Safe to call more than once; the destructor
+  /// calls it.
   void stop();
 
   [[nodiscard]] ServerStats stats() const;
@@ -81,37 +87,45 @@ class Server {
   }
 
  private:
-  void accept_loop();
-  void serve_connection(std::uint32_t conn_id, std::shared_ptr<Socket> socket);
+  struct Connection;
+
+  /// The loop thread's body: poll, accept, read, serve, write.
+  void run();
+  /// Accepts every pending connection; false when out of descriptors.
+  bool accept_pending();
+  /// Reads one chunk from `conn` and serves every complete frame in it.
+  void read_and_serve(Connection& conn);
+  /// Serves one decoded frame; false when the connection must close after
+  /// its output is flushed.
+  bool serve_frame(Connection& conn, const Message& message);
   /// Fleet-wide utilization snapshot (host_id = kFleetTelemetryHostId:
   /// available/committed summed over active servers, worst per-resource
-  /// commit ratio). Caller must hold admission_mutex_ — the manager is
-  /// shared state.
+  /// commit ratio).
   [[nodiscard]] UtilizationReport fleet_utilization();
+  void request_shutdown();
 
   ServiceCore core_;
   std::unique_ptr<CaptureWriter> capture_;
 
   ListenSocket listener_;
   std::uint16_t port_ = 0;
-  std::thread accept_thread_;
+  /// Self-pipe: stop() writes one byte to wake_write_, the loop polls
+  /// wake_read_.
+  Socket wake_read_;
+  Socket wake_write_;
+  /// Loop-thread state (stop() touches it only after the join).
+  std::vector<std::unique_ptr<Connection>> connections_;
+  std::uint32_t next_conn_id_ = 1;
 
-  /// Serializes admission (clock advance, drain, decide), placement and
-  /// capture appends across connections.
-  std::mutex admission_mutex_;
-
+  /// Guards what other threads read: stats(), wait().
   mutable std::mutex state_mutex_;
   std::condition_variable shutdown_cv_;
   bool shutdown_requested_ = false;
   bool stopped_ = false;
-  std::uint32_t next_conn_id_ = 1;
-  /// Open connections, for waking blocked recv()s on stop().
-  std::map<std::uint32_t, std::shared_ptr<Socket>> open_connections_;
   ServerStats stats_;
 
-  /// Declared last: destroyed first, joining handler tasks before the
-  /// members they use go away.
-  std::unique_ptr<util::ThreadPool> pool_;
+  /// Declared last: started after, and joined before, everything it uses.
+  std::thread loop_thread_;
 };
 
 }  // namespace deflate::net

@@ -24,7 +24,8 @@ namespace deflate::net {
 struct ServiceConfig {
   /// Listen port; 0 = kernel-assigned ephemeral port (tests, CI).
   std::uint16_t port = 0;
-  /// Connection-handler pool size.
+  /// Ignored: the daemon serves every connection from one loop; delete
+  /// once perfbench/ stops assigning it.
   std::size_t worker_threads = 4;
 
   // Fleet.
@@ -65,7 +66,7 @@ struct ServiceConfig {
 };
 
 /// The deterministic heart of the service, shared by server and replayer.
-/// Thread-compatible: the server serializes access with its own mutex.
+/// Thread-compatible: only the server's loop thread touches it.
 class ServiceCore {
  public:
   /// Builds trace, feed and manager. Throws std::invalid_argument when

@@ -1,6 +1,7 @@
 #include "net/socket.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -19,6 +20,11 @@ void set_nodelay(int fd) noexcept {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+bool set_nonblocking(int fd) noexcept {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
 sockaddr_in loopback_addr(std::uint16_t port) noexcept {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -28,7 +34,7 @@ sockaddr_in loopback_addr(std::uint16_t port) noexcept {
 }
 
 /// A peer that disappears mid-write raises SIGPIPE by default, which
-/// would kill the whole daemon; send_all opts out per-call instead.
+/// would kill the whole daemon; every send opts out per call instead.
 constexpr int kSendFlags =
 #ifdef MSG_NOSIGNAL
     MSG_NOSIGNAL;
@@ -61,16 +67,20 @@ bool Socket::send_all(const void* data, std::size_t size) noexcept {
   return true;
 }
 
+long Socket::send_some(const void* data, std::size_t size) noexcept {
+  for (;;) {
+    const auto n = ::send(fd_, data, size, kSendFlags);
+    if (n < 0 && errno == EINTR) continue;
+    return static_cast<long>(n);
+  }
+}
+
 long Socket::recv_some(void* buffer, std::size_t size) noexcept {
   for (;;) {
     const auto n = ::recv(fd_, buffer, size, 0);
     if (n < 0 && errno == EINTR) continue;
     return static_cast<long>(n);
   }
-}
-
-void Socket::shutdown_both() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 void Socket::close() noexcept {
@@ -99,7 +109,8 @@ std::optional<ListenSocket> ListenSocket::open_loopback(std::uint16_t port) {
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr = loopback_addr(port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
+  if (!set_nonblocking(fd) ||
+      ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
       ::listen(fd, 64) != 0) {
     ::close(fd);
     return std::nullopt;
@@ -115,20 +126,17 @@ std::optional<ListenSocket> ListenSocket::open_loopback(std::uint16_t port) {
   return out;
 }
 
-std::optional<Socket> ListenSocket::accept_one() noexcept {
+Socket ListenSocket::accept() noexcept {
   for (;;) {
     const int fd = ::accept(fd_, nullptr, nullptr);
     if (fd >= 0) {
+      Socket socket{fd};
+      if (!set_nonblocking(fd)) return Socket{};
       set_nodelay(fd);
-      return Socket{fd};
+      return socket;
     }
-    if (errno == EINTR) continue;
-    return std::nullopt;
+    if (errno != EINTR) return Socket{};
   }
-}
-
-void ListenSocket::shutdown() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 void ListenSocket::close() noexcept {

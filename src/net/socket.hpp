@@ -33,12 +33,14 @@ class Socket {
   /// send error (peer gone).
   bool send_all(const void* data, std::size_t size) noexcept;
 
-  /// One recv: bytes read, 0 on orderly close, -1 on error. Retries EINTR.
+  /// One send: bytes written, -1 on error (errno EAGAIN when a
+  /// non-blocking socket's send buffer is full). Retries EINTR.
+  [[nodiscard]] long send_some(const void* data, std::size_t size) noexcept;
+
+  /// One recv: bytes read, 0 on orderly close, -1 on error (errno EAGAIN
+  /// when a non-blocking socket has nothing to read). Retries EINTR.
   [[nodiscard]] long recv_some(void* buffer, std::size_t size) noexcept;
 
-  /// Shuts down both directions (wakes a peer blocked in recv) without
-  /// releasing the fd.
-  void shutdown_both() noexcept;
   void close() noexcept;
 
  private:
@@ -69,22 +71,21 @@ class ListenSocket {
   ListenSocket(const ListenSocket&) = delete;
   ListenSocket& operator=(const ListenSocket&) = delete;
 
-  /// Binds and listens; nullopt when the port is taken (or sockets are
-  /// unavailable).
+  /// Binds and listens without blocking (accept() never waits); nullopt
+  /// when the port is taken (or sockets are unavailable).
   [[nodiscard]] static std::optional<ListenSocket> open_loopback(
       std::uint16_t port);
 
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
+  [[nodiscard]] int fd() const noexcept { return fd_; }
   /// The bound port (the kernel-assigned one when opened with port 0).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// Blocks for one connection; nullopt when the socket was shut down from
-  /// another thread (the server's stop path) or accept failed.
-  [[nodiscard]] std::optional<Socket> accept_one() noexcept;
+  /// Takes one pending connection as a non-blocking socket; an invalid
+  /// Socket when none is pending or accept failed, with errno saying which
+  /// (EAGAIN, EMFILE, ...). Retries EINTR.
+  [[nodiscard]] Socket accept() noexcept;
 
-  /// Wakes a thread parked in accept_one() without releasing the fd, so
-  /// it may run concurrently with accept_one(); close() may not.
-  void shutdown() noexcept;
   void close() noexcept;
 
  private:

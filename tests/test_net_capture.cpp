@@ -232,7 +232,6 @@ TEST(NetCapture, ReplayCoversMultipleConnections) {
   TempFile capture("test_net_capture_multi.bin");
   {
     auto config = churny_config(capture.path());
-    config.worker_threads = 3;
     net::Server server(config);
     ASSERT_TRUE(server.start());
     std::vector<std::thread> threads;
@@ -259,6 +258,41 @@ TEST(NetCapture, ReplayCoversMultipleConnections) {
   EXPECT_EQ(report.requests, 60U);
   EXPECT_EQ(report.mismatches, 0U)
       << (report.details.empty() ? "" : report.details.front());
+}
+
+TEST(NetCapture, TelemetrySubscriptionIsNotCaptured) {
+  TempFile capture("test_net_capture_telemetry.bin");
+  constexpr std::uint32_t kEvery = 8;
+  constexpr std::uint64_t kRequests = 50;  // not a multiple of kEvery, so
+                                           // the last report precedes the
+                                           // last decision
+  {
+    net::Server server(churny_config(capture.path()));
+    ASSERT_TRUE(server.start());
+    auto client = net::Client::connect(server.port());
+    ASSERT_TRUE(client.has_value());
+    ASSERT_TRUE(client->request_telemetry(kEvery));
+    for (std::uint64_t id = 1; id <= kRequests; ++id) {
+      client->submit(request_at(id, 0.5 * double(id), 0.3, id % 3 != 0));
+    }
+    ASSERT_TRUE(client->flush());
+
+    EXPECT_EQ(client->telemetry_reports(), kRequests / kEvery);
+    ASSERT_TRUE(client->last_telemetry().has_value());
+    const net::UtilizationReport& report = *client->last_telemetry();
+    EXPECT_EQ(report.host_id, net::kFleetTelemetryHostId);
+    EXPECT_GT(report.committed.cpu(), 0.0);
+    EXPECT_GT(report.overcommit_ratio, 0.0);
+    EXPECT_EQ(server.stats().telemetry_reports, kRequests / kEvery);
+    server.stop();
+  }
+
+  const auto report = net::replay_capture(capture.path());
+  EXPECT_TRUE(report.error.empty()) << report.error;
+  EXPECT_EQ(report.requests, kRequests);
+  EXPECT_EQ(report.mismatches, 0U)
+      << (report.details.empty() ? "" : report.details.front());
+  EXPECT_TRUE(report.ok());
 }
 
 TEST(NetCapture, TamperedLogFailsReplay) {

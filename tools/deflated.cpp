@@ -3,8 +3,8 @@
 //   deflated [--port P] [--port-file FILE] [--servers N] [--shards K]
 //            [--shard-policy p2c|least-loaded|round-robin]
 //            [--admission NAME] [--price-ceiling C] [--defer-hours H]
-//            [--price-hours H] [--price-seed S] [--threads T]
-//            [--capture FILE] [--list-policies]
+//            [--price-hours H] [--price-seed S] [--capture FILE]
+//            [--list-policies]
 //
 // Serves the Admission API v2 (src/cluster/admission.hpp) over the
 // framed binary codec (src/net/codec.hpp) on loopback TCP: one
@@ -14,7 +14,8 @@
 // description). --port 0 (the default) binds an ephemeral port;
 // --port-file writes the bound port to FILE so scripts (CI smoke) can
 // find it. --capture appends every admission request and decision to a
-// replayable message log (`deflatectl replay` verifies it).
+// replayable message log (`deflatectl replay` verifies it). One loop
+// thread serves every connection (src/net/server.hpp).
 //
 // The daemon runs until a client sends the Shutdown frame (deflatectl
 // connect --shutdown), then exits 0.
@@ -42,7 +43,7 @@ int usage() {
          "                [--admission NAME] [--price-ceiling C]\n"
          "                [--defer-hours H] [--price-hours H] "
          "[--price-seed S]\n"
-         "                [--threads T] [--capture FILE] [--list-policies]\n";
+         "                [--capture FILE] [--list-policies]\n";
   return 1;
 }
 
@@ -69,12 +70,10 @@ int main(int argc, char** argv) {
     validator
         .allow_only({"port", "port-file", "servers", "shards", "shard-policy",
                      "admission", "price-ceiling", "defer-hours",
-                     "price-hours", "price-seed", "threads", "capture",
-                     "list-policies"})
+                     "price-hours", "price-seed", "capture", "list-policies"})
         .require_in_range("port", 0, 65535)
         .require_integer_at_least("servers", 1)
         .require_integer_at_least("shards", 1)
-        .require_integer_at_least("threads", 1)
         .require_at_least("price-ceiling", 0)
         .require_at_least("defer-hours", 0)
         .require_at_least("price-hours", 0);
@@ -115,8 +114,6 @@ int main(int argc, char** argv) {
     config.price_trace_hours = args.get_double("price-hours", 0);
     config.price_seed =
         static_cast<std::uint64_t>(args.get_double("price-seed", 42));
-    config.worker_threads =
-        static_cast<std::size_t>(args.get_double("threads", 4));
     config.capture_path = args.get("capture", "");
 
     net::Server server(std::move(config));
