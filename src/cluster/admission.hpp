@@ -295,10 +295,10 @@ class BidOptimizedAdmission final : public PriceThresholdAdmission {
 [[nodiscard]] std::unique_ptr<AdmissionController> make_admission_controller(
     AdmissionConfig config, ClusterManagerBase& manager, PriceFeed feed);
 
-/// Registry surface for admission policies — the generalization of PR 6's
-/// net::AdmissionPolicyRegistry (which is now an alias of this registry;
-/// plugins registered through either spelling are the same process-wide
-/// set). Names: admit-all, price, bid-opt.
+/// Registry surface for admission policies (`AdmissionRegistry`). The
+/// deflated daemon picks its policy here by name and advertises every name
+/// in its Hello; link-time plugins add to the same process-wide set.
+/// Names: admit-all, price, bid-opt.
 struct AdmissionSurface {
   static constexpr const char* kSurfaceName = "admission";
   static constexpr const char* kSurfaceDescription =

@@ -41,16 +41,15 @@ std::string read_frame(std::istream& in, std::vector<std::uint8_t>& frame,
   if (in.gcount() != static_cast<std::streamsize>(kHeaderSize)) {
     return "truncated frame header";
   }
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(frame[3 + i]) << (8 * i);
-  }
-  // Checked before the length sizes the buffer: a corrupt length field
-  // must not make the reader allocate without bound.
-  if (len > kMaxPayload) return "oversized frame";
-  frame.resize(kHeaderSize + len);
-  in.read(reinterpret_cast<char*>(frame.data() + kHeaderSize), len);
-  if (in.gcount() != static_cast<std::streamsize>(len)) {
+  // The header is checked before its length sizes the buffer: a corrupt
+  // length field must not make the reader allocate without bound.
+  std::string problem;
+  const std::optional<std::uint32_t> len =
+      payload_length(frame.data(), problem);
+  if (!len) return "corrupt frame: " + problem;
+  frame.resize(kHeaderSize + *len);
+  in.read(reinterpret_cast<char*>(frame.data() + kHeaderSize), *len);
+  if (in.gcount() != static_cast<std::streamsize>(*len)) {
     return "truncated frame payload";
   }
   DecodeResult decoded = decode_frame(frame.data(), frame.size());

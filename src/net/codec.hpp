@@ -18,10 +18,13 @@
 // (NeedMore), or rejected (Malformed) — truncated payloads, oversized
 // lengths, unknown types, out-of-range enums and trailing payload bytes
 // all reject without reading out of bounds (fuzzed in
-// tests/test_net_codec.cpp, under ASan/UBSan in CI).
+// tests/test_net_codec.cpp, under ASan/UBSan in CI). Each payload's
+// layout is written once, as a field list in codec.cpp that drives both
+// encoding and decoding; the tests pin every layout to committed bytes.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -41,6 +44,9 @@ inline constexpr std::uint8_t kFrameMagic = 0xDF;
 inline constexpr std::uint8_t kCodecVersion = 4;
 /// Hard cap on advertised surfaces in a Hello (decode rejects above it).
 inline constexpr std::uint32_t kMaxHelloSurfaces = 64;
+/// Hard cap on every other list in a payload: policy names and capture
+/// class ceilings (decode rejects above it).
+inline constexpr std::uint32_t kMaxListLength = 4096;
 /// Hard upper bound on payload length; a length field above this is
 /// malformed (it would let a broken peer make us buffer without bound).
 inline constexpr std::uint32_t kMaxPayload = 1u << 20;
@@ -160,6 +166,7 @@ struct CaptureHeader {
   ServiceConfig config;
 };
 
+/// Alternatives in MsgType order: message_type() is index() + 1.
 using Message =
     std::variant<Hello, ErrorMsg, Shutdown, Bye, AdmissionRequestMsg,
                  AdmissionDecisionMsg, PlaceRequest, PlaceResponse,
@@ -180,6 +187,13 @@ struct DecodeResult {
   Message message;    ///< valid only when status == Ok
   std::string error;  ///< set only when status == Malformed
 };
+
+/// Checks the kHeaderSize-byte frame header at `header` (magic, codec
+/// version, length <= kMaxPayload) and returns the payload length it
+/// announces, or nullopt with the reason in `error`. decode_frame runs it
+/// on every frame; stream readers use it to size the payload read.
+[[nodiscard]] std::optional<std::uint32_t> payload_length(
+    const std::uint8_t* header, std::string& error);
 
 /// Decodes the frame starting at `data`. Never reads past `data + size`.
 [[nodiscard]] DecodeResult decode_frame(const std::uint8_t* data,

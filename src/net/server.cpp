@@ -8,7 +8,6 @@
 #include <exception>
 #include <map>
 
-#include "net/registry.hpp"
 #include "policy/catalog.hpp"
 #include "util/logging.hpp"
 
@@ -28,7 +27,7 @@ std::vector<std::uint8_t> hello_frame(const ServiceConfig& config) {
   Hello hello;
   hello.server = config.banner;
   hello.admission_policy = config.admission_policy;
-  hello.policies = AdmissionPolicyRegistry::instance().names();
+  hello.policies = cluster::AdmissionRegistry::instance().names();
   for (const policy::SurfaceInfo& info : policy::describe_all_surfaces()) {
     PolicySurface surface;
     surface.surface = info.surface;

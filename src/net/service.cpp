@@ -2,12 +2,10 @@
 
 #include <stdexcept>
 
-#include "net/registry.hpp"
-
 namespace deflate::net {
 
 ServiceCore::ServiceCore(const ServiceConfig& config) : config_(config) {
-  if (AdmissionPolicyRegistry::instance().find(config_.admission_policy) ==
+  if (cluster::AdmissionRegistry::instance().find(config_.admission_policy) ==
       nullptr) {
     throw std::invalid_argument(
         "unknown admission policy '" + config_.admission_policy +
@@ -40,7 +38,7 @@ ServiceCore::ServiceCore(const ServiceConfig& config) : config_(config) {
 
 std::unique_ptr<cluster::AdmissionController> ServiceCore::make_controller() {
   const auto* entry =
-      AdmissionPolicyRegistry::instance().find(config_.admission_policy);
+      cluster::AdmissionRegistry::instance().find(config_.admission_policy);
   // Existence was checked in the constructor; a policy cannot be
   // unregistered, so entry is non-null here.
   return entry->make(config_.admission, *manager_, feed_);

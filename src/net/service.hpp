@@ -42,8 +42,8 @@ struct ServiceConfig {
   std::uint64_t routing_seed = 42;
 
   // Admission.
-  /// Registry name (net/registry.hpp): admit-all, price, bid-opt, or a
-  /// plugin-registered policy.
+  /// Registry name (`cluster::AdmissionRegistry`): admit-all, price,
+  /// bid-opt, or a plugin-registered policy.
   std::string admission_policy = "admit-all";
   /// Ceilings / deferral window; the `policy` kind inside is ignored —
   /// `admission_policy` picks the registry entry.

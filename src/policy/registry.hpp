@@ -5,12 +5,13 @@
 // placement scoring, shard routing, migration strategy, revocation
 // modeling and admission bidding are all swappable decisions. Before this
 // layer each surface hand-rolled its own dispatch (an `enum class` plus a
-// switch, a name parser per tool); only admission policies were pluggable
-// (the PR-6 `net::AdmissionPolicyRegistry`). `PolicyRegistry<Surface>`
-// generalizes that registry: a typed, process-wide, self-describing
-// catalog of named policies with descriptions and parameter metadata,
-// link-time plugin registration, and exhaustive enumeration (the
-// `deflatectl list-policies` / Hello-frame surface).
+// switch, a name parser per tool); only admission policies were
+// pluggable, through the admission service's own registry.
+// `PolicyRegistry<Surface>` generalizes that registry: a typed,
+// process-wide, self-describing catalog of named policies with
+// descriptions and parameter metadata, link-time plugin registration,
+// and exhaustive enumeration (the `deflatectl list-policies` /
+// Hello-frame surface).
 //
 // A *surface* is a traits struct describing one decision point:
 //

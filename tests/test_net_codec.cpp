@@ -1,11 +1,13 @@
 // Property/fuzz tests for the binary transport codec (src/net/codec.hpp):
 // random valid messages round-trip bit-exact; truncated, oversized-length,
 // wrong-version and bit-flipped frames are rejected without crashing (CI
-// runs this suite under ASan/UBSan).
+// runs this suite under ASan/UBSan). Golden frames pin every message
+// layout to committed bytes, and a table pins each decoder input check.
 #include "net/codec.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/rng.hpp"
@@ -405,4 +407,306 @@ TEST(NetCodec, EnumsOutOfRangeRejected) {
   frame[net::kHeaderSize + 8] = 200;
   EXPECT_EQ(net::decode_frame(frame.data(), frame.size()).status,
             net::DecodeStatus::Malformed);
+}
+
+namespace {
+
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const std::uint8_t byte : bytes) {
+    hex.push_back(kDigits[byte >> 4]);
+    hex.push_back(kDigits[byte & 0xF]);
+  }
+  return hex;
+}
+
+std::vector<std::uint8_t> from_hex(const std::string& hex) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<std::uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+hv::VmSpec golden_spec() {
+  hv::VmSpec spec;
+  spec.id = 42;
+  spec.name = "vm";
+  spec.vcpus = 4;
+  spec.memory_mib = 2048.5;
+  spec.disk_bw_mbps = 100.25;
+  spec.net_bw_mbps = 1000.75;
+  spec.priority = 0.375;
+  spec.deflatable = true;
+  spec.min_fraction = 0.25;
+  spec.workload = hv::WorkloadClass::DelayInsensitive;
+  return spec;
+}
+
+/// One fixed instance per message type (two AdmissionRequests: deadline
+/// present and absent), each with the frame bytes committed for it.
+std::vector<std::pair<net::Message, std::string>> golden_frames() {
+  net::Hello hello;
+  hello.server = "d/1";
+  hello.admission_policy = "price";
+  hello.policies = {"admit-all", "price"};
+  hello.surfaces = {{"admission", {"price", "bid-opt"}}, {"placement", {}}};
+  hello.telemetry_every = 7;
+
+  net::AdmissionRequestMsg with_deadline;
+  with_deadline.request_id = 0x0102030405060708ULL;
+  with_deadline.request.spec = golden_spec();
+  with_deadline.request.priority_class = 3;
+  with_deadline.request.arrival = sim::SimTime::from_micros(-1500);
+  with_deadline.request.deadline = sim::SimTime::from_hours(2.0);
+
+  net::AdmissionRequestMsg without_deadline;
+  without_deadline.request_id = 5;
+  without_deadline.request.spec.id = 6;
+  without_deadline.request.arrival = sim::SimTime::from_seconds(30.0);
+
+  net::AdmissionDecisionMsg decision;
+  decision.request_id = 9;
+  decision.decision.status = cluster::AdmissionDecision::Status::PlacedDeflated;
+  decision.decision.reason = cluster::AdmissionDecision::Reason::Admitted;
+  decision.decision.quoted_price = 0.125;
+  decision.decision.placement.status =
+      cluster::PlacementResult::Status::PlacedDeflated;
+  decision.decision.placement.host_id = 17;
+  decision.decision.placement.needed_reclamation = true;
+  decision.decision.placement.launch_fraction = 0.5;
+  decision.decision.retry_at = sim::SimTime::from_micros(-1);
+
+  net::CaptureHeader header;
+  net::ServiceConfig& c = header.config;
+  c.server_count = 40;
+  c.shard_count = 4;
+  c.shard_policy = cluster::ShardSelectionPolicy::LeastLoaded;
+  c.shard_policy_name = "p2c";
+  c.placement_policy = "best-fit";
+  c.routing_seed = 43;
+  c.admission_policy = "price";
+  c.admission.class_ceilings = {0.0, 0.3, 0.45};
+  c.price_trace_hours = 24.0;
+  c.price_seed = 7;
+
+  return {
+      {hello,
+       "df0401690000000403000000642f310500000070726963650200000009000000"
+       "61646d69742d616c6c050000007072696365020000000900000061646d697373"
+       "696f6e02000000050000007072696365070000006269642d6f70740900000070"
+       "6c6163656d656e740000000007000000"},
+      {net::ErrorMsg{422, "bad"}, "df04020b000000a601000003000000626164"},
+      {net::Shutdown{}, "df040300000000"},
+      {net::Bye{}, "df040400000000"},
+      {with_deadline,
+       "df04055900000008070605040302012a0000000000000002000000766d040000"
+       "00000000000001a04000000000001059400000000000468f40000000000000d8"
+       "3f01000000000000d03f010300000024faffffffffffff01004827ad01000000"},
+      {without_deadline,
+       "df04055700000005000000000000000600000000000000000000000100000000"
+       "0000000000904000000000000059400000000000408f40000000000000f03f00"
+       "0000000000000000020000000080c3c90100000000000000000000000000"},
+      {decision,
+       "df04062c00000009000000000000000100000000000000c03f01110000000000"
+       "000001000000000000e03fffffffffffffffff"},
+      {net::PlaceRequest{11, {2.0, 4096.0, 50.0, 500.0}, 0.5, true},
+       "df0407310000000b000000000000000000000000000040000000000000b04000"
+       "000000000049400000000000407f40000000000000e03f01"},
+      {net::PlaceResponse{11, true, 3, 0.75},
+       "df0408190000000b00000000000000010300000000000000000000000000e83f"},
+      {net::DeflateCommand{12, {1.0, 1024.0, 25.0, 250.0}},
+       "df0409280000000c00000000000000000000000000f03f000000000000904000"
+       "000000000039400000000000406f40"},
+      {net::DeflationNotice{13,
+                            {4.0, 8192.0, 100.0, 1000.0},
+                            {2.0, 4096.0, 50.0, 500.0}},
+       "df040a480000000d000000000000000000000000001040000000000000c04000"
+       "000000000059400000000000408f400000000000000040000000000000b04000"
+       "000000000049400000000000407f40"},
+      {net::UtilizationReport{5,
+                              {30.0, 61440.0, 900.0, 9000.0},
+                              {34.0, 69632.0, 1100.0, 11000.0},
+                              1.5},
+       "df040b5000000005000000000000000000000000003e40000000000000ee4000"
+       "00000000208c40000000000094c1400000000000004140000000000000f14000"
+       "0000000030914000000000007cc540000000000000f83f"},
+      {header,
+       "df040cb900000028000000000000000400000000000000010300000070326308"
+       "000000626573742d6669742b0000000000000005000000707269636503000000"
+       "0000000000000000333333333333d33fcdccccccccccdc3f666666666666d63f"
+       "0000000000001840000000000000f03f00000000000038400700000000000000"
+       "000000000000d03f333333333333e33f7b14ae47e17aa43f555555555555a53f"
+       "0000000000001040000000000000f83f9a9999999999a93f00a3e11100000000"},
+  };
+}
+
+}  // namespace
+
+// The wire-compatibility check: every message type's layout and type byte
+// pinned to committed bytes. Round-trip tests cannot catch a field that
+// moved on both sides at once; this can. The expected bytes change only
+// together with a kCodecVersion bump.
+TEST(NetCodec, EveryMessageTypeMatchesCommittedBytes) {
+  std::vector<bool> covered(
+      static_cast<std::size_t>(net::MsgType::CaptureHeader) + 1, false);
+  for (const auto& [message, hex] : golden_frames()) {
+    const net::MsgType type = net::message_type(message);
+    covered[static_cast<std::size_t>(type)] = true;
+    EXPECT_EQ(to_hex(net::encode_frame(message)), hex)
+        << net::msg_type_name(type);
+    const std::vector<std::uint8_t> bytes = from_hex(hex);
+    const auto decoded = net::decode_frame(bytes.data(), bytes.size());
+    ASSERT_EQ(decoded.status, net::DecodeStatus::Ok)
+        << net::msg_type_name(type) << ": " << decoded.error;
+    EXPECT_EQ(decoded.consumed, bytes.size());
+    EXPECT_EQ(net::encode_frame(decoded.message), bytes)
+        << net::msg_type_name(type);
+  }
+  for (std::size_t t = 1; t < covered.size(); ++t) {
+    EXPECT_TRUE(covered[t]) << "no golden frame for type " << t;
+  }
+}
+
+namespace {
+
+/// `base` and `variant` differ in exactly one single-byte field (a flag, an
+/// enum, or the low byte of a small u32); returns `base`'s frame with that
+/// byte set to `value`.
+std::vector<std::uint8_t> with_field_byte(const net::Message& base,
+                                          const net::Message& variant,
+                                          std::uint8_t value) {
+  std::vector<std::uint8_t> frame = net::encode_frame(base);
+  const std::vector<std::uint8_t> other = net::encode_frame(variant);
+  EXPECT_EQ(frame.size(), other.size());
+  std::vector<std::size_t> differing;
+  for (std::size_t i = 0; i < std::min(frame.size(), other.size()); ++i) {
+    if (frame[i] != other[i]) differing.push_back(i);
+  }
+  EXPECT_EQ(differing.size(), 1U);
+  if (differing.size() == 1) frame[differing.front()] = value;
+  return frame;
+}
+
+template <typename M, typename Edit>
+std::vector<std::uint8_t> patched(const M& base, Edit edit,
+                                  std::uint8_t value) {
+  M variant = base;
+  edit(variant);
+  return with_field_byte(base, variant, value);
+}
+
+/// Hello / CaptureHeader instances whose one list holds `n` entries.
+net::Message hello_with_policies(std::size_t n) {
+  net::Hello m;
+  m.policies.assign(n, "p");
+  return m;
+}
+net::Message hello_with_surface_policies(std::size_t n) {
+  net::Hello m;
+  m.surfaces.push_back({"admission", std::vector<std::string>(n, "p")});
+  return m;
+}
+net::Message header_with_ceilings(std::size_t n) {
+  net::CaptureHeader m;
+  m.config.admission.class_ceilings.assign(n, 0.25);
+  return m;
+}
+
+}  // namespace
+
+// Every input check of the decoder, one frame each: a field patched to
+// the first invalid value (flags to 2, enums to last+1, the priority class
+// to kAdmissionClasses) or a list one entry over its cap. Without the
+// check each frame would decode cleanly, so Malformed pins the check.
+TEST(NetCodec, EveryFieldCheckRejectsFirstInvalidValue) {
+  using Status = cluster::AdmissionDecision::Status;
+  using Reason = cluster::AdmissionDecision::Reason;
+  using PlacementStatus = cluster::PlacementResult::Status;
+  constexpr std::size_t kListCap = net::kMaxListLength;
+
+  net::AdmissionRequestMsg request;
+  request.request.spec.workload = hv::WorkloadClass::DelayInsensitive;
+  request.request.priority_class = cluster::kAdmissionClasses - 2;
+  net::AdmissionDecisionMsg decision;
+  decision.decision.status = Status::Deferred;
+  decision.decision.reason = Reason::CapacityDeferred;
+  decision.decision.placement.status = PlacementStatus::PlacedDeflated;
+  net::CaptureHeader header;
+  header.config.shard_policy = cluster::ShardSelectionPolicy::LeastLoaded;
+
+  const std::vector<std::pair<std::string, std::vector<std::uint8_t>>> cases =
+      {
+          {"VmSpec.deflatable = 2",
+           patched(request, [](auto& m) { m.request.spec.deflatable = true; },
+                   2)},
+          {"VmSpec.workload = last+1",
+           patched(request,
+                   [](auto& m) {
+                     m.request.spec.workload = hv::WorkloadClass::Unknown;
+                   },
+                   3)},
+          {"priority_class = kAdmissionClasses",
+           patched(request,
+                   [](auto& m) {
+                     m.request.priority_class = cluster::kAdmissionClasses - 1;
+                   },
+                   static_cast<std::uint8_t>(cluster::kAdmissionClasses))},
+          {"deadline flag = 2",
+           patched(request,
+                   [](auto& m) { m.request.deadline = sim::SimTime{}; }, 2)},
+          {"decision status = last+1",
+           patched(decision,
+                   [](auto& m) { m.decision.status = Status::Rejected; }, 4)},
+          {"decision reason = last+1",
+           patched(decision,
+                   [](auto& m) { m.decision.reason = Reason::DeadlineExpired; },
+                   5)},
+          {"placement status = last+1",
+           patched(decision,
+                   [](auto& m) {
+                     m.decision.placement.status = PlacementStatus::Rejected;
+                   },
+                   3)},
+          {"needed_reclamation = 2",
+           patched(decision,
+                   [](auto& m) {
+                     m.decision.placement.needed_reclamation = true;
+                   },
+                   2)},
+          {"PlaceRequest.deflatable = 2",
+           patched(net::PlaceRequest{},
+                   [](auto& m) { m.deflatable = true; }, 2)},
+          {"PlaceResponse.accepted = 2",
+           patched(net::PlaceResponse{}, [](auto& m) { m.accepted = true; },
+                   2)},
+          {"shard policy = last+1",
+           patched(header,
+                   [](auto& m) {
+                     m.config.shard_policy =
+                         cluster::ShardSelectionPolicy::RoundRobin;
+                   },
+                   3)},
+          {"Hello policies = cap+1",
+           net::encode_frame(hello_with_policies(kListCap + 1))},
+          {"surface policies = cap+1",
+           net::encode_frame(hello_with_surface_policies(kListCap + 1))},
+          {"capture ceilings = cap+1",
+           net::encode_frame(header_with_ceilings(kListCap + 1))},
+      };
+  for (const auto& [label, frame] : cases) {
+    const auto result = net::decode_frame(frame.data(), frame.size());
+    EXPECT_EQ(result.status, net::DecodeStatus::Malformed) << label;
+  }
+
+  // Controls: the unpatched bases and lists exactly at the cap decode.
+  for (const net::Message& valid :
+       {net::Message{request}, net::Message{decision}, net::Message{header},
+        net::Message{net::PlaceRequest{}}, net::Message{net::PlaceResponse{}},
+        hello_with_policies(kListCap), hello_with_surface_policies(kListCap),
+        header_with_ceilings(kListCap)}) {
+    expect_roundtrip_exact(valid);
+  }
 }

@@ -2,7 +2,7 @@
 // batching, pipelining, per-connection deferral streams, the plugin
 // policy registry, protocol-violation handling, and liveness under idle,
 // slow and non-reading peers (src/net/server.hpp, src/net/client.hpp,
-// src/net/registry.hpp).
+// cluster::AdmissionRegistry).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -16,8 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/admission.hpp"
 #include "net/client.hpp"
-#include "net/registry.hpp"
 #include "net/server.hpp"
 
 namespace net = deflate::net;
@@ -291,7 +291,7 @@ class RejectAllController final : public cluster::AdmissionController {
 };
 
 void ensure_reject_all_registered() {
-  net::AdmissionPolicyEntry entry;
+  cluster::AdmissionRegistry::Entry entry;
   entry.name = "reject-all";
   entry.description = "test plugin: reject every request";
   entry.make = [](const cluster::AdmissionConfig& config,
@@ -301,14 +301,14 @@ void ensure_reject_all_registered() {
                                                  std::move(feed));
   };
   // May already be registered by an earlier test in this process.
-  (void)net::AdmissionPolicyRegistry::instance().add(std::move(entry));
+  (void)cluster::AdmissionRegistry::instance().add(std::move(entry));
 }
 
 }  // namespace
 
 TEST(NetService, PluginPolicyServedByName) {
   ensure_reject_all_registered();
-  ASSERT_NE(net::AdmissionPolicyRegistry::instance().find("reject-all"),
+  ASSERT_NE(cluster::AdmissionRegistry::instance().find("reject-all"),
             nullptr);
 
   net::ServiceConfig config;
@@ -336,7 +336,7 @@ TEST(NetService, UnknownPolicyNameThrows) {
 
 TEST(NetService, DuplicateRegistrationRefused) {
   ensure_reject_all_registered();
-  net::AdmissionPolicyEntry duplicate;
+  cluster::AdmissionRegistry::Entry duplicate;
   duplicate.name = "reject-all";
   duplicate.description = "imposter";
   duplicate.make = [](const cluster::AdmissionConfig&,
@@ -344,7 +344,7 @@ TEST(NetService, DuplicateRegistrationRefused) {
     return std::unique_ptr<cluster::AdmissionController>{};
   };
   EXPECT_FALSE(
-      net::AdmissionPolicyRegistry::instance().add(std::move(duplicate)));
+      cluster::AdmissionRegistry::instance().add(std::move(duplicate)));
 }
 
 TEST(NetService, MalformedFrameAnswersErrorThenCloses) {

@@ -200,21 +200,6 @@ std::optional<mech::MechanismKind> parse_mechanism(const std::string& name) {
   return std::nullopt;
 }
 
-std::optional<cluster::PlacementStrategy> parse_placement(
-    const std::string& name) {
-  return cluster::placement_strategy_from_name(name);
-}
-
-std::optional<cluster::ShardSelectionPolicy> parse_shard_policy(
-    const std::string& name) {
-  return cluster::shard_selection_from_name(name);
-}
-
-std::optional<cluster::AdmissionPolicyKind> parse_admission_policy(
-    const std::string& name) {
-  return cluster::admission_policy_from_name(name);
-}
-
 /// Applies the shared online-control flags (--reopt-hours, --forecast,
 /// --reopt-max-moves): any of them enables the controller. Returns 0, or
 /// the usage-error exit code for an unknown forecast name.
@@ -245,7 +230,8 @@ int apply_control_flags(const CliArgs& args, simcluster::SimConfig& config) {
 bool apply_shard_flags(const CliArgs& args, simcluster::SimConfig& config) {
   config.shard_count =
       static_cast<std::size_t>(args.get_double("shards", 1));
-  const auto policy = parse_shard_policy(args.get("shard-policy", "p2c"));
+  const auto policy =
+      cluster::shard_selection_from_name(args.get("shard-policy", "p2c"));
   if (!policy) return false;
   config.shard_selection = *policy;
   return true;
@@ -337,7 +323,8 @@ int cmd_simulate(const CliArgs& args) {
                                     args.get("mechanism", "") +
                                     "' (expected hybrid|transparent|"
                                     "explicit|balloon)");
-  const auto placement = parse_placement(args.get("placement", "fitness"));
+  const auto placement = cluster::placement_strategy_from_name(
+      args.get("placement", "fitness"));
   if (!placement) {
     return unknown_policy_error<cluster::PlacementSurface>(
         "placement", args.get("placement", ""));
@@ -503,7 +490,8 @@ int cmd_revoke_sim(const CliArgs& args) {
 
   // Admission API v2 + per-class bid optimization.
   const std::string admission = args.get("admission", "admit-all");
-  const auto admission_policy = parse_admission_policy(admission);
+  const auto admission_policy =
+      cluster::admission_policy_from_name(admission);
   if (!admission_policy) {
     return unknown_policy_error<cluster::AdmissionSurface>("admission",
                                                            admission);

@@ -10,7 +10,7 @@
 // framed binary codec (src/net/codec.hpp) on loopback TCP: one
 // ShardedClusterManager fleet, one spot-price feed, one admission policy
 // picked *by name* from the self-describing registry
-// (src/net/registry.hpp — `--list-policies` prints every name with its
+// (cluster::AdmissionRegistry — `--list-policies` prints every name with its
 // description). --port 0 (the default) binds an ephemeral port;
 // --port-file writes the bound port to FILE so scripts (CI smoke) can
 // find it. --capture appends every admission request and decision to a
@@ -26,7 +26,6 @@
 #include <iostream>
 #include <string>
 
-#include "net/registry.hpp"
 #include "net/server.hpp"
 #include "policy/catalog.hpp"
 #include "util/cli.hpp"
@@ -92,7 +91,8 @@ int main(int argc, char** argv) {
     config.shard_count =
         static_cast<std::size_t>(args.get_double("shards", 1));
     const std::string shard_policy_name = args.get("shard-policy", "p2c");
-    const auto shard_policy = net::parse_shard_policy(shard_policy_name);
+    const auto shard_policy =
+        cluster::shard_selection_from_name(shard_policy_name);
     if (!shard_policy.has_value() &&
         cluster::ShardSelectionRegistry::instance().find(shard_policy_name) ==
             nullptr) {
