@@ -5,8 +5,8 @@
 
 #include <chrono>
 #include <memory>
-#include <numeric>
 
+#include "cluster/partitions.hpp"
 #include "cluster/placement.hpp"
 #include "cluster/sharded_manager.hpp"
 #include "util/rng.hpp"
@@ -170,27 +170,34 @@ deflate::cluster::HostScanTable make_table(std::size_t n) {
 
 }  // namespace
 
-/// One free-capacity scan over every row. range(0) = servers, range(1) =
-/// strategy (0 fitness, 2 best-fit). Wall-clock time.
+/// One free-capacity scan over a pool of the table. range(0) = servers in
+/// the table, range(1) = strategy (0 fitness, 1 first-fit, 2 best-fit),
+/// range(2) = pool (0: the whole table; 1: pool 1 of five equal partition
+/// pools, a sub-range starting off block alignment). Wall-clock time;
+/// items are the rows scanned.
 static void bench_scan_pick_host(benchmark::State& state) {
   const auto servers = static_cast<std::size_t>(state.range(0));
   const auto strategy =
       static_cast<deflate::cluster::PlacementStrategy>(state.range(1));
   const auto table = make_table(servers);
-  std::vector<std::size_t> candidates(servers);
-  std::iota(candidates.begin(), candidates.end(), std::size_t{0});
+  const deflate::cluster::ServerRange pool =
+      state.range(2) == 0
+          ? deflate::cluster::ServerRange{0, servers}
+          : deflate::cluster::ClusterPartitions(servers, {1, 1, 1, 1, 1})
+                .pool(1);
   const ResourceVector demand(8.0, 16384.0, 100.0, 1000.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(deflate::cluster::scan_pick_host(
-        strategy, demand, table, candidates,
+        strategy, demand, table, pool.first, pool.last,
         deflate::cluster::ScanFeasibility::FreeCapacity,
         /*under_pressure=*/false));
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(pool.size()));
 }
 BENCHMARK(bench_scan_pick_host)
-    ->ArgNames({"servers", "strategy"})
-    ->ArgsProduct({{125, 1250, 12500}, {0, 2}})
+    ->ArgNames({"servers", "strategy", "pool"})
+    ->ArgsProduct({{125, 1250, 12500}, {0, 1, 2}, {0, 1}})
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "mechanisms/mechanism.hpp"
@@ -236,8 +237,15 @@ PlacementResult ClusterManager::admit(const hv::VmSpec& spec, std::size_t server
   return result;
 }
 
-PlacementResult ClusterManager::place_with_preemption(
-    const hv::VmSpec& spec, const std::vector<std::size_t>& pool) {
+std::vector<std::size_t> ClusterManager::pool_servers(std::size_t pool) const {
+  const ServerRange range = partitions_.pool(pool);
+  std::vector<std::size_t> servers(range.size());
+  std::iota(servers.begin(), servers.end(), range.first);
+  return servers;
+}
+
+PlacementResult ClusterManager::place_with_preemption(const hv::VmSpec& spec,
+                                                      ServerRange pool) {
   const res::ResourceVector demand = spec.vector();
   PlacementResult result;
 
@@ -246,8 +254,8 @@ PlacementResult ClusterManager::place_with_preemption(
   // evict others, so they scan the eviction table; deflatable VMs scan
   // the placement table, whose deflatable column is zero in this mode.
   const HostScanTable& table = spec.deflatable ? scan_ : evict_scan_;
-  const auto best = scan_pick_host(*scorer_, demand, table, pool,
-                                   ScanFeasibility::WithDeflation,
+  const auto best = scan_pick_host(*scorer_, demand, table, pool.first,
+                                   pool.last, ScanFeasibility::WithDeflation,
                                    /*under_pressure=*/false);
   if (!best) {
     ++stats_.rejections;
@@ -293,17 +301,16 @@ PlacementResult ClusterManager::place_vm(const hv::VmSpec& spec) {
   // eager per-mutation rescan, minus the redundant rescans in between).
   flush_views();
 
-  // Both modes scan the whole partition pool through the SoA tables
+  // Both modes scan the partition pool's id range through the SoA tables
   // (ineligible servers are masked by the eligibility column), so there
-  // is no per-placement candidate vector to build.
+  // is no per-placement candidate list to build.
   const std::size_t pool_index =
       config_.partitioned ? pool_for_priority(spec.deflatable, spec.priority,
                                               partitions_.pool_count())
                           : 0;
-  const std::vector<std::size_t>& pool_candidates =
-      partitions_.pool(pool_index);
+  const ServerRange pool = partitions_.pool(pool_index);
   if (config_.mode == ReclamationMode::Preemption) {
-    return place_with_preemption(spec, pool_candidates);
+    return place_with_preemption(spec, pool);
   }
 
   const res::ResourceVector full_demand = spec.vector();
@@ -314,11 +321,11 @@ PlacementResult ClusterManager::place_vm(const hv::VmSpec& spec) {
     // server fits the demand in free capacity does the reclamation path
     // rank servers by their deflatable headroom.
     if (const auto server = scan_pick_host(
-            *scorer_, demand, scan_, pool_candidates,
+            *scorer_, demand, scan_, pool.first, pool.last,
             ScanFeasibility::FreeCapacity, /*under_pressure=*/false)) {
       return server;
     }
-    return scan_pick_host(*scorer_, demand, scan_, pool_candidates,
+    return scan_pick_host(*scorer_, demand, scan_, pool.first, pool.last,
                           ScanFeasibility::WithDeflation,
                           /*under_pressure=*/true);
   };

@@ -275,9 +275,7 @@ class ClusterManager : public ClusterManagerBase {
     return partitions_;
   }
   [[nodiscard]] std::vector<std::size_t> pool_servers(
-      std::size_t pool) const override {
-    return partitions_.pool(pool);
-  }
+      std::size_t pool) const override;
 
   /// Refreshes the cached views of every server marked dirty since the
   /// last flush. Mutations (placements, departures, revocations) no longer
@@ -338,8 +336,8 @@ class ClusterManager : public ClusterManagerBase {
   void update_eligible(std::size_t server);
   PlacementResult admit(const hv::VmSpec& spec, std::size_t server,
                         double fraction);
-  PlacementResult place_with_preemption(
-      const hv::VmSpec& spec, const std::vector<std::size_t>& pool);
+  PlacementResult place_with_preemption(const hv::VmSpec& spec,
+                                        ServerRange pool);
   /// Smallest launch fraction the configured policy would ever leave the
   /// VM with (deflated-launch lower bound).
   [[nodiscard]] double min_launch_fraction(const hv::VmSpec& spec) const;

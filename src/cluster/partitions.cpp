@@ -42,18 +42,16 @@ ClusterPartitions::ClusterPartitions(std::size_t server_count,
     ++assigned;
   }
 
-  pools_.resize(pools);
-  std::size_t next_server = 0;
+  pools_.reserve(pools);
+  std::size_t next = 0;
   for (std::size_t k = 0; k < pools; ++k) {
-    for (std::size_t i = 0; i < counts[k]; ++i) {
-      pools_[k].push_back(next_server++);
-    }
+    pools_.push_back({next, next + counts[k]});
+    next += counts[k];
   }
 }
 
 ClusterPartitions ClusterPartitions::single_pool(std::size_t server_count) {
-  ClusterPartitions partitions(std::max<std::size_t>(1, server_count), {1.0});
-  return partitions;
+  return ClusterPartitions({ServerRange{0, server_count}});
 }
 
 std::size_t pool_for_priority(bool deflatable, double priority,

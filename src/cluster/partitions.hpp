@@ -1,13 +1,24 @@
 // Cluster partitioning by priority (§5.2.1): the cluster is split into
 // priority pools and VMs are placed only on their pool's servers, bounding
 // performance interference between priority classes. On-demand VMs get
-// their own pool.
+// their own pool. Every pool is a contiguous id range: pool k owns
+// [first_k, last_k), the ranges ascend and together cover [0, n).
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace deflate::cluster {
+
+/// The server ids [first, last).
+struct ServerRange {
+  std::size_t first = 0;
+  std::size_t last = 0;
+
+  [[nodiscard]] std::size_t size() const noexcept { return last - first; }
+  friend bool operator==(const ServerRange&, const ServerRange&) = default;
+};
 
 class ClusterPartitions {
  public:
@@ -23,13 +34,14 @@ class ClusterPartitions {
   [[nodiscard]] std::size_t pool_count() const noexcept {
     return pools_.size();
   }
-  /// Server indices belonging to pool `k`.
-  [[nodiscard]] const std::vector<std::size_t>& pool(std::size_t k) const {
-    return pools_.at(k);
-  }
+  /// The server ids of pool `k`.
+  [[nodiscard]] ServerRange pool(std::size_t k) const { return pools_.at(k); }
 
  private:
-  std::vector<std::vector<std::size_t>> pools_;
+  explicit ClusterPartitions(std::vector<ServerRange> pools)
+      : pools_(std::move(pools)) {}
+
+  std::vector<ServerRange> pools_;
 };
 
 /// Maps priorities to pools: pool 0 is on-demand; deflatable VMs map by

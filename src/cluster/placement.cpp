@@ -2,17 +2,41 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <stdexcept>
 
 namespace deflate::cluster {
 
 namespace {
 
+/// Four per-resource columns of the scan table, read from one row on:
+/// row(j) is the vector of row `first + j`. The feasibility mask and the
+/// builtin scorers read a block through it, every column of a row
+/// together, so the column streams advance in lockstep; the mask and
+/// fitness row loops vectorize.
+class ColumnBlock {
+ public:
+  using Columns = std::array<std::vector<double>, res::kNumResources>;
+
+  ColumnBlock(const Columns& columns, std::size_t first) noexcept {
+    for (std::size_t k = 0; k < res::kNumResources; ++k) {
+      columns_[k] = columns[k].data() + first;
+    }
+  }
+
+  [[nodiscard]] res::ResourceVector row(std::size_t j) const noexcept {
+    return {columns_[0][j], columns_[1][j], columns_[2][j], columns_[3][j]};
+  }
+
+ private:
+  std::array<const double*, res::kNumResources> columns_{};
+};
+
 // --- scoring kernels --------------------------------------------------------
 //
 // The one definition of each score's arithmetic: HostScanTable::set_row
-// caches availability_kernel per row, and the builtins' score_rows read
-// those columns through the other kernels.
+// caches availability_kernel per row, and the builtins' score_rows feed
+// the other kernels from those columns, row by row of a contiguous range.
 
 /// §5.2: A_j = Total - Used + deflatable_j / overcommitted_j. A server at
 /// or below full commitment divides by 1 (no discount); overcommitted
@@ -94,10 +118,10 @@ const char* placement_strategy_name(PlacementStrategy s) noexcept {
 namespace {
 
 void leftover_rows(const DemandTerms& terms, const HostScanTable& table,
-                   std::span<const std::size_t> servers,
-                   std::span<double> scores) {
-  for (std::size_t k = 0; k < servers.size(); ++k) {
-    scores[k] = leftover_kernel(terms, table.availability_of(servers[k]));
+                   std::size_t first, std::span<double> scores) {
+  const ColumnBlock availability(table.availability, first);
+  for (std::size_t j = 0; j < scores.size(); ++j) {
+    scores[j] = leftover_kernel(terms, availability.row(j));
   }
 }
 
@@ -108,15 +132,18 @@ class FitnessScorer final : public PlacementScorer {
     return Order::HigherBetter;
   }
   void score_rows(const DemandTerms& terms, const HostScanTable& table,
-                  std::span<const std::size_t> servers, bool under_pressure,
+                  std::size_t first, std::size_t count, bool under_pressure,
                   std::span<double> scores) const override {
-    for (std::size_t k = 0; k < servers.size(); ++k) {
-      const std::size_t i = servers[k];
-      const res::ResourceVector availability = table.availability_of(i);
-      scores[k] = under_pressure
-                      ? pressure_kernel(terms, availability)
-                      : fitness_kernel(terms, availability,
-                                       table.availability_norm[i]);
+    const ColumnBlock availability(table.availability, first);
+    if (under_pressure) {
+      for (std::size_t j = 0; j < count; ++j) {
+        scores[j] = pressure_kernel(terms, availability.row(j));
+      }
+      return;
+    }
+    const double* norms = table.availability_norm.data() + first;
+    for (std::size_t j = 0; j < count; ++j) {
+      scores[j] = fitness_kernel(terms, availability.row(j), norms[j]);
     }
   }
 };
@@ -126,10 +153,10 @@ class FitnessScorer final : public PlacementScorer {
 class FirstFitScorer final : public PlacementScorer {
  public:
   [[nodiscard]] Order order() const noexcept override { return Order::ById; }
-  void score_rows(const DemandTerms&, const HostScanTable&,
-                  std::span<const std::size_t>, bool,
+  void score_rows(const DemandTerms&, const HostScanTable&, std::size_t,
+                  std::size_t count, bool,
                   std::span<double> scores) const override {
-    std::fill(scores.begin(), scores.end(), 0.0);
+    std::fill_n(scores.begin(), count, 0.0);
   }
 };
 
@@ -139,9 +166,9 @@ class BestFitScorer final : public PlacementScorer {
     return Order::LowerBetter;
   }
   void score_rows(const DemandTerms& terms, const HostScanTable& table,
-                  std::span<const std::size_t> servers, bool,
+                  std::size_t first, std::size_t count, bool,
                   std::span<double> scores) const override {
-    leftover_rows(terms, table, servers, scores);
+    leftover_rows(terms, table, first, scores.first(count));
   }
 };
 
@@ -151,9 +178,9 @@ class WorstFitScorer final : public PlacementScorer {
     return Order::HigherBetter;
   }
   void score_rows(const DemandTerms& terms, const HostScanTable& table,
-                  std::span<const std::size_t> servers, bool,
+                  std::size_t first, std::size_t count, bool,
                   std::span<double> scores) const override {
-    leftover_rows(terms, table, servers, scores);
+    leftover_rows(terms, table, first, scores.first(count));
   }
 };
 
@@ -261,48 +288,49 @@ res::ResourceVector HostScanTable::availability_of(
 
 namespace {
 
-struct ScanBest {
-  double score = 0.0;
-  std::size_t host = 0;
-  bool valid = false;
-};
+/// Rows per feasibility mask and per score_rows call.
+constexpr std::size_t kBlock = 128;
 
-/// Strict total order on (score, host id): the only tie-break contract.
-/// Ties break by lowest host id, so the winner does not depend on the
-/// order of `candidates`.
-bool scan_better(PlacementScorer::Order order, double score, std::size_t host,
-                 const ScanBest& best) {
-  if (!best.valid) return true;
-  switch (order) {
-    case PlacementScorer::Order::HigherBetter:
-      if (score != best.score) return score > best.score;
-      return host < best.host;
-    case PlacementScorer::Order::LowerBetter:
-      if (score != best.score) return score < best.score;
-      return host < best.host;
-    case PlacementScorer::Order::ById:
-      return host < best.host;
-  }
-  return false;
-}
+/// One mask lane per row, as wide as a column value so that the mask
+/// updates vectorize alongside the double compares.
+using Mask = std::uint64_t;
 
-/// The two feasibility passes over the raw columns, with 1e-9 epsilons:
-/// free capacity alone, or the shortfall covered by the deflatable column.
-bool row_feasible(const HostScanTable& table, std::size_t server,
-                  const res::ResourceVector& demand,
-                  ScanFeasibility feasibility) noexcept {
-  for (const res::Resource r : res::all_resources) {
-    const auto k = static_cast<std::size_t>(r);
-    const double available = table.available[k][server];
-    if (feasibility == ScanFeasibility::FreeCapacity) {
-      if (demand[r] > available + 1e-9) return false;
-    } else {
-      double need = demand[r] - available;
-      if (need < 0.0) need = 0.0;
-      if (need > table.deflatable[k][server] + 1e-9) return false;
+/// Marks each row of [first, first + count) that the scan must skip:
+/// ineligible, or failing the pass's feasibility test — free capacity
+/// alone, or the shortfall covered by the deflatable column, each with a
+/// 1e-9 epsilon, resource by resource. Branch-free over the contiguous
+/// columns, so it vectorizes. Returns whether any row is left feasible.
+bool reject_mask(const HostScanTable& table, const res::ResourceVector& demand,
+                 ScanFeasibility feasibility, std::size_t first,
+                 std::size_t count, Mask* reject) noexcept {
+  const std::uint8_t* eligible = table.eligible.data() + first;
+  const ColumnBlock available(table.available, first);
+  if (feasibility == ScanFeasibility::FreeCapacity) {
+    for (std::size_t j = 0; j < count; ++j) {
+      const res::ResourceVector a = available.row(j);
+      Mask m = eligible[j] == 0 ? 1 : 0;
+      for (const res::Resource r : res::all_resources) {
+        m = demand[r] > a[r] + 1e-9 ? 1 : m;
+      }
+      reject[j] = m;
+    }
+  } else {
+    const ColumnBlock deflatable(table.deflatable, first);
+    for (std::size_t j = 0; j < count; ++j) {
+      const res::ResourceVector a = available.row(j);
+      const res::ResourceVector headroom = deflatable.row(j);
+      Mask m = eligible[j] == 0 ? 1 : 0;
+      for (const res::Resource r : res::all_resources) {
+        const double need = demand[r] - a[r];
+        const double shortfall = need < 0.0 ? 0.0 : need;
+        m = shortfall > headroom[r] + 1e-9 ? 1 : m;
+      }
+      reject[j] = m;
     }
   }
-  return true;
+  Mask all = 1;
+  for (std::size_t j = 0; j < count; ++j) all &= reject[j];
+  return all == 0;
 }
 
 }  // namespace
@@ -310,52 +338,54 @@ bool row_feasible(const HostScanTable& table, std::size_t server,
 std::optional<std::size_t> scan_pick_host(PlacementStrategy strategy,
                                           const res::ResourceVector& demand,
                                           const HostScanTable& table,
-                                          std::span<const std::size_t> candidates,
+                                          std::size_t first, std::size_t last,
                                           ScanFeasibility feasibility,
                                           bool under_pressure) {
   return scan_pick_host(builtin_placement_scorer(strategy), demand, table,
-                        candidates, feasibility, under_pressure);
+                        first, last, feasibility, under_pressure);
 }
 
 std::optional<std::size_t> scan_pick_host(const PlacementScorer& scorer,
                                           const res::ResourceVector& demand,
                                           const HostScanTable& table,
-                                          std::span<const std::size_t> candidates,
+                                          std::size_t first, std::size_t last,
                                           ScanFeasibility feasibility,
                                           bool under_pressure) {
   const PlacementScorer::Order order = scorer.order();
+  const bool higher = order == PlacementScorer::Order::HigherBetter;
   const DemandTerms terms(demand, table.capacity);
-  // Feasible rows are gathered into fixed blocks and scored with one
-  // score_rows call per block: one virtual call per block, not per
-  // candidate.
-  constexpr std::size_t kBlock = 128;
-  std::array<std::size_t, kBlock> rows{};
+  std::array<Mask, kBlock> reject{};
   std::array<double, kBlock> scores{};
-  ScanBest best;
-  std::size_t c = 0;
-  while (c < candidates.size()) {
-    std::size_t n = 0;
-    for (; c < candidates.size() && n < kBlock; ++c) {
-      const std::size_t server = candidates[c];
-      if (table.eligible[server] && row_feasible(table, server, demand,
-                                                 feasibility)) {
-        rows[n++] = server;
-      }
+  std::optional<std::size_t> best;
+  double best_score = 0.0;
+  for (std::size_t block = first; block < last; block += kBlock) {
+    const std::size_t count = std::min(kBlock, last - block);
+    if (!reject_mask(table, demand, feasibility, block, count,
+                     reject.data())) {
+      continue;
     }
-    if (n == 0) continue;
-    const std::span<const std::size_t> block(rows.data(), n);
-    if (order != PlacementScorer::Order::ById) {
-      scorer.score_rows(terms, table, block, under_pressure,
-                        std::span<double>(scores.data(), n));
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-      if (scan_better(order, scores[k], rows[k], best)) {
-        best = {scores[k], rows[k], true};
+    std::size_t lo = 0;
+    while (reject[lo] != 0) ++lo;
+    // Ids ascend, so the first feasible row is the lowest id.
+    if (order == PlacementScorer::Order::ById) return block + lo;
+    std::size_t hi = count;
+    while (reject[hi - 1] != 0) --hi;
+    // One call scores the block's span of feasible rows, masked rows
+    // included; their scores are never read.
+    scorer.score_rows(terms, table, block + lo, hi - lo, under_pressure,
+                      std::span<double>(scores.data(), hi - lo));
+    // Ids ascend, so (score, lowest id) keeps the incumbent on a tie:
+    // replace it only on a strictly better score.
+    for (std::size_t j = lo; j < hi; ++j) {
+      if (reject[j] != 0) continue;
+      const double score = scores[j - lo];
+      if (!best || (higher ? score > best_score : score < best_score)) {
+        best = block + j;
+        best_score = score;
       }
     }
   }
-  if (!best.valid) return std::nullopt;
-  return best.host;
+  return best;
 }
 
 }  // namespace deflate::cluster

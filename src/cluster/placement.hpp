@@ -11,8 +11,12 @@
 // SoA HostScanTable. Every placement goes through it: both feasibility
 // passes of deflation mode, and preemption mode, whose manager keeps a
 // second table with each server's preemptable allocation in the
-// deflatable column. Scorers plug in through score_rows alone, and the
-// loop ranks candidates under (score, lowest host id) — the only tie
+// deflatable column. A scan covers one contiguous id range [first, last)
+// (a partition pool, or the whole table). It walks the range in fixed
+// blocks, masks each block branch-free over the contiguous columns, and
+// scores every block holding a feasible row with one score_rows call over
+// a contiguous row range. Scorers plug in through score_rows alone, and
+// the loop ranks candidates under (score, lowest host id) — the only tie
 // contract.
 #pragma once
 
@@ -67,12 +71,14 @@ class PlacementScorer {
 
   [[nodiscard]] virtual Order order() const noexcept = 0;
 
-  /// Writes the score of each row in `servers` (all eligible and feasible)
-  /// into `scores`. scan_pick_host calls this once per block of
-  /// candidates, never once per candidate, and never for Order::ById.
-  /// The builtins read the table's cached availability columns.
+  /// Writes the score of every row in [first, first + count) into
+  /// `scores[0, count)`. The range may hold ineligible or infeasible rows:
+  /// scan_pick_host masks them and ignores their scores, so a score must
+  /// depend on its own row alone. scan_pick_host calls this once per
+  /// block, never once per candidate, and never for Order::ById. The
+  /// builtins read the table's cached availability columns.
   virtual void score_rows(const DemandTerms& terms, const HostScanTable& table,
-                          std::span<const std::size_t> servers,
+                          std::size_t first, std::size_t count,
                           bool under_pressure,
                           std::span<double> scores) const = 0;
 };
@@ -144,20 +150,20 @@ struct HostScanTable {
 /// free capacity alone, or free capacity plus the deflatable column.
 enum class ScanFeasibility { FreeCapacity, WithDeflation };
 
-/// Strategy scan over the SoA table restricted to `candidates` (ineligible
-/// servers are skipped). Returns the winning *server id*: the feasible
-/// candidate that ranks first under (score, lowest host id), or nullopt
-/// when none is feasible.
+/// Strategy scan over the rows [first, last) of the SoA table, with
+/// `last <= table.size()` (ineligible servers are skipped). Returns the
+/// winning *server id*: the feasible row that ranks first under (score,
+/// lowest host id), or nullopt when none is feasible.
 [[nodiscard]] std::optional<std::size_t> scan_pick_host(
     PlacementStrategy strategy, const res::ResourceVector& demand,
-    const HostScanTable& table, std::span<const std::size_t> candidates,
+    const HostScanTable& table, std::size_t first, std::size_t last,
     ScanFeasibility feasibility, bool under_pressure);
 
 /// Scorer-driven scan; the enum overload forwards here with the builtin
-/// scorer. The winner does not depend on the order of `candidates`.
+/// scorer.
 [[nodiscard]] std::optional<std::size_t> scan_pick_host(
     const PlacementScorer& scorer, const res::ResourceVector& demand,
-    const HostScanTable& table, std::span<const std::size_t> candidates,
+    const HostScanTable& table, std::size_t first, std::size_t last,
     ScanFeasibility feasibility, bool under_pressure);
 
 }  // namespace deflate::cluster

@@ -40,20 +40,48 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double quantile_sorted(std::span<const double> sorted, double q) {
-  if (sorted.empty()) throw std::invalid_argument("quantile of empty range");
+namespace {
+
+/// Where quantile q of n sorted values falls: between the order
+/// statistics idx and idx + 1, `frac` of the way to the second.
+struct QuantilePosition {
+  std::size_t idx = 0;
+  double frac = 0.0;
+};
+
+QuantilePosition quantile_position(std::size_t n, double q) {
+  if (n == 0) throw std::invalid_argument("quantile of empty range");
   q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const double pos = q * static_cast<double>(n - 1);
   const auto idx = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(idx);
-  if (idx + 1 >= sorted.size()) return sorted[sorted.size() - 1];
-  return sorted[idx] * (1.0 - frac) + sorted[idx + 1] * frac;
+  return {idx, pos - static_cast<double>(idx)};
+}
+
+double interpolate(double lower, double upper, double frac) {
+  return lower * (1.0 - frac) + upper * frac;
+}
+
+}  // namespace
+
+double quantile_sorted(std::span<const double> sorted, double q) {
+  const QuantilePosition at = quantile_position(sorted.size(), q);
+  if (at.idx + 1 >= sorted.size()) return sorted[sorted.size() - 1];
+  return interpolate(sorted[at.idx], sorted[at.idx + 1], at.frac);
+}
+
+double quantile_in_place(std::span<double> values, double q) {
+  const QuantilePosition at = quantile_position(values.size(), q);
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(at.idx);
+  std::nth_element(values.begin(), nth, values.end());
+  if (at.idx + 1 >= values.size()) return *nth;
+  // Everything after nth is >= it, so the next order statistic is the
+  // tail's minimum.
+  return interpolate(*nth, *std::min_element(nth + 1, values.end()), at.frac);
 }
 
 double quantile(std::span<const double> values, double q) {
   std::vector<double> copy(values.begin(), values.end());
-  std::sort(copy.begin(), copy.end());
-  return quantile_sorted(copy, q);
+  return quantile_in_place(copy, q);
 }
 
 BoxStats BoxStats::from(std::span<const double> values) {

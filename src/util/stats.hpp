@@ -37,7 +37,11 @@ class RunningStats {
 /// Linear-interpolated quantile of a *sorted* sequence, q in [0, 1].
 [[nodiscard]] double quantile_sorted(std::span<const double> sorted, double q);
 
-/// Convenience: copies, sorts, and evaluates one quantile.
+/// quantile_sorted's value for the sorted order of `values`, found by
+/// selection instead of a full sort; reorders `values`.
+[[nodiscard]] double quantile_in_place(std::span<double> values, double q);
+
+/// Convenience: copies and evaluates one quantile.
 [[nodiscard]] double quantile(std::span<const double> values, double q);
 
 /// Five-number summary for box plots (Figs 5-12 are box plots in the paper).

@@ -2,7 +2,6 @@
 // (mechanism choice, placement strategy, reinflation toggle).
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <optional>
 
 #include "cluster/cluster_manager.hpp"
@@ -138,13 +137,11 @@ std::optional<std::size_t> strategy_pick(
   cl::HostScanTable table;
   table.capacity = {48.0, 131072.0, 0.0, 0.0};
   table.resize(free.size());
-  std::vector<std::size_t> candidates(free.size());
-  std::iota(candidates.begin(), candidates.end(), std::size_t{0});
-  for (const std::size_t i : candidates) {
+  for (std::size_t i = 0; i < free.size(); ++i) {
     table.set_row(i, free[i], {}, /*overcommit_i=*/0.0);
     table.eligible[i] = ineligible == i ? 0 : 1;
   }
-  return cl::scan_pick_host(strategy, demand, table, candidates,
+  return cl::scan_pick_host(strategy, demand, table, 0, free.size(),
                             cl::ScanFeasibility::FreeCapacity,
                             /*under_pressure=*/false);
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "cluster/partitions.hpp"
 #include "cluster/pricing.hpp"
 
@@ -8,21 +11,29 @@ namespace cl = deflate::cluster;
 TEST(Partitions, SinglePoolOwnsAllServers) {
   const auto partitions = cl::ClusterPartitions::single_pool(7);
   EXPECT_EQ(partitions.pool_count(), 1U);
-  EXPECT_EQ(partitions.pool(0).size(), 7U);
+  EXPECT_EQ(partitions.pool(0), (cl::ServerRange{0, 7}));
 }
 
 TEST(Partitions, EveryServerAssignedExactlyOnce) {
-  const cl::ClusterPartitions partitions(10, {0.5, 0.2, 0.2, 0.1});
-  std::vector<int> seen(10, 0);
-  std::size_t total = 0;
-  for (std::size_t k = 0; k < partitions.pool_count(); ++k) {
-    for (const auto s : partitions.pool(k)) {
-      ++seen[s];
-      ++total;
+  // The pools are disjoint, ascending, non-empty id ranges that together
+  // cover [0, n): each pool starts where the previous one ends.
+  const std::vector<std::pair<std::size_t, std::vector<double>>> configs{
+      {10, {0.5, 0.2, 0.2, 0.1}},
+      {5, {0.97, 0.01, 0.01, 0.01}},
+      {1, {1.0}},
+      {1000, {0.3, 0.1, 0.25, 0.2, 0.15}}};
+  for (const auto& [servers, weights] : configs) {
+    const cl::ClusterPartitions partitions(servers, weights);
+    ASSERT_EQ(partitions.pool_count(), weights.size());
+    std::size_t next = 0;
+    for (std::size_t k = 0; k < partitions.pool_count(); ++k) {
+      const cl::ServerRange pool = partitions.pool(k);
+      EXPECT_EQ(pool.first, next) << servers << " servers, pool " << k;
+      EXPECT_LT(pool.first, pool.last) << servers << " servers, pool " << k;
+      next = pool.last;
     }
+    EXPECT_EQ(next, servers);
   }
-  EXPECT_EQ(total, 10U);
-  for (const int count : seen) EXPECT_EQ(count, 1);
 }
 
 TEST(Partitions, SplitTracksWeights) {

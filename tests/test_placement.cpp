@@ -4,7 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <cstdint>
+#include <utility>
 
 #include "util/rng.hpp"
 
@@ -30,27 +31,21 @@ cl::HostScanTable make_table(const std::vector<res::ResourceVector>& available,
   return table;
 }
 
-std::vector<std::size_t> all_rows(const cl::HostScanTable& table) {
-  std::vector<std::size_t> rows(table.size());
-  std::iota(rows.begin(), rows.end(), std::size_t{0});
-  return rows;
-}
-
 /// Fitness scores of every row, from one score_rows call.
 std::vector<double> fitness_scores(const res::ResourceVector& demand,
                                    const cl::HostScanTable& table,
                                    bool under_pressure = false) {
   std::vector<double> scores(table.size());
   cl::builtin_placement_scorer(cl::PlacementStrategy::Fitness)
-      .score_rows(cl::DemandTerms(demand, kCapacity), table, all_rows(table),
+      .score_rows(cl::DemandTerms(demand, kCapacity), table, 0, table.size(),
                   under_pressure, scores);
   return scores;
 }
 
 std::optional<std::size_t> pick_free(const res::ResourceVector& demand,
                                      const cl::HostScanTable& table) {
-  return cl::scan_pick_host(cl::PlacementStrategy::Fitness, demand, table,
-                            all_rows(table), cl::ScanFeasibility::FreeCapacity,
+  return cl::scan_pick_host(cl::PlacementStrategy::Fitness, demand, table, 0,
+                            table.size(), cl::ScanFeasibility::FreeCapacity,
                             /*under_pressure=*/false);
 }
 
@@ -111,9 +106,38 @@ TEST(Placement, NoFeasibleHostReturnsNullopt) {
       make_table({{48.0, 131072.0, 0.0, 0.0}, {4.0, 8192.0, 0.0, 0.0}});
   table.eligible[0] = 0;
   EXPECT_FALSE(pick_free(demand, table));
-  EXPECT_FALSE(cl::scan_pick_host(cl::PlacementStrategy::Fitness, demand,
-                                  table, {}, cl::ScanFeasibility::FreeCapacity,
-                                  /*under_pressure=*/false));
+  // Row 0 fits once eligible, but an empty range and a range without it
+  // still find nothing.
+  table.eligible[0] = 1;
+  using Range = std::pair<std::size_t, std::size_t>;
+  for (const auto& [first, last] : {Range{0, 0}, Range{1, 2}}) {
+    EXPECT_FALSE(cl::scan_pick_host(cl::PlacementStrategy::Fitness, demand,
+                                    table, first, last,
+                                    cl::ScanFeasibility::FreeCapacity,
+                                    /*under_pressure=*/false));
+  }
+}
+
+TEST(Placement, FeasibilityToleratesOneEpsilon) {
+  // Both passes accept a shortfall within 1e-9 and reject one beyond it.
+  const res::ResourceVector demand(8.0, 16384.0, 0.0, 0.0);
+  const res::ResourceVector cpu_short(8.0 - 5e-10, 16384.0, 0.0, 0.0);
+  const res::ResourceVector cpu_shorter(8.0 - 2e-9, 16384.0, 0.0, 0.0);
+  const auto pick = [&](const res::ResourceVector& available,
+                        const res::ResourceVector& deflatable,
+                        cl::ScanFeasibility feasibility) {
+    return cl::scan_pick_host(cl::PlacementStrategy::FirstFit, demand,
+                              make_table({available}, deflatable), 0, 1,
+                              feasibility, /*under_pressure=*/false);
+  };
+  EXPECT_TRUE(pick(cpu_short, {}, cl::ScanFeasibility::FreeCapacity));
+  EXPECT_FALSE(pick(cpu_shorter, {}, cl::ScanFeasibility::FreeCapacity));
+  // Half the cores free, the other half (less the slack) deflatable.
+  const res::ResourceVector half(4.0, 16384.0, 0.0, 0.0);
+  EXPECT_TRUE(pick(half, {4.0 - 5e-10, 0.0, 0.0, 0.0},
+                   cl::ScanFeasibility::WithDeflation));
+  EXPECT_FALSE(pick(half, {4.0 - 2e-9, 0.0, 0.0, 0.0},
+                    cl::ScanFeasibility::WithDeflation));
 }
 
 TEST(Placement, ZeroAvailabilityGuarded) {
@@ -185,18 +209,20 @@ res::ResourceVector random_demand(util::Rng& rng) {
   return demand;
 }
 
-/// Naive reference for scan_pick_host: mask each candidate by eligibility
-/// and the per-row all_leq feasibility test, score it through a 1-row
-/// score_rows call, and keep the argmax under (score, lowest id).
+/// Naive reference for scan_pick_host over the rows [first, last): mask
+/// each row by eligibility and the per-row all_leq feasibility test, score
+/// it through a 1-row score_rows call, and keep the argmax under (score,
+/// lowest id). `ties` counts feasible rows that scored level with the
+/// incumbent, so a test can show ties were exercised.
 std::optional<std::size_t> reference_pick(
     const cl::PlacementScorer& scorer, const res::ResourceVector& demand,
-    const cl::HostScanTable& table, const std::vector<std::size_t>& candidates,
-    cl::ScanFeasibility feasibility, bool under_pressure) {
+    const cl::HostScanTable& table, std::size_t first, std::size_t last,
+    cl::ScanFeasibility feasibility, bool under_pressure, std::size_t& ties) {
   const cl::DemandTerms terms(demand, table.capacity);
   const cl::PlacementScorer::Order order = scorer.order();
   std::optional<std::size_t> best;
   double best_score = 0.0;
-  for (const std::size_t i : candidates) {
+  for (std::size_t i = first; i < last; ++i) {
     const res::ResourceVector available = table.available_of(i);
     const bool fits =
         feasibility == cl::ScanFeasibility::FreeCapacity
@@ -205,14 +231,16 @@ std::optional<std::size_t> reference_pick(
                   table.deflatable_of(i), 1e-9);
     if (table.eligible[i] == 0 || !fits) continue;
     double score = 0.0;
-    const std::size_t row[] = {i};
-    scorer.score_rows(terms, table, row, under_pressure, {&score, 1});
+    scorer.score_rows(terms, table, i, 1, under_pressure, {&score, 1});
     bool better = !best || i < *best;
-    if (best && order != cl::PlacementScorer::Order::ById &&
-        score != best_score) {
-      better = order == cl::PlacementScorer::Order::HigherBetter
-                   ? score > best_score
-                   : score < best_score;
+    if (best && order != cl::PlacementScorer::Order::ById) {
+      if (score != best_score) {
+        better = order == cl::PlacementScorer::Order::HigherBetter
+                     ? score > best_score
+                     : score < best_score;
+      } else {
+        ++ties;
+      }
     }
     if (better) {
       best = i;
@@ -229,14 +257,26 @@ class MostFreeMemoryScorer final : public cl::PlacementScorer {
     return Order::HigherBetter;
   }
   void score_rows(const cl::DemandTerms&, const cl::HostScanTable& table,
-                  std::span<const std::size_t> servers, bool,
+                  std::size_t first, std::size_t count, bool,
                   std::span<double> scores) const override {
     const auto memory = static_cast<std::size_t>(res::Resource::Memory);
-    for (std::size_t k = 0; k < servers.size(); ++k) {
-      scores[k] = table.available[memory][servers[k]];
+    for (std::size_t j = 0; j < count; ++j) {
+      scores[j] = table.available[memory][first + j];
     }
   }
 };
+
+/// Rewrites every row as a copy of one of the first `distinct` rows, so
+/// equal scores tie across blocks and only the lowest id may win.
+void duplicate_rows(cl::HostScanTable& table, util::Rng& rng,
+                    std::size_t distinct) {
+  for (std::size_t i = distinct; i < table.size(); ++i) {
+    const auto from = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(distinct) - 1));
+    table.set_row(i, table.available_of(from), table.deflatable_of(from),
+                  table.overcommit[from]);
+  }
+}
 
 }  // namespace
 
@@ -264,37 +304,60 @@ TEST(PlacementScan, PicksTheSameServerAsTheNaiveReference) {
   }
 
   util::Rng rng(11);
-  std::size_t compared = 0, placed = 0;
-  // 1500 rows span several 128-row scoring blocks.
-  for (const std::size_t servers : {1U, 7U, 60U, 1500U}) {
+  std::size_t compared = 0, placed = 0, empty = 0, ties = 0;
+  // Range lengths around the 128-row block: one row, one short of a
+  // block, exactly one, one over, and many blocks.
+  for (const std::size_t length : {1U, 127U, 128U, 129U, 1500U}) {
     for (int trial = 0; trial < 12; ++trial) {
-      const cl::HostScanTable table = random_table(rng, servers);
-      std::vector<std::size_t> candidates;
-      for (std::size_t i = 0; i < servers; ++i) {
-        if (trial % 3 != 0 || rng.bernoulli(0.6)) candidates.push_back(i);
+      // A random sub-range [first, last) of a larger table, so the range
+      // starts off block alignment and rows outside it must never win.
+      const auto first = static_cast<std::size_t>(rng.uniform_int(0, 200));
+      const std::size_t last = first + length;
+      cl::HostScanTable table = random_table(
+          rng, last + static_cast<std::size_t>(rng.uniform_int(0, 200)));
+      // What used to be a non-candidate is now an ineligible row.
+      if (trial % 3 == 0) {
+        for (std::size_t i = first; i < last; ++i) {
+          if (rng.bernoulli(0.4)) table.eligible[i] = 0;
+        }
       }
-      // The winner must not depend on candidate order.
-      if (trial % 4 == 1) std::reverse(candidates.begin(), candidates.end());
-      const res::ResourceVector demand = random_demand(rng);
+      // Exact score ties between far-apart rows.
+      if (trial % 4 == 1) duplicate_rows(table, rng, 3);
+      res::ResourceVector demand = random_demand(rng);
+      // Nothing in the range is feasible: too big for every row, or
+      // every row ineligible.
+      if (trial == 6) demand = kCapacity * 2.0;
+      if (trial == 7) {
+        std::fill(table.eligible.begin() + static_cast<std::ptrdiff_t>(first),
+                  table.eligible.begin() + static_cast<std::ptrdiff_t>(last),
+                  std::uint8_t{0});
+      }
       for (const cl::PlacementScorer* scorer : scorers) {
         for (const auto feasibility : {cl::ScanFeasibility::FreeCapacity,
                                        cl::ScanFeasibility::WithDeflation}) {
           for (const bool pressure : {false, true}) {
-            const auto expected = reference_pick(
-                *scorer, demand, table, candidates, feasibility, pressure);
-            const auto got = cl::scan_pick_host(*scorer, demand, table,
-                                                candidates, feasibility,
-                                                pressure);
+            const auto expected =
+                reference_pick(*scorer, demand, table, first, last,
+                               feasibility, pressure, ties);
+            const auto got = cl::scan_pick_host(*scorer, demand, table, first,
+                                                last, feasibility, pressure);
             EXPECT_EQ(got, expected)
-                << "servers " << servers << " trial " << trial
-                << " pressure " << pressure;
+                << "length " << length << " trial " << trial << " range ["
+                << first << ", " << last << ") pressure " << pressure;
             ++compared;
-            if (expected) ++placed;
+            if (expected) {
+              ++placed;
+            } else {
+              ++empty;
+            }
           }
         }
       }
     }
   }
-  // The comparison is not vacuous: most scans find a server.
+  // The comparison is not vacuous: most scans find a server, some find
+  // none, and exact ties occur.
   EXPECT_GT(placed, compared / 2);
+  EXPECT_GT(empty, 0U);
+  EXPECT_GT(ties, 0U);
 }

@@ -304,3 +304,74 @@ TEST(SimCluster, TelemetryObserverSeesActiveServersAndChangesNothing) {
   EXPECT_EQ(metrics.cost, expected.cost);
   EXPECT_EQ(observed.cluster_stats(), plain.cluster_stats());
 }
+
+TEST(SimCluster, TimedMigrationSuspendsAtTheWarningAndKillsAtRevocation) {
+  // Two servers: server 0 on-demand, filled by one non-deflatable VM;
+  // server 1 transient, hosting one small deflatable VM, and revoked once
+  // (never restored). The VM's transfer fits the warning, but no server
+  // can take it, so it is checkpointed (suspended) at the warning, finds
+  // no destination at the deadline either, is killed, and is billed as
+  // preempted.
+  const auto hours = [](double h) {
+    return deflate::sim::SimTime::from_hours(h);
+  };
+  std::vector<tr::VmRecord> records(2);
+  records[0].id = 0;
+  records[0].vcpus = 48;
+  records[0].memory_mib = 128.0 * 1024.0;
+  records[0].workload = deflate::hv::WorkloadClass::DelayInsensitive;
+  records[1].id = 1;
+  records[1].vcpus = 4;
+  records[1].memory_mib = 64.0;
+  records[1].workload = deflate::hv::WorkloadClass::Interactive;
+  for (tr::VmRecord& record : records) {
+    record.start = hours(0.0);
+    record.end = hours(10.0);
+    record.cpu = tr::UtilizationSeries(std::vector<float>(120, 0.5F));
+  }
+  ASSERT_FALSE(records[0].deflatable());
+  ASSERT_TRUE(records[1].deflatable());
+
+  sc::SimConfig config;
+  config.server_count = 2;
+  config.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
+  config.market_enabled = true;
+  config.market.use_portfolio = false;
+  config.market.on_demand_share = 0.5;
+  // A lifetime cap of 2 h with the mass piled against it: server 1 is
+  // revoked once, just before 2 h, and never handed back.
+  config.market.revocation.model =
+      deflate::transient::RevocationModel::TemporallyConstrained;
+  config.market.revocation.max_lifetime_hours = 2.0;
+  config.market.revocation.early_fraction = 0.0;
+  config.market.revocation.late_shape = 1000.0;
+  config.market.revocation.recovery_hours = 1000.0;
+  const double warning_hours = 0.1;
+  config.market.revocation.warning_hours = warning_hours;
+  // Timed hybrid migration over a near-zero link: 0.1 MiB/s streams the
+  // VM's deflated 16 MiB in 160 s, inside the 6-minute warning.
+  config.migration.strategy_name = "hybrid";
+  config.migration.model.bandwidth_mib_per_sec = 0.1;
+  config.migration.model.dirty_mib_per_sec = 0.0;
+
+  sc::TraceDrivenSimulator simulator(records, config);
+  const sc::SimMetrics metrics = simulator.run();
+
+  EXPECT_EQ(metrics.revocations, 1U);
+  // Both VMs launched; the only failed placements are the suspended VM's
+  // at the warning and at the deadline.
+  EXPECT_EQ(metrics.rejections, 2U);
+  // Suspended at the warning: nothing migrated, yet the VM was paused from
+  // the warning to the deadline.
+  EXPECT_EQ(metrics.live_migrations, 0U);
+  EXPECT_EQ(metrics.checkpoint_restores, 0U);
+  EXPECT_NEAR(metrics.migration_downtime_hours, warning_hours, 1e-9);
+  // Killed at the revocation, and counted as a preemption.
+  EXPECT_EQ(metrics.checkpoint_kills, 1U);
+  EXPECT_EQ(metrics.revocation_kills, 1U);
+  EXPECT_EQ(metrics.preemptions, 1U);
+  // Billed as preempted: its 4 cores go unserved from the revocation
+  // (in [1.9 h, 2 h]) to its 10 h departure.
+  EXPECT_GE(metrics.unserved_core_hours, 4.0 * (10.0 - 2.0) - 1e-9);
+  EXPECT_LE(metrics.unserved_core_hours, 4.0 * (10.0 - 1.9) + 1e-9);
+}

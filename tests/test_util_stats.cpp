@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "trace/series.hpp"
 #include "util/rng.hpp"
 
 namespace du = deflate::util;
@@ -83,6 +85,34 @@ TEST(Quantile, ClampsOutOfRangeQ) {
   const std::vector<double> v{1.0, 2.0, 3.0};
   EXPECT_DOUBLE_EQ(du::quantile(v, -0.5), 1.0);
   EXPECT_DOUBLE_EQ(du::quantile(v, 1.5), 3.0);
+}
+
+TEST(Quantile, SelectionMatchesTheSortedValueBitForBit) {
+  // quantile() and UtilizationSeries::percentile select instead of
+  // sorting; they must return exactly quantile_sorted's value. Sizes 1, 2,
+  // odd and even; "ties" draws from four values, so order statistics
+  // repeat.
+  du::Rng rng(3);
+  for (const std::size_t n : {1U, 2U, 7U, 10U, 289U, 576U}) {
+    for (const bool ties : {false, true}) {
+      std::vector<float> samples(n);
+      for (float& sample : samples) {
+        sample = ties ? 0.25F * static_cast<float>(rng.uniform_int(0, 3))
+                      : static_cast<float>(rng.u01());
+      }
+      const std::vector<double> values(samples.begin(), samples.end());
+      std::vector<double> sorted = values;
+      std::sort(sorted.begin(), sorted.end());
+      const deflate::trace::UtilizationSeries series(samples);
+      for (const double q : {0.0, 0.95, 1.0}) {
+        const double expected = du::quantile_sorted(sorted, q);
+        EXPECT_EQ(du::quantile(values, q), expected)
+            << "n " << n << " ties " << ties << " q " << q;
+        EXPECT_EQ(series.percentile(q), expected)
+            << "n " << n << " ties " << ties << " q " << q;
+      }
+    }
+  }
 }
 
 TEST(BoxStats, EmptyInput) {
