@@ -35,7 +35,7 @@ Point run_point(deflate::mech::DeflationMechanism& mechanism, double deflation,
   spec.memory_mib = kVmMemoryMib;
   spec.deflatable = true;
   virt::Domain dom = conn.define_and_start(spec);
-  dom.vm().guest().set_rss(kRssFraction * kVmMemoryMib);
+  dom.vm().set_rss(kRssFraction * kVmMemoryMib);
 
   res::ResourceVector target = spec.vector();
   target[res::Resource::Memory] = kVmMemoryMib * (1.0 - deflation);

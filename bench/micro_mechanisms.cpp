@@ -19,7 +19,7 @@ struct Rig {
     spec.memory_mib = 32768.0;
     spec.deflatable = true;
     domain.emplace(conn.define_and_start(spec));
-    domain->vm().guest().set_rss(12000.0);
+    domain->vm().set_rss(12000.0);
   }
   hv::SimHypervisor hypervisor;
   virt::Connection conn;

@@ -31,8 +31,8 @@ int main() {
 
   // Tell the guest model what the application is doing: ~2.5 cores of load
   // and a 9 GiB resident set. Hotplug safety thresholds derive from this.
-  domain.vm().guest().set_cpu_load(2.5);
-  domain.vm().guest().set_rss(9.0 * 1024.0);
+  domain.vm().set_cpu_load(2.5);
+  domain.vm().set_rss(9.0 * 1024.0);
 
   std::cout << "booted: " << domain.name() << " -> "
             << domain.vm().effective_allocation() << "\n";

@@ -444,18 +444,27 @@ std::size_t ClusterManager::active_server_count() const {
   return count;
 }
 
-bool ClusterManager::remove_vm(std::uint64_t vm_id) {
+std::optional<res::ResourceVector> ClusterManager::depart_vm(
+    std::uint64_t vm_id) {
   const auto it = vm_locations_.find(vm_id);
-  if (it == vm_locations_.end()) return false;
+  if (it == vm_locations_.end()) return std::nullopt;
   const std::size_t server = it->second;
   vm_locations_.erase(it);
-  nodes_[server]->hypervisor.destroy_vm(vm_id);
+  ServerNode& node = *nodes_[server];
+  const hv::Vm* vm = node.hypervisor.host().find_vm(vm_id);
+  const res::ResourceVector freed =
+      vm != nullptr ? vm->effective_allocation() : res::ResourceVector{};
+  node.hypervisor.destroy_vm(vm_id);
   if (config_.mode == ReclamationMode::Deflation &&
       config_.reinflate_on_departure) {
-    nodes_[server]->controller->redistribute_free();
+    node.controller->redistribute_free();
   }
   mark_view_dirty(server);
-  return true;
+  return freed;
+}
+
+bool ClusterManager::remove_vm(std::uint64_t vm_id) {
+  return depart_vm(vm_id).has_value();
 }
 
 hv::Vm* ClusterManager::find_vm(std::uint64_t vm_id) {

@@ -222,7 +222,13 @@ class ClusterManager : public ClusterManagerBase {
   explicit ClusterManager(ClusterConfig config);
 
   PlacementResult place_vm(const hv::VmSpec& spec) override;
+  /// depart_vm without the freed allocation.
   bool remove_vm(std::uint64_t vm_id) override;
+  /// Terminates a VM like remove_vm and returns the effective allocation
+  /// it held just before it left; empty when the VM is unknown. The
+  /// sharded scheduler folds the freed amount into its shard's routing
+  /// estimate without a second lookup.
+  std::optional<res::ResourceVector> depart_vm(std::uint64_t vm_id);
   RevocationOutcome revoke_server(std::size_t server) override;
   void restore_server(std::size_t server) override;
   void drain_server(std::size_t server) override;

@@ -371,12 +371,11 @@ bool ShardedClusterManager::remove_vm(std::uint64_t vm_id) {
   if (it == vm_shard_.end()) return false;
   const std::size_t s = it->second;
   Shard& shard = shards_[s];
-  const hv::Vm* vm = shard.manager->find_vm(vm_id);
-  const res::ResourceVector freed =
-      vm != nullptr ? vm->effective_allocation() : res::ResourceVector{};
   vm_shard_.erase(it);
-  if (!shard.manager->remove_vm(vm_id)) return false;
-  shard.free += freed;
+  const std::optional<res::ResourceVector> freed =
+      shard.manager->depart_vm(vm_id);
+  if (!freed) return false;
+  shard.free += *freed;
   mark_dirty(s);
   return true;
 }

@@ -7,6 +7,45 @@
 
 namespace deflate::core {
 
+namespace {
+
+/// One resident's inputs to the policy, read once per VM rather than once
+/// per resource.
+struct ShareBasis {
+  std::uint64_t id = 0;
+  double priority = 0.0;
+  res::ResourceVector spec;
+  res::ResourceVector floor;
+  res::ResourceVector current;  ///< effective allocation
+};
+
+ShareBasis share_basis(const hv::Vm& vm) {
+  return {vm.spec().id, vm.spec().priority, vm.spec().vector(),
+          vm.allocation_floor(), vm.effective_allocation()};
+}
+
+VmShare share_of(const ShareBasis& basis, res::Resource r) {
+  VmShare share;
+  share.id = basis.id;
+  share.max_alloc = basis.spec[r];
+  share.min_alloc = basis.floor[r];
+  share.priority = basis.priority;
+  share.current = basis.current[r];
+  return share;
+}
+
+std::vector<VmShare> shares_of(const std::vector<ShareBasis>& residents,
+                               res::Resource r) {
+  std::vector<VmShare> shares;
+  shares.reserve(residents.size());
+  for (const ShareBasis& basis : residents) {
+    shares.push_back(share_of(basis, r));
+  }
+  return shares;
+}
+
+}  // namespace
+
 LocalDeflationController::LocalDeflationController(
     hv::SimHypervisor& hypervisor, std::shared_ptr<const DeflationPolicy> policy,
     std::shared_ptr<mech::DeflationMechanism> mechanism)
@@ -17,19 +56,12 @@ LocalDeflationController::LocalDeflationController(
 LocalDeflationController::Plan LocalDeflationController::plan_reclaim(
     const res::ResourceVector& need) const {
   Plan plan;
-  const hv::Host& host = hypervisor_.host();
-
-  std::vector<hv::Vm*> deflatable;
-  for (hv::Vm* vm : const_cast<hv::Host&>(host).vms()) {
-    if (vm->spec().deflatable && vm->state() == hv::VmState::Running) {
-      deflatable.push_back(vm);
-    }
-  }
-
-  plan.vms = deflatable;
-  plan.targets.resize(deflatable.size());
-  for (std::size_t i = 0; i < deflatable.size(); ++i) {
-    plan.targets[i] = deflatable[i]->effective_allocation();
+  std::vector<ShareBasis> deflatable;
+  for (hv::Vm* vm : hypervisor_.host().vms()) {
+    if (!vm->spec().deflatable) continue;
+    deflatable.push_back(share_basis(*vm));
+    plan.vms.push_back(vm);
+    plan.targets.push_back(deflatable.back().current);
   }
 
   plan.success = true;
@@ -39,18 +71,8 @@ LocalDeflationController::Plan LocalDeflationController::plan_reclaim(
       plan.success = false;
       break;
     }
-    std::vector<VmShare> shares;
-    shares.reserve(deflatable.size());
-    for (const hv::Vm* vm : deflatable) {
-      VmShare share;
-      share.id = vm->spec().id;
-      share.max_alloc = vm->spec().vector()[r];
-      share.min_alloc = vm->allocation_floor()[r];
-      share.priority = vm->spec().priority;
-      share.current = vm->effective_allocation()[r];
-      shares.push_back(share);
-    }
-    const PolicyResult result = policy_->reclaim(shares, need[r]);
+    const PolicyResult result =
+        policy_->reclaim(shares_of(deflatable, r), need[r]);
     if (!result.success) {
       plan.success = false;
       break;
@@ -76,15 +98,11 @@ bool LocalDeflationController::can_fit(const res::ResourceVector& demand) const 
 res::ResourceVector LocalDeflationController::reclaimable_headroom() const {
   res::ResourceVector headroom;
   for (const hv::Vm* vm : hypervisor_.host().vms()) {
-    if (!vm->spec().deflatable || vm->state() != hv::VmState::Running) continue;
+    if (!vm->spec().deflatable) continue;
+    const ShareBasis basis = share_basis(*vm);
     for (const res::Resource r : res::all_resources) {
-      VmShare share;
-      share.id = vm->spec().id;
-      share.max_alloc = vm->spec().vector()[r];
-      share.min_alloc = vm->allocation_floor()[r];
-      share.priority = vm->spec().priority;
-      share.current = vm->effective_allocation()[r];
-      headroom[r] += std::max(0.0, share.current - policy_->min_retained(share));
+      headroom[r] += std::max(
+          0.0, basis.current[r] - policy_->min_retained(share_of(basis, r)));
     }
   }
   return headroom;
@@ -135,31 +153,22 @@ res::ResourceVector LocalDeflationController::redistribute_free() {
   if (free.is_zero()) return {};
 
   std::vector<hv::Vm*> deflated;
+  std::vector<ShareBasis> bases;
+  std::vector<res::ResourceVector> targets;
   for (hv::Vm* vm : hypervisor_.host().vms()) {
-    if (!vm->spec().deflatable || vm->state() != hv::VmState::Running) continue;
-    if (vm->max_deflation_fraction() > 1e-9) deflated.push_back(vm);
+    if (!vm->spec().deflatable) continue;
+    if (vm->max_deflation_fraction() > 1e-9) {
+      deflated.push_back(vm);
+      bases.push_back(share_basis(*vm));
+      targets.push_back(bases.back().current);
+    }
   }
   if (deflated.empty()) return {};
 
-  std::vector<res::ResourceVector> targets(deflated.size());
-  for (std::size_t i = 0; i < deflated.size(); ++i) {
-    targets[i] = deflated[i]->effective_allocation();
-  }
-
   for (const res::Resource r : res::all_resources) {
     if (free[r] <= 1e-9) continue;
-    std::vector<VmShare> shares;
-    shares.reserve(deflated.size());
-    for (const hv::Vm* vm : deflated) {
-      VmShare share;
-      share.id = vm->spec().id;
-      share.max_alloc = vm->spec().vector()[r];
-      share.min_alloc = vm->allocation_floor()[r];
-      share.priority = vm->spec().priority;
-      share.current = vm->effective_allocation()[r];
-      shares.push_back(share);
-    }
-    const PolicyResult result = policy_->reclaim(shares, -free[r]);
+    const PolicyResult result =
+        policy_->reclaim(shares_of(bases, r), -free[r]);
     for (std::size_t i = 0; i < deflated.size(); ++i) {
       targets[i][r] = result.targets[i];
     }

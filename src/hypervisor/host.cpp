@@ -10,70 +10,75 @@ Host::Host(std::uint64_t id, res::ResourceVector capacity)
 
 Vm& Host::add_vm(VmSpec spec) {
   const std::uint64_t vm_id = spec.id;
-  auto [it, inserted] = vms_.emplace(vm_id, std::make_unique<Vm>(std::move(spec)));
-  if (!inserted) {
+  if (std::find(ids_.begin(), ids_.end(), vm_id) != ids_.end()) {
     throw std::invalid_argument("Host::add_vm: duplicate VM id");
   }
-  order_.push_back(vm_id);
-  return *it->second;
+  auto vm = std::make_unique<Vm>(std::move(spec));
+  vm->host_version_ = &version_;
+  vms_.push_back(std::move(vm));
+  try {
+    ids_.push_back(vm_id);
+  } catch (...) {
+    vms_.pop_back();  // keep the two columns in step
+    throw;
+  }
+  const bool totals_current = totals_version_ == version_;
+  ++version_;
+  Vm& added = *vms_.back();
+  if (totals_current) {
+    // The newcomer is last in arrival order, so adding it to current
+    // totals performs exactly the additions of a fresh sum.
+    committed_ += added.spec().vector();
+    allocated_ += added.effective_allocation();
+    totals_version_ = version_;
+  }
+  return added;
 }
 
 bool Host::remove_vm(std::uint64_t vm_id) {
-  const auto it = vms_.find(vm_id);
-  if (it == vms_.end()) return false;
-  vms_.erase(it);
-  order_.erase(std::remove(order_.begin(), order_.end(), vm_id), order_.end());
+  const auto it = std::find(ids_.begin(), ids_.end(), vm_id);
+  if (it == ids_.end()) return false;
+  vms_.erase(vms_.begin() + (it - ids_.begin()));
+  ids_.erase(it);
+  ++version_;
   return true;
 }
 
 Vm* Host::find_vm(std::uint64_t vm_id) noexcept {
-  const auto it = vms_.find(vm_id);
-  return it == vms_.end() ? nullptr : it->second.get();
+  const auto it = std::find(ids_.begin(), ids_.end(), vm_id);
+  return it == ids_.end() ? nullptr : vms_[it - ids_.begin()].get();
 }
 
 const Vm* Host::find_vm(std::uint64_t vm_id) const noexcept {
-  const auto it = vms_.find(vm_id);
-  return it == vms_.end() ? nullptr : it->second.get();
+  const auto it = std::find(ids_.begin(), ids_.end(), vm_id);
+  return it == ids_.end() ? nullptr : vms_[it - ids_.begin()].get();
 }
 
-std::vector<Vm*> Host::vms() noexcept {
-  std::vector<Vm*> out;
-  out.reserve(order_.size());
-  for (const auto id : order_) out.push_back(vms_.at(id).get());
-  return out;
-}
-
-std::vector<const Vm*> Host::vms() const noexcept {
-  std::vector<const Vm*> out;
-  out.reserve(order_.size());
-  for (const auto id : order_) out.push_back(vms_.at(id).get());
-  return out;
+void Host::refresh_totals() const noexcept {
+  if (totals_version_ == version_) return;
+  res::ResourceVector committed;
+  res::ResourceVector allocated;
+  for (const auto& vm : vms_) {
+    committed += vm->spec().vector();
+    allocated += vm->effective_allocation();
+  }
+  committed_ = committed;
+  allocated_ = allocated;
+  totals_version_ = version_;
 }
 
 res::ResourceVector Host::committed() const noexcept {
-  res::ResourceVector total;
-  for (const auto id : order_) total += vms_.at(id)->spec().vector();
-  return total;
+  refresh_totals();
+  return committed_;
 }
 
 res::ResourceVector Host::allocated() const noexcept {
-  res::ResourceVector total;
-  for (const auto id : order_) total += vms_.at(id)->effective_allocation();
-  return total;
+  refresh_totals();
+  return allocated_;
 }
 
 res::ResourceVector Host::available() const noexcept {
   return (capacity_ - allocated()).clamped_nonneg();
-}
-
-res::ResourceVector Host::deflatable_headroom() const noexcept {
-  res::ResourceVector total;
-  for (const auto id : order_) {
-    const Vm& vm = *vms_.at(id);
-    if (!vm.spec().deflatable) continue;
-    total += (vm.effective_allocation() - vm.allocation_floor()).clamped_nonneg();
-  }
-  return total;
 }
 
 double Host::overcommit_ratio() const noexcept {

@@ -5,7 +5,10 @@
 //   * transparent multiplexing: cgroup CPU quota, memory limit, blkio and
 //     network throttles (§4.2);
 //   * explicit hotplug: agent-mediated vCPU / memory plug & unplug with
-//     guest safety semantics (§4.3).
+//     guest safety semantics (§4.3);
+//   * the virtio memory balloon.
+// Every one of these is a write to a VM's effective allocation and bumps
+// the host's version (host.hpp).
 // Policy code should prefer the virt:: facade (libvirt-like API) layered on
 // top of this class.
 #pragma once
@@ -52,6 +55,9 @@ class SimHypervisor {
   HotplugResult hotplug_vcpus(Vm& vm, int vcpus) const;
   /// Requests plugged memory of `mib` (block-aligned by the guest).
   HotplugResult hotplug_memory(Vm& vm, double mib) const;
+  /// virtio-balloon: requests the guest's *usable* memory be `mib`;
+  /// `achieved` is the resulting usable size.
+  HotplugResult balloon_memory(Vm& vm, double mib) const;
 
  private:
   Host host_;

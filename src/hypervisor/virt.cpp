@@ -43,10 +43,7 @@ hv::HotplugResult Domain::agent_set_memory(double mib) {
 }
 
 hv::HotplugResult Domain::balloon_set_memory(double mib) {
-  hv::HotplugResult result;
-  result.requested = mib;
-  result.achieved = vm_->guest().request_balloon_target(mib);
-  return result;
+  return hypervisor_->balloon_memory(*vm_, mib);
 }
 
 Domain Connection::define_and_start(const hv::VmSpec& spec) {

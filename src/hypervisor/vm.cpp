@@ -4,6 +4,16 @@
 
 namespace deflate::hv {
 
+namespace {
+
+/// 1 - effective/spec in [0, 1]; zero for a resource the spec lacks.
+double fraction_below_spec(double spec, double effective) noexcept {
+  if (spec <= 0.0) return 0.0;
+  return std::clamp(1.0 - effective / spec, 0.0, 1.0);
+}
+
+}  // namespace
+
 const char* workload_class_name(WorkloadClass c) noexcept {
   switch (c) {
     case WorkloadClass::Interactive: return "interactive";
@@ -21,20 +31,39 @@ Vm::Vm(VmSpec spec)
   cgroups_.net_bw_mbps = spec_.net_bw_mbps;
 }
 
+int Vm::request_vcpus(int vcpus) {
+  bump_version();
+  return guest_.request_vcpus(vcpus, spec_.vcpus);
+}
+
+double Vm::request_memory(double mib) {
+  bump_version();
+  return guest_.request_memory(mib, spec_.memory_mib);
+}
+
+double Vm::request_balloon(double usable_mib) {
+  bump_version();
+  return guest_.request_balloon_target(usable_mib);
+}
+
 void Vm::set_cpu_quota(double cores) noexcept {
+  bump_version();
   cgroups_.cpu_quota_cores =
       std::clamp(cores, 0.0, static_cast<double>(spec_.vcpus));
 }
 
 void Vm::set_memory_limit(double mib) noexcept {
+  bump_version();
   cgroups_.memory_limit_mib = std::clamp(mib, 0.0, spec_.memory_mib);
 }
 
 void Vm::set_disk_throttle(double mbps) noexcept {
+  bump_version();
   cgroups_.disk_bw_mbps = std::clamp(mbps, 0.0, spec_.disk_bw_mbps);
 }
 
 void Vm::set_net_throttle(double mbps) noexcept {
+  bump_version();
   cgroups_.net_bw_mbps = std::clamp(mbps, 0.0, spec_.net_bw_mbps);
 }
 
@@ -53,15 +82,15 @@ res::ResourceVector Vm::effective_allocation() const noexcept {
 }
 
 double Vm::deflation_fraction(res::Resource r) const noexcept {
-  const double spec_amount = spec_.vector()[r];
-  if (spec_amount <= 0.0) return 0.0;
-  return std::clamp(1.0 - effective_allocation()[r] / spec_amount, 0.0, 1.0);
+  return fraction_below_spec(spec_.vector()[r], effective_allocation()[r]);
 }
 
 double Vm::max_deflation_fraction() const noexcept {
+  const res::ResourceVector spec = spec_.vector();
+  const res::ResourceVector effective = effective_allocation();
   double worst = 0.0;
   for (const res::Resource r : res::all_resources) {
-    worst = std::max(worst, deflation_fraction(r));
+    worst = std::max(worst, fraction_below_spec(spec[r], effective[r]));
   }
   return worst;
 }

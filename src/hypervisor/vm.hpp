@@ -4,6 +4,14 @@
 // explicitly plugged (visible to the guest) and what the hypervisor-side
 // cgroup limits permit (invisible to the guest). Deflation mechanisms move
 // one or both of these; policies reason only about effective allocations.
+//
+// Every write that can move the effective allocation is a member of this
+// class: the four cgroup setters and the three guest requests (vCPU and
+// memory hotplug, balloon). Each one bumps the version counter of the Host
+// the VM lives on (Host::version()), so per-host totals memoized on that
+// version never go stale. The guest is exposed read-only; its workload
+// state (RSS, CPU load) does not change the allocation and has its own
+// setters here.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +27,6 @@ namespace deflate::hv {
 enum class WorkloadClass { Interactive, DelayInsensitive, Unknown };
 
 [[nodiscard]] const char* workload_class_name(WorkloadClass c) noexcept;
-
-enum class VmState { Running, Preempted, Stopped };
 
 struct VmSpec {
   std::uint64_t id = 0;
@@ -59,12 +65,24 @@ struct CgroupLimits {
 class Vm {
  public:
   explicit Vm(VmSpec spec);
+  // A hosted VM points at its host's version counter; a copy would too.
+  Vm(const Vm&) = delete;
+  Vm& operator=(const Vm&) = delete;
 
   [[nodiscard]] const VmSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] GuestOs& guest() noexcept { return guest_; }
   [[nodiscard]] const GuestOs& guest() const noexcept { return guest_; }
-  [[nodiscard]] VmState state() const noexcept { return state_; }
-  void set_state(VmState s) noexcept { state_ = s; }
+
+  // --- guest workload (no effect on the allocation) --------------------------
+  void set_rss(double rss_mib) noexcept { guest_.set_rss(rss_mib); }
+  void set_cpu_load(double cores) noexcept { guest_.set_cpu_load(cores); }
+
+  // --- guest requests (explicit deflation; see SimHypervisor) ----------------
+  /// GuestOs::request_vcpus capped at the spec; returns the online count.
+  int request_vcpus(int vcpus);
+  /// GuestOs::request_memory capped at the spec; returns the plugged size.
+  double request_memory(double mib);
+  /// GuestOs::request_balloon_target; returns the usable size.
+  double request_balloon(double usable_mib);
 
   // --- cgroup (transparent) controls ---------------------------------------
   void set_cpu_quota(double cores) noexcept;
@@ -90,10 +108,17 @@ class Vm {
   [[nodiscard]] res::ResourceVector allocation_floor() const noexcept;
 
  private:
+  friend class Host;  // binds host_version_ in Host::add_vm
+
+  void bump_version() noexcept {
+    if (host_version_ != nullptr) ++*host_version_;
+  }
+
   VmSpec spec_;
   GuestOs guest_;
   CgroupLimits cgroups_;
-  VmState state_ = VmState::Running;
+  /// The owning host's version counter; null for a VM on no host.
+  std::uint64_t* host_version_ = nullptr;
 };
 
 }  // namespace deflate::hv

@@ -54,7 +54,7 @@ TEST(Balloon, PageGranularMemoryTarget) {
 TEST(Balloon, SqueezesPastRssWithSwapPressure) {
   Rig rig;
   auto dom = rig.make_domain();
-  dom.vm().guest().set_rss(9216.0);
+  dom.vm().set_rss(9216.0);
   mech::BalloonDeflation balloon;
   balloon.apply(dom, res::ResourceVector(8.0, 4096.0, 200.0, 2000.0));
   // Unlike hotplug, the balloon ignores the RSS threshold...

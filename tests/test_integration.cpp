@@ -53,7 +53,7 @@ TEST(Integration, HybridMemoryDeflationStory_Fig14) {
     spec.memory_mib = 16384.0;
     spec.deflatable = true;
     virt::Domain dom = conn.define_and_start(spec);
-    dom.vm().guest().set_rss(0.56 * 16384.0);
+    dom.vm().set_rss(0.56 * 16384.0);
     std::unique_ptr<mech::DeflationMechanism> mechanism;
     if (hybrid) {
       mechanism = std::make_unique<mech::HybridDeflation>();

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace core = deflate::core;
 namespace hv = deflate::hv;
@@ -101,6 +106,84 @@ TEST(LocalController, ReclaimableHeadroomTracksPolicy) {
   EXPECT_NEAR(proportional.controller.reclaimable_headroom().cpu(), 16.0 - 0.05,
               1e-9);
   EXPECT_NEAR(deterministic.controller.reclaimable_headroom().cpu(), 8.0, 1e-9);
+}
+
+namespace {
+
+/// reclaimable_headroom's definition, recomputed from scratch: per VM and
+/// per resource, in arrival order.
+res::ResourceVector fresh_headroom(const hv::Host& host,
+                                   const core::DeflationPolicy& policy) {
+  res::ResourceVector headroom;
+  for (const hv::Vm* vm : host.vms()) {
+    if (!vm->spec().deflatable) continue;
+    for (const res::Resource r : res::all_resources) {
+      core::VmShare share;
+      share.id = vm->spec().id;
+      share.max_alloc = vm->spec().vector()[r];
+      share.min_alloc = vm->allocation_floor()[r];
+      share.priority = vm->spec().priority;
+      share.current = vm->effective_allocation()[r];
+      headroom[r] += std::max(0.0, share.current - policy.min_retained(share));
+    }
+  }
+  return headroom;
+}
+
+}  // namespace
+
+TEST(LocalController, ReclaimableHeadroomMatchesRecomputeUnderChurn) {
+  for (const auto kind :
+       {core::PolicyKind::Proportional, core::PolicyKind::Deterministic}) {
+    Rig rig(kind);
+    deflate::util::Rng rng(20260417);
+    std::vector<std::uint64_t> residents;
+    std::uint64_t next_id = 1;
+    for (int step = 0; step < 600; ++step) {
+      const auto op = rng.uniform_int(0, 5);
+      if (op <= 2) {  // arrival, possibly a deflated launch
+        const std::uint64_t id = next_id++;
+        const bool deflatable = rng.uniform(0.0, 1.0) < 0.7;
+        const double fraction = deflatable ? rng.uniform(0.4, 1.0) : 1.0;
+        const int vcpus = static_cast<int>(rng.uniform_int(1, 8));
+        const double mem = rng.uniform(1024.0, 16384.0);
+        const res::ResourceVector demand =
+            res::ResourceVector{static_cast<double>(vcpus), mem, 100.0,
+                                1000.0} *
+            fraction;
+        if (rig.controller.make_room_for(demand).success) {
+          hv::Vm& vm = rig.boot(id, vcpus, mem, deflatable,
+                                rng.uniform(0.1, 1.0));
+          if (fraction < 1.0) rig.controller.apply_allocation(vm, demand);
+          residents.push_back(id);
+        }
+      } else if (op == 3 && !residents.empty()) {  // departure
+        const auto k = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(residents.size()) - 1));
+        ASSERT_TRUE(rig.hypervisor.destroy_vm(residents[k]));
+        residents.erase(residents.begin() + static_cast<std::ptrdiff_t>(k));
+        rig.controller.redistribute_free();
+      } else if (op == 4 && !residents.empty()) {  // direct re-allocation
+        const auto k = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(residents.size()) - 1));
+        hv::Vm& vm = *rig.hypervisor.host().find_vm(residents[k]);
+        if (vm.spec().deflatable) {
+          rig.controller.apply_allocation(
+              vm, vm.spec().vector() * rng.uniform(0.2, 1.0));
+        }
+      } else {
+        rig.controller.redistribute_free();
+      }
+      const res::ResourceVector headroom =
+          rig.controller.reclaimable_headroom();
+      const res::ResourceVector fresh =
+          fresh_headroom(rig.hypervisor.host(), rig.controller.policy());
+      for (const res::Resource r : res::all_resources) {
+        ASSERT_EQ(headroom[r], fresh[r]) << "step " << step;
+      }
+    }
+    EXPECT_FALSE(residents.empty());
+  }
 }
 
 TEST(LocalController, RedistributeFreeReinflates) {

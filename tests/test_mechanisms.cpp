@@ -80,7 +80,7 @@ TEST(Explicit, CpuRoundsUpToWholeVcpus) {
 TEST(Explicit, MemoryBlockAlignedAndRssSafe) {
   Rig rig;
   auto dom = rig.make_domain(8, 16384.0);
-  dom.vm().guest().set_rss(6000.0);
+  dom.vm().set_rss(6000.0);
   mech::ExplicitDeflation mechanism;
   const auto report =
       mechanism.apply(dom, res::ResourceVector(8.0, 2048.0, 200.0, 2000.0));
@@ -126,7 +126,7 @@ TEST(Hybrid, HotplugsDownToRoundedTarget) {
 TEST(Hybrid, MultiplexingCoversGuestRefusal) {
   Rig rig;
   auto dom = rig.make_domain(8, 16384.0);
-  dom.vm().guest().set_cpu_load(6.5);  // guest keeps >= 7 vCPUs
+  dom.vm().set_cpu_load(6.5);  // guest keeps >= 7 vCPUs
   mech::HybridDeflation mechanism;
   const auto report =
       mechanism.apply(dom, res::ResourceVector(2.0, 16384.0, 200.0, 2000.0));
@@ -138,7 +138,7 @@ TEST(Hybrid, MultiplexingCoversGuestRefusal) {
 TEST(Hybrid, MemoryHotplugStopsAtRssButLimitContinues) {
   Rig rig;
   auto dom = rig.make_domain(8, 16384.0);
-  dom.vm().guest().set_rss(9216.0);
+  dom.vm().set_rss(9216.0);
   mech::HybridDeflation mechanism;
   const auto report =
       mechanism.apply(dom, res::ResourceVector(8.0, 4096.0, 200.0, 2000.0));

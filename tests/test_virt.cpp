@@ -83,7 +83,7 @@ TEST(Virt, AgentHotplugPartialCompliance) {
   hv::SimHypervisor hypervisor(0, {48.0, 131072.0, 4000.0, 40000.0});
   virt::Connection conn(hypervisor);
   virt::Domain dom = conn.define_and_start(make_spec(1));
-  dom.vm().guest().set_cpu_load(5.2);  // guest needs 6 vCPUs
+  dom.vm().set_cpu_load(5.2);  // guest needs 6 vCPUs
   const auto result = dom.agent_set_vcpus(2);
   EXPECT_DOUBLE_EQ(result.requested, 2.0);
   EXPECT_DOUBLE_EQ(result.achieved, 6.0);  // stopped at safety floor
@@ -93,7 +93,7 @@ TEST(Virt, AgentMemoryRespectsRss) {
   hv::SimHypervisor hypervisor(0, {48.0, 131072.0, 4000.0, 40000.0});
   virt::Connection conn(hypervisor);
   virt::Domain dom = conn.define_and_start(make_spec(1));
-  dom.vm().guest().set_rss(9216.0);
+  dom.vm().set_rss(9216.0);
   const auto result = dom.agent_set_memory(4096.0);
   EXPECT_GE(result.achieved, 9216.0);
   EXPECT_DOUBLE_EQ(dom.info().memory_mib, result.achieved);

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "hypervisor/host.hpp"
+#include "hypervisor/hypervisor.hpp"
+#include "hypervisor/virt.hpp"
 #include "hypervisor/vm.hpp"
 
 namespace hv = deflate::hv;
 namespace res = deflate::res;
+namespace virt = deflate::virt;
 
 namespace {
 
@@ -44,7 +49,6 @@ TEST(Vm, StartsUndeflated) {
   hv::Vm vm(make_spec(1));
   EXPECT_EQ(vm.effective_allocation(), vm.spec().vector());
   EXPECT_DOUBLE_EQ(vm.max_deflation_fraction(), 0.0);
-  EXPECT_EQ(vm.state(), hv::VmState::Running);
 }
 
 TEST(Vm, CpuQuotaDeflatesEffectiveAllocation) {
@@ -68,7 +72,7 @@ TEST(Vm, CgroupsClampToSpec) {
 
 TEST(Vm, EffectiveIsMinOfPluggedAndLimit) {
   hv::Vm vm(make_spec(1, 8, 16384.0));
-  vm.guest().request_vcpus(4, 8);          // explicit: 4 plugged
+  vm.request_vcpus(4);                     // explicit: 4 plugged
   vm.set_cpu_quota(6.0);                   // limit above plugged
   EXPECT_DOUBLE_EQ(vm.effective_allocation().cpu(), 4.0);
   vm.set_cpu_quota(2.0);                   // limit below plugged
@@ -77,7 +81,7 @@ TEST(Vm, EffectiveIsMinOfPluggedAndLimit) {
 
 TEST(Vm, MemorySwapPressureTracksLimit) {
   hv::Vm vm(make_spec(1, 4, 16384.0));
-  vm.guest().set_rss(9216.0);
+  vm.set_rss(9216.0);
   vm.set_memory_limit(16384.0);
   EXPECT_DOUBLE_EQ(vm.memory_swap_pressure(), 0.0);
   vm.set_memory_limit(8192.0);
@@ -130,6 +134,79 @@ TEST(Host, VmsIterateInArrivalOrder) {
   EXPECT_EQ(vms[2]->spec().id, 9U);
 }
 
+TEST(Host, RemovingFromTheMiddleKeepsArrivalOrder) {
+  hv::Host host(0, {48.0, 131072.0, 4000.0, 40000.0});
+  for (const std::uint64_t id : {5U, 2U, 9U, 4U}) host.add_vm(make_spec(id));
+  ASSERT_TRUE(host.remove_vm(2));
+  host.add_vm(make_spec(2));  // a returning id goes to the back
+  std::vector<std::uint64_t> ids;
+  for (const hv::Vm* vm : host.vms()) ids.push_back(vm->spec().id);
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{5, 9, 4, 2}));
+  for (const std::uint64_t id : ids) {
+    ASSERT_NE(host.find_vm(id), nullptr);
+    EXPECT_EQ(host.find_vm(id)->spec().id, id);
+  }
+}
+
+TEST(Host, AllocationMemoTracksEveryWriter) {
+  // Every write to a resident's effective allocation must move the host's
+  // version, or the memoized totals go stale. After each writer, the
+  // totals must equal a fresh arrival-order sum bit for bit.
+  hv::SimHypervisor hypervisor(0, {48.0, 131072.0, 4000.0, 40000.0});
+  hv::Host& host = hypervisor.host();
+  const auto expect_fresh = [&host](const char* writer) {
+    SCOPED_TRACE(writer);
+    res::ResourceVector committed;
+    res::ResourceVector allocated;
+    for (const hv::Vm* vm : host.vms()) {
+      committed += vm->spec().vector();
+      allocated += vm->effective_allocation();
+    }
+    for (const res::Resource r : res::all_resources) {
+      EXPECT_EQ(host.committed()[r], committed[r]);
+      EXPECT_EQ(host.allocated()[r], allocated[r]);
+    }
+  };
+  // Read the totals before and after each write so a stale memo would be
+  // returned if the write failed to move the version.
+  const auto write = [&](const char* writer, auto&& apply) {
+    expect_fresh("before");
+    const std::uint64_t version = host.version();
+    apply();
+    EXPECT_NE(host.version(), version) << writer;
+    expect_fresh(writer);
+  };
+
+  write("add_vm", [&] { hypervisor.create_vm(make_spec(1, 8, 16384.0)); });
+  write("add_vm", [&] { hypervisor.create_vm(make_spec(2, 6, 12288.0)); });
+  write("add_vm", [&] { hypervisor.create_vm(make_spec(3, 4, 8192.0)); });
+  hv::Vm& vm = *host.find_vm(2);
+  write("set_cpu_quota", [&] { vm.set_cpu_quota(2.3); });
+  write("set_memory_limit", [&] { vm.set_memory_limit(7000.7); });
+  write("set_disk_throttle", [&] { vm.set_disk_throttle(33.3); });
+  write("set_net_throttle", [&] { vm.set_net_throttle(444.4); });
+  virt::Domain domain(hypervisor, vm);
+  write("cgroup reset", [&] {
+    domain.set_scheduler_cpu_quota(6.0);
+    domain.set_memory_hard_limit(12288.0);
+  });
+  write("hotplug_vcpus", [&] { domain.agent_set_vcpus(3); });
+  write("hotplug_memory", [&] { domain.agent_set_memory(5000.0); });
+  write("hotplug_memory up", [&] { domain.agent_set_memory(12288.0); });
+  write("balloon", [&] { domain.balloon_set_memory(9000.5); });
+  // An arrival extends current totals in place; after an unread write the
+  // totals are stale and the arrival must not extend them.
+  write("write, then add_vm", [&] {
+    vm.set_cpu_quota(1.7);
+    hypervisor.create_vm(make_spec(4, 2, 4096.0));
+  });
+  write("remove_vm", [&] { ASSERT_TRUE(hypervisor.destroy_vm(4)); });
+  write("remove_vm", [&] { ASSERT_TRUE(hypervisor.destroy_vm(1)); });
+  write("remove_vm", [&] { ASSERT_TRUE(hypervisor.destroy_vm(3)); });
+  write("remove_vm", [&] { ASSERT_TRUE(hypervisor.destroy_vm(2)); });
+  EXPECT_TRUE(host.allocated().is_zero());
+}
+
 TEST(Host, CommittedAllocatedAvailable) {
   hv::Host host(0, {48.0, 131072.0, 4000.0, 40000.0});
   host.add_vm(make_spec(1, 8, 16384.0));
@@ -142,16 +219,6 @@ TEST(Host, CommittedAllocatedAvailable) {
   EXPECT_DOUBLE_EQ(host.committed().cpu(), 16.0);  // commitments unchanged
   EXPECT_DOUBLE_EQ(host.allocated().cpu(), 10.0);
   EXPECT_DOUBLE_EQ(host.available().cpu(), 38.0);
-}
-
-TEST(Host, DeflatableHeadroomExcludesOnDemand) {
-  hv::Host host(0, {48.0, 131072.0, 4000.0, 40000.0});
-  host.add_vm(make_spec(1, 8, 16384.0, /*deflatable=*/false));
-  host.add_vm(make_spec(2, 8, 16384.0, /*deflatable=*/true));
-  const auto headroom = host.deflatable_headroom();
-  // Only VM 2 contributes: 8 cores minus its 0.05-core survival floor.
-  EXPECT_NEAR(headroom.cpu(), 8.0 - 0.05, 1e-9);
-  EXPECT_NEAR(headroom.memory(), 16384.0 - hv::kMemoryBlockMib, 1e-9);
 }
 
 TEST(Host, OvercommitRatio) {
