@@ -14,16 +14,22 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "control/controller.hpp"
 #include "control/estimators.hpp"
 #include "control/forecast.hpp"
 #include "policy/catalog.hpp"
 #include "simcluster/cluster_sim.hpp"
 #include "trace/azure.hpp"
+#include "transient/bidding.hpp"
+#include "transient/market.hpp"
 
 namespace ctl = deflate::control;
 namespace sc = deflate::simcluster;
@@ -395,4 +401,320 @@ TEST(ControlParity, LiveControllerActuallyMoves) {
   // cost advantage.)
   EXPECT_TRUE(std::isfinite(live.cost.total_cost()));
   EXPECT_TRUE(std::isfinite(live.throughput_loss));
+}
+
+// ---------------------------------------------------------------------------
+// Timed moves, bid-optimized ceilings and the regime-shift splice
+
+namespace {
+
+using deflate::sim::SimTime;
+
+constexpr double kWarningHours = 120.0 / 3600.0;
+
+/// Three zones with a two-minute revocation warning and per-class bid
+/// optimization (the `market` perfbench workload's market, at test size).
+tn::MarketEngineConfig timed_market() {
+  tn::MarketEngineConfig market;
+  market.seed = 9;
+  market.revocation.model = tn::RevocationModel::Poisson;
+  market.revocation.poisson_rate_per_hour = 1.0 / 12.0;
+  market.revocation.warning_hours = kWarningHours;
+  market.portfolio.on_demand_floor = 0.2;
+  market.optimize_bids = true;
+  market.replicate_markets(3, 0.45);
+  return market;
+}
+
+/// From 12 h on, zone 0 revokes every two hours under a new seed.
+ctl::RegimeShiftConfig storm_on_zone0(const tn::MarketEngineConfig& market) {
+  ctl::RegimeShiftConfig shift;
+  shift.at_hours = 12.0;
+  shift.after = market;
+  shift.after.seed = 4242;
+  shift.after.markets[0].revocation.poisson_rate_per_hour = 1.0 / 2.0;
+  return shift;
+}
+
+/// Each server's events in schedule order, keyed by server id.
+std::map<std::size_t, std::vector<tn::RevocationEvent>> by_server(
+    const std::vector<tn::RevocationEvent>& schedule) {
+  std::map<std::size_t, std::vector<tn::RevocationEvent>> out;
+  for (const tn::RevocationEvent& event : schedule) {
+    out[event.server].push_back(event);
+  }
+  return out;
+}
+
+/// The weight-blended per-class bids of the markets' realized window
+/// [from, now), computed independently of the controller.
+std::vector<double> window_ceilings(const tn::CapacityPlan& plan,
+                                    const tn::MarketEngineConfig& market,
+                                    SimTime from, SimTime now) {
+  tn::BidOptimizerConfig bidding = market.bidding;
+  bidding.on_demand_price =
+      market.effective_markets().front().price.on_demand_price;
+  const tn::BidOptimizer optimizer(bidding);
+  const std::size_t k = plan.markets.size();
+  std::vector<std::vector<tn::ClassBid>> bids(k);
+  double weight_sum = 0.0;
+  for (std::size_t m = 0; m < k; ++m) {
+    const tn::PriceTrace& prices = plan.markets[m].prices;
+    const auto step = prices.step().micros();
+    const std::vector<double> window(
+        prices.samples().begin() + from.micros() / step,
+        prices.samples().begin() + now.micros() / step);
+    tn::RevocationConfig revocation = market.effective_markets()[m].revocation;
+    revocation.bid = plan.optimized_bids[m];
+    bids[m] = optimizer.optimize_classes(tn::PriceTrace(prices.step(), window),
+                                         revocation);
+    weight_sum += std::max(0.0, plan.markets[m].weight);
+  }
+  std::vector<double> ceilings(bids[0].size(), 0.0);
+  for (std::size_t c = 0; c < ceilings.size(); ++c) {
+    for (std::size_t m = 0; m < k; ++m) {
+      const double w = weight_sum > 0.0
+                           ? std::max(0.0, plan.markets[m].weight) / weight_sum
+                           : 1.0 / static_cast<double>(k);
+      ceilings[c] += w * bids[m][c].bid;
+    }
+  }
+  return ceilings;
+}
+
+}  // namespace
+
+TEST(ControlParity, TimedMovesRewriteEveryWarnAgainstItsRevoke) {
+  const tn::MarketEngineConfig market = timed_market();
+  const SimTime horizon = SimTime::from_hours(48);
+  tn::CapacityPlan plan = tn::TransientMarketEngine(market).plan(60, horizon);
+  ctl::ControlConfig config;
+  config.enabled = true;
+  config.reopt_hours = 6.0;
+  config.max_moves_per_window = 6;
+  config.forecast = "windowed";
+  config.regime_shift = storm_on_zone0(market);
+  ctl::apply_regime_shift(plan, market, config.regime_shift, horizon);
+  ctl::FleetController controller(config, market, plan, horizon,
+                                  /*timed_migration=*/true);
+
+  const SimTime warning = SimTime::from_hours(kWarningHours);
+  std::size_t rewrites = 0;
+  std::size_t warns = 0;
+  for (SimTime now = SimTime::from_hours(6); now < horizon;
+       now += SimTime::from_hours(6)) {
+    const ctl::ReoptResult result = controller.reoptimize(now);
+    EXPECT_TRUE(result.ceilings_updated);
+    if (!result.schedule_rewritten) continue;
+    ++rewrites;
+    const auto rank = [](ctl::PlanEvent::Kind kind) {
+      return static_cast<int>(kind);
+    };
+    // The warns the suffix must carry: one per revoke, at the deadline
+    // minus the warning, clamped to the server's previous event; a warn
+    // at or before `now` has already fired and is left out.
+    std::set<std::tuple<std::size_t, SimTime, SimTime>> expected;
+    std::set<std::tuple<std::size_t, SimTime, SimTime>> got;
+    std::map<std::size_t, SimTime> previous;
+    for (std::size_t i = 0; i < result.future_events.size(); ++i) {
+      const ctl::PlanEvent& event = result.future_events[i];
+      EXPECT_GT(event.at, now);
+      if (i > 0) {
+        const ctl::PlanEvent& before = result.future_events[i - 1];
+        EXPECT_TRUE(before.at < event.at ||
+                    (before.at == event.at &&
+                     (rank(before.kind) < rank(event.kind) ||
+                      (before.kind == event.kind &&
+                       before.server < event.server))));
+      }
+      if (event.kind == ctl::PlanEvent::Kind::Warn) {
+        got.insert({event.server, event.at, event.deadline});
+        continue;
+      }
+      if (event.kind == ctl::PlanEvent::Kind::Revoke) {
+        SimTime warn_at = event.at - warning;
+        if (const auto prev = previous.find(event.server);
+            prev != previous.end() && warn_at < prev->second) {
+          warn_at = prev->second;
+        }
+        if (warn_at > now && warn_at < event.at) {
+          expected.insert({event.server, warn_at, event.at});
+        }
+      }
+      previous[event.server] = event.at;
+    }
+    EXPECT_EQ(got, expected) << "reopt at " << now.hours() << " h";
+    warns += got.size();
+  }
+  EXPECT_GT(controller.total_moves(), 0U);
+  EXPECT_GT(rewrites, 0U);
+  EXPECT_GT(warns, 0U);
+}
+
+TEST(ControlParity, StaticForecastPushesThePlannedCeilingsBitForBit) {
+  const tn::MarketEngineConfig market = timed_market();
+  const SimTime horizon = SimTime::from_hours(48);
+  const tn::CapacityPlan plan =
+      tn::TransientMarketEngine(market).plan(60, horizon);
+  ASSERT_FALSE(plan.class_ceilings.empty());
+  ctl::ControlConfig config;
+  config.enabled = true;
+  config.forecast = "static";
+  ctl::FleetController controller(config, market, plan, horizon,
+                                  /*timed_migration=*/true);
+  for (SimTime now = SimTime::from_hours(6); now < horizon;
+       now += SimTime::from_hours(6)) {
+    const ctl::ReoptResult result = controller.reoptimize(now);
+    ASSERT_TRUE(result.ceilings_updated);
+    EXPECT_EQ(result.class_ceilings, plan.class_ceilings);
+    EXPECT_EQ(result.moves, 0U);
+    EXPECT_FALSE(result.schedule_rewritten);
+  }
+}
+
+TEST(ControlParity, WindowedCeilingsBlendTheWindowBidsByPlannedWeight) {
+  // Without the portfolio the controller's target weights are the planned
+  // ones, so the pushed ceilings are the window's per-class optima
+  // blended by the plan's market weights — uniformly when every market
+  // weight is zero (an all-on-demand fleet).
+  for (const double on_demand_share : {0.25, 1.0}) {
+    tn::MarketEngineConfig market = timed_market();
+    market.use_portfolio = false;
+    market.on_demand_share = on_demand_share;
+    const SimTime horizon = SimTime::from_hours(24);
+    const tn::CapacityPlan plan =
+        tn::TransientMarketEngine(market).plan(40, horizon);
+    ctl::ControlConfig config;
+    config.enabled = true;
+    config.forecast = "windowed";
+    ctl::FleetController controller(config, market, plan, horizon,
+                                    /*timed_migration=*/true);
+    SimTime from;
+    for (SimTime now = SimTime::from_hours(6); now < horizon;
+         now += SimTime::from_hours(6)) {
+      const ctl::ReoptResult result = controller.reoptimize(now);
+      ASSERT_TRUE(result.ceilings_updated);
+      EXPECT_EQ(result.class_ceilings,
+                window_ceilings(plan, market, from, now))
+          << "share " << on_demand_share << ", reopt at " << now.hours();
+      from = now;
+    }
+  }
+}
+
+TEST(ControlParity, StaticForecastUnderTimedMigrationAndBidCeilingsIsInert) {
+  // Timed migration, bid-optimized admission and a static forecast: every
+  // window pushes the planned ceilings into the live admission controller
+  // and moves nothing, so the run matches the controller-free one.
+  const auto timed = [](sc::SimConfig& config) {
+    config.market.optimize_bids = true;
+    for (tn::MarketDef& def : config.market.markets) {
+      def.revocation.warning_hours = kWarningHours;
+    }
+    config.migration.model.bandwidth_mib_per_sec = 256.0;
+    config.migration.strategy_name = "hybrid";
+    config.admission.policy = deflate::cluster::AdmissionPolicyKind::BidOptimized;
+  };
+  const sc::SimMetrics off = run_parity_sim(timed);
+  const sc::SimMetrics fixed = run_parity_sim([&](sc::SimConfig& config) {
+    timed(config);
+    config.control.enabled = true;
+    config.control.reopt_hours = 6.0;
+    config.control.max_moves_per_window = 6;
+    config.control.forecast = "static";
+  });
+  EXPECT_GT(fixed.control_reopts, 0U);
+  EXPECT_EQ(fixed.control_moves, 0U);
+  EXPECT_GT(off.live_migrations, 0U);
+  expect_same_outcome(off, fixed, "timed static forecast");
+  EXPECT_EQ(off.live_migrations, fixed.live_migrations);
+  EXPECT_EQ(off.admission_deferrals, fixed.admission_deferrals);
+  EXPECT_EQ(off.migration_downtime_hours, fixed.migration_downtime_hours);
+
+  // The same run with a live forecast and a storm on zone 0 moves servers
+  // through warning windows and still completes with finite metrics.
+  const sc::SimMetrics live = run_parity_sim([&](sc::SimConfig& config) {
+    timed(config);
+    config.control.enabled = true;
+    config.control.reopt_hours = 6.0;
+    config.control.max_moves_per_window = 6;
+    config.control.forecast = "windowed";
+    config.control.regime_shift = storm_on_zone0(config.market);
+  });
+  EXPECT_GT(live.control_moves, 0U);
+  EXPECT_TRUE(std::isfinite(live.cost.total_cost()));
+  EXPECT_TRUE(std::isfinite(live.throughput_loss));
+}
+
+TEST(RegimeShift, IncompatibleAfterConfigsThrow) {
+  const tn::MarketEngineConfig market = timed_market();
+  const SimTime horizon = SimTime::from_hours(24);
+  const tn::CapacityPlan plan =
+      tn::TransientMarketEngine(market).plan(30, horizon);
+  const auto shifted = [&](const std::function<void(tn::MarketEngineConfig&)>&
+                               tweak) {
+    ctl::RegimeShiftConfig shift = storm_on_zone0(market);
+    tweak(shift.after);
+    tn::CapacityPlan copy = plan;
+    ctl::apply_regime_shift(copy, market, shift, horizon);
+  };
+  EXPECT_THROW(shifted([](tn::MarketEngineConfig& after) {
+                 after.replicate_markets(2, 0.45);
+               }),
+               std::invalid_argument);
+  EXPECT_THROW(shifted([](tn::MarketEngineConfig& after) {
+                 after.markets[1].price.step = SimTime::from_minutes(10);
+               }),
+               std::invalid_argument);
+  EXPECT_THROW(shifted([](tn::MarketEngineConfig& after) {
+                 for (tn::MarketDef& def : after.markets) {
+                   def.price.on_demand_price = 2.0;
+                 }
+               }),
+               std::invalid_argument);
+  EXPECT_NO_THROW(shifted([](tn::MarketEngineConfig&) {}));
+}
+
+TEST(RegimeShift, KeepsEachServersPrefixAndAlternatesAfterTheSplice) {
+  const tn::MarketEngineConfig market = timed_market();
+  const SimTime horizon = SimTime::from_hours(48);
+  const tn::CapacityPlan planned =
+      tn::TransientMarketEngine(market).plan(60, horizon);
+  tn::CapacityPlan plan = planned;
+  const ctl::RegimeShiftConfig shift = storm_on_zone0(market);
+  ctl::apply_regime_shift(plan, market, shift, horizon);
+  const SimTime at = SimTime::from_hours(shift.at_hours);
+
+  std::size_t after_shift = 0;
+  for (std::size_t m = 0; m < plan.markets.size(); ++m) {
+    ASSERT_TRUE(std::is_sorted(plan.markets[m].revocations.begin(),
+                               plan.markets[m].revocations.end(),
+                               tn::schedule_before));
+    auto before = by_server(planned.markets[m].revocations);
+    auto now = by_server(plan.markets[m].revocations);
+    for (const std::size_t server : plan.markets[m].servers) {
+      std::vector<tn::RevocationEvent> prefix;
+      for (const tn::RevocationEvent& event : before[server]) {
+        if (event.at < at) prefix.push_back(event);
+      }
+      const std::vector<tn::RevocationEvent>& events = now[server];
+      ASSERT_GE(events.size(), prefix.size());
+      EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), events.begin()))
+          << "server " << server;
+      bool held = true;
+      for (const tn::RevocationEvent& event : events) {
+        EXPECT_EQ(event.revoke, held) << "server " << server;
+        held = !event.revoke;
+        if (event.at >= at) ++after_shift;
+      }
+    }
+  }
+  EXPECT_GT(after_shift, 0U);
+  std::vector<tn::RevocationEvent> merged;
+  for (const tn::MarketPlan& market_plan : plan.markets) {
+    merged.insert(merged.end(), market_plan.revocations.begin(),
+                  market_plan.revocations.end());
+  }
+  std::sort(merged.begin(), merged.end(), tn::schedule_before);
+  EXPECT_EQ(merged, plan.revocations);
 }
