@@ -499,14 +499,4 @@ void ClusterManager::subscribe_deflation(const DeflationCallback& callback) {
   for (auto& node : nodes_) node->controller->subscribe(callback);
 }
 
-void ClusterManager::rebind_placement(const std::string& name) {
-  // make_placement_scorer throws before scorer_ is touched, so a bad name
-  // leaves the current binding in place.
-  scorer_ = make_placement_scorer(name);
-  config_.placement_name = name;
-  if (const auto strategy = placement_strategy_from_name(name)) {
-    config_.placement = *strategy;
-  }
-}
-
 }  // namespace deflate::cluster

@@ -302,12 +302,6 @@ class ClusterManager : public ClusterManagerBase {
   /// any flush (invariant checks).
   [[nodiscard]] FixedPointRow rescan_free_units() const;
 
-  /// Re-resolves the placement scorer from the registry by name (PolicySet
-  /// re-binding). Only call at a tick barrier — between flush_views and the
-  /// next place_vm — so no in-flight placement straddles two policies.
-  /// Throws std::invalid_argument on unknown names (state unchanged).
-  void rebind_placement(const std::string& name);
-
   [[nodiscard]] const PlacementScorer& placement_scorer() const noexcept {
     return *scorer_;
   }
@@ -350,7 +344,7 @@ class ClusterManager : public ClusterManagerBase {
 
   ClusterConfig config_;
   std::shared_ptr<core::DeflationPolicy> policy_;
-  /// Resolved placement scorer (registry-backed; see rebind_placement).
+  /// Resolved placement scorer (registry-backed).
   std::shared_ptr<const PlacementScorer> scorer_;
   std::vector<std::unique_ptr<ServerNode>> nodes_;
   ClusterPartitions partitions_;

@@ -259,16 +259,6 @@ std::vector<std::size_t> ShardedClusterManager::route_picks(
   return picks;
 }
 
-void ShardedClusterManager::rebind_shard_selection(const std::string& name) {
-  // make_shard_selector throws before selector_ is touched, so a bad name
-  // leaves the current binding (and its state) in place.
-  selector_ = make_shard_selector(name);
-  config_.selection_name = name;
-  if (const auto policy = shard_selection_from_name(name)) {
-    config_.selection = *policy;
-  }
-}
-
 std::vector<std::size_t> ShardedClusterManager::route_tail(
     const res::ResourceVector& demand,
     const std::vector<std::size_t>& tried) {

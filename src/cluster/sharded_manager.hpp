@@ -193,13 +193,6 @@ class ShardedClusterManager : public ClusterManagerBase {
   /// dirty servers.
   void flush_views() override;
 
-  /// Re-resolves the shard selector from the registry by name (PolicySet
-  /// re-binding). Only call at a tick barrier — selector state (e.g. the
-  /// round-robin cursor) resets, and no in-flight placement may straddle
-  /// two policies. Throws std::invalid_argument on unknown names (state
-  /// unchanged).
-  void rebind_shard_selection(const std::string& name);
-
   // --- shard topology (introspection / tests) -------------------------------
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
@@ -254,7 +247,7 @@ class ShardedClusterManager : public ClusterManagerBase {
   std::unordered_map<std::uint64_t, std::size_t> vm_shard_;
   util::Rng routing_rng_;
   /// Registry-resolved routing policy (owns its own state, e.g. the
-  /// round-robin cursor); see rebind_shard_selection.
+  /// round-robin cursor).
   std::unique_ptr<ShardSelector> selector_;
   /// Stats increments from failed shard attempts that were routing noise
   /// (the placement landed elsewhere, or duplicated a rejection already

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -14,73 +11,74 @@
 #include "transient/spot_price.hpp"
 
 namespace deflate::control {
-namespace {
-
-/// Mirrors TransientMarketEngine's per-market revocation-stream seeding,
-/// so schedule suffixes regenerated here continue the exact per-server
-/// keyed streams the plan's own schedules were drawn from.
-std::uint64_t market_stream_seed(std::uint64_t seed, std::size_t market) {
-  return seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(market);
+std::vector<ServerTimeline> server_timelines(
+    const transient::CapacityPlan& plan) {
+  std::vector<ServerTimeline> timelines;
+  timelines.reserve(plan.transient_servers.size());
+  for (std::size_t m = 0; m < plan.markets.size(); ++m) {
+    for (const std::size_t server : plan.markets[m].servers) {
+      timelines.push_back({server, m, {}, {}});
+    }
+  }
+  std::sort(timelines.begin(), timelines.end(),
+            [](const ServerTimeline& a, const ServerTimeline& b) {
+              return a.server < b.server;
+            });
+  for (std::size_t m = 0; m < plan.markets.size(); ++m) {
+    for (const transient::RevocationEvent& event :
+         plan.markets[m].revocations) {
+      const auto it = std::lower_bound(
+          timelines.begin(), timelines.end(), event.server,
+          [](const ServerTimeline& t, std::size_t server) {
+            return t.server < server;
+          });
+      if (it != timelines.end() && it->server == event.server &&
+          it->initial_market == m) {
+        it->events.push_back({event.at, event.revoke, m});
+      }
+    }
+  }
+  return timelines;
 }
 
-/// Mirrors TransientMarketEngine's largest-remainder split (ties to the
-/// lower index) so a `static` forecast reproduces the planned partition
-/// exactly and therefore schedules zero moves.
-std::vector<std::size_t> split_counts(std::size_t total,
-                                      const std::vector<double>& weights) {
-  const std::size_t k = weights.size();
-  std::vector<std::size_t> counts(k, 0);
-  if (k == 0 || total == 0) return counts;
-  double sum = 0.0;
-  for (const double w : weights) sum += std::max(0.0, w);
-  if (sum <= 0.0) {
-    counts[0] = total;
-    return counts;
+std::vector<PlanEvent> plan_events(const std::vector<ServerTimeline>& timelines,
+                                   const std::vector<double>& warning_hours,
+                                   sim::SimTime after) {
+  std::vector<PlanEvent> out;
+  for (const ServerTimeline& timeline : timelines) {
+    sim::SimTime prev;
+    for (const TimelineEvent& event : timeline.events) {
+      if (event.at > after) {
+        out.push_back({event.at,
+                       event.revoke ? PlanEvent::Kind::Revoke
+                                    : PlanEvent::Kind::Restore,
+                       timeline.server,
+                       {}});
+      }
+      const double warn_hours =
+          event.revoke && event.market < warning_hours.size()
+              ? warning_hours[event.market]
+              : 0.0;
+      if (warn_hours > 0.0) {
+        // A server the provider has not yet handed back cannot be
+        // announced as doomed: the warn never precedes its previous event.
+        const sim::SimTime warn_at =
+            std::max(event.at - sim::SimTime::from_hours(warn_hours), prev);
+        if (warn_at > after && warn_at < event.at) {
+          out.push_back(
+              {warn_at, PlanEvent::Kind::Warn, timeline.server, event.at});
+        }
+      }
+      prev = event.at;
+    }
   }
-  std::vector<double> remainder(k, 0.0);
-  std::size_t assigned = 0;
-  for (std::size_t m = 0; m < k; ++m) {
-    const double exact =
-        std::max(0.0, weights[m]) / sum * static_cast<double>(total);
-    counts[m] = static_cast<std::size_t>(std::floor(exact));
-    remainder[m] = exact - std::floor(exact);
-    assigned += counts[m];
-  }
-  std::vector<std::size_t> order(k);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (remainder[a] != remainder[b]) return remainder[a] > remainder[b];
-    return a < b;
+  std::sort(out.begin(), out.end(), [](const PlanEvent& a, const PlanEvent& b) {
+    if (a.at != b.at) return a.at < b.at;
+    if (a.kind != b.kind) return a.kind < b.kind;
+    return a.server < b.server;
   });
-  for (std::size_t i = 0; assigned < total; ++i) {
-    ++counts[order[i % k]];
-    ++assigned;
-  }
-  return counts;
+  return out;
 }
-
-/// Applies the plan's optimized bids onto a market-def list (the same
-/// re-application TransientMarketEngine::schedule_markets performs).
-void apply_optimized_bids(std::vector<transient::MarketDef>& defs,
-                          const std::vector<double>& optimized_bids) {
-  for (std::size_t m = 0; m < optimized_bids.size() && m < defs.size(); ++m) {
-    defs[m].revocation.bid = optimized_bids[m];
-  }
-}
-
-int plan_event_rank(PlanEvent::Kind kind) noexcept {
-  switch (kind) {
-    case PlanEvent::Kind::Restore:
-      return 0;
-    case PlanEvent::Kind::Warn:
-      return 1;
-    case PlanEvent::Kind::Revoke:
-      return 2;
-  }
-  return 3;
-}
-
-}  // namespace
 
 void apply_regime_shift(transient::CapacityPlan& plan,
                         const transient::MarketEngineConfig& before,
@@ -111,21 +109,8 @@ void apply_regime_shift(transient::CapacityPlan& plan,
 
   // Price traces: realized prefix, new-regime suffix (sample-wise stitch
   // on the shared step grid).
-  transient::CorrelatedPriceConfig price_config;
-  price_config.markets.reserve(defs_after.size());
-  for (const transient::MarketDef& def : defs_after) {
-    price_config.markets.push_back(def.price);
-  }
-  price_config.correlation = shift.after.correlation;
-  price_config.common_shock_rate_per_hour =
-      shift.after.common_shock_rate_per_hour;
-  price_config.common_shock_multiplier = shift.after.common_shock_multiplier;
-  price_config.common_shock_decay_hours = shift.after.common_shock_decay_hours;
   const std::vector<transient::PriceTrace> post =
-      transient::CorrelatedPriceModel(std::move(price_config),
-                                      shift.after.seed,
-                                      /*stream=*/0)
-          .generate(horizon);
+      transient::market_price_traces(shift.after, horizon);
 
   for (std::size_t m = 0; m < plan.markets.size(); ++m) {
     const sim::SimTime step = plan.markets[m].prices.step();
@@ -144,12 +129,12 @@ void apply_regime_shift(transient::CapacityPlan& plan,
   // Revocation schedules: keep every realized event before the shift,
   // continue each server under the new regime's keyed stream from the
   // shift on, and repair the held/down alternation at the junction.
-  apply_optimized_bids(defs_after, plan.optimized_bids);
+  transient::apply_optimized_bids(defs_after, plan.optimized_bids);
   plan.revocations.clear();
   for (std::size_t m = 0; m < plan.markets.size(); ++m) {
     transient::MarketPlan& market = plan.markets[m];
     transient::RevocationEngine engine(
-        defs_after[m].revocation, market_stream_seed(shift.after.seed, m));
+        defs_after[m].revocation, transient::market_seed(shift.after.seed, m));
     engine.set_price_trace(&market.prices);
     std::vector<transient::RevocationEvent> rebuilt;
     rebuilt.reserve(market.revocations.size());
@@ -162,13 +147,9 @@ void apply_regime_shift(transient::CapacityPlan& plan,
            engine.schedule_for(server, horizon)) {
         if (event.at >= at) events.push_back(event);
       }
-      bool held = true;
-      for (const transient::RevocationEvent& event : events) {
-        if (event.revoke == held) {
-          rebuilt.push_back(event);
-          held = !held;
-        }
-      }
+      const std::vector<transient::RevocationEvent> kept =
+          transient::state_changes(events);
+      rebuilt.insert(rebuilt.end(), kept.begin(), kept.end());
     }
     std::sort(rebuilt.begin(), rebuilt.end(), transient::schedule_before);
     market.revocations = std::move(rebuilt);
@@ -201,8 +182,13 @@ FleetController::FleetController(ControlConfig config,
       forecaster_(policy_, config_.ewma_alpha, {}, {}),
       correlation_(policy_, config_.ewma_alpha, plan.markets.size(),
                    plan.planned_correlation) {
-  apply_optimized_bids(defs_before_, plan.optimized_bids);
-  apply_optimized_bids(defs_after_, plan.optimized_bids);
+  transient::apply_optimized_bids(defs_before_, plan.optimized_bids);
+  transient::apply_optimized_bids(defs_after_, plan.optimized_bids);
+  if (timed_) {
+    for (const transient::MarketDef& def : defs_before_) {
+      warning_hours_.push_back(def.revocation.warning_hours);
+    }
+  }
 
   const std::size_t k = plan.markets.size();
   std::vector<double> planned_rates(k, 0.0);
@@ -223,25 +209,7 @@ FleetController::FleetController(ControlConfig config,
                                      std::move(planned_uptimes));
   ceilings_ = plan.class_ceilings;
 
-  timelines_.reserve(plan.transient_servers.size());
-  for (std::size_t m = 0; m < k; ++m) {
-    for (const std::size_t server : plan.markets[m].servers) {
-      ServerTimeline timeline;
-      timeline.server = server;
-      timeline.initial_market = m;
-      for (const transient::RevocationEvent& event :
-           plan.markets[m].revocations) {
-        if (event.server == server) {
-          timeline.events.push_back({event.at, event.revoke, m});
-        }
-      }
-      timelines_.push_back(std::move(timeline));
-    }
-  }
-  std::sort(timelines_.begin(), timelines_.end(),
-            [](const ServerTimeline& a, const ServerTimeline& b) {
-              return a.server < b.server;
-            });
+  timelines_ = server_timelines(plan);
 }
 
 FleetController::ServerStatus FleetController::walk_timeline(
@@ -308,16 +276,15 @@ const std::vector<transient::MarketDef>& FleetController::defs_at(
                                                    : defs_before_;
 }
 
-std::vector<FleetController::TimelineEvent>
+std::vector<TimelineEvent>
 FleetController::environment_schedule(std::size_t market, std::size_t server,
                                       sim::SimTime from) const {
   std::vector<transient::RevocationEvent> raw;
-  const bool shifted = shift_at_ < horizon_;
   const auto collect = [&](const std::vector<transient::MarketDef>& defs,
                            std::uint64_t seed, sim::SimTime lo,
                            sim::SimTime hi, bool include_lo) {
-    transient::RevocationEngine engine(defs[market].revocation,
-                                       market_stream_seed(seed, market));
+    transient::RevocationEngine engine(
+        defs[market].revocation, transient::market_seed(seed, market));
     engine.set_price_trace(&plan_->markets[market].prices);
     for (const transient::RevocationEvent& event :
          engine.schedule_for(server, horizon_)) {
@@ -325,41 +292,43 @@ FleetController::environment_schedule(std::size_t market, std::size_t server,
       if (above && event.at < hi) raw.push_back(event);
     }
   };
-  if (!shifted) {
-    collect(defs_before_, market_.seed, from, horizon_, false);
-  } else if (from >= shift_at_) {
-    collect(defs_after_, config_.regime_shift.after.seed, from, horizon_,
+  // (from, shift) under the planned regime, then [shift, horizon) — or
+  // (from, horizon) once the shift has passed — under the new one.
+  if (from < shift_at_) {
+    collect(defs_before_, market_.seed, from, std::min(shift_at_, horizon_),
             false);
-  } else {
-    collect(defs_before_, market_.seed, from, shift_at_, false);
-    collect(defs_after_, config_.regime_shift.after.seed, shift_at_, horizon_,
-            true);
+  }
+  if (shift_at_ < horizon_) {
+    collect(defs_after_, config_.regime_shift.after.seed,
+            std::max(from, shift_at_), horizon_, from < shift_at_);
   }
   // The server re-enters the market held; repair the alternation at the
-  // junction (and across the shift) by keeping only state-toggling
-  // events.
+  // junction (and across the shift).
   std::vector<TimelineEvent> out;
-  out.reserve(raw.size());
-  bool held = true;
-  for (const transient::RevocationEvent& event : raw) {
-    if (event.revoke == held) {
-      out.push_back({event.at, event.revoke, market});
-      held = !held;
-    }
+  for (const transient::RevocationEvent& event :
+       transient::state_changes(raw)) {
+    out.push_back({event.at, event.revoke, market});
   }
   return out;
 }
 
 bool FleetController::schedule_move(ServerTimeline& timeline,
-                                    std::size_t from_market,
+                                    const ServerStatus& status,
                                     std::size_t to_market, sim::SimTime now) {
+  const std::size_t from_market = status.market;
   const sim::SimTime eps = sim::SimTime::from_micros(1);
   const double warn_hours =
       timed_ ? defs_at(now)[from_market].revocation.warning_hours : 0.0;
   sim::SimTime revoke_at = now + eps;
   if (warn_hours > 0.0) revoke_at += sim::SimTime::from_hours(warn_hours);
   const sim::SimTime restore_at = revoke_at + eps;
-  if (restore_at >= horizon_) return false;
+  // A server the market itself will revoke before the drain could
+  // complete cannot be moved (this also skips drains already in their
+  // warning window).
+  if (restore_at >= horizon_ ||
+      (status.has_next_revoke && status.next_revoke <= restore_at)) {
+    return false;
+  }
 
   while (!timeline.events.empty() && timeline.events.back().at > now) {
     timeline.events.pop_back();
@@ -372,52 +341,6 @@ bool FleetController::schedule_move(ServerTimeline& timeline,
   timeline.events.insert(timeline.events.end(), suffix.begin(), suffix.end());
   timeline.move_until = restore_at;
   return true;
-}
-
-std::vector<PlanEvent> FleetController::rebuild_future_events(
-    sim::SimTime now) const {
-  std::vector<PlanEvent> out;
-  for (const ServerTimeline& timeline : timelines_) {
-    for (std::size_t e = 0; e < timeline.events.size(); ++e) {
-      const TimelineEvent& event = timeline.events[e];
-      if (event.at <= now) continue;
-      out.push_back({event.at,
-                     event.revoke ? PlanEvent::Kind::Revoke
-                                  : PlanEvent::Kind::Restore,
-                     timeline.server,
-                     sim::SimTime{}});
-      if (event.revoke && timed_) {
-        // Mirror the simulator's warn synthesis exactly: warn at
-        // deadline minus the market's warning window, clamped to the
-        // server's previous event and t=0; a warn that would land at or
-        // before `now` already fired and must not be re-emitted.
-        const double warn_hours =
-            event.market < defs_before_.size()
-                ? defs_before_[event.market].revocation.warning_hours
-                : 0.0;
-        if (warn_hours > 0.0) {
-          sim::SimTime warn_at =
-              event.at - sim::SimTime::from_hours(warn_hours);
-          const sim::SimTime prev =
-              e > 0 ? timeline.events[e - 1].at : sim::SimTime{};
-          if (warn_at < prev) warn_at = prev;
-          if (warn_at < sim::SimTime{}) warn_at = sim::SimTime{};
-          if (warn_at > now && warn_at < event.at) {
-            out.push_back(
-                {warn_at, PlanEvent::Kind::Warn, timeline.server, event.at});
-          }
-        }
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const PlanEvent& a, const PlanEvent& b) {
-    if (a.at != b.at) return a.at < b.at;
-    const int ra = plan_event_rank(a.kind);
-    const int rb = plan_event_rank(b.kind);
-    if (ra != rb) return ra < rb;
-    return a.server < b.server;
-  });
-  return out;
 }
 
 ReoptResult FleetController::reoptimize(sim::SimTime now) {
@@ -435,8 +358,6 @@ ReoptResult FleetController::reoptimize(sim::SimTime now) {
   std::vector<std::vector<double>> samples(k);
   for (std::size_t m = 0; m < k; ++m) {
     samples[m] = window_samples(m, from, now);
-  }
-  for (std::size_t m = 0; m < k; ++m) {
     forecaster_.observe_window(m, stats[m].revocations, stats[m].held_hours,
                                stats[m].uptime_hours_sum,
                                stats[m].uptime_count);
@@ -467,21 +388,19 @@ ReoptResult FleetController::reoptimize(sim::SimTime now) {
     specs[m].revocation_rate_per_hour = forecaster_.rate_per_hour(m);
   }
   std::vector<double> target_weights(k, 0.0);
+  for (std::size_t m = 0; m < k; ++m) {
+    target_weights[m] = plan_->markets[m].weight;
+  }
   if (market_.use_portfolio) {
     const transient::PortfolioManager manager(market_.portfolio);
-    // Mirror plan(): the legacy single market keeps the scalar
-    // correlation path so a `static` forecast reproduces it bit-exactly.
+    // As in TransientMarketEngine::plan, the legacy single market keeps
+    // the scalar correlation path, so a `static` forecast reproduces it
+    // bit-exactly.
     const transient::PortfolioResult result =
         market_.markets.empty()
             ? manager.optimize(specs)
             : manager.optimize(specs, correlation_.forecast());
-    for (std::size_t m = 0; m < k; ++m) {
-      target_weights[m] = result.weights[m + 1];
-    }
-  } else {
-    for (std::size_t m = 0; m < k; ++m) {
-      target_weights[m] = plan_->markets[m].weight;
-    }
+    target_weights.assign(result.weights.begin() + 1, result.weights.end());
   }
 
   // 3. Fresh per-class admission ceilings from the window's realized
@@ -497,28 +416,16 @@ ReoptResult FleetController::reoptimize(sim::SimTime now) {
       transient::BidOptimizerConfig bidding = market_.bidding;
       bidding.on_demand_price = defs_at(now).front().price.on_demand_price;
       const transient::BidOptimizer optimizer(bidding);
-      double weight_sum = 0.0;
-      for (const double w : target_weights) weight_sum += std::max(0.0, w);
       std::vector<std::vector<transient::ClassBid>> bids(k);
       for (std::size_t m = 0; m < k; ++m) {
         bids[m] = optimizer.optimize_classes(
             transient::PriceTrace(plan_->markets[m].prices.step(), samples[m]),
             defs_at(now)[m].revocation);
       }
-      for (std::size_t c = 0; c < realized.size(); ++c) {
-        double ceiling = 0.0;
-        bool have = true;
-        for (std::size_t m = 0; m < k; ++m) {
-          if (c >= bids[m].size()) {
-            have = false;
-            break;
-          }
-          const double w = weight_sum > 0.0
-                               ? std::max(0.0, target_weights[m]) / weight_sum
-                               : 1.0 / static_cast<double>(k);
-          ceiling += w * bids[m][c].bid;
-        }
-        if (have) realized[c] = ceiling;
+      const std::vector<double> blended =
+          transient::blend_class_bids(bids, target_weights);
+      for (std::size_t c = 0; c < blended.size() && c < realized.size(); ++c) {
+        realized[c] = blended[c];
       }
     }
     for (std::size_t c = 0; c < ceilings_.size(); ++c) {
@@ -536,18 +443,7 @@ ReoptResult FleetController::reoptimize(sim::SimTime now) {
     std::vector<long long> delta(k, 0);
     for (const ServerStatus& s : status) ++delta[s.market];
     const std::vector<std::size_t> target =
-        split_counts(timelines_.size(), target_weights);
-    if (std::getenv("DEFLATE_CONTROL_DEBUG") != nullptr) {
-      std::fprintf(stderr, "reopt t=%.1fh\n", now.hours());
-      for (std::size_t m = 0; m < k; ++m) {
-        std::fprintf(stderr,
-                     "  m%zu mean=%.3f var=%.4f rate=%.3f w=%.3f cur=%lld "
-                     "target=%zu\n",
-                     m, price_mean_[m], price_variance_[m],
-                     forecaster_.rate_per_hour(m), target_weights[m], delta[m],
-                     target[m]);
-      }
-    }
+        transient::split_counts(timelines_.size(), target_weights);
     for (std::size_t m = 0; m < k; ++m) {
       delta[m] -= static_cast<long long>(target[m]);
     }
@@ -565,15 +461,7 @@ ReoptResult FleetController::reoptimize(sim::SimTime now) {
         }
       }
       if (dst == k) break;
-      // A server the market itself will revoke before the drain could
-      // complete cannot be moved (this also skips drains already in
-      // their warning window).
-      const double warn_hours =
-          timed_ ? defs_at(now)[s.market].revocation.warning_hours : 0.0;
-      sim::SimTime drain_end = now + sim::SimTime::from_micros(2);
-      if (warn_hours > 0.0) drain_end += sim::SimTime::from_hours(warn_hours);
-      if (s.has_next_revoke && s.next_revoke <= drain_end) continue;
-      if (!schedule_move(timelines_[i], s.market, dst, now)) continue;
+      if (!schedule_move(timelines_[i], s, dst, now)) continue;
       --delta[s.market];
       ++delta[dst];
       --budget;
@@ -583,7 +471,7 @@ ReoptResult FleetController::reoptimize(sim::SimTime now) {
       total_moves_ += moved;
       out.moves = moved;
       out.schedule_rewritten = true;
-      out.future_events = rebuild_future_events(now);
+      out.future_events = plan_events(timelines_, warning_hours_, now);
     }
   }
 

@@ -33,12 +33,17 @@
 //     ceilings equal the planned ones;
 //   - zero allowed moves: only admission ceilings change.
 //
+// Re-planning calls the market planner's own rules (transient/market.hpp),
+// and the simulator's plan queue and a move's rewritten suffix both come
+// from server_timelines + plan_events below.
+//
 // The controller owns the authoritative per-server revoke/restore
-// timeline (seeded from the plan, rewritten on moves) and can therefore
-// bill the realized fleet exactly like TransientMarketEngine::cost_report
-// does, but segment-aware: a moved server is billed at its old market's
-// spot price until the drain completes and at the new market's price
-// after the re-acquisition.
+// timeline (seeded from the plan, rewritten on moves) and bills the
+// realized fleet segment-aware: a moved server pays its old market's spot
+// price until the drain completes and the new market's after it. This
+// bill sums per server, TransientMarketEngine::cost_report per market in
+// schedule order; one shared walk would reorder the floating-point sums
+// and change every run's cost bits, so the two stay separate.
 #pragma once
 
 #include <cmath>
@@ -93,9 +98,10 @@ struct ControlConfig {
   }
 };
 
-/// One future plan event the controller hands back to the simulator —
-/// the neutral mirror of the simulator's internal event record, so
-/// simcluster depends on control and not the other way around.
+/// One Restore/Warn/Revoke of a transient server: the simulator's plan
+/// queue holds these, and a re-optimization hands back a rewritten
+/// suffix of them. Kinds are declared in their canonical order at equal
+/// timestamps.
 struct PlanEvent {
   enum class Kind { Restore, Warn, Revoke };
   sim::SimTime at;
@@ -104,6 +110,45 @@ struct PlanEvent {
   /// Warn only: when the drain window closes (the revocation instant).
   sim::SimTime deadline;
 };
+
+/// One revoke/restore of one server, tagged with the market the server
+/// occupies when the event fires (moves switch the tag).
+struct TimelineEvent {
+  sim::SimTime at;
+  bool revoke = true;
+  std::size_t market = 0;
+  /// Controller-initiated (a move's drain/re-acquire) rather than an
+  /// environment revocation: executed and billed like any other event,
+  /// but invisible to the estimators — counting our own drains as market
+  /// revocations would convince the forecaster an emptied market is
+  /// infinitely hostile.
+  bool synthetic = false;
+};
+
+/// One transient server's revoke/restore timeline, in time order.
+struct ServerTimeline {
+  std::size_t server = 0;
+  std::size_t initial_market = 0;
+  std::vector<TimelineEvent> events;
+  /// A scheduled move's re-acquisition instant; the server is not a move
+  /// candidate again until then.
+  sim::SimTime move_until;
+};
+
+/// Every transient server's timeline, ascending by server id, read off
+/// the plan's per-market schedules in one pass.
+[[nodiscard]] std::vector<ServerTimeline> server_timelines(
+    const transient::CapacityPlan& plan);
+
+/// The plan events of `timelines` strictly after `after`, sorted by
+/// (time, restore < warn < revoke, server). When `warning_hours` is
+/// non-empty (indexed by market; timed migration), each revoke is
+/// announced by a warn that many hours earlier in the revoke's market,
+/// clamped to the server's previous event and to t=0; a warn that does
+/// not land strictly between `after` and its revoke is left out.
+[[nodiscard]] std::vector<PlanEvent> plan_events(
+    const std::vector<ServerTimeline>& timelines,
+    const std::vector<double>& warning_hours, sim::SimTime after);
 
 /// What one re-optimization produced.
 struct ReoptResult {
@@ -164,28 +209,6 @@ class FleetController {
                                                   sim::SimTime horizon) const;
 
  private:
-  /// One revoke/restore of one server, tagged with the market the
-  /// server occupies when the event fires (moves switch the tag).
-  struct TimelineEvent {
-    sim::SimTime at;
-    bool revoke = true;
-    std::size_t market = 0;
-    /// Controller-initiated (a move's drain/re-acquire) rather than an
-    /// environment revocation: executed and billed like any other event,
-    /// but invisible to the estimators — counting our own drains as
-    /// market revocations would convince the forecaster an emptied
-    /// market is infinitely hostile.
-    bool synthetic = false;
-  };
-  /// The controller's authoritative view of one transient server.
-  struct ServerTimeline {
-    std::size_t server = 0;
-    std::size_t initial_market = 0;
-    std::vector<TimelineEvent> events;
-    /// A scheduled move's re-acquisition instant; the server is not a
-    /// move candidate again until then.
-    sim::SimTime move_until;
-  };
   /// Snapshot of one server at a re-optimization instant.
   struct ServerStatus {
     bool held = false;
@@ -219,12 +242,11 @@ class FleetController {
   /// start), spanning the regime shift when one is configured.
   [[nodiscard]] std::vector<TimelineEvent> environment_schedule(
       std::size_t market, std::size_t server, sim::SimTime from) const;
-  /// Schedules one drain+reacquire move; false when the drain would not
-  /// complete before the horizon.
-  bool schedule_move(ServerTimeline& timeline, std::size_t from_market,
+  /// Schedules one drain+reacquire move of a held server out of
+  /// `status.market`; false when the drain would not complete before the
+  /// horizon or before the market's own next revocation.
+  bool schedule_move(ServerTimeline& timeline, const ServerStatus& status,
                      std::size_t to_market, sim::SimTime now);
-  [[nodiscard]] std::vector<PlanEvent> rebuild_future_events(
-      sim::SimTime now) const;
 
   ControlConfig config_;
   transient::MarketEngineConfig market_;
@@ -236,6 +258,8 @@ class FleetController {
   std::shared_ptr<const ForecastPolicy> policy_;
   std::vector<transient::MarketDef> defs_before_;
   std::vector<transient::MarketDef> defs_after_;
+  /// Per-market warning windows for warn synthesis; empty unless timed.
+  std::vector<double> warning_hours_;
 
   RevocationForecaster forecaster_;
   CorrelationEstimator correlation_;

@@ -483,55 +483,6 @@ void TraceDrivenSimulator::publish_utilization() {
   }
 }
 
-std::vector<TraceDrivenSimulator::Event>
-TraceDrivenSimulator::build_plan_events() const {
-  std::vector<Event> events;
-  if (plan_) {
-    events.reserve(plan_->revocations.size());
-    for (const transient::RevocationEvent& rev : plan_->revocations) {
-      events.push_back({rev.at,
-                        rev.revoke ? Event::Kind::Revoke : Event::Kind::Restore,
-                        rev.server,
-                        {}});
-    }
-  }
-  if (plan_ && timed_migration()) {
-    // Advance warnings, per market (each market has its own warning time).
-    // A warning never precedes the server's previous restore: a server the
-    // provider has not yet handed back cannot be announced as doomed.
-    const std::vector<transient::MarketDef> defs =
-        config_.market.effective_markets();
-    for (std::size_t m = 0;
-         m < plan_->markets.size() && m < defs.size(); ++m) {
-      const double warning_hours = defs[m].revocation.warning_hours;
-      if (warning_hours <= 0.0) continue;
-      const sim::SimTime warning = sim::SimTime::from_hours(warning_hours);
-      std::unordered_map<std::size_t, sim::SimTime> prev_event_at;
-      for (const transient::RevocationEvent& rev :
-           plan_->markets[m].revocations) {
-        if (rev.revoke) {
-          sim::SimTime warn_at = rev.at - warning;
-          const auto prev = prev_event_at.find(rev.server);
-          if (prev != prev_event_at.end() && warn_at < prev->second) {
-            warn_at = prev->second;
-          }
-          if (warn_at < sim::SimTime{}) warn_at = sim::SimTime{};
-          if (warn_at < rev.at) {
-            events.push_back({warn_at, Event::Kind::Warn, rev.server, rev.at});
-          }
-        }
-        prev_event_at[rev.server] = rev.at;
-      }
-    }
-  }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.server < b.server;
-  });
-  return events;
-}
-
 void TraceDrivenSimulator::handle_warn(std::size_t server,
                                        sim::SimTime deadline) {
   const cluster::WarningResult warned =
@@ -598,20 +549,8 @@ void TraceDrivenSimulator::run_reopt() {
     // consumed (future_events are strictly after now_), so the splice
     // never revises history.
     plan_queue_.resize(next_plan_);
-    plan_queue_.reserve(next_plan_ + result.future_events.size());
-    for (const control::PlanEvent& event : result.future_events) {
-      Event::Kind kind = Event::Kind::Revoke;
-      switch (event.kind) {
-        case control::PlanEvent::Kind::Restore:
-          kind = Event::Kind::Restore;
-          break;
-        case control::PlanEvent::Kind::Warn: kind = Event::Kind::Warn; break;
-        case control::PlanEvent::Kind::Revoke:
-          kind = Event::Kind::Revoke;
-          break;
-      }
-      plan_queue_.push_back({event.at, kind, event.server, event.deadline});
-    }
+    plan_queue_.insert(plan_queue_.end(), result.future_events.begin(),
+                       result.future_events.end());
   }
   next_reopt_ += sim::SimTime::from_hours(config_.control.reopt_hours);
   if (next_reopt_ >= horizon_) next_reopt_ = sim::SimTime::max();
@@ -645,10 +584,25 @@ void TraceDrivenSimulator::run_events() {
   //   * departures of VMs admitted so far (a min-heap fed at arrival),
   //   * the arrival stream itself (one-record lookahead),
   //   * the controller's next re-optimization wakeup.
-  // Kinds never collide across sources and each source yields its own
-  // events in (at, id) order, so ordering candidates by (at, kind) gives
-  // the canonical (at, kind, id) order.
-  plan_queue_ = build_plan_events();
+  // Ranks at equal timestamps: departures free capacity, restores add
+  // it, warnings start migrations before the tick's final loss,
+  // revocations shrink the fleet, the controller re-plans on the
+  // post-revocation fleet, then arrivals are admitted. Each source yields
+  // its own events in (at, id) order, so ordering candidates by
+  // (at, rank) gives the canonical (at, rank, id) order.
+  if (plan_) {
+    std::vector<double> warning_hours;
+    if (timed_migration()) {
+      for (const transient::MarketDef& def :
+           config_.market.effective_markets()) {
+        warning_hours.push_back(def.revocation.warning_hours);
+      }
+    }
+    // Strictly after -1 us: every event, t=0 included.
+    plan_queue_ =
+        control::plan_events(control::server_timelines(*plan_), warning_hours,
+                             sim::SimTime::from_micros(-1));
+  }
 
   struct EndEvent {
     sim::SimTime at;
@@ -665,8 +619,9 @@ void TraceDrivenSimulator::run_events() {
 
   constexpr int kSourceEnd = 0, kSourcePlan = 1, kSourceArrival = 2,
                 kSourceReopt = 3;
-  constexpr int kArrivalRank = static_cast<int>(Event::Kind::VmStart);
-  constexpr int kReoptRank = static_cast<int>(Event::Kind::Reopt);
+  // A plan event ranks kPlanRank + its Kind (Restore < Warn < Revoke).
+  constexpr int kEndRank = 0, kPlanRank = 1, kReoptRank = 4,
+                kArrivalRank = 5;
 
   while (true) {
     // Pick the earliest static event by (at, kind rank).
@@ -681,12 +636,12 @@ void TraceDrivenSimulator::run_events() {
       }
     };
     if (!ends.empty()) {
-      consider(ends.top().at, static_cast<int>(Event::Kind::VmEnd),
-               kSourceEnd);
+      consider(ends.top().at, kEndRank, kSourceEnd);
     }
     if (next_plan_ < plan_queue_.size()) {
       consider(plan_queue_[next_plan_].at,
-               static_cast<int>(plan_queue_[next_plan_].kind), kSourcePlan);
+               kPlanRank + static_cast<int>(plan_queue_[next_plan_].kind),
+               kSourcePlan);
     }
     if (next_arrival.has_value()) {
       consider(next_arrival->start, kArrivalRank, kSourceArrival);
@@ -741,16 +696,17 @@ void TraceDrivenSimulator::run_events() {
         break;
       }
       case kSourcePlan: {
-        const Event& event = plan_queue_[next_plan_++];
+        const control::PlanEvent& event = plan_queue_[next_plan_++];
         switch (event.kind) {
-          case Event::Kind::Warn:
+          case control::PlanEvent::Kind::Warn:
             handle_warn(event.server, event.deadline);
             break;
-          case Event::Kind::Revoke: handle_revoke(event.server); break;
-          case Event::Kind::Restore:
+          case control::PlanEvent::Kind::Revoke:
+            handle_revoke(event.server);
+            break;
+          case control::PlanEvent::Kind::Restore:
             manager_->restore_server(event.server);
             break;
-          default: break;  // plan events are never VmStart/VmEnd
         }
         break;
       }

@@ -328,25 +328,6 @@ class TraceDrivenSimulator {
   void charge_unserved_tail(const VmRuntime& vm, sim::SimTime at);
 
   // --- event loop -------------------------------------------------------------
-  /// Static (pre-computable) simulation events. Canonical order at equal
-  /// timestamps: departures free capacity first, then restores add it,
-  /// then revocation warnings (migrations start before the tick's final
-  /// loss), then revocations (arrivals see the reduced fleet), then
-  /// re-optimization wakeups (the controller sees the post-revocation
-  /// fleet but re-plans before the tick's arrivals are admitted), then
-  /// arrivals; ties broken by VM/server id. Only plan events are stored
-  /// as Events; VmEnd/VmStart are the ranks of the departure heap and the
-  /// arrival stream.
-  struct Event {
-    sim::SimTime at;
-    enum class Kind { VmEnd, Restore, Warn, Revoke, Reopt, VmStart } kind;
-    std::size_t server;
-    sim::SimTime deadline;  ///< Warn only: when the server actually dies
-  };
-
-  /// The market plan's Restore/Warn/Revoke events, sorted canonically.
-  [[nodiscard]] std::vector<Event> build_plan_events() const;
-
   /// The event loop: merges arrivals, departures, plan events, reopt
   /// wakeups, deferral retries and migration cutovers in canonical order.
   void run_events();
@@ -383,11 +364,11 @@ class TraceDrivenSimulator {
   /// estimators and the authoritative revocation timeline once moves have
   /// been scheduled.
   std::unique_ptr<control::FleetController> controller_;
-  /// Plan-driven Restore/Warn/Revoke events. The event loop consumes
-  /// this via next_plan_ so a re-optimization can splice a rewritten
-  /// future (everything strictly after `now_`) into the unconsumed
-  /// suffix. Events already consumed are never touched.
-  std::vector<Event> plan_queue_;
+  /// Plan-driven Restore/Warn/Revoke events (control::plan_events). The
+  /// event loop consumes this via next_plan_ so a re-optimization can
+  /// splice a rewritten future (everything strictly after `now_`) into the
+  /// unconsumed suffix. Events already consumed are never touched.
+  std::vector<control::PlanEvent> plan_queue_;
   std::size_t next_plan_ = 0;
   /// Next re-optimization wakeup; SimTime::max() = controller inactive
   /// (disabled, reopt_hours = inf, or no further window fits the

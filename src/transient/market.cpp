@@ -10,48 +10,6 @@ namespace deflate::transient {
 
 namespace {
 
-/// Seed of market m's revocation engine. Market 0 keeps the plan seed so a
-/// one-market plan is bit-identical to the legacy single-market engine.
-std::uint64_t market_seed(std::uint64_t seed, std::size_t market) {
-  return seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(market);
-}
-
-/// Splits `total` servers across markets proportionally to `weights` by
-/// largest-remainder rounding (ties to the lower index). A non-positive
-/// total weight puts everything in market 0.
-std::vector<std::size_t> split_counts(std::size_t total,
-                                      const std::vector<double>& weights) {
-  const std::size_t k = weights.size();
-  std::vector<std::size_t> counts(k, 0);
-  if (k == 0 || total == 0) return counts;
-  double sum = 0.0;
-  for (const double w : weights) sum += std::max(0.0, w);
-  if (sum <= 0.0) {
-    counts[0] = total;
-    return counts;
-  }
-  std::vector<double> remainder(k, 0.0);
-  std::size_t assigned = 0;
-  for (std::size_t m = 0; m < k; ++m) {
-    const double exact =
-        std::max(0.0, weights[m]) / sum * static_cast<double>(total);
-    counts[m] = static_cast<std::size_t>(std::floor(exact));
-    remainder[m] = exact - std::floor(exact);
-    assigned += counts[m];
-  }
-  std::vector<std::size_t> order(k);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (remainder[a] != remainder[b]) return remainder[a] > remainder[b];
-    return a < b;
-  });
-  for (std::size_t i = 0; assigned < total; ++i) {
-    ++counts[order[i % k]];
-    ++assigned;
-  }
-  return counts;
-}
-
 /// The on-demand pool and the all-on-demand counterfactual are billed at
 /// one rate, so heterogeneous per-market on-demand prices have no
 /// well-defined cost report — reject them up front.
@@ -112,6 +70,102 @@ std::vector<std::vector<double>> empirical_correlation(
 
 }  // namespace
 
+std::uint64_t market_seed(std::uint64_t seed, std::size_t market) noexcept {
+  return seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(market);
+}
+
+std::vector<PriceTrace> market_price_traces(const MarketEngineConfig& config,
+                                           sim::SimTime horizon) {
+  CorrelatedPriceConfig price_config;
+  for (const MarketDef& def : config.effective_markets()) {
+    price_config.markets.push_back(def.price);
+  }
+  price_config.correlation = config.correlation;
+  price_config.common_shock_rate_per_hour = config.common_shock_rate_per_hour;
+  price_config.common_shock_multiplier = config.common_shock_multiplier;
+  price_config.common_shock_decay_hours = config.common_shock_decay_hours;
+  return CorrelatedPriceModel(std::move(price_config), config.seed,
+                              /*stream=*/0)
+      .generate(horizon);
+}
+
+std::vector<std::size_t> split_counts(std::size_t total,
+                                      const std::vector<double>& weights) {
+  const std::size_t k = weights.size();
+  std::vector<std::size_t> counts(k, 0);
+  if (k == 0 || total == 0) return counts;
+  double sum = 0.0;
+  for (const double w : weights) sum += std::max(0.0, w);
+  if (sum <= 0.0) {
+    counts[0] = total;
+    return counts;
+  }
+  std::vector<double> remainder(k, 0.0);
+  std::size_t assigned = 0;
+  for (std::size_t m = 0; m < k; ++m) {
+    const double exact =
+        std::max(0.0, weights[m]) / sum * static_cast<double>(total);
+    counts[m] = static_cast<std::size_t>(std::floor(exact));
+    remainder[m] = exact - std::floor(exact);
+    assigned += counts[m];
+  }
+  std::vector<std::size_t> order(k);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (remainder[a] != remainder[b]) return remainder[a] > remainder[b];
+    return a < b;
+  });
+  for (std::size_t i = 0; assigned < total; ++i) {
+    ++counts[order[i % k]];
+    ++assigned;
+  }
+  return counts;
+}
+
+void apply_optimized_bids(std::vector<MarketDef>& defs,
+                          const std::vector<double>& optimized_bids) {
+  for (std::size_t m = 0; m < optimized_bids.size() && m < defs.size(); ++m) {
+    defs[m].revocation.bid = optimized_bids[m];
+  }
+}
+
+std::vector<double> blend_class_bids(
+    const std::vector<std::vector<ClassBid>>& bids,
+    const std::vector<double>& weights) {
+  const std::size_t k = bids.size();
+  if (k == 0) return {};
+  std::size_t classes = bids.front().size();
+  for (const std::vector<ClassBid>& market : bids) {
+    classes = std::min(classes, market.size());
+  }
+  double weight_sum = 0.0;
+  for (const double w : weights) weight_sum += std::max(0.0, w);
+  std::vector<double> ceilings(classes, 0.0);
+  for (std::size_t c = 0; c < classes; ++c) {
+    for (std::size_t m = 0; m < k; ++m) {
+      const double w = weight_sum > 0.0
+                           ? std::max(0.0, weights[m]) / weight_sum
+                           : 1.0 / static_cast<double>(k);
+      ceilings[c] += w * bids[m][c].bid;
+    }
+  }
+  return ceilings;
+}
+
+std::vector<RevocationEvent> state_changes(
+    const std::vector<RevocationEvent>& events) {
+  std::vector<RevocationEvent> out;
+  out.reserve(events.size());
+  bool held = true;
+  for (const RevocationEvent& event : events) {
+    if (event.revoke == held) {
+      out.push_back(event);
+      held = !held;
+    }
+  }
+  return out;
+}
+
 TransientMarketEngine::TransientMarketEngine(MarketEngineConfig config)
     : config_(std::move(config)) {}
 
@@ -125,10 +179,7 @@ void TransientMarketEngine::schedule_markets(CapacityPlan& plan,
   }
   // A plan carrying optimized bids reschedules with them (rebinding a
   // realized fleet split must not silently fall back to the static bids).
-  for (std::size_t m = 0;
-       m < plan.optimized_bids.size() && m < market_count; ++m) {
-    defs[m].revocation.bid = plan.optimized_bids[m];
-  }
+  apply_optimized_bids(defs, plan.optimized_bids);
 
   std::vector<double> weights(market_count, 0.0);
   for (std::size_t m = 0; m < market_count; ++m) {
@@ -172,18 +223,7 @@ CapacityPlan TransientMarketEngine::plan(std::size_t server_count,
   validate_markets(defs);
   const std::size_t market_count = defs.size();
 
-  // K coupled price traces; K = 1 with identity correlation and no common
-  // shocks degenerates to the legacy OU + shock process, bit for bit.
-  CorrelatedPriceConfig price_config;
-  price_config.markets.reserve(market_count);
-  for (const MarketDef& def : defs) price_config.markets.push_back(def.price);
-  price_config.correlation = config_.correlation;
-  price_config.common_shock_rate_per_hour = config_.common_shock_rate_per_hour;
-  price_config.common_shock_multiplier = config_.common_shock_multiplier;
-  price_config.common_shock_decay_hours = config_.common_shock_decay_hours;
-  std::vector<PriceTrace> traces =
-      CorrelatedPriceModel(std::move(price_config), config_.seed, /*stream=*/0)
-          .generate(horizon);
+  std::vector<PriceTrace> traces = market_price_traces(config_, horizon);
 
   out.markets.resize(market_count);
   for (std::size_t m = 0; m < market_count; ++m) {
@@ -195,17 +235,18 @@ CapacityPlan TransientMarketEngine::plan(std::size_t server_count,
   // Per-class bid optimization: replace each market's hand-set bid with
   // the mean of that market's per-class optima *before* the estimates
   // below, so the portfolio prices the markets it will actually ride.
+  std::vector<std::vector<ClassBid>> class_bids(market_count);
   if (config_.optimize_bids) {
     BidOptimizerConfig bidding = config_.bidding;
     bidding.on_demand_price = defs.front().price.on_demand_price;
     const BidOptimizer optimizer(bidding);
     out.optimized_bids.resize(market_count, 0.0);
     for (std::size_t m = 0; m < market_count; ++m) {
-      out.markets[m].class_bids = optimizer.optimize_classes(
-          out.markets[m].prices, defs[m].revocation);
+      class_bids[m] = optimizer.optimize_classes(out.markets[m].prices,
+                                                 defs[m].revocation);
       double bid_sum = 0.0;
       std::size_t deflatable_classes = 0;
-      for (const ClassBid& bid : out.markets[m].class_bids) {
+      for (const ClassBid& bid : class_bids[m]) {
         if (bid.priority_class == 0) continue;  // on-demand never bids
         bid_sum += bid.bid;
         ++deflatable_classes;
@@ -214,8 +255,8 @@ CapacityPlan TransientMarketEngine::plan(std::size_t server_count,
           deflatable_classes > 0
               ? bid_sum / static_cast<double>(deflatable_classes)
               : defs[m].revocation.bid;
-      defs[m].revocation.bid = out.optimized_bids[m];
     }
+    apply_optimized_bids(defs, out.optimized_bids);
   }
 
   // Per-market estimates for the optimizer, from each market's own trace
@@ -261,31 +302,17 @@ CapacityPlan TransientMarketEngine::plan(std::size_t server_count,
           (1.0 - on_demand_share) / static_cast<double>(deflatable_pools);
     }
   }
-  for (std::size_t m = 0; m < market_count; ++m) {
-    out.markets[m].weight = out.portfolio.weights[m + 1];
-  }
-
+  const std::vector<double> weights(out.portfolio.weights.begin() + 1,
+                                    out.portfolio.weights.end());
   // Admission ceilings: the per-class optimal bids averaged over the
-  // markets by portfolio weight (uniform when the transient weight is
-  // zero) — the price above which launching class c transiently is worse
-  // than waiting.
-  if (config_.optimize_bids && market_count > 0) {
-    const std::size_t classes = out.markets[0].class_bids.size();
-    out.class_ceilings.assign(classes, 0.0);
-    double weight_sum = 0.0;
-    for (const MarketPlan& market : out.markets) {
-      weight_sum += std::max(0.0, market.weight);
-    }
-    for (std::size_t c = 0; c < classes; ++c) {
-      double ceiling = 0.0;
-      for (const MarketPlan& market : out.markets) {
-        const double w = weight_sum > 0.0
-                             ? std::max(0.0, market.weight) / weight_sum
-                             : 1.0 / static_cast<double>(market_count);
-        ceiling += w * market.class_bids[c].bid;
-      }
-      out.class_ceilings[c] = ceiling;
-    }
+  // markets by portfolio weight — the price above which launching class c
+  // transiently is worse than waiting.
+  if (config_.optimize_bids) {
+    out.class_ceilings = blend_class_bids(class_bids, weights);
+  }
+  for (std::size_t m = 0; m < market_count; ++m) {
+    out.markets[m].weight = weights[m];
+    out.markets[m].class_bids = std::move(class_bids[m]);
   }
 
   // Round the on-demand share to whole servers; a nonzero share always

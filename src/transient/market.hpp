@@ -214,6 +214,50 @@ struct CostReport {
   bool operator==(const CostReport&) const = default;
 };
 
+// --- plan rules ------------------------------------------------------------
+// The engine plans with these, and the online control plane (src/control)
+// calls the same functions when it re-plans or regenerates a schedule, so
+// a re-derived decision is the planned one bit for bit.
+
+/// Seed of market m's revocation stream: the plan seed plus m times the
+/// 64-bit golden ratio (0x9e3779b97f4a7c15). Market 0 keeps the plan seed,
+/// so a one-market plan is bit-identical to the legacy single-market
+/// engine, and a schedule suffix regenerated from this seed continues the
+/// plan's per-server keyed streams.
+[[nodiscard]] std::uint64_t market_seed(std::uint64_t seed,
+                                        std::size_t market) noexcept;
+
+/// The markets' coupled price traces over [0, horizon), drawn from the
+/// config's seed (stream 0). One market with identity correlation and no
+/// common shocks is the legacy OU + shock process, bit for bit.
+[[nodiscard]] std::vector<PriceTrace> market_price_traces(
+    const MarketEngineConfig& config, sim::SimTime horizon);
+
+/// Splits `total` servers across markets proportionally to `weights` by
+/// largest-remainder rounding (ties to the lower index). A non-positive
+/// total weight puts everything in market 0.
+[[nodiscard]] std::vector<std::size_t> split_counts(
+    std::size_t total, const std::vector<double>& weights);
+
+/// Replaces each market's hand-set bid with the plan's optimized one
+/// (`CapacityPlan::optimized_bids`; empty leaves `defs` as they are).
+void apply_optimized_bids(std::vector<MarketDef>& defs,
+                          const std::vector<double>& optimized_bids);
+
+/// Per-class admission ceilings: class c's bid averaged over the markets
+/// (`bids[m]` is market m's per-class list) by `weights`, negative weights
+/// counting as zero, or uniformly when no weight is positive. Classes
+/// missing from any market's list are left out.
+[[nodiscard]] std::vector<double> blend_class_bids(
+    const std::vector<std::vector<ClassBid>>& bids,
+    const std::vector<double>& weights);
+
+/// The events of one server's time-ordered schedule that change its
+/// state, starting from held: the first revoke, the next restore, and so
+/// on. Repairs the alternation where two schedules are spliced.
+[[nodiscard]] std::vector<RevocationEvent> state_changes(
+    const std::vector<RevocationEvent>& events);
+
 class TransientMarketEngine {
  public:
   explicit TransientMarketEngine(MarketEngineConfig config);

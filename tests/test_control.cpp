@@ -718,3 +718,123 @@ TEST(RegimeShift, KeepsEachServersPrefixAndAlternatesAfterTheSplice) {
   std::sort(merged.begin(), merged.end(), tn::schedule_before);
   EXPECT_EQ(merged, plan.revocations);
 }
+
+// ---------------------------------------------------------------------------
+// server_timelines / plan_events: the one plan-event builder
+
+namespace {
+
+using Row = std::tuple<SimTime, ctl::PlanEvent::Kind, std::size_t, SimTime>;
+
+std::vector<Row> rows(const std::vector<ctl::PlanEvent>& events) {
+  std::vector<Row> out;
+  for (const ctl::PlanEvent& event : events) {
+    out.emplace_back(event.at, event.kind, event.server, event.deadline);
+  }
+  return out;
+}
+
+SimTime hours(double h) { return SimTime::from_hours(h); }
+
+/// Server 3 (market 0): revoked at 1 h, back at 2 h, revoked at 2.5 h.
+/// Server 1 (market 0): revoked at 2 h.
+std::vector<ctl::ServerTimeline> two_servers() {
+  ctl::ServerTimeline one;
+  one.server = 1;
+  one.events = {{hours(2), true, 0}};
+  ctl::ServerTimeline three;
+  three.server = 3;
+  three.events = {{hours(1), true, 0}, {hours(2), false, 0},
+                  {hours(2.5), true, 0}};
+  return {one, three};
+}
+
+}  // namespace
+
+TEST(PlanEvents, WarnsClampToThePreviousEventAndToTimeZero) {
+  using K = ctl::PlanEvent::Kind;
+  const std::vector<Row> expected = {
+      {hours(0), K::Warn, 3, hours(1)},      // 1 h - 1.5 h, clamped to t=0
+      {hours(0.5), K::Warn, 1, hours(2)},    // 2 h - 1.5 h
+      {hours(1), K::Revoke, 3, SimTime{}},
+      // Equal times: restore < warn < revoke, whatever the server ids.
+      {hours(2), K::Restore, 3, SimTime{}},
+      {hours(2), K::Warn, 3, hours(2.5)},    // clamped to the restore
+      {hours(2), K::Revoke, 1, SimTime{}},
+      {hours(2.5), K::Revoke, 3, SimTime{}},
+  };
+  EXPECT_EQ(rows(ctl::plan_events(two_servers(), {1.5},
+                                  SimTime::from_micros(-1))),
+            expected);
+}
+
+TEST(PlanEvents, KeepsOnlyWhatLiesStrictlyAfterAfter) {
+  using K = ctl::PlanEvent::Kind;
+  // The warn at exactly `after` has already fired.
+  EXPECT_EQ(rows(ctl::plan_events(two_servers(), {1.5}, hours(2))),
+            (std::vector<Row>{{hours(2.5), K::Revoke, 3, SimTime{}}}));
+  EXPECT_EQ(rows(ctl::plan_events(two_servers(), {1.5}, hours(1.9))),
+            (std::vector<Row>{{hours(2), K::Restore, 3, SimTime{}},
+                              {hours(2), K::Warn, 3, hours(2.5)},
+                              {hours(2), K::Revoke, 1, SimTime{}},
+                              {hours(2.5), K::Revoke, 3, SimTime{}}}));
+}
+
+TEST(PlanEvents, NoWarningHoursMeansNoWarns) {
+  using K = ctl::PlanEvent::Kind;
+  const std::vector<Row> bare = {
+      {hours(1), K::Revoke, 3, SimTime{}},
+      {hours(2), K::Restore, 3, SimTime{}},
+      {hours(2), K::Revoke, 1, SimTime{}},
+      {hours(2.5), K::Revoke, 3, SimTime{}},
+  };
+  EXPECT_EQ(rows(ctl::plan_events(two_servers(), {}, SimTime::from_micros(-1))),
+            bare);
+  // A zero window, or a revoke in a market the list does not cover,
+  // gets no warn either.
+  EXPECT_EQ(rows(ctl::plan_events(two_servers(), {0.0},
+                                  SimTime::from_micros(-1))),
+            bare);
+  std::vector<ctl::ServerTimeline> moved = two_servers();
+  for (ctl::ServerTimeline& timeline : moved) {
+    for (ctl::TimelineEvent& event : timeline.events) event.market = 1;
+  }
+  EXPECT_EQ(rows(ctl::plan_events(moved, {1.5}, SimTime::from_micros(-1))),
+            bare);
+  // The window is the revoke's market's.
+  const std::vector<ctl::PlanEvent> tagged =
+      ctl::plan_events(moved, {1.5, 0.25}, SimTime::from_micros(-1));
+  EXPECT_EQ(tagged.size(), bare.size() + 3);
+  EXPECT_EQ(rows(tagged)[0], (Row{hours(0.75), K::Warn, 3, hours(1)}));
+}
+
+TEST(PlanEvents, ServerTimelinesGroupEachMarketsSchedulePerServer) {
+  const SimTime horizon = SimTime::from_hours(24);
+  const tn::CapacityPlan plan =
+      tn::TransientMarketEngine(timed_market()).plan(30, horizon);
+  const std::vector<ctl::ServerTimeline> timelines =
+      ctl::server_timelines(plan);
+  ASSERT_EQ(timelines.size(), plan.transient_servers.size());
+  std::size_t events = 0;
+  for (std::size_t i = 0; i < timelines.size(); ++i) {
+    const ctl::ServerTimeline& timeline = timelines[i];
+    EXPECT_EQ(timeline.server, plan.transient_servers[i]);
+    const tn::MarketPlan& market = plan.markets[timeline.initial_market];
+    EXPECT_TRUE(std::binary_search(market.servers.begin(),
+                                   market.servers.end(), timeline.server));
+    std::vector<tn::RevocationEvent> expected;
+    for (const tn::RevocationEvent& event : market.revocations) {
+      if (event.server == timeline.server) expected.push_back(event);
+    }
+    ASSERT_EQ(timeline.events.size(), expected.size());
+    for (std::size_t e = 0; e < expected.size(); ++e) {
+      EXPECT_EQ(timeline.events[e].at, expected[e].at);
+      EXPECT_EQ(timeline.events[e].revoke, expected[e].revoke);
+      EXPECT_EQ(timeline.events[e].market, timeline.initial_market);
+      EXPECT_FALSE(timeline.events[e].synthetic);
+    }
+    events += expected.size();
+  }
+  EXPECT_EQ(events, plan.revocations.size());
+  EXPECT_GT(events, 0U);
+}

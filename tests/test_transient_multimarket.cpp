@@ -324,6 +324,121 @@ TEST(MultiMarket, CostReportAttributesPerMarket) {
   EXPECT_LT(report.total_cost(), report.all_on_demand_cost);
 }
 
+// --- the plan rules the control plane shares ---------------------------------
+
+TEST(PlanRules, MarketSeedKeepsMarketZeroOnThePlanSeed) {
+  EXPECT_EQ(tn::market_seed(42, 0), 42U);
+  EXPECT_EQ(tn::market_seed(42, 1), 42U + 0x9e3779b97f4a7c15ULL);
+  EXPECT_EQ(tn::market_seed(42, 3), 42U + 3 * 0x9e3779b97f4a7c15ULL);
+}
+
+TEST(PlanRules, SplitCountsRoundsByLargestRemainder) {
+  // 10 x {0.5, 0.3, 0.2} is exact.
+  EXPECT_EQ(tn::split_counts(10, {0.5, 0.3, 0.2}),
+            (std::vector<std::size_t>{5, 3, 2}));
+  // Weights need not sum to one: 7 x {2/6, 1/6, 3/6} = {2.33, 1.17, 3.5},
+  // floors {2, 1, 3}, the leftover server goes to the largest remainder.
+  EXPECT_EQ(tn::split_counts(7, {2.0, 1.0, 3.0}),
+            (std::vector<std::size_t>{2, 1, 4}));
+  // Negative weights count as zero.
+  EXPECT_EQ(tn::split_counts(4, {-1.0, 1.0}),
+            (std::vector<std::size_t>{0, 4}));
+}
+
+TEST(PlanRules, SplitCountsZeroWeightPutsEverythingInMarketZero) {
+  EXPECT_EQ(tn::split_counts(9, {0.0, 0.0, 0.0}),
+            (std::vector<std::size_t>{9, 0, 0}));
+  EXPECT_EQ(tn::split_counts(9, {-0.5, 0.0}),
+            (std::vector<std::size_t>{9, 0}));
+  EXPECT_EQ(tn::split_counts(0, {0.2, 0.8}),
+            (std::vector<std::size_t>{0, 0}));
+  EXPECT_TRUE(tn::split_counts(5, {}).empty());
+}
+
+TEST(PlanRules, SplitCountsTiesGoToTheLowerIndex) {
+  // Three equal remainders of 1/3 and one server left over: market 0.
+  EXPECT_EQ(tn::split_counts(1, {1.0, 1.0, 1.0}),
+            (std::vector<std::size_t>{1, 0, 0}));
+  // Two left over: markets 0 and 1.
+  EXPECT_EQ(tn::split_counts(5, {1.0, 1.0, 1.0}),
+            (std::vector<std::size_t>{2, 2, 1}));
+  EXPECT_EQ(tn::split_counts(3, {1.0, 1.0}),
+            (std::vector<std::size_t>{2, 1}));
+}
+
+TEST(PlanRules, ApplyOptimizedBidsOverwritesOnlyListedMarkets) {
+  std::vector<tn::MarketDef> defs(3);
+  for (tn::MarketDef& def : defs) def.revocation.bid = 0.5;
+  tn::apply_optimized_bids(defs, {});
+  for (const tn::MarketDef& def : defs) EXPECT_EQ(def.revocation.bid, 0.5);
+  tn::apply_optimized_bids(defs, {0.2, 0.3});
+  EXPECT_EQ(defs[0].revocation.bid, 0.2);
+  EXPECT_EQ(defs[1].revocation.bid, 0.3);
+  EXPECT_EQ(defs[2].revocation.bid, 0.5);
+}
+
+namespace {
+
+std::vector<tn::ClassBid> class_bids(const std::vector<double>& bids) {
+  std::vector<tn::ClassBid> out(bids.size());
+  for (std::size_t c = 0; c < bids.size(); ++c) {
+    out[c].priority_class = c;
+    out[c].bid = bids[c];
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(PlanRules, BlendClassBidsAveragesByWeight) {
+  const std::vector<std::vector<tn::ClassBid>> bids = {
+      class_bids({1.0, 0.2, 0.4}), class_bids({1.0, 0.6, 0.8})};
+  const std::vector<double> blended = tn::blend_class_bids(bids, {3.0, 1.0});
+  ASSERT_EQ(blended.size(), 3U);
+  EXPECT_DOUBLE_EQ(blended[0], 1.0);
+  EXPECT_DOUBLE_EQ(blended[1], 0.75 * 0.2 + 0.25 * 0.6);
+  EXPECT_DOUBLE_EQ(blended[2], 0.75 * 0.4 + 0.25 * 0.8);
+  // A negative weight counts as zero.
+  const std::vector<double> one_sided = tn::blend_class_bids(bids, {-1.0, 2.0});
+  EXPECT_DOUBLE_EQ(one_sided[1], 0.6);
+}
+
+TEST(PlanRules, BlendClassBidsWithoutPositiveWeightIsUniform) {
+  const std::vector<std::vector<tn::ClassBid>> bids = {
+      class_bids({1.0, 0.1}), class_bids({1.0, 0.4}), class_bids({1.0, 0.7})};
+  for (const std::vector<double>& weights :
+       {std::vector<double>{0.0, 0.0, 0.0},
+        std::vector<double>{-1.0, 0.0, -2.0}}) {
+    const std::vector<double> blended = tn::blend_class_bids(bids, weights);
+    ASSERT_EQ(blended.size(), 2U);
+    EXPECT_DOUBLE_EQ(blended[1], (0.1 + 0.4 + 0.7) / 3.0);
+  }
+}
+
+TEST(PlanRules, BlendClassBidsDropsClassesAMarketLacks) {
+  const std::vector<double> blended = tn::blend_class_bids(
+      {class_bids({1.0, 0.2, 0.4}), class_bids({1.0, 0.6})}, {1.0, 1.0});
+  ASSERT_EQ(blended.size(), 2U);
+  EXPECT_DOUBLE_EQ(blended[1], 0.4);
+  EXPECT_TRUE(tn::blend_class_bids({}, {}).empty());
+}
+
+TEST(PlanRules, StateChangesKeepsOnlyToggles) {
+  const auto at = [](double hours) { return SimTime::from_hours(hours); };
+  // Spliced schedule of one server: a restore while held, two revokes in
+  // a row, and two restores in a row are the junction's repairs.
+  const std::vector<tn::RevocationEvent> events = {
+      {at(1), 7, false}, {at(2), 7, true},  {at(3), 7, true},
+      {at(4), 7, false}, {at(5), 7, false}, {at(6), 7, true}};
+  const std::vector<tn::RevocationEvent> expected = {
+      {at(2), 7, true}, {at(4), 7, false}, {at(6), 7, true}};
+  EXPECT_EQ(tn::state_changes(events), expected);
+  // An alternating schedule starting with a revoke is its own repair.
+  EXPECT_EQ(tn::state_changes(expected), expected);
+  EXPECT_TRUE(tn::state_changes({}).empty());
+  EXPECT_TRUE(tn::state_changes({{at(1), 7, false}}).empty());
+}
+
 // --- end-to-end through the trace-driven simulator --------------------------
 
 TEST(MultiMarket, EndToEndSimulationSpreadsRevocationsAcrossMarkets) {
