@@ -32,17 +32,8 @@ namespace {
 
 using namespace deflate;
 
-struct Strategy {
-  const char* label;
-  bool deflate_before_transfer;
-  bool checkpoint_fallback;
-};
-
-constexpr Strategy kStrategies[] = {
-    {"migration", false, false},
-    {"deflation", true, false},
-    {"hybrid", true, true},
-};
+/// Migration registry names, in sweep order.
+constexpr const char* kStrategies[] = {"migrate", "deflate", "hybrid"};
 
 }  // namespace
 
@@ -81,15 +72,13 @@ int main() {
   cases.push_back({0.0, legacy, {}});
   cases.push_back({0.0, sentinel, {}});
   for (const double warning : warnings_secs) {
-    for (const Strategy& strategy : kStrategies) {
+    for (const char* strategy : kStrategies) {
       bench::SweepCase c;
       c.config = base;
       c.config.market.revocation.warning_hours = warning / 3600.0;
       c.config.migration.model.bandwidth_mib_per_sec = 256.0;
       c.config.migration.model.dirty_mib_per_sec = 64.0;
-      c.config.migration.deflate_before_transfer =
-          strategy.deflate_before_transfer;
-      c.config.migration.checkpoint_fallback = strategy.checkpoint_fallback;
+      c.config.migration.strategy_name = strategy;
       cases.push_back(c);
     }
   }
@@ -108,9 +97,9 @@ int main() {
                  "0", util::format_double(legacy_m.cost.total_cost(), 0)});
   std::size_t case_index = 2;
   for (const double warning : warnings_secs) {
-    for (const Strategy& strategy : kStrategies) {
+    for (const char* strategy : kStrategies) {
       const auto& m = cases[case_index++].metrics;
-      table.add_row({util::format_double(warning, 0), strategy.label,
+      table.add_row({util::format_double(warning, 0), strategy,
                      std::to_string(m.revocations),
                      std::to_string(m.live_migrations),
                      std::to_string(m.checkpoint_restores),

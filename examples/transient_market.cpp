@@ -81,8 +81,7 @@ int main() {
     if (row.timed_migration) {
       run_config.market.revocation.warning_hours = 60.0 / 3600.0;
       run_config.migration.model.bandwidth_mib_per_sec = 256.0;
-      run_config.migration.deflate_before_transfer = true;
-      run_config.migration.checkpoint_fallback = true;
+      run_config.migration.strategy_name = "hybrid";
     }
     simcluster::TraceDrivenSimulator simulator(records, run_config);
     const auto metrics = simulator.run();

@@ -25,8 +25,8 @@ struct PendingBefore {
 const char* admission_policy_name(AdmissionPolicyKind p) noexcept {
   switch (p) {
     case AdmissionPolicyKind::AdmitAll: return "admit-all";
-    case AdmissionPolicyKind::PriceThreshold: return "price-threshold";
-    case AdmissionPolicyKind::BidOptimized: return "bid-optimized";
+    case AdmissionPolicyKind::PriceThreshold: return "price";
+    case AdmissionPolicyKind::BidOptimized: return "bid-opt";
   }
   return "?";
 }
@@ -291,41 +291,20 @@ AdmissionDecision PriceThresholdAdmission::evaluate(
   return decision;
 }
 
-// --- factory ----------------------------------------------------------------
-
-std::unique_ptr<AdmissionController> make_admission_controller(
-    AdmissionConfig config, ClusterManagerBase& manager, PriceFeed feed) {
-  switch (config.policy) {
-    case AdmissionPolicyKind::AdmitAll:
-      return std::make_unique<AdmitAllAdmission>(std::move(config), manager,
-                                                 std::move(feed));
-    case AdmissionPolicyKind::PriceThreshold:
-      return std::make_unique<PriceThresholdAdmission>(std::move(config),
-                                                       manager,
-                                                       std::move(feed));
-    case AdmissionPolicyKind::BidOptimized:
-      return std::make_unique<BidOptimizedAdmission>(std::move(config),
-                                                     manager,
-                                                     std::move(feed));
-  }
-  return std::make_unique<AdmitAllAdmission>(std::move(config), manager,
-                                             std::move(feed));
-}
-
 // --- registry surface -------------------------------------------------------
 
 namespace {
 
-/// Builtin factory: forces the entry's kind onto the caller's config and
-/// dispatches through make_admission_controller — the name picked the
-/// policy, whatever kind the config carried.
+/// Builtin factory: builds `Controller` with the entry's kind on its
+/// config, whatever kind the caller's config carried.
+template <typename Controller>
 AdmissionSurface::Factory builtin(AdmissionPolicyKind kind) {
   return [kind](const AdmissionConfig& config, ClusterManagerBase& manager,
-                PriceFeed feed) {
+                PriceFeed feed) -> std::unique_ptr<AdmissionController> {
     AdmissionConfig selected = config;
     selected.policy = kind;
-    return make_admission_controller(std::move(selected), manager,
-                                     std::move(feed));
+    return std::make_unique<Controller>(std::move(selected), manager,
+                                        std::move(feed));
   };
 }
 
@@ -334,16 +313,19 @@ AdmissionSurface::Factory builtin(AdmissionPolicyKind kind) {
 void AdmissionSurface::register_builtins(
     policy::PolicyRegistry<AdmissionSurface>& registry) {
   registry.add("admit-all", "legacy contract: every request placed on arrival",
-               builtin(AdmissionPolicyKind::AdmitAll));
+               builtin<AdmitAllAdmission>(AdmissionPolicyKind::AdmitAll));
   registry.add(
       "price",
       "defer deflatable classes while the spot quote exceeds the ceiling",
-      builtin(AdmissionPolicyKind::PriceThreshold), {"price-threshold"},
+      builtin<PriceThresholdAdmission>(AdmissionPolicyKind::PriceThreshold),
+      {"price-threshold"},
       {{"default_ceiling", "spot ceiling for classes without one", 0.35},
        {"max_defer_hours", "deferral window without a deadline", 6.0}});
   registry.add("bid-opt",
                "price thresholds supplied by the per-class bid optimizer",
-               builtin(AdmissionPolicyKind::BidOptimized), {"bid-optimized"});
+               builtin<PriceThresholdAdmission>(
+                   AdmissionPolicyKind::BidOptimized),
+               {"bid-optimized"});
 }
 
 std::unique_ptr<AdmissionController> make_admission_controller_by_name(
@@ -358,16 +340,10 @@ std::unique_ptr<AdmissionController> make_admission_controller_by_name(
   return entry->make(config, manager, std::move(feed));
 }
 
-std::optional<AdmissionPolicyKind> admission_policy_from_name(
-    const std::string& name) noexcept {
-  if (name == "admit-all") return AdmissionPolicyKind::AdmitAll;
-  if (name == "price" || name == "price-threshold") {
-    return AdmissionPolicyKind::PriceThreshold;
-  }
-  if (name == "bid-opt" || name == "bid-optimized") {
-    return AdmissionPolicyKind::BidOptimized;
-  }
-  return std::nullopt;
+std::unique_ptr<AdmissionController> make_admission_controller(
+    AdmissionConfig config, ClusterManagerBase& manager, PriceFeed feed) {
+  return make_admission_controller_by_name(admission_policy_name(config.policy),
+                                           config, manager, std::move(feed));
 }
 
 }  // namespace deflate::cluster

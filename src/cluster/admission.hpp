@@ -109,11 +109,16 @@ struct AdmissionDecision {
   }
 };
 
+/// An alias of the admission registry's builtins: configs resolve it
+/// through its primary name.
 enum class AdmissionPolicyKind { AdmitAll, PriceThreshold, BidOptimized };
 
+/// The registry primary name `p` aliases.
 [[nodiscard]] const char* admission_policy_name(AdmissionPolicyKind p) noexcept;
 
 struct AdmissionConfig {
+  /// The alias `make_admission_controller` resolves. A built controller's
+  /// config carries the kind of the registry entry that built it.
   AdmissionPolicyKind policy = AdmissionPolicyKind::AdmitAll;
   /// Per-class spot ceilings, indexed by priority class (entry 0 is the
   /// on-demand class and is ignored — class 0 is never deferred). Classes
@@ -274,7 +279,9 @@ class AdmitAllAdmission final : public AdmissionController {
 
 /// PriceThreshold: defer deflatable classes while the spot quote exceeds
 /// their ceiling; admit class 0 (and everything else once the price drops
-/// or with an empty feed) immediately.
+/// or with an empty feed) immediately. The `bid-opt` policy is this class
+/// with ceilings from the per-class bid optimizer (the caller pushes the
+/// capacity plan's `class_ceilings`).
 class PriceThresholdAdmission : public AdmissionController {
  public:
   using AdmissionController::AdmissionController;
@@ -283,17 +290,6 @@ class PriceThresholdAdmission : public AdmissionController {
   AdmissionDecision evaluate(const AdmissionRequest& request,
                              sim::SimTime now) override;
 };
-
-/// BidOptimized: PriceThreshold semantics with ceilings from the
-/// per-class bid optimizer (the factory/caller fills
-/// `AdmissionConfig::class_ceilings` from the capacity plan).
-class BidOptimizedAdmission final : public PriceThresholdAdmission {
- public:
-  using PriceThresholdAdmission::PriceThresholdAdmission;
-};
-
-[[nodiscard]] std::unique_ptr<AdmissionController> make_admission_controller(
-    AdmissionConfig config, ClusterManagerBase& manager, PriceFeed feed);
 
 /// Registry surface for admission policies (`AdmissionRegistry`). The
 /// deflated daemon picks its policy here by name and advertises every name
@@ -304,7 +300,8 @@ struct AdmissionSurface {
   static constexpr const char* kSurfaceDescription =
       "price-aware request/decision protocol in front of placement";
   /// Builds a controller over the caller's manager and price feed. The
-  /// config's `policy` kind is advisory — the name picked the entry.
+  /// name picked the entry: a builtin overwrites the config's `policy`
+  /// with its own kind.
   using Factory = std::function<std::unique_ptr<AdmissionController>(
       const AdmissionConfig&, ClusterManagerBase&, PriceFeed)>;
   static void register_builtins(policy::PolicyRegistry<AdmissionSurface>&);
@@ -319,10 +316,9 @@ make_admission_controller_by_name(const std::string& name,
                                   const AdmissionConfig& config,
                                   ClusterManagerBase& manager, PriceFeed feed);
 
-/// Reverse mapping from a *registry* name to the legacy enum (the registry
-/// vocabulary admit-all/price/bid-opt differs from admission_policy_name's
-/// admit-all/price-threshold/bid-optimized; both spellings resolve here).
-[[nodiscard]] std::optional<AdmissionPolicyKind> admission_policy_from_name(
-    const std::string& name) noexcept;
+/// make_admission_controller_by_name for the policy `config.policy`
+/// aliases.
+[[nodiscard]] std::unique_ptr<AdmissionController> make_admission_controller(
+    AdmissionConfig config, ClusterManagerBase& manager, PriceFeed feed);
 
 }  // namespace deflate::cluster

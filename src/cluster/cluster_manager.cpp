@@ -76,6 +76,12 @@ res::ResourceVector FixedPointScale::to_vector(
   return v;
 }
 
+std::string placement_policy_of(const ClusterConfig& config) {
+  return config.placement_name.empty()
+             ? placement_strategy_name(config.placement)
+             : config.placement_name;
+}
+
 ClusterManager::ServerNode::ServerNode(std::uint64_t id,
                                        const ClusterConfig& config)
     : hypervisor(id, config.server_capacity) {}
@@ -83,10 +89,7 @@ ClusterManager::ServerNode::ServerNode(std::uint64_t id,
 ClusterManager::ClusterManager(ClusterConfig config)
     : config_(validated(std::move(config))),
       policy_(core::make_policy(config_.policy)),
-      scorer_(make_placement_scorer(
-          config_.placement_name.empty()
-              ? placement_strategy_name(config_.placement)
-              : config_.placement_name)),
+      scorer_(make_placement_scorer(placement_policy_of(config_))),
       partitions_(config_.partitioned
                       ? ClusterPartitions(config_.server_count, config_.pool_weights)
                       : ClusterPartitions::single_pool(config_.server_count)) {

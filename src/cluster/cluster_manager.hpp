@@ -38,12 +38,10 @@ struct ClusterConfig {
   /// transparent vs explicit vs balloon).
   mech::MechanismKind mechanism = mech::MechanismKind::Hybrid;
   /// Host-ranking heuristic (ablation: paper's fitness vs first/best/worst
-  /// fit). Thin alias into the placement policy registry; ignored when
-  /// `placement_name` is set.
+  /// fit): an alias, consulted only when `placement_name` is empty.
   PlacementStrategy placement = PlacementStrategy::Fitness;
-  /// Registry name of the placement scorer (PolicySet path). Empty =
-  /// resolve the builtin aliased by `placement`. Unknown names throw
-  /// std::invalid_argument at construction.
+  /// Registry name of the placement scorer; see placement_policy_of.
+  /// Unknown names throw std::invalid_argument at construction.
   std::string placement_name;
   /// When false, departures do not trigger reinflation (ablation for the
   /// §5.1.3 reinflation rule).
@@ -57,6 +55,10 @@ struct ClusterConfig {
   /// ignored: the fleet places serially; delete once perfbench/ stops assigning it
   std::size_t worker_threads = 0;
 };
+
+/// The placement policy `config` selects: `placement_name`, or the primary
+/// name `placement` aliases when the name is empty.
+[[nodiscard]] std::string placement_policy_of(const ClusterConfig& config);
 
 struct PlacementResult {
   enum class Status {

@@ -14,6 +14,13 @@ void MigrationSurface::register_builtins(
                  return MigrationStrategy{.deflate_before_transfer = false,
                                           .checkpoint_fallback = false};
                });
+  registry.add("checkpoint",
+               "full-footprint pre-copy; a missed deadline checkpoint-"
+               "relaunches the VM",
+               [] {
+                 return MigrationStrategy{.deflate_before_transfer = false,
+                                          .checkpoint_fallback = true};
+               });
   registry.add("deflate",
                "stream the deflated footprint; a missed deadline kills the VM",
                [] {
@@ -37,16 +44,6 @@ MigrationStrategy make_migration_strategy(const std::string& name) {
         policy::joined_policy_names<MigrationSurface>() + ")");
   }
   return entry->make();
-}
-
-MigrationEngineConfig resolve_migration_strategy(MigrationEngineConfig config) {
-  if (!config.strategy_name.empty()) {
-    const MigrationStrategy strategy =
-        make_migration_strategy(config.strategy_name);
-    config.deflate_before_transfer = strategy.deflate_before_transfer;
-    config.checkpoint_fallback = strategy.checkpoint_fallback;
-  }
-  return config;
 }
 
 MigrationEstimate MigrationModel::precopy(double memory_mib,
@@ -105,7 +102,7 @@ int MigrationEngine::contention_streams(std::size_t residents) const noexcept {
 }
 
 double MigrationEngine::transfer_mib(const hv::VmSpec& spec) const {
-  if (!config_.deflate_before_transfer) return spec.memory_mib;
+  if (!strategy_.deflate_before_transfer) return spec.memory_mib;
   const double fraction = std::clamp(
       std::max(spec.min_fraction, config_.model.deflated_transfer_fraction),
       0.0, 1.0);
@@ -209,8 +206,8 @@ RevocationFinish MigrationEngine::finish_revocation(
       manager_.remove_vm(spec.id);
     }
     PlacementResult placed;
-    if (config_.checkpoint_fallback) placed = manager_.place_vm(spec);
-    if (config_.checkpoint_fallback && placed.ok()) {
+    if (strategy_.checkpoint_fallback) placed = manager_.place_vm(spec);
+    if (strategy_.checkpoint_fallback && placed.ok()) {
       ++result.outcome.vms_migrated;
       ++stats_.checkpoint_restores;
       MigrationRecord record;

@@ -96,8 +96,8 @@ class MigrationModel {
 
 /// What the engine does inside a revocation warning — the registry-visible
 /// "mode" of the MigrationEngine. The builtin strategies are the paper's
-/// ablation: pure migration, deflated transfer, and the deflation +
-/// checkpointing hybrid.
+/// ablation: pure migration, migration with checkpoint fallback (the
+/// default), deflated transfer, and the deflation + checkpointing hybrid.
 struct MigrationStrategy {
   /// Deflate the VM and stream only the deflated footprint (the paper's
   /// answer: a deflated VM migrates inside warnings a full-size VM
@@ -128,20 +128,11 @@ using MigrationRegistry = policy::PolicyRegistry<MigrationSurface>;
 
 struct MigrationEngineConfig {
   MigrationModelConfig model;
-  /// Legacy flag pair; thin alias of MigrationStrategy (ignored when
-  /// `strategy_name` is set).
-  bool deflate_before_transfer = false;
-  bool checkpoint_fallback = true;
-  /// Registry name of the strategy (PolicySet path). Empty = keep the flag
-  /// pair above. Unknown names throw std::invalid_argument when the engine
-  /// is built.
-  std::string strategy_name;
+  /// Registry name of the strategy; the default streams the full
+  /// footprint and checkpoint-relaunches what misses the deadline.
+  /// Unknown names throw std::invalid_argument when the engine is built.
+  std::string strategy_name = "checkpoint";
 };
-
-/// Applies `strategy_name` (when set) onto the legacy flag pair; the form
-/// every engine construction site funnels through.
-[[nodiscard]] MigrationEngineConfig resolve_migration_strategy(
-    MigrationEngineConfig config);
 
 /// One in-flight migration: the VM holds resources on the destination from
 /// `start`, pauses during [cutover_begin, cutover_end), and runs on the
@@ -196,7 +187,8 @@ struct MigrationEngineStats {
 class MigrationEngine {
  public:
   MigrationEngine(MigrationEngineConfig config, ClusterManagerBase& manager)
-      : config_(resolve_migration_strategy(std::move(config))),
+      : config_(std::move(config)),
+        strategy_(make_migration_strategy(config_.strategy_name)),
         model_(config_.model),
         manager_(manager) {}
 
@@ -234,6 +226,7 @@ class MigrationEngine {
   void charge_downtime(const hv::VmSpec& spec, sim::SimTime window);
 
   MigrationEngineConfig config_;
+  MigrationStrategy strategy_;
   MigrationModel model_;
   ClusterManagerBase& manager_;
   MigrationEngineStats stats_;

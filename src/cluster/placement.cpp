@@ -232,16 +232,6 @@ std::shared_ptr<const PlacementScorer> make_placement_scorer(
   return entry->make();
 }
 
-std::optional<PlacementStrategy> placement_strategy_from_name(
-    const std::string& name) noexcept {
-  for (const PlacementStrategy s :
-       {PlacementStrategy::Fitness, PlacementStrategy::FirstFit,
-        PlacementStrategy::BestFit, PlacementStrategy::WorstFit}) {
-    if (name == placement_strategy_name(s)) return s;
-  }
-  return std::nullopt;
-}
-
 // --- SoA scan table ---------------------------------------------------------
 
 void HostScanTable::resize(std::size_t servers) {

@@ -49,11 +49,11 @@ struct DemandTerms {
 
 /// Placement-strategy ablation (DESIGN.md §5): the paper's fitness policy
 /// vs the classic bin-packing heuristics it competes with (§5.2 "policies
-/// such as best-fit or first-fit can be used"). Kept as a thin alias over
-/// the placement policy registry: every enum value maps to a registered
-/// builtin scorer, and all legacy config paths resolve through it.
+/// such as best-fit or first-fit can be used"). An alias of the placement
+/// registry's builtins: configs resolve it through its primary name.
 enum class PlacementStrategy { Fitness, FirstFit, BestFit, WorstFit };
 
+/// The registry primary name `s` aliases.
 [[nodiscard]] const char* placement_strategy_name(PlacementStrategy s) noexcept;
 
 struct HostScanTable;
@@ -102,11 +102,6 @@ using PlacementRegistry = policy::PolicyRegistry<PlacementSurface>;
 /// naming the valid choices when unknown.
 [[nodiscard]] std::shared_ptr<const PlacementScorer> make_placement_scorer(
     const std::string& name);
-
-/// Reverse mapping for the legacy-enum config surfaces (nullopt for
-/// plugin-registered names that have no enum alias).
-[[nodiscard]] std::optional<PlacementStrategy> placement_strategy_from_name(
-    const std::string& name) noexcept;
 
 /// SoA (structure-of-arrays) per-server scan storage: one dense column per
 /// field, indexed by server id. The placement scoring loop and the

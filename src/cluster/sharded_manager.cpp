@@ -10,7 +10,7 @@ namespace deflate::cluster {
 
 const char* shard_selection_name(ShardSelectionPolicy p) noexcept {
   switch (p) {
-    case ShardSelectionPolicy::PowerOfTwoChoices: return "power-of-two";
+    case ShardSelectionPolicy::PowerOfTwoChoices: return "p2c";
     case ShardSelectionPolicy::LeastLoaded: return "least-loaded";
     case ShardSelectionPolicy::RoundRobin: return "round-robin";
   }
@@ -99,14 +99,9 @@ std::unique_ptr<ShardSelector> make_shard_selector(const std::string& name) {
   return entry->make();
 }
 
-std::optional<ShardSelectionPolicy> shard_selection_from_name(
-    const std::string& name) noexcept {
-  if (name == "p2c" || name == "power-of-two") {
-    return ShardSelectionPolicy::PowerOfTwoChoices;
-  }
-  if (name == "least-loaded") return ShardSelectionPolicy::LeastLoaded;
-  if (name == "round-robin") return ShardSelectionPolicy::RoundRobin;
-  return std::nullopt;
+std::string shard_selection_of(const ShardedClusterConfig& config) {
+  return config.selection_name.empty() ? shard_selection_name(config.selection)
+                                       : config.selection_name;
 }
 
 namespace {
@@ -149,10 +144,7 @@ ShardedClusterManager::ShardedClusterManager(ShardedClusterConfig config)
     : config_(validated(std::move(config))),
       total_servers_(config_.cluster.server_count),
       routing_rng_(util::Rng::keyed(config_.routing_seed, /*stream=*/0x5a4d)),
-      selector_(make_shard_selector(
-          config_.selection_name.empty()
-              ? shard_selection_name(config_.selection)
-              : config_.selection_name)) {
+      selector_(make_shard_selector(shard_selection_of(config_))) {
   const std::size_t shard_count = clamp_shard_count(config_);
   shards_.resize(shard_count);
   dirty_queue_.reserve(shard_count);

@@ -45,9 +45,9 @@ namespace deflate::cluster {
 
 /// How the scheduler picks the shard that gets to attempt a placement
 /// first. All policies fall back to the remaining shards (ordered by
-/// cached aggregate capacity) when the preferred shard rejects. Thin alias
-/// over the shard-selection policy registry (every value maps to a
-/// registered builtin ShardSelector).
+/// cached aggregate capacity) when the preferred shard rejects. An alias
+/// of the shard-selection registry's builtins: configs resolve it through
+/// its primary name.
 enum class ShardSelectionPolicy {
   /// Sample two distinct shards, route to the one whose cached aggregate
   /// fits more copies of the demand. O(1) per placement and within a
@@ -59,6 +59,7 @@ enum class ShardSelectionPolicy {
   RoundRobin,
 };
 
+/// The registry primary name `p` aliases.
 [[nodiscard]] const char* shard_selection_name(ShardSelectionPolicy p) noexcept;
 
 /// Read-only per-shard routing scores for one placement. score(s) is how
@@ -108,19 +109,14 @@ using ShardSelectionRegistry = policy::PolicyRegistry<ShardSelectionSurface>;
 [[nodiscard]] std::unique_ptr<ShardSelector> make_shard_selector(
     const std::string& name);
 
-/// Reverse mapping for the legacy-enum config surfaces (nullopt for
-/// plugin-registered names that have no enum alias).
-[[nodiscard]] std::optional<ShardSelectionPolicy> shard_selection_from_name(
-    const std::string& name) noexcept;
-
 struct ShardedClusterConfig {
   /// Fleet-wide configuration; `cluster.server_count` is the total fleet
   /// size, split near-evenly across shards.
   ClusterConfig cluster;
   std::size_t shard_count = 16;
+  /// An alias, consulted only when `selection_name` is empty.
   ShardSelectionPolicy selection = ShardSelectionPolicy::PowerOfTwoChoices;
-  /// Registry name of the shard selector (PolicySet path; plugins land
-  /// here). Empty = resolve the builtin aliased by `selection`. Unknown
+  /// Registry name of the shard selector; see shard_selection_of. Unknown
   /// names throw std::invalid_argument at construction.
   std::string selection_name;
   /// Seed of the (deterministic) routing stream used by power-of-two
@@ -129,6 +125,11 @@ struct ShardedClusterConfig {
   /// ignored: the fleet places serially; delete once perfbench/ stops assigning it
   std::size_t worker_threads = 0;
 };
+
+/// The shard selector `config` selects: `selection_name`, or the primary
+/// name `selection` aliases when the name is empty.
+[[nodiscard]] std::string shard_selection_of(
+    const ShardedClusterConfig& config);
 
 /// Builds the manager a config calls for: the flat ClusterManager when
 /// `shard_count <= 1` (the degenerate case, without the wrapper), the

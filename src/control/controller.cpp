@@ -41,9 +41,20 @@ std::vector<ServerTimeline> server_timelines(
   return timelines;
 }
 
-std::vector<PlanEvent> plan_events(const std::vector<ServerTimeline>& timelines,
-                                   const std::vector<double>& warning_hours,
-                                   sim::SimTime after) {
+std::vector<double> warning_hours(
+    const std::vector<transient::MarketDef>& defs) {
+  std::vector<double> hours;
+  hours.reserve(defs.size());
+  for (const transient::MarketDef& def : defs) {
+    hours.push_back(def.revocation.warning_hours);
+  }
+  return hours;
+}
+
+std::vector<PlanEvent> plan_events(
+    const std::vector<ServerTimeline>& timelines,
+    const std::vector<double>& warning_hours, sim::SimTime after,
+    sim::SimTime shift_at, const std::vector<double>& shifted_warning_hours) {
   std::vector<PlanEvent> out;
   for (const ServerTimeline& timeline : timelines) {
     sim::SimTime prev;
@@ -55,10 +66,14 @@ std::vector<PlanEvent> plan_events(const std::vector<ServerTimeline>& timelines,
                        timeline.server,
                        {}});
       }
-      const double warn_hours =
-          event.revoke && event.market < warning_hours.size()
-              ? warning_hours[event.market]
-              : 0.0;
+      const std::vector<double>& windows =
+          event.at < shift_at ? warning_hours : shifted_warning_hours;
+      double warn_hours = 0.0;
+      if (event.revoke) {
+        warn_hours = event.synthetic ? event.drain_hours
+                     : event.market < windows.size() ? windows[event.market]
+                                                     : 0.0;
+      }
       if (warn_hours > 0.0) {
         // A server the provider has not yet handed back cannot be
         // announced as doomed: the warn never precedes its previous event.
@@ -83,9 +98,8 @@ std::vector<PlanEvent> plan_events(const std::vector<ServerTimeline>& timelines,
 void apply_regime_shift(transient::CapacityPlan& plan,
                         const transient::MarketEngineConfig& before,
                         const RegimeShiftConfig& shift, sim::SimTime horizon) {
-  if (!shift.active() || plan.markets.empty()) return;
-  const sim::SimTime at = sim::SimTime::from_hours(shift.at_hours);
-  if (at >= horizon) return;
+  const sim::SimTime at = shift.starts_at(horizon);
+  if (at == sim::SimTime::max() || plan.markets.empty()) return;
 
   std::vector<transient::MarketDef> defs_after =
       shift.after.effective_markets();
@@ -128,7 +142,9 @@ void apply_regime_shift(transient::CapacityPlan& plan,
 
   // Revocation schedules: keep every realized event before the shift,
   // continue each server under the new regime's keyed stream from the
-  // shift on, and repair the held/down alternation at the junction.
+  // shift on, and repair the held/down alternation at the junction. The
+  // realized prefixes come grouped by server in one pass.
+  const std::vector<ServerTimeline> realized = server_timelines(plan);
   transient::apply_optimized_bids(defs_after, plan.optimized_bids);
   plan.revocations.clear();
   for (std::size_t m = 0; m < plan.markets.size(); ++m) {
@@ -138,13 +154,16 @@ void apply_regime_shift(transient::CapacityPlan& plan,
     engine.set_price_trace(&market.prices);
     std::vector<transient::RevocationEvent> rebuilt;
     rebuilt.reserve(market.revocations.size());
-    for (const std::size_t server : market.servers) {
+    for (const ServerTimeline& timeline : realized) {
+      if (timeline.initial_market != m) continue;
       std::vector<transient::RevocationEvent> events;
-      for (const transient::RevocationEvent& event : market.revocations) {
-        if (event.server == server && event.at < at) events.push_back(event);
+      for (const TimelineEvent& event : timeline.events) {
+        if (event.at < at) {
+          events.push_back({event.at, timeline.server, event.revoke});
+        }
       }
       for (const transient::RevocationEvent& event :
-           engine.schedule_for(server, horizon)) {
+           engine.schedule_for(timeline.server, horizon)) {
         if (event.at >= at) events.push_back(event);
       }
       const std::vector<transient::RevocationEvent> kept =
@@ -169,11 +188,7 @@ FleetController::FleetController(ControlConfig config,
       plan_(&plan),
       horizon_(horizon),
       timed_(timed_migration),
-      shift_at_(config_.regime_shift.active() &&
-                        sim::SimTime::from_hours(config_.regime_shift.at_hours) <
-                            horizon
-                    ? sim::SimTime::from_hours(config_.regime_shift.at_hours)
-                    : sim::SimTime::max()),
+      shift_at_(config_.regime_shift.starts_at(horizon)),
       policy_(make_forecast_policy(config_.forecast)),
       defs_before_(market_.effective_markets()),
       defs_after_(config_.regime_shift.active()
@@ -185,9 +200,8 @@ FleetController::FleetController(ControlConfig config,
   transient::apply_optimized_bids(defs_before_, plan.optimized_bids);
   transient::apply_optimized_bids(defs_after_, plan.optimized_bids);
   if (timed_) {
-    for (const transient::MarketDef& def : defs_before_) {
-      warning_hours_.push_back(def.revocation.warning_hours);
-    }
+    warning_hours_ = warning_hours(defs_before_);
+    shifted_warning_hours_ = warning_hours(defs_after_);
   }
 
   const std::size_t k = plan.markets.size();
@@ -317,8 +331,18 @@ bool FleetController::schedule_move(ServerTimeline& timeline,
                                     std::size_t to_market, sim::SimTime now) {
   const std::size_t from_market = status.market;
   const sim::SimTime eps = sim::SimTime::from_micros(1);
-  const double warn_hours =
+  double warn_hours =
       timed_ ? defs_at(now)[from_market].revocation.warning_hours : 0.0;
+  if (timed_ && now < shift_at_ && shift_at_ < horizon_) {
+    // A drain that would land at or after the shift with the post-shift
+    // window gets that window, as an environment revoke there would.
+    // Otherwise (the window shrinks across the shift) it keeps the one in
+    // force now, even if its revoke then lands after the shift.
+    const double shifted = defs_after_[from_market].revocation.warning_hours;
+    if (now + eps + sim::SimTime::from_hours(shifted) >= shift_at_) {
+      warn_hours = shifted;
+    }
+  }
   sim::SimTime revoke_at = now + eps;
   if (warn_hours > 0.0) revoke_at += sim::SimTime::from_hours(warn_hours);
   const sim::SimTime restore_at = revoke_at + eps;
@@ -333,7 +357,8 @@ bool FleetController::schedule_move(ServerTimeline& timeline,
   while (!timeline.events.empty() && timeline.events.back().at > now) {
     timeline.events.pop_back();
   }
-  timeline.events.push_back({revoke_at, true, from_market, /*synthetic=*/true});
+  timeline.events.push_back(
+      {revoke_at, true, from_market, /*synthetic=*/true, warn_hours});
   timeline.events.push_back(
       {restore_at, false, to_market, /*synthetic=*/true});
   std::vector<TimelineEvent> suffix =
@@ -471,7 +496,8 @@ ReoptResult FleetController::reoptimize(sim::SimTime now) {
       total_moves_ += moved;
       out.moves = moved;
       out.schedule_rewritten = true;
-      out.future_events = plan_events(timelines_, warning_hours_, now);
+      out.future_events = plan_events(timelines_, warning_hours_, now,
+                                      shift_at_, shifted_warning_hours_);
     }
   }
 

@@ -73,6 +73,12 @@ struct RegimeShiftConfig {
   transient::MarketEngineConfig after;
 
   [[nodiscard]] bool active() const noexcept { return at_hours > 0.0; }
+  /// When the shift takes effect in a run over [0, horizon):
+  /// SimTime::max() when inactive or at/after the horizon.
+  [[nodiscard]] sim::SimTime starts_at(sim::SimTime horizon) const noexcept {
+    const sim::SimTime at = sim::SimTime::from_hours(at_hours);
+    return active() && at < horizon ? at : sim::SimTime::max();
+  }
 };
 
 /// SimConfig::control — the online control plane's knobs.
@@ -123,6 +129,10 @@ struct TimelineEvent {
   /// revocations would convince the forecaster an emptied market is
   /// infinitely hostile.
   bool synthetic = false;
+  /// A drain's warning window in hours (synthetic revokes only), fixed
+  /// when the move is scheduled: the drain is announced that many hours
+  /// before its revoke, i.e. the moment it was scheduled.
+  double drain_hours = 0.0;
 };
 
 /// One transient server's revoke/restore timeline, in time order.
@@ -140,15 +150,24 @@ struct ServerTimeline {
 [[nodiscard]] std::vector<ServerTimeline> server_timelines(
     const transient::CapacityPlan& plan);
 
+/// Each market's revocation warning window in hours, in market order.
+[[nodiscard]] std::vector<double> warning_hours(
+    const std::vector<transient::MarketDef>& defs);
+
 /// The plan events of `timelines` strictly after `after`, sorted by
-/// (time, restore < warn < revoke, server). When `warning_hours` is
-/// non-empty (indexed by market; timed migration), each revoke is
-/// announced by a warn that many hours earlier in the revoke's market,
-/// clamped to the server's previous event and to t=0; a warn that does
-/// not land strictly between `after` and its revoke is left out.
+/// (time, restore < warn < revoke, server). Under timed migration each
+/// revoke is announced by a warn as many hours earlier as its market's
+/// window: `warning_hours[market]` for a revoke before `shift_at`,
+/// `shifted_warning_hours[market]` for one at or after it (a regime
+/// shift; SimTime::max() for none). A drain (synthetic revoke) is
+/// announced with its own `drain_hours` instead. The warn is clamped to
+/// the server's previous event and to t=0; a market a list does not
+/// cover gets no warn, and a warn that does not land strictly between
+/// `after` and its revoke is left out.
 [[nodiscard]] std::vector<PlanEvent> plan_events(
     const std::vector<ServerTimeline>& timelines,
-    const std::vector<double>& warning_hours, sim::SimTime after);
+    const std::vector<double>& warning_hours, sim::SimTime after,
+    sim::SimTime shift_at, const std::vector<double>& shifted_warning_hours);
 
 /// What one re-optimization produced.
 struct ReoptResult {
@@ -258,8 +277,10 @@ class FleetController {
   std::shared_ptr<const ForecastPolicy> policy_;
   std::vector<transient::MarketDef> defs_before_;
   std::vector<transient::MarketDef> defs_after_;
-  /// Per-market warning windows for warn synthesis; empty unless timed.
+  /// Per-market warning windows for warn synthesis before and after the
+  /// shift; empty unless timed.
   std::vector<double> warning_hours_;
+  std::vector<double> shifted_warning_hours_;
 
   RevocationForecaster forecaster_;
   CorrelationEstimator correlation_;

@@ -45,10 +45,6 @@ bool Client::handle(Message message) {
     decisions_[decision->request_id] = decision->decision;
     return true;
   }
-  if (const auto* place = std::get_if<PlaceResponse>(&message)) {
-    last_place_ = *place;
-    return true;
-  }
   if (const auto* report = std::get_if<UtilizationReport>(&message)) {
     // Interleaved telemetry (codec v3): count and keep the latest; it is
     // never what a read_until predicate waits for.
@@ -91,16 +87,6 @@ std::optional<cluster::AdmissionDecision> Client::admit(
   const auto it = decisions_.find(id);
   if (it == decisions_.end()) return std::nullopt;
   return it->second;
-}
-
-std::optional<PlaceResponse> Client::place(const PlaceRequest& request) {
-  const auto frame = encode_frame(Message{request});
-  if (!socket_.send_all(frame.data(), frame.size())) return std::nullopt;
-  last_place_.reset();
-  if (!read_until([this] { return last_place_.has_value(); })) {
-    return std::nullopt;
-  }
-  return last_place_;
 }
 
 bool Client::request_telemetry(std::uint32_t every) {

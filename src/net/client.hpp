@@ -47,10 +47,6 @@ class Client {
   [[nodiscard]] std::optional<cluster::AdmissionDecision> admit(
       const cluster::AdmissionRequest& request);
 
-  /// Raw placement round-trip (no admission protocol).
-  [[nodiscard]] std::optional<PlaceResponse> place(
-      const PlaceRequest& request);
-
   /// Sends Shutdown and waits for the Bye.
   [[nodiscard]] bool shutdown_server();
 
@@ -101,7 +97,6 @@ class Client {
   std::set<std::uint64_t> outstanding_;
   std::map<std::uint64_t, cluster::AdmissionDecision> decisions_;
   std::map<std::uint64_t, cluster::AdmissionDecision> resolved_;
-  std::optional<PlaceResponse> last_place_;
   std::optional<UtilizationReport> last_telemetry_;
   std::uint64_t telemetry_reports_ = 0;
   bool saw_hello_ = false;

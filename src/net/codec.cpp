@@ -214,7 +214,6 @@ void fields(auto& io, Of<Hello> auto& m) {
   io.u8(m.codec_version);
   io.str(m.server);
   io.str(m.admission_policy);
-  io.list(m.policies, kMaxListLength, kString);
   io.list(m.surfaces, kMaxHelloSurfaces,
           [](auto& sub, auto& surface) { fields(sub, surface); });
   io.u32(m.telemetry_every);
@@ -247,31 +246,6 @@ void fields(auto& io, Of<AdmissionDecisionMsg> auto& m) {
   io.time(m.decision.retry_at);
 }
 
-void fields(auto& io, Of<PlaceRequest> auto& m) {
-  io.u64(m.vm_id);
-  io.vec(m.demand);
-  io.f64(m.priority);
-  io.flag(m.deflatable);
-}
-
-void fields(auto& io, Of<PlaceResponse> auto& m) {
-  io.u64(m.vm_id);
-  io.flag(m.accepted);
-  io.u64(m.host_id);
-  io.f64(m.launch_fraction);
-}
-
-void fields(auto& io, Of<DeflateCommand> auto& m) {
-  io.u64(m.vm_id);
-  io.vec(m.target);
-}
-
-void fields(auto& io, Of<DeflationNotice> auto& m) {
-  io.u64(m.vm_id);
-  io.vec(m.old_alloc);
-  io.vec(m.new_alloc);
-}
-
 void fields(auto& io, Of<UtilizationReport> auto& m) {
   io.u64(m.host_id);
   io.vec(m.available);
@@ -283,7 +257,6 @@ void fields(auto& io, Of<CaptureHeader> auto& m) {
   auto& c = m.config;
   io.as_u64(c.server_count);
   io.as_u64(c.shard_count);
-  io.enum8(c.shard_policy, cluster::ShardSelectionPolicy::RoundRobin);
   io.str(c.shard_policy_name);
   io.str(c.placement_policy);
   io.u64(c.routing_seed);
@@ -326,11 +299,6 @@ std::optional<Message> decode_payload(MsgType type, const std::uint8_t* data,
       return decode_as<AdmissionRequestMsg>(data, size);
     case MsgType::AdmissionDecision:
       return decode_as<AdmissionDecisionMsg>(data, size);
-    case MsgType::PlaceRequest: return decode_as<PlaceRequest>(data, size);
-    case MsgType::PlaceResponse: return decode_as<PlaceResponse>(data, size);
-    case MsgType::DeflateCommand: return decode_as<DeflateCommand>(data, size);
-    case MsgType::DeflationNotice:
-      return decode_as<DeflationNotice>(data, size);
     case MsgType::UtilizationReport:
       return decode_as<UtilizationReport>(data, size);
     case MsgType::CaptureHeader: return decode_as<CaptureHeader>(data, size);
@@ -355,10 +323,6 @@ const char* msg_type_name(MsgType type) noexcept {
     case MsgType::Bye: return "bye";
     case MsgType::AdmissionRequest: return "admission_request";
     case MsgType::AdmissionDecision: return "admission_decision";
-    case MsgType::PlaceRequest: return "place_request";
-    case MsgType::PlaceResponse: return "place_response";
-    case MsgType::DeflateCommand: return "deflate_command";
-    case MsgType::DeflationNotice: return "deflation_notice";
     case MsgType::UtilizationReport: return "utilization_report";
     case MsgType::CaptureHeader: return "capture_header";
   }

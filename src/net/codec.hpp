@@ -41,11 +41,16 @@ inline constexpr std::uint8_t kFrameMagic = 0xDF;
 /// v3: Hello carries `telemetry_every` — a client's Hello subscribes the
 ///     connection to periodic UtilizationReport telemetry frames.
 /// v4: CaptureHeader — a capture file opens with a header frame.
-inline constexpr std::uint8_t kCodecVersion = 4;
+/// v5: PlaceRequest, PlaceResponse, DeflateCommand and DeflationNotice
+///     dropped (no sender) and MsgType renumbered; Hello drops its
+///     admission-only `policies` list (Hello::surfaces carries it);
+///     CaptureHeader carries one shard-policy name instead of the enum
+///     plus the name.
+inline constexpr std::uint8_t kCodecVersion = 5;
 /// Hard cap on advertised surfaces in a Hello (decode rejects above it).
 inline constexpr std::uint32_t kMaxHelloSurfaces = 64;
-/// Hard cap on every other list in a payload: policy names and capture
-/// class ceilings (decode rejects above it).
+/// Hard cap on every other list in a payload: a surface's policy names
+/// and capture class ceilings (decode rejects above it).
 inline constexpr std::uint32_t kMaxListLength = 4096;
 /// Hard upper bound on payload length; a length field above this is
 /// malformed (it would let a broken peer make us buffer without bound).
@@ -59,12 +64,8 @@ enum class MsgType : std::uint8_t {
   Bye = 4,                ///< server -> client: shutdown acknowledged
   AdmissionRequest = 5,   ///< client -> server: Admission API v2 request
   AdmissionDecision = 6,  ///< server -> client: decision (direct or drained)
-  PlaceRequest = 7,       ///< client -> server: raw placement (no admission)
-  PlaceResponse = 8,
-  DeflateCommand = 9,
-  DeflationNotice = 10,
-  UtilizationReport = 11,
-  CaptureHeader = 12,     ///< first frame of a capture file, never sent
+  UtilizationReport = 7,  ///< server -> client: fleet telemetry
+  CaptureHeader = 8,      ///< first frame of a capture file, never sent
 };
 
 [[nodiscard]] const char* msg_type_name(MsgType type) noexcept;
@@ -82,8 +83,7 @@ struct PolicySurface {
 struct Hello {
   std::uint8_t codec_version = kCodecVersion;
   std::string server;                 ///< free-form banner
-  std::string admission_policy;       ///< policy this server decides with
-  std::vector<std::string> policies;  ///< admission policy names (legacy)
+  std::string admission_policy;  ///< policy this server decides with
   /// v2: every policy registry surface in the process (admission,
   /// placement, shard-selection, migration, revocation, control — plus
   /// whatever plugins registered), each with its full policy-name list.
@@ -117,37 +117,6 @@ struct AdmissionDecisionMsg {
   cluster::AdmissionDecision decision;
 };
 
-/// Raw placement, manager -> server (the prototype's POST /vms): a
-/// spec-only request that bypasses admission.
-struct PlaceRequest {
-  std::uint64_t vm_id = 0;
-  res::ResourceVector demand;
-  double priority = 1.0;
-  bool deflatable = false;
-};
-
-/// Response to PlaceRequest.
-struct PlaceResponse {
-  std::uint64_t vm_id = 0;
-  bool accepted = false;
-  std::uint64_t host_id = 0;
-  double launch_fraction = 1.0;
-};
-
-/// Manager-initiated deflation/reinflation (POST /vms/{id}/allocation).
-struct DeflateCommand {
-  std::uint64_t vm_id = 0;
-  res::ResourceVector target;
-};
-
-/// Server -> application manager notification (Fig. 1's "Deflate VM
-/// Notification" arrow).
-struct DeflationNotice {
-  std::uint64_t vm_id = 0;
-  res::ResourceVector old_alloc;
-  res::ResourceVector new_alloc;
-};
-
 /// Server -> manager state update ("each server updates the central
 /// master about all changes in server utilization after every deflation
 /// event", §6). The daemon sends fleet-wide aggregates as telemetry.
@@ -160,8 +129,11 @@ struct UtilizationReport {
 
 /// First frame of a capture file: the decision-relevant ServiceConfig the
 /// daemon ran with (fleet, routing, admission and price-trace fields).
-/// Socket-level fields (port, worker threads, capture path, banner) are
-/// not encoded and decode to their defaults.
+/// The shard selection travels as one name, `shard_policy_name`, which
+/// ServiceCore resolves (shard_policy_of) before the daemon writes the
+/// header. Socket-level fields (port, worker
+/// threads, capture path, banner) are not encoded and decode to their
+/// defaults, as does the `shard_policy` alias.
 struct CaptureHeader {
   ServiceConfig config;
 };
@@ -169,9 +141,7 @@ struct CaptureHeader {
 /// Alternatives in MsgType order: message_type() is index() + 1.
 using Message =
     std::variant<Hello, ErrorMsg, Shutdown, Bye, AdmissionRequestMsg,
-                 AdmissionDecisionMsg, PlaceRequest, PlaceResponse,
-                 DeflateCommand, DeflationNotice, UtilizationReport,
-                 CaptureHeader>;
+                 AdmissionDecisionMsg, UtilizationReport, CaptureHeader>;
 
 [[nodiscard]] MsgType message_type(const Message& message) noexcept;
 

@@ -27,7 +27,6 @@ std::vector<std::uint8_t> hello_frame(const ServiceConfig& config) {
   Hello hello;
   hello.server = config.banner;
   hello.admission_policy = config.admission_policy;
-  hello.policies = cluster::AdmissionRegistry::instance().names();
   for (const policy::SurfaceInfo& info : policy::describe_all_surfaces()) {
     PolicySurface surface;
     surface.surface = info.surface;
@@ -298,27 +297,6 @@ bool Server::serve_frame(Connection& conn, const Message& message) {
     ++stats_.admission_requests;
     stats_.decisions += sent_decisions;
     if (telemetry_due) ++stats_.telemetry_reports;
-  } else if (const auto* place = std::get_if<PlaceRequest>(&message)) {
-    // The raw placement path: a spec-only request straight to the
-    // manager, bypassing admission (the legacy place_vm contract).
-    hv::VmSpec spec;
-    spec.id = place->vm_id;
-    spec.vcpus = static_cast<int>(place->demand.cpu());
-    spec.memory_mib = place->demand.memory();
-    spec.disk_bw_mbps = place->demand.disk_bw();
-    spec.net_bw_mbps = place->demand.net_bw();
-    spec.priority = place->priority;
-    spec.deflatable = place->deflatable;
-    const auto placement = core_.manager().place_vm(spec);
-    PlaceResponse response;
-    response.vm_id = place->vm_id;
-    response.accepted =
-        placement.status != cluster::PlacementResult::Status::Rejected;
-    response.host_id = placement.host_id;
-    response.launch_fraction = placement.launch_fraction;
-    conn.append(encode_frame(Message{response}));
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    ++stats_.place_requests;
   } else if (const auto* hello = std::get_if<Hello>(&message)) {
     // A client Hello is a subscription update: it (re)arms or cancels
     // the periodic telemetry stream for this connection. Nothing is

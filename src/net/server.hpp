@@ -51,7 +51,6 @@ struct ServerStats {
   std::uint64_t connections = 0;
   std::uint64_t admission_requests = 0;
   std::uint64_t decisions = 0;  ///< direct + drained resolutions sent
-  std::uint64_t place_requests = 0;
   std::uint64_t malformed_frames = 0;
   std::uint64_t telemetry_reports = 0;  ///< aggregate utilization frames sent
 };

@@ -4,7 +4,16 @@
 
 namespace deflate::net {
 
+std::string shard_policy_of(const ServiceConfig& config) {
+  return config.shard_policy_name.empty()
+             ? cluster::shard_selection_name(config.shard_policy)
+             : config.shard_policy_name;
+}
+
 ServiceCore::ServiceCore(const ServiceConfig& config) : config_(config) {
+  // Resolved once, so config() (and the capture header written from it)
+  // carries the one shard-policy name the fleet runs with.
+  config_.shard_policy_name = shard_policy_of(config_);
   if (cluster::AdmissionRegistry::instance().find(config_.admission_policy) ==
       nullptr) {
     throw std::invalid_argument(
@@ -28,7 +37,6 @@ ServiceCore::ServiceCore(const ServiceConfig& config) : config_(config) {
   fleet.cluster.server_count = config_.server_count;
   fleet.cluster.placement_name = config_.placement_policy;
   fleet.shard_count = config_.shard_count;
-  fleet.selection = config_.shard_policy;
   fleet.selection_name = config_.shard_policy_name;
   fleet.routing_seed = config_.routing_seed;
   // The manager ctor resolves both names through their registries and

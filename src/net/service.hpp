@@ -31,10 +31,11 @@ struct ServiceConfig {
   // Fleet.
   std::size_t server_count = 40;
   std::size_t shard_count = 1;
+  /// An alias, consulted only when `shard_policy_name` is empty.
   cluster::ShardSelectionPolicy shard_policy =
       cluster::ShardSelectionPolicy::PowerOfTwoChoices;
-  /// Registry name for shard selection; empty defers to `shard_policy`.
-  /// Required to select a link-time plugin selector (no enum value).
+  /// Registry name for shard selection; see shard_policy_of. Required to
+  /// select a link-time plugin selector (no enum value).
   std::string shard_policy_name;
   /// Registry name for placement scoring; empty keeps the default
   /// (fitness). Unknown names throw std::invalid_argument at build.
@@ -64,6 +65,10 @@ struct ServiceConfig {
   /// Free-form server banner carried in the Hello frame.
   std::string banner = "deflated/0.1";
 };
+
+/// The shard selector `config` selects: `shard_policy_name`, or the
+/// primary name `shard_policy` aliases when the name is empty.
+[[nodiscard]] std::string shard_policy_of(const ServiceConfig& config);
 
 /// The deterministic heart of the service, shared by server and replayer.
 /// Thread-compatible: only the server's loop thread touches it.

@@ -1,11 +1,11 @@
 // Declarative policy selection: names + parameter overrides for every
 // pluggable surface, resolved through the typed registries.
 //
-// A PolicySet travels on SimConfig / ServiceConfig. Empty names mean
-// "keep whatever the legacy enum or flag selected" so existing configs
-// stay bit-identical; non-empty names are validated against the
-// registries up front (validate()) and applied when the owning
-// component is constructed or re-bound at a tick barrier.
+// A PolicySet travels on SimConfig. Empty names mean "keep whatever the
+// config's enum alias (or, for migration, `strategy_name`) selects" so
+// existing configs stay bit-identical; non-empty names are validated
+// against the registries up front (validate()) and applied when the
+// owning component is constructed.
 #pragma once
 
 #include <optional>

@@ -8,13 +8,13 @@ namespace deflate::simcluster {
 
 namespace {
 
-/// Resolves SimConfig::policies onto the legacy config fields: validated
-/// up front (one std::invalid_argument naming every problem), then each
-/// named choice is written into the owning subsystem's `*_name` field —
-/// those take precedence over the enums at construction time. Builtin
-/// names additionally sync the enum so code that still branches on it
-/// (bid optimization, market.enabled()) sees the same selection; plugin
-/// names leave the enum alone.
+/// Resolves SimConfig::policies onto the subsystem configs: validated up
+/// front (one std::invalid_argument naming every problem), then each
+/// named choice is written into the owning subsystem's `*_name` field,
+/// which every consumer resolves ahead of the enum alias, and its
+/// parameters onto the matching knobs. Placement, shard selection and
+/// admission names are read straight off `policies` when the fleet and
+/// the admission controller are built.
 void apply_policy_set(SimConfig& config) {
   const policy::PolicySet& set = config.policies;
   const std::vector<std::string> errors = set.validate();
@@ -25,25 +25,12 @@ void apply_policy_set(SimConfig& config) {
     }
     throw std::invalid_argument(message);
   }
-  if (!set.placement.empty()) {
-    if (const auto kind = cluster::placement_strategy_from_name(set.placement.name)) {
-      config.placement = *kind;
-    }
-  }
-  if (!set.shard_selection.empty()) {
-    if (const auto kind = cluster::shard_selection_from_name(set.shard_selection.name)) {
-      config.shard_selection = *kind;
-    }
-  }
   if (!set.migration.empty()) {
     config.migration.strategy_name = set.migration.name;
   }
   if (!set.revocation.empty()) {
     const auto apply = [&set](transient::RevocationConfig& rc) {
       rc.model_name = set.revocation.name;
-      if (const auto kind = transient::revocation_model_from_name(set.revocation.name)) {
-        rc.model = *kind;
-      }
       rc.poisson_rate_per_hour =
           set.revocation.param_or("poisson_rate_per_hour", rc.poisson_rate_per_hour);
       rc.max_lifetime_hours =
@@ -59,9 +46,6 @@ void apply_policy_set(SimConfig& config) {
     }
   }
   if (!set.admission.empty()) {
-    if (const auto kind = cluster::admission_policy_from_name(set.admission.name)) {
-      config.admission.policy = *kind;
-    }
     config.admission.default_ceiling =
         set.admission.param_or("default_ceiling", config.admission.default_ceiling);
     config.admission.max_defer_hours =
@@ -141,17 +125,6 @@ TraceDrivenSimulator::TraceDrivenSimulator(trace::VmArrivalStream& stream,
   init_common();
 }
 
-TraceDrivenSimulator::TraceDrivenSimulator(SimConfig config)
-    : config_(std::move(config)) {
-  if (!config_.replay.has_value()) {
-    throw std::invalid_argument(
-        "TraceDrivenSimulator(SimConfig): config.replay is unset");
-  }
-  owned_stream_ = trace::make_arrival_stream(*config_.replay);
-  stream_ = owned_stream_.get();
-  init_common();
-}
-
 void TraceDrivenSimulator::init_common() {
   horizon_ = stream_->horizon();
   trace_peak_committed_ = stream_->peak_committed();
@@ -199,34 +172,31 @@ void TraceDrivenSimulator::init_common() {
 
   // Admission stage: AdmitAll quotes prices but defers nothing; the
   // price-aware policies quote off the plan's market traces (pointers into
-  // plan_, which outlives the controller). BidOptimized pulls its ceilings
-  // from the plan's per-class bid optima when the engine computed them.
+  // plan_, which outlives the controller). The policy is the registry
+  // name in `policies`, or the one `admission.policy` aliases. A
+  // controller built as BidOptimized takes its ceilings from the plan's
+  // per-class bid optima when the engine computed them.
   {
-    cluster::AdmissionConfig admission = config_.admission;
     std::vector<const transient::PriceTrace*> traces;
     if (plan_) {
       traces.reserve(plan_->markets.size());
       for (const transient::MarketPlan& market : plan_->markets) {
         traces.push_back(&market.prices);
       }
-      if (admission.policy == cluster::AdmissionPolicyKind::BidOptimized &&
-          !plan_->class_ceilings.empty()) {
-        admission.class_ceilings = plan_->class_ceilings;
-      }
     }
     const double on_demand_rate =
         config_.market.effective_markets().front().price.on_demand_price;
     cluster::PriceFeed feed(std::move(traces), on_demand_rate);
-    // A registry name routes through the admission registry (the only way
-    // a link-time plugin policy can be selected); empty keeps the enum
-    // dispatch, bit-identical to before the policy layer existed.
-    admission_ =
+    admission_ = cluster::make_admission_controller_by_name(
         config_.policies.admission.empty()
-            ? cluster::make_admission_controller(std::move(admission),
-                                                 *manager_, std::move(feed))
-            : cluster::make_admission_controller_by_name(
-                  config_.policies.admission.name, admission, *manager_,
-                  std::move(feed));
+            ? cluster::admission_policy_name(config_.admission.policy)
+            : config_.policies.admission.name,
+        config_.admission, *manager_, std::move(feed));
+    if (plan_ && !plan_->class_ceilings.empty() &&
+        admission_->config().policy ==
+            cluster::AdmissionPolicyKind::BidOptimized) {
+      admission_->set_class_ceilings(plan_->class_ceilings);
+    }
   }
 
   // Online control plane: wakes every `control.reopt_hours` of simulated
@@ -591,17 +561,20 @@ void TraceDrivenSimulator::run_events() {
   // its own events in (at, id) order, so ordering candidates by
   // (at, rank) gives the canonical (at, rank, id) order.
   if (plan_) {
+    const control::RegimeShiftConfig& shift = config_.control.regime_shift;
     std::vector<double> warning_hours;
+    std::vector<double> shifted_warning_hours;
     if (timed_migration()) {
-      for (const transient::MarketDef& def :
-           config_.market.effective_markets()) {
-        warning_hours.push_back(def.revocation.warning_hours);
-      }
+      warning_hours =
+          control::warning_hours(config_.market.effective_markets());
+      shifted_warning_hours =
+          control::warning_hours(shift.after.effective_markets());
     }
     // Strictly after -1 us: every event, t=0 included.
-    plan_queue_ =
-        control::plan_events(control::server_timelines(*plan_), warning_hours,
-                             sim::SimTime::from_micros(-1));
+    plan_queue_ = control::plan_events(
+        control::server_timelines(*plan_), warning_hours,
+        sim::SimTime::from_micros(-1), shift.starts_at(horizon_),
+        shifted_warning_hours);
   }
 
   struct EndEvent {

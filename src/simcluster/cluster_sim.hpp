@@ -88,23 +88,15 @@ struct SimConfig {
   std::function<void(std::size_t server, const hv::Host& host)>
       telemetry_bus;
 
-  // --- trace-driven arrivals (src/trace/replay) ---
-  /// The arrival source of `TraceDrivenSimulator(SimConfig)`: VMs are
-  /// generated in time order from the configured trace (Azure, Alibaba or
-  /// a `deflated` capture file), held only while active, and released at
-  /// departure. Results are bit-identical across `replay->window` and
-  /// `replay->worker_threads` (tests/test_trace_replay.cpp). Ignored by the
-  /// record-vector and external-stream constructors.
-  std::optional<trace::ReplayConfig> replay;
-
   // --- declarative policy selection (src/policy) ---
-  /// Registry names (+ per-policy parameter overrides) for the five
-  /// pluggable surfaces. Empty choices leave the legacy enum/flag fields
-  /// above in charge, so default-constructed configs are bit-identical to
-  /// earlier releases. Non-empty choices are validated against the
-  /// registries at construction (std::invalid_argument lists the valid
-  /// names) and then take precedence over the matching enum — which is
-  /// how link-time plugin policies, having no enum value, are selected.
+  /// Registry names (+ per-policy parameter overrides) for the six
+  /// pluggable surfaces. A non-empty choice is validated against its
+  /// registry at construction (std::invalid_argument lists the valid
+  /// names) and selects the policy; an empty one leaves the selection to
+  /// the enum alias above (`placement`, `shard_selection`,
+  /// `admission.policy`, `market.revocation.model`) or, for migration,
+  /// to `migration.strategy_name`. Link-time plugin policies have no
+  /// enum alias and are selected here.
   policy::PolicySet policies;
 
   // --- online control plane (src/control) ---
@@ -209,10 +201,6 @@ class TraceDrivenSimulator {
   /// simulator, and must be freshly constructed or reset()). Memory is
   /// O(active + stream window) instead of O(fleet).
   TraceDrivenSimulator(trace::VmArrivalStream& stream, SimConfig config);
-
-  /// Replays the stream built from `config.replay` (the simulator owns
-  /// it). Throws std::invalid_argument when `config.replay` is unset.
-  explicit TraceDrivenSimulator(SimConfig config);
 
   /// Replays the whole trace; single-shot (construct a new simulator for
   /// another run).

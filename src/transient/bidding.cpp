@@ -5,24 +5,6 @@
 
 namespace deflate::transient {
 
-namespace {
-
-/// Upward bid-crossings per hour of the trace: the PriceCrossing
-/// revocation rate at this bid (RevocationEngine::expected_rate_per_hour
-/// computes the same quantity; duplicated here so the optimizer can sweep
-/// candidate bids without re-seating engines).
-double crossings_per_hour(const PriceTrace& trace, double bid) {
-  const auto& samples = trace.samples();
-  std::size_t crossings = 0;
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    if (samples[i - 1] <= bid && samples[i] > bid) ++crossings;
-  }
-  const double hours = trace.duration().hours();
-  return hours > 0.0 ? static_cast<double>(crossings) / hours : 0.0;
-}
-
-}  // namespace
-
 double BidOptimizer::penalty_for(std::size_t priority_class) const noexcept {
   const auto& table = config_.class_penalty_hours;
   if (table.empty()) return 0.0;
@@ -31,18 +13,10 @@ double BidOptimizer::penalty_for(std::size_t priority_class) const noexcept {
 
 double BidOptimizer::revocation_rate(const PriceTrace& trace, double bid,
                                      const RevocationConfig& revocation) {
-  switch (revocation.model) {
-    case RevocationModel::None:
-      return 0.0;
-    case RevocationModel::PriceCrossing:
-      return crossings_per_hour(trace, bid);
-    default: {
-      // Bid-independent models: one engine evaluation covers every bid.
-      RevocationEngine engine(revocation);
-      engine.set_price_trace(&trace);
-      return engine.expected_rate_per_hour();
-    }
-  }
+  RevocationConfig at_bid = revocation;
+  at_bid.bid = bid;
+  return make_revocation_model(revocation_model_of(revocation))
+      ->expected_rate_per_hour(at_bid, &trace);
 }
 
 double BidOptimizer::cost_at_rate(const PriceTrace& trace, double bid,
@@ -101,15 +75,12 @@ ClassBid BidOptimizer::optimize(const PriceTrace& trace,
                    candidates.end());
 
   const double penalty = penalty_for(priority_class);
-  const bool price_crossing =
-      revocation.model == RevocationModel::PriceCrossing;
-  // Bid-independent models contribute one constant rate to every
-  // candidate; only price-crossing re-counts crossings per bid.
-  const double fixed_rate =
-      price_crossing ? 0.0
-                     : revocation_rate(trace, candidates.front(), revocation);
+  const std::shared_ptr<const RevocationModelPolicy> model =
+      make_revocation_model(revocation_model_of(revocation));
+  RevocationConfig at_bid = revocation;
   const auto rate_at = [&](double bid) {
-    return price_crossing ? crossings_per_hour(trace, bid) : fixed_rate;
+    at_bid.bid = bid;
+    return model->expected_rate_per_hour(at_bid, &trace);
   };
   best.bid = candidates.front();
   best.expected_cost =

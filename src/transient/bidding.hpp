@@ -67,8 +67,8 @@ struct ClassBid {
   double expected_cost = 1.0;
   /// Fraction of trace time the market is affordable at `bid`.
   double availability = 1.0;
-  /// Expected revocations per hour at `bid`: upward bid-crossings for
-  /// price-crossing markets, the model's bid-independent rate otherwise.
+  /// Expected revocations per hour at `bid` under the resolved model:
+  /// upward bid-crossings for price-crossing markets.
   double revocation_rate_per_hour = 0.0;
 };
 
@@ -78,10 +78,10 @@ class BidOptimizer {
       : config_(config) {}
 
   /// The objective above (with the fallback term scaled by
-  /// `fallback_discount`), evaluated exactly on the trace. `revocation`
-  /// supplies the revocation semantics: PriceCrossing derives r(b) from
-  /// the trace's bid-crossings; every other model contributes its
-  /// bid-independent expected rate.
+  /// `fallback_discount`), evaluated exactly on the trace. r(b) is the
+  /// rate the registry model `revocation` selects (revocation_model_of)
+  /// reports at bid b: bid-crossings for price crossing, a bid-independent
+  /// rate for the other builtins, whatever a plugin model reports.
   [[nodiscard]] double expected_cost(const PriceTrace& trace, double bid,
                                      double penalty_hours,
                                      const RevocationConfig& revocation) const;
@@ -108,12 +108,11 @@ class BidOptimizer {
   }
 
  private:
-  /// Revocations per hour at `bid` under `revocation`: bid-crossings for
-  /// PriceCrossing, the model's bid-independent rate otherwise.
+  /// Revocations per hour at `bid` under the model `revocation` selects.
   [[nodiscard]] static double revocation_rate(
       const PriceTrace& trace, double bid, const RevocationConfig& revocation);
   /// The objective with the revocation rate already known (lets
-  /// optimize() hoist the bid-independent rate out of its sweep).
+  /// optimize() resolve the model once per sweep).
   [[nodiscard]] double cost_at_rate(const PriceTrace& trace, double bid,
                                     double penalty_hours, double rate) const;
 

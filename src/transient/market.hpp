@@ -89,22 +89,6 @@ struct MarketEngineConfig {
     }
     correlation = CorrelatedPriceModel::uniform_correlation(count, rho);
   }
-
-  [[nodiscard]] bool enabled() const noexcept {
-    if (use_portfolio) return true;
-    // A registry name takes precedence over the legacy enum (matching
-    // RevocationEngine's resolution), so a plugin-registered model with
-    // the enum left at None still counts as revocations-on.
-    const auto active = [](const RevocationConfig& rc) noexcept {
-      if (!rc.model_name.empty()) return rc.model_name != "none";
-      return rc.model != RevocationModel::None;
-    };
-    if (markets.empty()) return active(revocation);
-    for (const MarketDef& market : markets) {
-      if (active(market.revocation)) return true;
-    }
-    return false;
-  }
 };
 
 /// One market's slice of a CapacityPlan.

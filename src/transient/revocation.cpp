@@ -11,9 +11,14 @@ const char* revocation_model_name(RevocationModel m) noexcept {
     case RevocationModel::None: return "none";
     case RevocationModel::Poisson: return "poisson";
     case RevocationModel::TemporallyConstrained: return "temporal";
-    case RevocationModel::PriceCrossing: return "price-crossing";
+    case RevocationModel::PriceCrossing: return "price";
   }
   return "?";
+}
+
+std::string revocation_model_of(const RevocationConfig& config) {
+  return config.model_name.empty() ? revocation_model_name(config.model)
+                                   : config.model_name;
 }
 
 namespace {
@@ -230,23 +235,10 @@ std::shared_ptr<const RevocationModelPolicy> make_revocation_model(
   return entry->make();
 }
 
-std::optional<RevocationModel> revocation_model_from_name(
-    const std::string& name) noexcept {
-  if (name == "none") return RevocationModel::None;
-  if (name == "poisson") return RevocationModel::Poisson;
-  if (name == "temporal") return RevocationModel::TemporallyConstrained;
-  if (name == "price" || name == "price-crossing") {
-    return RevocationModel::PriceCrossing;
-  }
-  return std::nullopt;
-}
-
 RevocationEngine::RevocationEngine(RevocationConfig config, std::uint64_t seed)
     : config_(std::move(config)),
       seed_(seed),
-      model_(make_revocation_model(config_.model_name.empty()
-                                       ? revocation_model_name(config_.model)
-                                       : config_.model_name)) {}
+      model_(make_revocation_model(revocation_model_of(config_))) {}
 
 std::vector<RevocationEvent> RevocationEngine::schedule_for(
     std::size_t server, sim::SimTime horizon) const {

@@ -38,17 +38,18 @@
 
 namespace deflate::transient {
 
-/// Thin alias over the revocation policy registry (every value maps to a
-/// registered builtin model).
+/// An alias of the revocation registry's builtins: configs resolve it
+/// through its primary name.
 enum class RevocationModel { None, Poisson, TemporallyConstrained, PriceCrossing };
 
+/// The registry primary name `m` aliases.
 [[nodiscard]] const char* revocation_model_name(RevocationModel m) noexcept;
 
 struct RevocationConfig {
+  /// An alias, consulted only when `model_name` is empty.
   RevocationModel model = RevocationModel::None;
-  /// Registry name of the model (PolicySet path). Empty = resolve the
-  /// builtin aliased by `model`. Unknown names throw std::invalid_argument
-  /// when the engine is built.
+  /// Registry name of the model; see revocation_model_of. Unknown names
+  /// throw std::invalid_argument when the model is built.
   std::string model_name;
 
   // --- Poisson ---
@@ -82,6 +83,11 @@ struct RevocationConfig {
   /// migration path (migration bandwidth 0).
   double warning_hours = 0.0;
 };
+
+/// The revocation model `config` selects: `model_name`, or the primary
+/// name `model` aliases when the name is empty. Every consumer resolves
+/// the model through this: the engine and the bid optimizer.
+[[nodiscard]] std::string revocation_model_of(const RevocationConfig& config);
 
 /// One revocation (or restoration) of one server.
 struct RevocationEvent {
@@ -157,16 +163,10 @@ using RevocationRegistry = policy::PolicyRegistry<RevocationSurface>;
 [[nodiscard]] std::shared_ptr<const RevocationModelPolicy>
 make_revocation_model(const std::string& name);
 
-/// Reverse mapping for the legacy-enum config surfaces (nullopt for
-/// plugin-registered names that have no enum alias).
-[[nodiscard]] std::optional<RevocationModel> revocation_model_from_name(
-    const std::string& name) noexcept;
-
 class RevocationEngine {
  public:
-  /// Resolves the model through the registry (`config.model_name`, falling
-  /// back to the builtin aliased by `config.model`); throws
-  /// std::invalid_argument on unknown names.
+  /// Resolves the model through the registry (revocation_model_of);
+  /// throws std::invalid_argument on unknown names.
   explicit RevocationEngine(RevocationConfig config, std::uint64_t seed = 42);
 
   /// Revoke/restore schedule for one server over [0, horizon), sorted by

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
+#include "policy/registry.hpp"
 #include "simcluster/cluster_sim.hpp"
 #include "trace/azure.hpp"
 #include "transient/bidding.hpp"
@@ -431,6 +433,82 @@ TEST(BidOptimizer, NeverBidsAboveTheOnDemandPrice) {
   const tr::BidOptimizer optimizer(config);
   const tr::ClassBid bid = optimizer.optimize(trace, 1, revocation);
   EXPECT_LE(bid.bid, 1.0);
+}
+
+namespace {
+
+/// A link-time plugin revocation model: one revocation every two hours,
+/// whatever the bid.
+class SteadyRevocations final : public tr::RevocationModelPolicy {
+ public:
+  [[nodiscard]] std::vector<tr::RevocationEvent> schedule_for(
+      const tr::RevocationConfig&, std::uint64_t, std::size_t, sim::SimTime,
+      const tr::PriceTrace*) const override {
+    return {};
+  }
+  [[nodiscard]] double expected_rate_per_hour(
+      const tr::RevocationConfig&,
+      const tr::PriceTrace*) const noexcept override {
+    return 0.5;
+  }
+};
+
+const deflate::policy::PolicyRegistration<tr::RevocationSurface>
+    kRegisterSteady{{.name = "test-steady",
+                     .description = "test plugin: 0.5 revocations per hour",
+                     .aliases = {},
+                     .params = {},
+                     .make = [] {
+                       return std::make_shared<const SteadyRevocations>();
+                     }}};
+
+}  // namespace
+
+TEST(BidOptimizer, ModelChosenByNameBidsLikeItsEnumAlias) {
+  const tr::PriceTrace trace = two_point_trace(0.2, 0.8, 9, 1, 100);
+  tr::RevocationConfig by_enum;
+  by_enum.model = tr::RevocationModel::PriceCrossing;
+  tr::RevocationConfig by_name;
+  by_name.model_name = "price";  // the enum alias stays at None
+  tr::BidOptimizerConfig config;
+  config.class_penalty_hours = {0.0, 0.01, 0.1, 0.5, 2.0};
+  const tr::BidOptimizer optimizer(config);
+
+  const auto expected = optimizer.optimize_classes(trace, by_enum);
+  const auto bids = optimizer.optimize_classes(trace, by_name);
+  ASSERT_EQ(bids.size(), expected.size());
+  for (std::size_t c = 0; c < bids.size(); ++c) {
+    EXPECT_EQ(bids[c].bid, expected[c].bid) << "class " << c;
+    EXPECT_EQ(bids[c].revocation_rate_per_hour,
+              expected[c].revocation_rate_per_hour)
+        << "class " << c;
+    EXPECT_EQ(bids[c].expected_cost, expected[c].expected_cost)
+        << "class " << c;
+  }
+  // The cheapest class bids under the spike and rides its crossings.
+  EXPECT_DOUBLE_EQ(bids[1].bid, 0.2);
+  EXPECT_GT(bids[1].revocation_rate_per_hour, 0.0);
+}
+
+TEST(BidOptimizer, PluginModelContributesItsRate) {
+  ASSERT_TRUE(kRegisterSteady.registered);
+  const tr::PriceTrace trace = two_point_trace(0.2, 0.8, 9, 1, 100);
+  tr::RevocationConfig plugin;
+  plugin.model_name = "test-steady";
+  tr::BidOptimizerConfig config;
+  config.class_penalty_hours = {0.0, 0.1, 1.0};
+  const tr::BidOptimizer optimizer(config);
+
+  const auto bids = optimizer.optimize_classes(trace, plugin);
+  ASSERT_EQ(bids.size(), 3U);
+  for (std::size_t c = 1; c < bids.size(); ++c) {
+    EXPECT_DOUBLE_EQ(bids[c].revocation_rate_per_hour, 0.5) << "class " << c;
+  }
+  // The rate prices every bid alike: penalty * 0.5 on top of the
+  // rate-free objective.
+  tr::RevocationConfig none;
+  EXPECT_DOUBLE_EQ(optimizer.expected_cost(trace, 0.8, 1.0, plugin),
+                   optimizer.expected_cost(trace, 0.8, 1.0, none) + 0.5);
 }
 
 TEST(BidOptimizer, PlanReplacesStaticBidsAndPublishesCeilings) {

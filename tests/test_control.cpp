@@ -719,6 +719,161 @@ TEST(RegimeShift, KeepsEachServersPrefixAndAlternatesAfterTheSplice) {
   EXPECT_EQ(merged, plan.revocations);
 }
 
+namespace {
+
+/// Checks that every warn in `events` (strictly after `after`) announces
+/// its revoke with the window in force at the revoke — `before_hours`
+/// before `shift`, `after_hours` from it on — clamped to the server's
+/// previous event and to t=0. A warn at `drain_at` announces a drain
+/// scheduled then; the caller checks those. Returns how many warns
+/// announce a post-shift revoke with the full post-shift window.
+std::size_t expect_shift_aware_warns(const std::vector<ctl::PlanEvent>& events,
+                                     SimTime after, SimTime shift,
+                                     double before_hours, double after_hours,
+                                     const std::string& label,
+                                     SimTime drain_at = SimTime::max()) {
+  std::set<std::tuple<std::size_t, SimTime, SimTime>> expected;
+  std::set<std::tuple<std::size_t, SimTime, SimTime>> got;
+  for (const ctl::PlanEvent& event : events) {
+    if (event.kind == ctl::PlanEvent::Kind::Warn) {
+      got.insert({event.server, event.at, event.deadline});
+    }
+  }
+  std::map<std::size_t, SimTime> previous;
+  for (const ctl::PlanEvent& event : events) {
+    if (event.kind == ctl::PlanEvent::Kind::Warn) continue;
+    if (event.kind == ctl::PlanEvent::Kind::Revoke) {
+      const double hours = event.at < shift ? before_hours : after_hours;
+      SimTime warn_at = event.at - SimTime::from_hours(hours);
+      if (const auto prev = previous.find(event.server);
+          prev != previous.end() && warn_at < prev->second) {
+        warn_at = prev->second;
+      }
+      if (warn_at < SimTime{}) warn_at = SimTime{};
+      if (got.contains({event.server, drain_at, event.at})) {
+        expected.insert({event.server, drain_at, event.at});
+      } else if (warn_at > after && warn_at < event.at) {
+        expected.insert({event.server, warn_at, event.at});
+      }
+    }
+    previous[event.server] = event.at;
+  }
+  EXPECT_EQ(got, expected) << label;
+  std::size_t full_post_shift = 0;
+  for (const auto& [server, at, deadline] : got) {
+    if (deadline >= shift &&
+        deadline - at == SimTime::from_hours(after_hours)) {
+      ++full_post_shift;
+    }
+  }
+  return full_post_shift;
+}
+
+/// Drives the warn-window rule across a regime shift that changes every
+/// market's window from `before_hours` to `after_hours`: the simulator's
+/// initial queue for a shift at 12 h, then the controller's rewritten
+/// suffixes (re-plans every 6 h from `first_reopt_hours`) for each shift
+/// instant in `shifts`. Every drain is announced the moment it is
+/// scheduled, with the post-shift window when that lands its revoke at
+/// or after the shift and the window in force otherwise. Returns how
+/// many drains were scheduled while the pre-shift window, but not the
+/// post-shift one, still ended before the shift.
+std::size_t check_shift_windows(double before_hours, double after_hours,
+                                std::initializer_list<double> shifts,
+                                double first_reopt_hours) {
+  tn::MarketEngineConfig market = timed_market();
+  for (tn::MarketDef& def : market.markets) {
+    def.revocation.warning_hours = before_hours;
+  }
+  ctl::RegimeShiftConfig shift = storm_on_zone0(market);
+  for (tn::MarketDef& def : shift.after.markets) {
+    def.revocation.warning_hours = after_hours;
+  }
+  const SimTime horizon = SimTime::from_hours(48);
+  const SimTime eps = SimTime::from_micros(1);
+  tn::CapacityPlan plan = tn::TransientMarketEngine(market).plan(60, horizon);
+  ctl::apply_regime_shift(plan, market, shift, horizon);
+
+  // The simulator's initial queue: every event, t=0 included.
+  const SimTime all = SimTime::from_micros(-1);
+  const std::vector<ctl::PlanEvent> queue = ctl::plan_events(
+      ctl::server_timelines(plan),
+      ctl::warning_hours(market.effective_markets()), all,
+      shift.starts_at(horizon),
+      ctl::warning_hours(shift.after.effective_markets()));
+  EXPECT_GT(expect_shift_aware_warns(queue, all, shift.starts_at(horizon),
+                                     before_hours, after_hours,
+                                     "initial queue"),
+            0U);
+
+  std::size_t straddling_drains = 0;
+  for (const double shift_hours : shifts) {
+    shift.at_hours = shift_hours;
+    const SimTime at = shift.starts_at(horizon);
+    tn::CapacityPlan shifted =
+        tn::TransientMarketEngine(market).plan(60, horizon);
+    ctl::apply_regime_shift(shifted, market, shift, horizon);
+    ctl::ControlConfig config;
+    config.enabled = true;
+    config.reopt_hours = 6.0;
+    config.max_moves_per_window = 6;
+    config.forecast = "windowed";
+    config.regime_shift = shift;
+    ctl::FleetController controller(config, market, shifted, horizon,
+                                    /*timed_migration=*/true);
+    std::size_t post_shift_warns = 0;
+    for (SimTime now = SimTime::from_hours(first_reopt_hours); now < horizon;
+         now += SimTime::from_hours(6)) {
+      const ctl::ReoptResult result = controller.reoptimize(now);
+      if (!result.schedule_rewritten) continue;
+      const std::string label = "shift at " + std::to_string(shift_hours) +
+                                " h, suffix at " +
+                                std::to_string(now.hours()) + " h";
+      const SimTime drain_at = now + eps;
+      post_shift_warns +=
+          expect_shift_aware_warns(result.future_events, now, at, before_hours,
+                                   after_hours, label, drain_at);
+      const bool straddles =
+          now < at && drain_at + SimTime::from_hours(after_hours) < at &&
+          drain_at + SimTime::from_hours(before_hours) >= at;
+      const double drain_hours =
+          (now >= at || drain_at + SimTime::from_hours(after_hours) >= at)
+              ? after_hours
+              : before_hours;
+      std::size_t announced = 0;
+      for (const ctl::PlanEvent& event : result.future_events) {
+        if (event.kind != ctl::PlanEvent::Kind::Warn || event.at != drain_at) {
+          continue;
+        }
+        ++announced;
+        EXPECT_EQ(event.deadline - event.at,
+                  SimTime::from_hours(drain_hours))
+            << label;
+      }
+      EXPECT_EQ(announced, result.moves) << label;
+      if (straddles) straddling_drains += result.moves;
+    }
+    EXPECT_GT(controller.total_moves(), 0U);
+    EXPECT_EQ(post_shift_warns > 0, shift.active()) << shift_hours;
+  }
+  return straddling_drains;
+}
+
+}  // namespace
+
+TEST(RegimeShift, WarnsAfterTheShiftUseThePostShiftWindow) {
+  // Without a shift, with the shift on a re-plan, and just after one,
+  // where a drain begun before the shift lands after it.
+  check_shift_windows(0.5, 2.0, {0.0, 12.0, 12.25}, 6.0);
+}
+
+TEST(RegimeShift, DrainsKeepTheirWindowWhenItShrinksAcrossTheShift) {
+  // Re-plans at 5, 11, 17, ... h: the one at 11 h schedules drains whose
+  // 2.0 h window ends after the 12 h shift and whose 0.5 h one would not.
+  // They keep the 2.0 h window and are announced when scheduled.
+  EXPECT_GT(check_shift_windows(2.0, 0.5, {12.0}, 5.0), 0U);
+}
+
 // ---------------------------------------------------------------------------
 // server_timelines / plan_events: the one plan-event builder
 
@@ -735,6 +890,9 @@ std::vector<Row> rows(const std::vector<ctl::PlanEvent>& events) {
 }
 
 SimTime hours(double h) { return SimTime::from_hours(h); }
+
+/// plan_events' shift instant when no regime shift is configured.
+const SimTime kNoShift = SimTime::max();
 
 /// Server 3 (market 0): revoked at 1 h, back at 2 h, revoked at 2.5 h.
 /// Server 1 (market 0): revoked at 2 h.
@@ -764,16 +922,18 @@ TEST(PlanEvents, WarnsClampToThePreviousEventAndToTimeZero) {
       {hours(2.5), K::Revoke, 3, SimTime{}},
   };
   EXPECT_EQ(rows(ctl::plan_events(two_servers(), {1.5},
-                                  SimTime::from_micros(-1))),
+                                  SimTime::from_micros(-1), kNoShift, {})),
             expected);
 }
 
 TEST(PlanEvents, KeepsOnlyWhatLiesStrictlyAfterAfter) {
   using K = ctl::PlanEvent::Kind;
   // The warn at exactly `after` has already fired.
-  EXPECT_EQ(rows(ctl::plan_events(two_servers(), {1.5}, hours(2))),
+  EXPECT_EQ(rows(ctl::plan_events(two_servers(), {1.5}, hours(2), kNoShift,
+                                  {})),
             (std::vector<Row>{{hours(2.5), K::Revoke, 3, SimTime{}}}));
-  EXPECT_EQ(rows(ctl::plan_events(two_servers(), {1.5}, hours(1.9))),
+  EXPECT_EQ(rows(ctl::plan_events(two_servers(), {1.5}, hours(1.9), kNoShift,
+                                  {})),
             (std::vector<Row>{{hours(2), K::Restore, 3, SimTime{}},
                               {hours(2), K::Warn, 3, hours(2.5)},
                               {hours(2), K::Revoke, 1, SimTime{}},
@@ -788,22 +948,25 @@ TEST(PlanEvents, NoWarningHoursMeansNoWarns) {
       {hours(2), K::Revoke, 1, SimTime{}},
       {hours(2.5), K::Revoke, 3, SimTime{}},
   };
-  EXPECT_EQ(rows(ctl::plan_events(two_servers(), {}, SimTime::from_micros(-1))),
+  EXPECT_EQ(rows(ctl::plan_events(two_servers(), {}, SimTime::from_micros(-1),
+                                  kNoShift, {})),
             bare);
   // A zero window, or a revoke in a market the list does not cover,
   // gets no warn either.
   EXPECT_EQ(rows(ctl::plan_events(two_servers(), {0.0},
-                                  SimTime::from_micros(-1))),
+                                  SimTime::from_micros(-1), kNoShift, {})),
             bare);
   std::vector<ctl::ServerTimeline> moved = two_servers();
   for (ctl::ServerTimeline& timeline : moved) {
     for (ctl::TimelineEvent& event : timeline.events) event.market = 1;
   }
-  EXPECT_EQ(rows(ctl::plan_events(moved, {1.5}, SimTime::from_micros(-1))),
+  EXPECT_EQ(rows(ctl::plan_events(moved, {1.5}, SimTime::from_micros(-1),
+                                  kNoShift, {})),
             bare);
   // The window is the revoke's market's.
   const std::vector<ctl::PlanEvent> tagged =
-      ctl::plan_events(moved, {1.5, 0.25}, SimTime::from_micros(-1));
+      ctl::plan_events(moved, {1.5, 0.25}, SimTime::from_micros(-1),
+                       kNoShift, {});
   EXPECT_EQ(tagged.size(), bare.size() + 3);
   EXPECT_EQ(rows(tagged)[0], (Row{hours(0.75), K::Warn, 3, hours(1)}));
 }

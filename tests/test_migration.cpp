@@ -136,7 +136,7 @@ TEST(MigrationEngine, MissedDeadlineFallsBackToCheckpointRestore) {
 
   cl::MigrationEngineConfig config;
   config.model = model_config(64.0);
-  config.checkpoint_fallback = true;
+  config.strategy_name = "checkpoint";
   cl::MigrationEngine engine(config, manager);
 
   const sim::SimTime now;
@@ -164,7 +164,7 @@ TEST(MigrationEngine, PureMigrationKillsWhatMissesTheDeadline) {
 
   cl::MigrationEngineConfig config;
   config.model = model_config(64.0);
-  config.checkpoint_fallback = false;  // pure-migration baseline
+  config.strategy_name = "migrate";  // pure-migration baseline
   cl::MigrationEngine engine(config, manager);
 
   engine.begin_warning(victim, {}, sim::SimTime::from_seconds(30.0));
@@ -183,7 +183,7 @@ TEST(MigrationEngine, DeflatedTransferFitsWarningsFullFootprintCannot) {
   cl::MigrationEngineConfig full;
   full.model = model_config(64.0, /*dirty=*/16.0);
   cl::MigrationEngineConfig deflated = full;
-  deflated.deflate_before_transfer = true;
+  deflated.strategy_name = "hybrid";
 
   cl::ClusterManager manager_full(small_cluster(2));
   ASSERT_TRUE(manager_full.place_vm(make_spec(1, 8, 32768.0, true)).ok());
@@ -329,8 +329,7 @@ TEST(TimedMigrationSim, GenerousWarningKeepsTheFleetKillFree) {
   simcluster::SimConfig config = market_config();
   config.market.revocation.warning_hours = 600.0 / 3600.0;  // 10 min
   config.migration.model.bandwidth_mib_per_sec = 512.0;
-  config.migration.deflate_before_transfer = true;
-  config.migration.checkpoint_fallback = true;
+  config.migration.strategy_name = "hybrid";
   simcluster::TraceDrivenSimulator simulator(records, config);
   const simcluster::SimMetrics metrics = simulator.run();
 

@@ -98,8 +98,9 @@ TEST(NetCapture, HeaderRoundTripsConfigExactly) {
       std::get<net::CaptureHeader>(result.message).config;
   EXPECT_EQ(decoded.server_count, config.server_count);
   EXPECT_EQ(decoded.shard_count, config.shard_count);
-  EXPECT_EQ(decoded.shard_policy, config.shard_policy);
+  // The shard selection travels as the one name it resolves to.
   EXPECT_EQ(decoded.shard_policy_name, config.shard_policy_name);
+  EXPECT_EQ(net::shard_policy_of(decoded), net::shard_policy_of(config));
   EXPECT_EQ(decoded.placement_policy, config.placement_policy);
   EXPECT_EQ(decoded.routing_seed, config.routing_seed);
   EXPECT_EQ(decoded.admission_policy, config.admission_policy);

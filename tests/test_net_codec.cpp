@@ -4,6 +4,7 @@
 // runs this suite under ASan/UBSan). Golden frames pin every message
 // layout to committed bytes, and a table pins each decoder input check.
 #include "net/codec.hpp"
+#include "net/service.hpp"
 
 #include <gtest/gtest.h>
 
@@ -42,15 +43,11 @@ res::ResourceVector random_vector(Rng& rng) {
 }
 
 net::Message random_message(Rng& rng) {
-  switch (rng.uniform_int(0, 9)) {
+  switch (rng.uniform_int(0, 5)) {
     case 0: {
       net::Hello m;
       m.server = "deflated/test";
       m.admission_policy = "price";
-      const auto n = rng.uniform_int(0, 5);
-      for (std::int64_t i = 0; i < n; ++i) {
-        m.policies.push_back("policy-" + std::to_string(i));
-      }
       // v2: per-surface registry advertisements (0 surfaces = a v2 frame
       // from a peer with no registries, still valid).
       const auto surface_count = rng.uniform_int(0, 6);
@@ -104,35 +101,6 @@ net::Message random_message(Rng& rng) {
       return m;
     }
     case 4: {
-      net::PlaceRequest m;
-      m.vm_id = rng.next_u64();
-      m.demand = random_vector(rng);
-      m.priority = rng.uniform(0.0, 1.0);
-      m.deflatable = rng.bernoulli(0.5);
-      return m;
-    }
-    case 5: {
-      net::PlaceResponse m;
-      m.vm_id = rng.next_u64();
-      m.accepted = rng.bernoulli(0.5);
-      m.host_id = rng.next_u64();
-      m.launch_fraction = rng.uniform(0.0, 1.0);
-      return m;
-    }
-    case 6: {
-      net::DeflateCommand m;
-      m.vm_id = rng.next_u64();
-      m.target = random_vector(rng);
-      return m;
-    }
-    case 7: {
-      net::DeflationNotice m;
-      m.vm_id = rng.next_u64();
-      m.old_alloc = random_vector(rng);
-      m.new_alloc = random_vector(rng);
-      return m;
-    }
-    case 8: {
       net::UtilizationReport m;
       m.host_id = rng.next_u64();
       m.available = random_vector(rng);
@@ -225,7 +193,6 @@ TEST(NetCodec, HelloSurfacesSurvive) {
   net::Hello m;
   m.server = "deflated/test";
   m.admission_policy = "price";
-  m.policies = {"admit-all", "price"};
   net::PolicySurface admission;
   admission.surface = "admission";
   admission.policies = {"admit-all", "bid-opt", "price"};
@@ -243,8 +210,28 @@ TEST(NetCodec, HelloSurfacesSurvive) {
             (std::vector<std::string>{"admit-all", "bid-opt", "price"}));
   EXPECT_EQ(out.surfaces[1].surface, "placement");
   EXPECT_TRUE(out.surfaces[1].policies.empty());
-  // The legacy admission list is independent of the surface table.
-  EXPECT_EQ(out.policies, m.policies);
+}
+
+TEST(NetCodec, CaptureHeaderCarriesOneShardPolicyName) {
+  // The daemon writes its header from ServiceCore::config(), which holds
+  // the shard policy resolved to one name; that name is what travels.
+  const auto name_after_roundtrip = [](const net::ServiceConfig& config) {
+    const net::ServiceCore core(config);
+    const auto frame = net::encode_frame(net::CaptureHeader{core.config()});
+    const auto decoded = net::decode_frame(frame.data(), frame.size());
+    EXPECT_EQ(decoded.status, net::DecodeStatus::Ok) << decoded.error;
+    return std::get<net::CaptureHeader>(decoded.message)
+        .config.shard_policy_name;
+  };
+  // The enum alias travels as the primary name it resolves to...
+  net::ServiceConfig config;
+  config.shard_policy = cluster::ShardSelectionPolicy::LeastLoaded;
+  EXPECT_EQ(name_after_roundtrip(config), "least-loaded");
+  config.shard_policy = cluster::ShardSelectionPolicy::PowerOfTwoChoices;
+  EXPECT_EQ(name_after_roundtrip(config), "p2c");
+  // ...and a set name outranks it.
+  config.shard_policy_name = "round-robin";
+  EXPECT_EQ(name_after_roundtrip(config), "round-robin");
 }
 
 TEST(NetCodec, HelloSurfaceCountOverCapRejected) {
@@ -451,7 +438,6 @@ std::vector<std::pair<net::Message, std::string>> golden_frames() {
   net::Hello hello;
   hello.server = "d/1";
   hello.admission_policy = "price";
-  hello.policies = {"admit-all", "price"};
   hello.surfaces = {{"admission", {"price", "bid-opt"}}, {"placement", {}}};
   hello.telemetry_every = 7;
 
@@ -494,52 +480,37 @@ std::vector<std::pair<net::Message, std::string>> golden_frames() {
 
   return {
       {hello,
-       "df0401690000000403000000642f310500000070726963650200000009000000"
-       "61646d69742d616c6c050000007072696365020000000900000061646d697373"
-       "696f6e02000000050000007072696365070000006269642d6f70740900000070"
-       "6c6163656d656e740000000007000000"},
-      {net::ErrorMsg{422, "bad"}, "df04020b000000a601000003000000626164"},
-      {net::Shutdown{}, "df040300000000"},
-      {net::Bye{}, "df040400000000"},
+       "df05014f0000000503000000642f310500000070726963650200000009000000"
+       "61646d697373696f6e02000000050000007072696365070000006269642d6f70"
+       "7409000000706c6163656d656e740000000007000000"},
+      {net::ErrorMsg{422, "bad"}, "df05020b000000a601000003000000626164"},
+      {net::Shutdown{}, "df050300000000"},
+      {net::Bye{}, "df050400000000"},
       {with_deadline,
-       "df04055900000008070605040302012a0000000000000002000000766d040000"
+       "df05055900000008070605040302012a0000000000000002000000766d040000"
        "00000000000001a04000000000001059400000000000468f40000000000000d8"
        "3f01000000000000d03f010300000024faffffffffffff01004827ad01000000"},
       {without_deadline,
-       "df04055700000005000000000000000600000000000000000000000100000000"
+       "df05055700000005000000000000000600000000000000000000000100000000"
        "0000000000904000000000000059400000000000408f40000000000000f03f00"
        "0000000000000000020000000080c3c90100000000000000000000000000"},
       {decision,
-       "df04062c00000009000000000000000100000000000000c03f01110000000000"
+       "df05062c00000009000000000000000100000000000000c03f01110000000000"
        "000001000000000000e03fffffffffffffffff"},
-      {net::PlaceRequest{11, {2.0, 4096.0, 50.0, 500.0}, 0.5, true},
-       "df0407310000000b000000000000000000000000000040000000000000b04000"
-       "000000000049400000000000407f40000000000000e03f01"},
-      {net::PlaceResponse{11, true, 3, 0.75},
-       "df0408190000000b00000000000000010300000000000000000000000000e83f"},
-      {net::DeflateCommand{12, {1.0, 1024.0, 25.0, 250.0}},
-       "df0409280000000c00000000000000000000000000f03f000000000000904000"
-       "000000000039400000000000406f40"},
-      {net::DeflationNotice{13,
-                            {4.0, 8192.0, 100.0, 1000.0},
-                            {2.0, 4096.0, 50.0, 500.0}},
-       "df040a480000000d000000000000000000000000001040000000000000c04000"
-       "000000000059400000000000408f400000000000000040000000000000b04000"
-       "000000000049400000000000407f40"},
       {net::UtilizationReport{5,
                               {30.0, 61440.0, 900.0, 9000.0},
                               {34.0, 69632.0, 1100.0, 11000.0},
                               1.5},
-       "df040b5000000005000000000000000000000000003e40000000000000ee4000"
+       "df05075000000005000000000000000000000000003e40000000000000ee4000"
        "00000000208c40000000000094c1400000000000004140000000000000f14000"
        "0000000030914000000000007cc540000000000000f83f"},
       {header,
-       "df040cb900000028000000000000000400000000000000010300000070326308"
-       "000000626573742d6669742b0000000000000005000000707269636503000000"
-       "0000000000000000333333333333d33fcdccccccccccdc3f666666666666d63f"
-       "0000000000001840000000000000f03f00000000000038400700000000000000"
-       "000000000000d03f333333333333e33f7b14ae47e17aa43f555555555555a53f"
-       "0000000000001040000000000000f83f9a9999999999a93f00a3e11100000000"},
+       "df0508b800000028000000000000000400000000000000030000007032630800"
+       "0000626573742d6669742b000000000000000500000070726963650300000000"
+       "00000000000000333333333333d33fcdccccccccccdc3f666666666666d63f00"
+       "00000000001840000000000000f03f0000000000003840070000000000000000"
+       "0000000000d03f333333333333e33f7b14ae47e17aa43f555555555555a53f00"
+       "00000000001040000000000000f83f9a9999999999a93f00a3e11100000000"},
   };
 }
 
@@ -599,11 +570,6 @@ std::vector<std::uint8_t> patched(const M& base, Edit edit,
 }
 
 /// Hello / CaptureHeader instances whose one list holds `n` entries.
-net::Message hello_with_policies(std::size_t n) {
-  net::Hello m;
-  m.policies.assign(n, "p");
-  return m;
-}
 net::Message hello_with_surface_policies(std::size_t n) {
   net::Hello m;
   m.surfaces.push_back({"admission", std::vector<std::string>(n, "p")});
@@ -635,7 +601,6 @@ TEST(NetCodec, EveryFieldCheckRejectsFirstInvalidValue) {
   decision.decision.reason = Reason::CapacityDeferred;
   decision.decision.placement.status = PlacementStatus::PlacedDeflated;
   net::CaptureHeader header;
-  header.config.shard_policy = cluster::ShardSelectionPolicy::LeastLoaded;
 
   const std::vector<std::pair<std::string, std::vector<std::uint8_t>>> cases =
       {
@@ -676,21 +641,6 @@ TEST(NetCodec, EveryFieldCheckRejectsFirstInvalidValue) {
                      m.decision.placement.needed_reclamation = true;
                    },
                    2)},
-          {"PlaceRequest.deflatable = 2",
-           patched(net::PlaceRequest{},
-                   [](auto& m) { m.deflatable = true; }, 2)},
-          {"PlaceResponse.accepted = 2",
-           patched(net::PlaceResponse{}, [](auto& m) { m.accepted = true; },
-                   2)},
-          {"shard policy = last+1",
-           patched(header,
-                   [](auto& m) {
-                     m.config.shard_policy =
-                         cluster::ShardSelectionPolicy::RoundRobin;
-                   },
-                   3)},
-          {"Hello policies = cap+1",
-           net::encode_frame(hello_with_policies(kListCap + 1))},
           {"surface policies = cap+1",
            net::encode_frame(hello_with_surface_policies(kListCap + 1))},
           {"capture ceilings = cap+1",
@@ -704,8 +654,7 @@ TEST(NetCodec, EveryFieldCheckRejectsFirstInvalidValue) {
   // Controls: the unpatched bases and lists exactly at the cap decode.
   for (const net::Message& valid :
        {net::Message{request}, net::Message{decision}, net::Message{header},
-        net::Message{net::PlaceRequest{}}, net::Message{net::PlaceResponse{}},
-        hello_with_policies(kListCap), hello_with_surface_policies(kListCap),
+        hello_with_surface_policies(kListCap),
         header_with_ceilings(kListCap)}) {
     expect_roundtrip_exact(valid);
   }

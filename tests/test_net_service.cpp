@@ -167,7 +167,10 @@ TEST(NetService, HelloAdvertisesRegistryPolicies) {
   EXPECT_EQ(client->hello().server, "deflated/test");
   EXPECT_EQ(client->hello().admission_policy, "price");
   EXPECT_EQ(client->hello().codec_version, net::kCodecVersion);
-  const auto& policies = client->hello().policies;
+  const auto& surfaces = client->hello().surfaces;
+  ASSERT_FALSE(surfaces.empty());
+  EXPECT_EQ(surfaces.front().surface, "admission");
+  const auto& policies = surfaces.front().policies;
   for (const char* builtin : {"admit-all", "price", "bid-opt"}) {
     EXPECT_NE(std::find(policies.begin(), policies.end(), builtin),
               policies.end())
@@ -319,7 +322,7 @@ TEST(NetService, PluginPolicyServedByName) {
 
   auto client = net::Client::connect(server.port());
   ASSERT_TRUE(client.has_value());
-  const auto& policies = client->hello().policies;
+  const auto& policies = client->hello().surfaces.front().policies;
   EXPECT_NE(std::find(policies.begin(), policies.end(), "reject-all"),
             policies.end());
   const auto decision = client->admit(request_at(1, 0.0));
@@ -381,7 +384,7 @@ TEST(NetService, MalformedFrameAnswersErrorThenCloses) {
   server.stop();
 }
 
-TEST(NetService, RawPlacementPathOverSocket) {
+TEST(NetService, AdmitAllRequestPlacesLikeABarePlaceVm) {
   net::ServiceConfig config;
   config.server_count = 8;
   net::Server server(config);
@@ -389,16 +392,18 @@ TEST(NetService, RawPlacementPathOverSocket) {
   auto client = net::Client::connect(server.port());
   ASSERT_TRUE(client.has_value());
 
-  net::PlaceRequest request;
-  request.vm_id = 99;
-  request.demand = {4.0, 8192.0, 100.0, 1000.0};
-  request.priority = 0.5;
-  request.deflatable = true;
-  const auto response = client->place(request);
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->vm_id, 99U);
-  EXPECT_TRUE(response->accepted);
-  EXPECT_EQ(server.stats().place_requests, 1U);
+  const cluster::AdmissionRequest request = request_at(99, 0.0);
+  const auto decision = client->admit(request);
+  ASSERT_TRUE(decision.has_value());
+  // The same fleet, built from the same config, places the bare spec on
+  // the same host at the same fraction.
+  net::ServiceCore core(config);
+  const cluster::PlacementResult placed = core.manager().place_vm(request.spec);
+  EXPECT_TRUE(decision->admitted());
+  EXPECT_EQ(decision->placement.status, placed.status);
+  EXPECT_EQ(decision->placement.host_id, placed.host_id);
+  EXPECT_EQ(decision->placement.launch_fraction, placed.launch_fraction);
+  EXPECT_EQ(server.stats().admission_requests, 1U);
   server.stop();
 }
 

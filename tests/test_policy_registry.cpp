@@ -165,8 +165,6 @@ TEST(PolicyRegistry, PluginSelectorRegisteredBeforeMain) {
       cl::ShardSelectionRegistry::instance().find("first-shard");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->description, "test plugin: always prefer shard 0");
-  // The plugin has no legacy enum value — only the name selects it.
-  EXPECT_FALSE(cl::shard_selection_from_name("first-shard").has_value());
 }
 
 TEST(PolicyRegistry, PluginSelectorDrivesShardedManager) {
@@ -355,6 +353,7 @@ TEST(PolicyRegistry, MigrationStrategyNamesMatchFlagPairs) {
     bool deflate_before_transfer;
     bool checkpoint_fallback;
   } cases[] = {{"migrate", false, false},
+               {"checkpoint", false, true},
                {"deflate", true, false},
                {"hybrid", true, true}};
   for (const auto& test_case : cases) {
@@ -365,19 +364,9 @@ TEST(PolicyRegistry, MigrationStrategyNamesMatchFlagPairs) {
         << test_case.name;
     EXPECT_EQ(strategy.checkpoint_fallback, test_case.checkpoint_fallback)
         << test_case.name;
-
-    cl::MigrationEngineConfig config;
-    config.deflate_before_transfer = !test_case.deflate_before_transfer;
-    config.checkpoint_fallback = !test_case.checkpoint_fallback;
-    config.strategy_name = test_case.name;
-    const cl::MigrationEngineConfig resolved =
-        cl::resolve_migration_strategy(config);
-    EXPECT_EQ(resolved.deflate_before_transfer,
-              test_case.deflate_before_transfer)
-        << test_case.name;
-    EXPECT_EQ(resolved.checkpoint_fallback, test_case.checkpoint_fallback)
-        << test_case.name;
   }
+  // The default is full-footprint pre-copy with checkpoint fallback.
+  EXPECT_EQ(cl::MigrationEngineConfig{}.strategy_name, "checkpoint");
 }
 
 TEST(PolicyRegistry, SimulationPolicySetMatchesEnumConfigBitExact) {

@@ -178,13 +178,14 @@ TEST(TraceReplayParity, WorkerThreadsNeverChangeResults) {
   }
 }
 
-TEST(TraceReplayParity, OwningConfigCtorMatchesExternalStream) {
-  simcluster::SimConfig config = golden_config();
-  config.replay = golden_replay();
-  simcluster::TraceDrivenSimulator owning(config);
-  const simcluster::SimMetrics a = owning.run();
-  const simcluster::SimMetrics b = run_streaming(golden_replay());
-  expect_identical(a, b, "owning-vs-external");
+TEST(TraceReplayParity, ResetStreamReplaysIdentically) {
+  const auto stream = trace::make_arrival_stream(golden_replay());
+  simcluster::TraceDrivenSimulator first(*stream, golden_config());
+  const simcluster::SimMetrics a = first.run();
+  stream->reset();
+  simcluster::TraceDrivenSimulator second(*stream, golden_config());
+  const simcluster::SimMetrics b = second.run();
+  expect_identical(a, b, "reset-vs-fresh");
 }
 
 TEST(TraceReplayParity, StreamingMatchesMaterializedVectorReplay) {

@@ -16,7 +16,7 @@
 //               [--shards N] [--shard-policy p2c|least-loaded|round-robin]
 //               [--warning-secs W] [--migration-bandwidth B]
 //               [--migration-dirty-rate D] [--migration-contention]
-//               [--migration-strategy migrate|deflate|hybrid]
+//               [--migration-strategy migrate|checkpoint|deflate|hybrid]
 //               [--admission admit-all|price|bid-opt] [--price-ceiling C]
 //               [--defer-hours H] [--bid-opt]
 //               [--reopt-hours H] [--forecast static|ewma|windowed]
@@ -133,7 +133,7 @@ int usage() {
       "             [--shard-policy p2c|least-loaded|round-robin]\n"
       "             [--warning-secs W] [--migration-bandwidth MiB/s]\n"
       "             [--migration-dirty-rate MiB/s] [--migration-contention]\n"
-      "             [--migration-strategy migrate|deflate|hybrid]\n"
+      "             [--migration-strategy migrate|checkpoint|deflate|hybrid]\n"
       "             [--admission admit-all|price|bid-opt] [--price-ceiling C]\n"
       "             [--defer-hours H] [--bid-opt]\n"
       "             [--reopt-hours H] [--forecast static|ewma|windowed]\n"
@@ -175,13 +175,18 @@ int unknown_policy_error(const std::string& flag, const std::string& value) {
                     ")");
 }
 
-// The policy-name parsers below all resolve through the registries
-// (aliases included) instead of hand-rolled string ladders; the enum they
-// return is the legacy alias of the matched entry.
-
-std::optional<transient::RevocationModel> parse_revocation_model(
-    const std::string& name) {
-  return transient::revocation_model_from_name(name);
+/// The registry primary name of the `Surface` policy flag --`flag` names
+/// (aliases accepted; `fallback` when the flag is absent), or nullopt
+/// when the registry does not know it. Plugin policies parse like
+/// builtins.
+template <typename Surface>
+std::optional<std::string> policy_flag(const CliArgs& args,
+                                       const std::string& flag,
+                                       const std::string& fallback) {
+  const auto* entry = policy::PolicyRegistry<Surface>::instance().find(
+      args.get(flag, fallback));
+  if (entry == nullptr) return std::nullopt;
+  return entry->name;
 }
 
 std::optional<core::PolicyKind> parse_policy(const std::string& name) {
@@ -205,12 +210,13 @@ std::optional<mech::MechanismKind> parse_mechanism(const std::string& name) {
 /// the usage-error exit code for an unknown forecast name.
 int apply_control_flags(const CliArgs& args, simcluster::SimConfig& config) {
   if (args.has("forecast")) {
-    const std::string forecast = args.get("forecast", "");
-    if (control::ControlRegistry::instance().find(forecast) == nullptr) {
-      return unknown_policy_error<control::ControlSurface>("forecast",
-                                                           forecast);
+    const auto forecast =
+        policy_flag<control::ControlSurface>(args, "forecast", "");
+    if (!forecast) {
+      return unknown_policy_error<control::ControlSurface>(
+          "forecast", args.get("forecast", ""));
     }
-    config.control.forecast = forecast;
+    config.control.forecast = *forecast;
   }
   if (args.has("reopt-hours") || args.has("forecast") ||
       args.has("reopt-max-moves")) {
@@ -231,9 +237,9 @@ bool apply_shard_flags(const CliArgs& args, simcluster::SimConfig& config) {
   config.shard_count =
       static_cast<std::size_t>(args.get_double("shards", 1));
   const auto policy =
-      cluster::shard_selection_from_name(args.get("shard-policy", "p2c"));
+      policy_flag<cluster::ShardSelectionSurface>(args, "shard-policy", "p2c");
   if (!policy) return false;
-  config.shard_selection = *policy;
+  config.policies.shard_selection.name = *policy;
   return true;
 }
 
@@ -308,11 +314,23 @@ int cmd_simulate(const CliArgs& args) {
       .require_integer_at_least("shards", 1);
   if (report_errors(validator)) return 1;
 
+  simcluster::SimConfig config;
+  const auto placement =
+      policy_flag<cluster::PlacementSurface>(args, "placement", "fitness");
+  if (!placement) {
+    return unknown_policy_error<cluster::PlacementSurface>(
+        "placement", args.get("placement", ""));
+  }
+  config.policies.placement.name = *placement;
+  if (!apply_shard_flags(args, config)) {
+    return unknown_policy_error<cluster::ShardSelectionSurface>(
+        "shard-policy", args.get("shard-policy", ""));
+  }
+
   const std::string in = args.get("in", "");
   if (in.empty()) return usage();
   const auto records = trace::load_trace(in);
 
-  simcluster::SimConfig config;
   const auto policy = parse_policy(args.get("policy", "proportional"));
   if (!policy) return flag_error("flag --policy: unknown value '" +
                                  args.get("policy", "") +
@@ -323,15 +341,8 @@ int cmd_simulate(const CliArgs& args) {
                                     args.get("mechanism", "") +
                                     "' (expected hybrid|transparent|"
                                     "explicit|balloon)");
-  const auto placement = cluster::placement_strategy_from_name(
-      args.get("placement", "fitness"));
-  if (!placement) {
-    return unknown_policy_error<cluster::PlacementSurface>(
-        "placement", args.get("placement", ""));
-  }
   config.policy = *policy;
   config.mechanism = *mechanism;
-  config.placement = *placement;
   const std::string mode = args.get("mode", "deflation");
   if (mode != "deflation" && mode != "preemption") {
     return flag_error("flag --mode: unknown value '" + mode +
@@ -341,10 +352,6 @@ int cmd_simulate(const CliArgs& args) {
                                      : cluster::ReclamationMode::Deflation;
   config.partitioned = args.has("partitioned");
   config.reinflate_on_departure = !args.has("no-reinflate");
-  if (!apply_shard_flags(args, config)) {
-    return unknown_policy_error<cluster::ShardSelectionSurface>(
-        "shard-policy", args.get("shard-policy", ""));
-  }
 
   const double overcommit = args.get_double("overcommit", 0.0);
   if (args.has("servers")) {
@@ -370,8 +377,7 @@ int cmd_simulate(const CliArgs& args) {
   if (config.shard_count > 1) {
     table.add_row({"shards",
                    std::to_string(config.shard_count) + " (" +
-                       cluster::shard_selection_name(config.shard_selection) +
-                       ")"});
+                       config.policies.shard_selection.name + ")"});
   }
   table.add_row({"achieved overcommit",
                  util::format_double(100 * metrics.achieved_overcommit, 1) + "%"});
@@ -396,6 +402,12 @@ int cmd_simulate(const CliArgs& args) {
 }
 
 int cmd_revoke_sim(const CliArgs& args) {
+  // Policy flags resolve to registry primary names up front, so the
+  // checks below see one spelling whichever alias was typed.
+  const auto admission =
+      policy_flag<cluster::AdmissionSurface>(args, "admission", "admit-all");
+  const std::string admission_name =
+      admission.value_or(args.get("admission", ""));
   CliValidator validator(args);
   validator
       .allow_only({"in", "servers", "model", "rate", "bid", "no-portfolio",
@@ -424,18 +436,15 @@ int cmd_revoke_sim(const CliArgs& args) {
       .require_at_least("defer-hours", 0.0)
       .require_at_least("reopt-hours", 1e-6)
       .require_integer_at_least("reopt-max-moves", 0)
-      .check(!args.has("price-ceiling") ||
-                 args.get("admission", "admit-all") == "price",
+      .check(!args.has("price-ceiling") || admission_name == "price",
              "flag --price-ceiling requires --admission price (admit-all "
              "ignores it; bid-opt derives its ceilings from the optimizer)")
-      .check(!args.has("defer-hours") ||
-                 args.get("admission", "admit-all") == "price" ||
-                 args.get("admission", "admit-all") == "bid-opt",
+      .check(!args.has("defer-hours") || admission_name == "price" ||
+                 admission_name == "bid-opt",
              "flag --defer-hours requires --admission price|bid-opt (the "
              "deferral window has no effect under admit-all)")
       .check(!(args.has("bid") &&
-               (args.has("bid-opt") ||
-                args.get("admission", "admit-all") == "bid-opt")),
+               (args.has("bid-opt") || admission_name == "bid-opt")),
              "flags --bid and --bid-opt/--admission bid-opt conflict (the "
              "optimizer replaces the hand-set bid)")
       .check(!args.has("correlation") || args.get_double("markets", 1) >= 2,
@@ -443,11 +452,32 @@ int cmd_revoke_sim(const CliArgs& args) {
              "no pairwise correlation)");
   if (report_errors(validator)) return 1;
 
+  simcluster::SimConfig config;
+  if (!admission) {
+    return unknown_policy_error<cluster::AdmissionSurface>(
+        "admission", args.get("admission", ""));
+  }
+  const auto model =
+      policy_flag<transient::RevocationSurface>(args, "model", "poisson");
+  if (!model) {
+    return unknown_policy_error<transient::RevocationSurface>(
+        "model", args.get("model", ""));
+  }
+  const auto strategy = policy_flag<cluster::MigrationSurface>(
+      args, "migration-strategy", "hybrid");
+  if (!strategy) {
+    return unknown_policy_error<cluster::MigrationSurface>(
+        "migration-strategy", args.get("migration-strategy", ""));
+  }
+  if (!apply_shard_flags(args, config)) {
+    return unknown_policy_error<cluster::ShardSelectionSurface>(
+        "shard-policy", args.get("shard-policy", ""));
+  }
+
   const std::string in = args.get("in", "");
   if (in.empty()) return usage();
   const auto records = trace::load_trace(in);
 
-  simcluster::SimConfig config;
   const std::string mode = args.get("mode", "deflation");
   if (mode != "deflation" && mode != "preemption") {
     return flag_error("flag --mode: unknown value '" + mode +
@@ -458,10 +488,6 @@ int cmd_revoke_sim(const CliArgs& args) {
   // With --partitioned the portfolio's pool weights shape the partitions
   // and the on-demand pool is exactly the never-revoked server set.
   config.partitioned = args.has("partitioned");
-  if (!apply_shard_flags(args, config)) {
-    return unknown_policy_error<cluster::ShardSelectionSurface>(
-        "shard-policy", args.get("shard-policy", ""));
-  }
   if (args.has("servers")) {
     config.server_count =
         static_cast<std::size_t>(args.get_double("servers", 40));
@@ -472,14 +498,9 @@ int cmd_revoke_sim(const CliArgs& args) {
             records, config.server_capacity, -0.2);
   }
 
-  const auto model = parse_revocation_model(args.get("model", "poisson"));
-  if (!model) {
-    return unknown_policy_error<transient::RevocationSurface>(
-        "model", args.get("model", ""));
-  }
   config.market_enabled = true;
   config.market.seed = static_cast<std::uint64_t>(args.get_double("seed", 42));
-  config.market.revocation.model = *model;
+  config.market.revocation.model_name = *model;
   config.market.revocation.poisson_rate_per_hour =
       args.get_double("rate", 1.0 / 24.0);
   config.market.revocation.bid = args.get_double("bid", 0.5);
@@ -489,19 +510,10 @@ int cmd_revoke_sim(const CliArgs& args) {
   config.market.portfolio.risk_aversion = args.get_double("risk", 2.0);
 
   // Admission API v2 + per-class bid optimization.
-  const std::string admission = args.get("admission", "admit-all");
-  const auto admission_policy =
-      cluster::admission_policy_from_name(admission);
-  if (!admission_policy) {
-    return unknown_policy_error<cluster::AdmissionSurface>("admission",
-                                                           admission);
-  }
-  config.admission.policy = *admission_policy;
+  config.policies.admission.name = *admission;
   config.admission.default_ceiling = args.get_double("price-ceiling", 0.35);
   config.admission.max_defer_hours = args.get_double("defer-hours", 6.0);
-  config.market.optimize_bids =
-      args.has("bid-opt") ||
-      *admission_policy == cluster::AdmissionPolicyKind::BidOptimized;
+  config.market.optimize_bids = args.has("bid-opt") || *admission == "bid-opt";
 
   // Timed migration: set the warning before replicate_markets below so
   // every market copy inherits it.
@@ -512,14 +524,7 @@ int cmd_revoke_sim(const CliArgs& args) {
   config.migration.model.dirty_mib_per_sec =
       args.get_double("migration-dirty-rate", 64.0);
   config.migration.model.share_bandwidth = args.has("migration-contention");
-  const std::string strategy = args.get("migration-strategy", "hybrid");
-  if (cluster::MigrationRegistry::instance().find(strategy) == nullptr) {
-    return unknown_policy_error<cluster::MigrationSurface>(
-        "migration-strategy", strategy);
-  }
-  // Resolved onto the deflate_before_transfer/checkpoint_fallback pair by
-  // the MigrationEngine constructor.
-  config.migration.strategy_name = strategy;
+  config.migration.strategy_name = *strategy;
 
   // Multi-market fleet: K copies of the configured market, coupled by a
   // uniform pairwise correlation, each with its own revocation stream.
@@ -542,8 +547,7 @@ int cmd_revoke_sim(const CliArgs& args) {
   const auto metrics = simulator.run();
 
   util::Table table({"metric", "value"});
-  table.add_row({"revocation model",
-                 transient::revocation_model_name(*model)});
+  table.add_row({"revocation model", *model});
   table.add_row({"servers", std::to_string(config.server_count)});
   if (config.shard_count > 1) {
     table.add_row({"shards", std::to_string(config.shard_count)});
@@ -559,9 +563,8 @@ int cmd_revoke_sim(const CliArgs& args) {
   table.add_row({"revocations", std::to_string(metrics.revocations)});
   table.add_row({"vm migrations", std::to_string(metrics.revocation_migrations)});
   table.add_row({"vm kills", std::to_string(metrics.revocation_kills)});
-  if (*admission_policy != cluster::AdmissionPolicyKind::AdmitAll) {
-    table.add_row({"admission policy",
-                   cluster::admission_policy_name(*admission_policy)});
+  if (*admission != "admit-all") {
+    table.add_row({"admission policy", *admission});
     table.add_row({"deferrals", std::to_string(metrics.admission_deferrals)});
     table.add_row({"expired deferrals",
                    std::to_string(metrics.admission_expired)});
@@ -573,7 +576,7 @@ int cmd_revoke_sim(const CliArgs& args) {
                        ")"});
   }
   if (config.migration.model.bandwidth_mib_per_sec > 0.0) {
-    table.add_row({"migration strategy", strategy});
+    table.add_row({"migration strategy", *strategy});
     table.add_row({"warning", args.get("warning-secs", "0") + "s @ " +
                                   args.get("migration-bandwidth", "0") +
                                   " MiB/s"});

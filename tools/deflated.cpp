@@ -59,6 +59,16 @@ int list_policies() {
   return 0;
 }
 
+/// One-line "flag --X: unknown value 'v' (expected a|b|c)" diagnostic over
+/// the surface's registered primary names; returns the usage exit code.
+template <typename Surface>
+int unknown_policy(const std::string& flag, const util::CliArgs& args) {
+  std::cerr << "error: flag --" << flag << ": unknown value '"
+            << args.get(flag, "") << "' (expected "
+            << policy::joined_policy_names<Surface>() << ")\n";
+  return 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -90,23 +100,21 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.get_double("servers", 40));
     config.shard_count =
         static_cast<std::size_t>(args.get_double("shards", 1));
-    const std::string shard_policy_name = args.get("shard-policy", "p2c");
-    const auto shard_policy =
-        cluster::shard_selection_from_name(shard_policy_name);
-    if (!shard_policy.has_value() &&
-        cluster::ShardSelectionRegistry::instance().find(shard_policy_name) ==
-            nullptr) {
-      std::cerr << "error: flag --shard-policy: unknown value '"
-                << shard_policy_name << "' (expected "
-                << policy::joined_policy_names<cluster::ShardSelectionSurface>()
-                << ")\n";
-      return 1;
+    // Policy flags are registry lookups: plugin names parse like
+    // builtins, and the config carries the primary name.
+    const auto* shard_policy = cluster::ShardSelectionRegistry::instance().find(
+        args.get("shard-policy", "p2c"));
+    if (shard_policy == nullptr) {
+      return unknown_policy<cluster::ShardSelectionSurface>("shard-policy",
+                                                            args);
     }
-    // A plugin-registered selector has no enum value; the name field
-    // selects it (ServiceCore gives the name precedence).
-    config.shard_policy = shard_policy.value_or(config.shard_policy);
-    config.shard_policy_name = shard_policy_name;
-    config.admission_policy = args.get("admission", "admit-all");
+    config.shard_policy_name = shard_policy->name;
+    const auto* admission = cluster::AdmissionRegistry::instance().find(
+        args.get("admission", "admit-all"));
+    if (admission == nullptr) {
+      return unknown_policy<cluster::AdmissionSurface>("admission", args);
+    }
+    config.admission_policy = admission->name;
     config.admission.default_ceiling =
         args.get_double("price-ceiling", config.admission.default_ceiling);
     config.admission.max_defer_hours =
@@ -137,8 +145,8 @@ int main(int argc, char** argv) {
     const auto stats = server.stats();
     std::cout << "deflated shut down: " << stats.connections
               << " connections, " << stats.admission_requests
-              << " admission requests, " << stats.decisions << " decisions, "
-              << stats.place_requests << " placements" << std::endl;
+              << " admission requests, " << stats.decisions << " decisions"
+              << std::endl;
     return 0;
   } catch (const std::invalid_argument& error) {
     std::cerr << "error: " << error.what() << "\n";
