@@ -1,6 +1,7 @@
 // Micro-benchmark: end-to-end ClusterManager placement (flat vs sharded)
 // at fleet scale, preemption-mode placement as residents per server grow,
-// the SoA scan (scan_pick_host) and the sharded tick flush.
+// the SoA scan (scan_pick_host), the manager's indexed pick against that
+// scan under churn, and the sharded tick flush.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -177,8 +178,9 @@ deflate::cluster::HostScanTable make_table(std::size_t n) {
 /// items are the rows scanned.
 static void bench_scan_pick_host(benchmark::State& state) {
   const auto servers = static_cast<std::size_t>(state.range(0));
-  const auto strategy =
-      static_cast<deflate::cluster::PlacementStrategy>(state.range(1));
+  const auto scorer = deflate::cluster::make_placement_scorer(
+      deflate::cluster::placement_strategy_name(
+          static_cast<deflate::cluster::PlacementStrategy>(state.range(1))));
   const auto table = make_table(servers);
   const deflate::cluster::ServerRange pool =
       state.range(2) == 0
@@ -188,7 +190,7 @@ static void bench_scan_pick_host(benchmark::State& state) {
   const ResourceVector demand(8.0, 16384.0, 100.0, 1000.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(deflate::cluster::scan_pick_host(
-        strategy, demand, table, pool.first, pool.last,
+        *scorer, demand, table, pool.first, pool.last,
         deflate::cluster::ScanFeasibility::FreeCapacity,
         /*under_pressure=*/false));
   }
@@ -199,6 +201,66 @@ BENCHMARK(bench_scan_pick_host)
     ->ArgNames({"servers", "strategy", "pool"})
     ->ArgsProduct({{125, 1250, 12500}, {0, 1, 2}, {0, 1}})
     ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+/// One fitness pick under steady churn on a flat fleet of range(0) servers
+/// warmed to ~50% CPU. Each iteration removes a random resident and places
+/// a fresh VM through the public ClusterManager API, flushes, then times
+/// one free-capacity pick for the next VM's demand: range(1) = 0 asks the
+/// manager's selector (the index, after its lazy re-score of the rows the
+/// churn dirtied), 1 runs scan_pick_host over the same table.
+static void bench_selector_pick(benchmark::State& state) {
+  const auto servers = static_cast<std::size_t>(state.range(0));
+  const bool scan = state.range(1) != 0;
+  deflate::cluster::ClusterConfig config;
+  config.server_count = servers;
+  config.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
+  deflate::cluster::ClusterManager manager(config);
+  deflate::util::Rng rng(42);
+  std::vector<std::uint64_t> live;
+  std::uint64_t next_id = 1;
+  double committed = 0.0;
+  const double target = 0.5 * 48.0 * static_cast<double>(servers);
+  while (committed < target) {
+    const auto spec = bench_spec(rng, next_id++);
+    if (manager.place_vm(spec).ok()) {
+      live.push_back(spec.id);
+      committed += static_cast<double>(spec.vcpus);
+    }
+  }
+
+  const deflate::cluster::HostSelector& selector =
+      manager.placement_selector();
+  for (auto _ : state) {
+    const auto gone = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+    manager.remove_vm(live[gone]);
+    live[gone] = live.back();
+    live.pop_back();
+    const auto spec = bench_spec(rng, next_id++);
+    if (manager.place_vm(spec).ok()) live.push_back(spec.id);
+    manager.flush_views();
+
+    const ResourceVector demand = bench_spec(rng, 0).vector();
+    const auto start = std::chrono::steady_clock::now();
+    const auto server =
+        scan ? deflate::cluster::scan_pick_host(
+                   manager.placement_scorer(), demand, selector.table(), 0,
+                   servers, deflate::cluster::ScanFeasibility::FreeCapacity,
+                   /*under_pressure=*/false)
+             : selector.pick(demand, 0, servers,
+                             deflate::cluster::ScanFeasibility::FreeCapacity,
+                             /*under_pressure=*/false);
+    const auto stop = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(server);
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
+  }
+}
+BENCHMARK(bench_selector_pick)
+    ->ArgNames({"servers", "scan"})
+    ->ArgsProduct({{125, 1250, 12500}, {0, 1}})
+    ->Iterations(2000)
+    ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
 
 /// One sharded tick flush with `range(0)` dirty servers per shard (0 =

@@ -92,17 +92,17 @@ ClusterManager::ClusterManager(ClusterConfig config)
       scorer_(make_placement_scorer(placement_policy_of(config_))),
       partitions_(config_.partitioned
                       ? ClusterPartitions(config_.server_count, config_.pool_weights)
-                      : ClusterPartitions::single_pool(config_.server_count)) {
+                      : ClusterPartitions::single_pool(config_.server_count)),
+      scan_(scorer_),
+      evict_scan_(scorer_) {
   std::shared_ptr<mech::DeflationMechanism> mechanism =
       mech::make_mechanism(config_.mechanism);
   nodes_.reserve(config_.server_count);
   view_dirty_.assign(config_.server_count, 0);
   dirty_queue_.reserve(config_.server_count);
-  scan_.capacity = config_.server_capacity;
-  scan_.resize(config_.server_count);
+  scan_.resize(config_.server_count, config_.server_capacity);
   if (config_.mode == ReclamationMode::Preemption) {
-    evict_scan_.capacity = config_.server_capacity;
-    evict_scan_.resize(config_.server_count);
+    evict_scan_.resize(config_.server_count, config_.server_capacity);
   }
   free_scale_ = FixedPointScale(config_.server_capacity * kFreeRowBound,
                                 config_.server_count);
@@ -151,8 +151,8 @@ FixedPointRow ClusterManager::rescan_free_units() const {
 
 FixedPointRow ClusterManager::free_row(std::size_t server) const noexcept {
   if (!nodes_[server]->active) return {};
-  return free_scale_.quantize(scan_.available_of(server) +
-                              scan_.deflatable_of(server));
+  return free_scale_.quantize(scan_.table().available_of(server) +
+                              scan_.table().deflatable_of(server));
 }
 
 void ClusterManager::refresh_view(std::size_t server) {
@@ -179,10 +179,10 @@ void ClusterManager::refresh_view(std::size_t server) {
 
 void ClusterManager::update_eligible(std::size_t server) {
   const ServerNode& node = *nodes_[server];
-  const std::uint8_t eligible = node.active && node.accepting ? 1 : 0;
-  scan_.eligible[server] = eligible;
+  const bool eligible = node.active && node.accepting;
+  scan_.set_eligible(server, eligible);
   if (config_.mode == ReclamationMode::Preemption) {
-    evict_scan_.eligible[server] = eligible;
+    evict_scan_.set_eligible(server, eligible);
   }
 }
 
@@ -254,12 +254,13 @@ PlacementResult ClusterManager::place_with_preemption(const hv::VmSpec& spec,
 
   // Feasibility with preemption: free capacity plus everything the
   // deflatable (low-priority) VMs currently hold. Only on-demand VMs may
-  // evict others, so they scan the eviction table; deflatable VMs scan
-  // the placement table, whose deflatable column is zero in this mode.
-  const HostScanTable& table = spec.deflatable ? scan_ : evict_scan_;
-  const auto best = scan_pick_host(*scorer_, demand, table, pool.first,
-                                   pool.last, ScanFeasibility::WithDeflation,
-                                   /*under_pressure=*/false);
+  // evict others, so they pick from the eviction table; deflatable VMs
+  // pick from the placement table, whose deflatable column is zero in
+  // this mode.
+  const HostSelector& selector = spec.deflatable ? scan_ : evict_scan_;
+  const auto best = selector.pick(demand, pool.first, pool.last,
+                                  ScanFeasibility::WithDeflation,
+                                  /*under_pressure=*/false);
   if (!best) {
     ++stats_.rejections;
     result.status = PlacementResult::Status::Rejected;
@@ -304,7 +305,7 @@ PlacementResult ClusterManager::place_vm(const hv::VmSpec& spec) {
   // eager per-mutation rescan, minus the redundant rescans in between).
   flush_views();
 
-  // Both modes scan the partition pool's id range through the SoA tables
+  // Both modes pick from the partition pool's id range of the SoA tables
   // (ineligible servers are masked by the eligibility column), so there
   // is no per-placement candidate list to build.
   const std::size_t pool_index =
@@ -323,14 +324,13 @@ PlacementResult ClusterManager::place_vm(const hv::VmSpec& spec) {
     // exists somewhere, place without deflating anyone. Only when no
     // server fits the demand in free capacity does the reclamation path
     // rank servers by their deflatable headroom.
-    if (const auto server = scan_pick_host(
-            *scorer_, demand, scan_, pool.first, pool.last,
-            ScanFeasibility::FreeCapacity, /*under_pressure=*/false)) {
+    if (const auto server = scan_.pick(demand, pool.first, pool.last,
+                                       ScanFeasibility::FreeCapacity,
+                                       /*under_pressure=*/false)) {
       return server;
     }
-    return scan_pick_host(*scorer_, demand, scan_, pool.first, pool.last,
-                          ScanFeasibility::WithDeflation,
-                          /*under_pressure=*/true);
+    return scan_.pick(demand, pool.first, pool.last,
+                      ScanFeasibility::WithDeflation, /*under_pressure=*/true);
   };
 
   if (const auto server = try_fraction(1.0)) {

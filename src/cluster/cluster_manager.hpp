@@ -308,11 +308,19 @@ class ClusterManager : public ClusterManagerBase {
     return *scorer_;
   }
 
-  /// Preemption mode's eviction table (empty in Deflation mode): the
-  /// placement table's rows with each server's preemptable allocation
+  /// The selector every placement picks through: the placement table and
+  /// its index. Exact after a flush.
+  [[nodiscard]] const HostSelector& placement_selector() const noexcept {
+    return scan_;
+  }
+  /// Preemption mode's eviction selector (empty table in Deflation mode):
+  /// the placement table's rows with each server's preemptable allocation
   /// in the deflatable column. Exact after a flush.
-  [[nodiscard]] const HostScanTable& eviction_table() const noexcept {
+  [[nodiscard]] const HostSelector& eviction_selector() const noexcept {
     return evict_scan_;
+  }
+  [[nodiscard]] const HostScanTable& eviction_table() const noexcept {
+    return evict_scan_.table();
   }
 
  private:
@@ -334,7 +342,7 @@ class ClusterManager : public ClusterManagerBase {
   /// Queues `server` for a view rescan at the next flush (dedups repeated
   /// mutations of the same server between placements).
   void mark_view_dirty(std::size_t server);
-  /// Mirrors active && accepting into the scan tables' eligibility columns.
+  /// Mirrors active && accepting into the selectors' eligibility columns.
   void update_eligible(std::size_t server);
   PlacementResult admit(const hv::VmSpec& spec, std::size_t server,
                         double fraction);
@@ -351,14 +359,14 @@ class ClusterManager : public ClusterManagerBase {
   std::vector<std::unique_ptr<ServerNode>> nodes_;
   ClusterPartitions partitions_;
   std::unordered_map<std::uint64_t, std::size_t> vm_locations_;
-  /// SoA per-server scan state: the placement scan and deflation sweeps
-  /// read these dense columns instead of chasing per-node structs.
-  HostScanTable scan_;
+  /// SoA per-server scan state and its selection index: placement picks
+  /// from these dense columns instead of chasing per-node structs.
+  HostSelector scan_;
   /// Preemption mode only: scan_'s rows with the deflatable column holding
   /// the summed effective allocation of each server's deflatable
   /// residents, what an on-demand placement may evict. Kept apart because
   /// scan_'s deflatable column feeds the free totals and shard routing.
-  HostScanTable evict_scan_;
+  HostSelector evict_scan_;
   std::vector<std::uint8_t> view_dirty_;   ///< per-server dirty flag
   std::vector<std::size_t> dirty_queue_;   ///< servers awaiting a rescan
   /// Free + deflatable capacity in fixed-point units: each server's folded

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace deflate::cluster {
 
@@ -197,16 +202,6 @@ std::shared_ptr<const PlacementScorer> borrow(const PlacementScorer& scorer) {
 
 }  // namespace
 
-const PlacementScorer& builtin_placement_scorer(PlacementStrategy s) noexcept {
-  switch (s) {
-    case PlacementStrategy::Fitness: return kFitnessScorer;
-    case PlacementStrategy::FirstFit: return kFirstFitScorer;
-    case PlacementStrategy::BestFit: return kBestFitScorer;
-    case PlacementStrategy::WorstFit: return kWorstFitScorer;
-  }
-  return kFitnessScorer;
-}
-
 void PlacementSurface::register_builtins(
     policy::PolicyRegistry<PlacementSurface>& registry) {
   registry.add("fitness",
@@ -325,16 +320,6 @@ bool reject_mask(const HostScanTable& table, const res::ResourceVector& demand,
 
 }  // namespace
 
-std::optional<std::size_t> scan_pick_host(PlacementStrategy strategy,
-                                          const res::ResourceVector& demand,
-                                          const HostScanTable& table,
-                                          std::size_t first, std::size_t last,
-                                          ScanFeasibility feasibility,
-                                          bool under_pressure) {
-  return scan_pick_host(builtin_placement_scorer(strategy), demand, table,
-                        first, last, feasibility, under_pressure);
-}
-
 std::optional<std::size_t> scan_pick_host(const PlacementScorer& scorer,
                                           const res::ResourceVector& demand,
                                           const HostScanTable& table,
@@ -375,6 +360,154 @@ std::optional<std::size_t> scan_pick_host(const PlacementScorer& scorer,
       }
     }
   }
+  return best;
+}
+
+// --- per-demand selection index ---------------------------------------------
+
+namespace {
+
+/// Tree entry of a range holding no feasible row.
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
+}  // namespace
+
+HostSelector::HostSelector(std::shared_ptr<const PlacementScorer> scorer)
+    : scorer_(std::move(scorer)),
+      higher_better_(scorer_->order() ==
+                     PlacementScorer::Order::HigherBetter),
+      indexable_(scorer_->order() != PlacementScorer::Order::ById) {}
+
+void HostSelector::resize(std::size_t servers,
+                          const res::ResourceVector& capacity) {
+  table_.capacity = capacity;
+  table_.resize(servers);
+  keys_.clear();
+  seen_.clear();
+}
+
+void HostSelector::mark_dirty(std::size_t i) noexcept {
+  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+  for (Key& key : keys_) key.dirty[i / 64] |= bit;
+}
+
+void HostSelector::set_row(std::size_t i,
+                           const res::ResourceVector& available_i,
+                           const res::ResourceVector& deflatable_i,
+                           double overcommit_i) noexcept {
+  table_.set_row(i, available_i, deflatable_i, overcommit_i);
+  mark_dirty(i);
+}
+
+void HostSelector::set_eligible(std::size_t i, bool eligible) noexcept {
+  table_.eligible[i] = eligible ? 1 : 0;
+  mark_dirty(i);
+}
+
+std::uint32_t HostSelector::winner(const Key& key, std::uint32_t a,
+                                   std::uint32_t b) const noexcept {
+  if (a == kNone) return b;
+  if (b == kNone) return a;
+  const double score_a = key.scores[a];
+  const double score_b = key.scores[b];
+  // The scan's (score, lowest id) order: equal scores go to the lower id.
+  if (score_a == score_b) return std::min(a, b);
+  return (higher_better_ ? score_a > score_b : score_a < score_b) ? a : b;
+}
+
+HostSelector::Key* HostSelector::find_or_admit(
+    const KeyId& id, const res::ResourceVector& demand) const {
+  for (Key& key : keys_) {
+    if (key.id == id) return &key;
+  }
+  if (keys_.size() == kMaxKeys) return nullptr;
+  const auto seen = std::find(seen_.begin(), seen_.end(), id);
+  if (seen == seen_.end()) {
+    // First request: remember it, and let the scan answer.
+    if (seen_.size() == kMaxKeys) seen_.erase(seen_.begin());
+    seen_.push_back(id);
+    return nullptr;
+  }
+  seen_.erase(seen);
+  // Build the key as an update with every row dirty.
+  const std::size_t n = table_.size();
+  std::vector<std::uint64_t> dirty((n + 63) / 64, ~std::uint64_t{0});
+  if (n % 64 != 0) dirty.back() = (std::uint64_t{1} << (n % 64)) - 1;
+  return &keys_.emplace_back(Key{id, DemandTerms(demand, table_.capacity),
+                                 /*saw_nan=*/false,
+                                 std::vector<double>(n, 0.0),
+                                 std::vector<std::uint32_t>(2 * n, kNone),
+                                 std::move(dirty)});
+}
+
+void HostSelector::refresh(Key& key) const {
+  const auto n = static_cast<std::uint32_t>(table_.size());
+  level_.clear();
+  for (std::size_t word = 0; word < key.dirty.size(); ++word) {
+    for (std::uint64_t bits = std::exchange(key.dirty[word], 0); bits != 0;
+         bits &= bits - 1) {
+      const auto row =
+          static_cast<std::uint32_t>(word * 64 + std::countr_zero(bits));
+      std::uint64_t reject = 0;
+      std::uint32_t leaf = kNone;
+      if (reject_mask(table_, key.terms.demand, key.id.feasibility, row, 1,
+                      &reject)) {
+        scorer_->score_rows(key.terms, table_, row, 1, key.id.under_pressure,
+                            std::span<double>(&key.scores[row], 1));
+        key.saw_nan = key.saw_nan || std::isnan(key.scores[row]);
+        leaf = row;
+      }
+      key.tree[n + row] = leaf;
+      level_.push_back(n + row);
+    }
+  }
+  // Repair the ancestors one tree level at a time, each once. Ascending
+  // positions have ascending parents, so duplicates are adjacent. The
+  // leaves span at most two depths: the deeper ones are the largest
+  // positions, and their parents share the shallower leaves' depth.
+  while (!level_.empty() && level_.front() > 1) {
+    const auto split = std::lower_bound(level_.begin(), level_.end(),
+                                        std::bit_floor(level_.back()));
+    parents_.clear();
+    for (auto it = split; it != level_.end(); ++it) {
+      const std::uint32_t parent = *it / 2;
+      if (!parents_.empty() && parents_.back() == parent) continue;
+      parents_.push_back(parent);
+      key.tree[parent] =
+          winner(key, key.tree[2 * parent], key.tree[2 * parent + 1]);
+    }
+    merged_.clear();
+    std::merge(level_.begin(), split, parents_.begin(), parents_.end(),
+               std::back_inserter(merged_));
+    level_.swap(merged_);
+  }
+}
+
+std::optional<std::size_t> HostSelector::pick(
+    const res::ResourceVector& demand, std::size_t first, std::size_t last,
+    ScanFeasibility feasibility, bool under_pressure) const {
+  Key* key = nullptr;
+  if (indexable_) {
+    KeyId id{{}, feasibility, under_pressure};
+    for (const res::Resource r : res::all_resources) {
+      id.demand_bits[static_cast<std::size_t>(r)] =
+          std::bit_cast<std::uint64_t>(demand[r]);
+    }
+    key = find_or_admit(id, demand);
+    if (key != nullptr && !key->saw_nan) refresh(*key);
+  }
+  if (key == nullptr || key->saw_nan) {
+    return scan_pick_host(*scorer_, demand, table_, first, last, feasibility,
+                          under_pressure);
+  }
+  // Bottom-up range query over the leaves [n + first, n + last).
+  const std::size_t n = table_.size();
+  std::uint32_t best = kNone;
+  for (std::size_t lo = n + first, hi = n + last; lo < hi; lo /= 2, hi /= 2) {
+    if (lo % 2 == 1) best = winner(*key, best, key->tree[lo++]);
+    if (hi % 2 == 1) best = winner(*key, best, key->tree[--hi]);
+  }
+  if (best == kNone) return std::nullopt;
   return best;
 }
 

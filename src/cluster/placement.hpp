@@ -7,17 +7,30 @@
 // discounts servers that are already squeezed — preferring less-
 // overcommitted servers and thus balancing load (§5.2).
 //
-// There is one selection loop, scan_pick_host, over one data layout, the
-// SoA HostScanTable. Every placement goes through it: both feasibility
-// passes of deflation mode, and preemption mode, whose manager keeps a
-// second table with each server's preemptable allocation in the
-// deflatable column. A scan covers one contiguous id range [first, last)
-// (a partition pool, or the whole table). It walks the range in fixed
-// blocks, masks each block branch-free over the contiguous columns, and
-// scores every block holding a feasible row with one score_rows call over
-// a contiguous row range. Scorers plug in through score_rows alone, and
-// the loop ranks candidates under (score, lowest host id) — the only tie
-// contract.
+// Host selection has one definition and one fast path. scan_pick_host is
+// the definition: over one contiguous id range [first, last) of the SoA
+// HostScanTable (a partition pool, or the whole table) it walks fixed
+// blocks, masks each block branch-free over the contiguous columns
+// (ineligible, or failing the pass's feasibility test), and scores every
+// block holding a feasible row with one score_rows call. Scorers plug in
+// through score_rows alone, and the scan ranks candidates under (score,
+// lowest host id) — the only tie contract.
+//
+// HostSelector is the fast path every placement goes through: both
+// feasibility passes of deflation mode, and preemption mode, whose
+// manager keeps a second selector with each server's preemptable
+// allocation in the deflatable column. It owns its table, and its
+// set_row/set_eligible are the table's only writers, so each write marks
+// the row dirty in every index key. A key — the demand's bit pattern, the
+// pass and the pressure flag — holds one score per row and a bottom-up
+// winner tree of row ids; a pick re-scores the key's dirty rows with the
+// scan's own mask and score_rows, repairs their ancestors, and answers an
+// O(log n) range query. The tree combines two rows as the scan ranks
+// them: a feasible row beats none, a strictly better score wins, and
+// equal scores go to the lower id, so a pick equals the scan's. The scan
+// answers instead for first-fit (Order::ById), for a key's first request,
+// for new keys once a selector holds kMaxKeys, and for a key that has
+// scored NaN on a feasible row (with NaN the scan's pick is no argmax).
 #pragma once
 
 #include <array>
@@ -58,7 +71,7 @@ enum class PlacementStrategy { Fitness, FirstFit, BestFit, WorstFit };
 
 struct HostScanTable;
 
-/// Strategy object behind PlacementStrategy: scores rows of the scan
+/// A placement policy, resolved by registry name: scores rows of the scan
 /// table; scan_pick_host owns the feasibility mask and the deterministic
 /// tie order. Scorers are stateless.
 class PlacementScorer {
@@ -75,8 +88,9 @@ class PlacementScorer {
   /// `scores[0, count)`. The range may hold ineligible or infeasible rows:
   /// scan_pick_host masks them and ignores their scores, so a score must
   /// depend on its own row alone. scan_pick_host calls this once per
-  /// block, never once per candidate, and never for Order::ById. The
-  /// builtins read the table's cached availability columns.
+  /// block, HostSelector once per re-scored row (count 1), and neither
+  /// for Order::ById. The builtins read the table's cached availability
+  /// columns.
   virtual void score_rows(const DemandTerms& terms, const HostScanTable& table,
                           std::size_t first, std::size_t count,
                           bool under_pressure,
@@ -93,10 +107,6 @@ struct PlacementSurface {
 };
 
 using PlacementRegistry = policy::PolicyRegistry<PlacementSurface>;
-
-/// The builtin scorer a legacy enum value aliases (static lifetime).
-[[nodiscard]] const PlacementScorer& builtin_placement_scorer(
-    PlacementStrategy s) noexcept;
 
 /// Resolves a registered scorer by name; throws std::invalid_argument
 /// naming the valid choices when unknown.
@@ -150,15 +160,85 @@ enum class ScanFeasibility { FreeCapacity, WithDeflation };
 /// winning *server id*: the feasible row that ranks first under (score,
 /// lowest host id), or nullopt when none is feasible.
 [[nodiscard]] std::optional<std::size_t> scan_pick_host(
-    PlacementStrategy strategy, const res::ResourceVector& demand,
-    const HostScanTable& table, std::size_t first, std::size_t last,
-    ScanFeasibility feasibility, bool under_pressure);
-
-/// Scorer-driven scan; the enum overload forwards here with the builtin
-/// scorer.
-[[nodiscard]] std::optional<std::size_t> scan_pick_host(
     const PlacementScorer& scorer, const res::ResourceVector& demand,
     const HostScanTable& table, std::size_t first, std::size_t last,
     ScanFeasibility feasibility, bool under_pressure);
+
+/// A scan table plus an exact per-demand selection index over it (see the
+/// file comment). pick() returns what scan_pick_host returns on the same
+/// table, bit for bit. Serial: pick() updates the index, which is mutable
+/// state behind a const interface, like a memo.
+class HostSelector {
+ public:
+  /// Index keys one selector holds; later keys use the scan.
+  static constexpr std::size_t kMaxKeys = 32;
+
+  /// An empty table; allocates nothing.
+  explicit HostSelector(std::shared_ptr<const PlacementScorer> scorer);
+
+  /// Sizes the table to `servers` zeroed, eligible rows of `capacity`
+  /// each, and drops every key.
+  void resize(std::size_t servers, const res::ResourceVector& capacity);
+
+  /// HostScanTable::set_row, marking the row dirty in every key.
+  void set_row(std::size_t i, const res::ResourceVector& available_i,
+               const res::ResourceVector& deflatable_i,
+               double overcommit_i) noexcept;
+  /// Writes the row's eligibility, marking the row dirty in every key.
+  void set_eligible(std::size_t i, bool eligible) noexcept;
+
+  /// scan_pick_host(scorer(), demand, table(), first, last, feasibility,
+  /// under_pressure), answered from the key's index when it has one.
+  [[nodiscard]] std::optional<std::size_t> pick(
+      const res::ResourceVector& demand, std::size_t first, std::size_t last,
+      ScanFeasibility feasibility, bool under_pressure) const;
+
+  [[nodiscard]] const HostScanTable& table() const noexcept { return table_; }
+  [[nodiscard]] const PlacementScorer& scorer() const noexcept {
+    return *scorer_;
+  }
+  /// Keys admitted to the index (at most kMaxKeys), counting any that a
+  /// NaN score sent back to the scan.
+  [[nodiscard]] std::size_t indexed_keys() const noexcept {
+    return keys_.size();
+  }
+
+ private:
+  /// What a key answers: the demand's bit pattern and the pass.
+  struct KeyId {
+    std::array<std::uint64_t, res::kNumResources> demand_bits{};
+    ScanFeasibility feasibility = ScanFeasibility::FreeCapacity;
+    bool under_pressure = false;
+    bool operator==(const KeyId&) const = default;
+  };
+  struct Key {
+    KeyId id;
+    DemandTerms terms;
+    /// Set once a feasible row scored NaN: the key answers by scan.
+    bool saw_nan = false;
+    std::vector<double> scores;        ///< per row; read for feasible rows
+    std::vector<std::uint32_t> tree;   ///< 2n winner ids; leaves at n + row
+    std::vector<std::uint64_t> dirty;  ///< one bit per row
+  };
+
+  /// The key answering `id`, built on its second request; nullptr when
+  /// the scan must answer.
+  Key* find_or_admit(const KeyId& id, const res::ResourceVector& demand) const;
+  /// Re-scores the key's dirty rows and repairs their ancestors.
+  void refresh(Key& key) const;
+  [[nodiscard]] std::uint32_t winner(const Key& key, std::uint32_t a,
+                                     std::uint32_t b) const noexcept;
+  void mark_dirty(std::size_t i) noexcept;
+
+  HostScanTable table_;
+  std::shared_ptr<const PlacementScorer> scorer_;
+  bool higher_better_;
+  bool indexable_;  ///< false for Order::ById
+  mutable std::vector<Key> keys_;
+  /// Keys requested once and not indexed yet (oldest first).
+  mutable std::vector<KeyId> seen_;
+  /// refresh's tree positions, one level at a time.
+  mutable std::vector<std::uint32_t> level_, parents_, merged_;
+};
 
 }  // namespace deflate::cluster

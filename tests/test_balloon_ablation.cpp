@@ -141,9 +141,10 @@ std::optional<std::size_t> strategy_pick(
     table.set_row(i, free[i], {}, /*overcommit_i=*/0.0);
     table.eligible[i] = ineligible == i ? 0 : 1;
   }
-  return cl::scan_pick_host(strategy, demand, table, 0, free.size(),
-                            cl::ScanFeasibility::FreeCapacity,
-                            /*under_pressure=*/false);
+  return cl::scan_pick_host(
+      *cl::make_placement_scorer(cl::placement_strategy_name(strategy)),
+      demand, table, 0, free.size(), cl::ScanFeasibility::FreeCapacity,
+      /*under_pressure=*/false);
 }
 
 }  // namespace

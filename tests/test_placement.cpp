@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <utility>
 
 #include "util/rng.hpp"
@@ -36,16 +37,17 @@ std::vector<double> fitness_scores(const res::ResourceVector& demand,
                                    const cl::HostScanTable& table,
                                    bool under_pressure = false) {
   std::vector<double> scores(table.size());
-  cl::builtin_placement_scorer(cl::PlacementStrategy::Fitness)
-      .score_rows(cl::DemandTerms(demand, kCapacity), table, 0, table.size(),
-                  under_pressure, scores);
+  cl::make_placement_scorer("fitness")->score_rows(
+      cl::DemandTerms(demand, kCapacity), table, 0, table.size(),
+      under_pressure, scores);
   return scores;
 }
 
 std::optional<std::size_t> pick_free(const res::ResourceVector& demand,
                                      const cl::HostScanTable& table) {
-  return cl::scan_pick_host(cl::PlacementStrategy::Fitness, demand, table, 0,
-                            table.size(), cl::ScanFeasibility::FreeCapacity,
+  return cl::scan_pick_host(*cl::make_placement_scorer("fitness"), demand,
+                            table, 0, table.size(),
+                            cl::ScanFeasibility::FreeCapacity,
                             /*under_pressure=*/false);
 }
 
@@ -111,8 +113,8 @@ TEST(Placement, NoFeasibleHostReturnsNullopt) {
   table.eligible[0] = 1;
   using Range = std::pair<std::size_t, std::size_t>;
   for (const auto& [first, last] : {Range{0, 0}, Range{1, 2}}) {
-    EXPECT_FALSE(cl::scan_pick_host(cl::PlacementStrategy::Fitness, demand,
-                                    table, first, last,
+    EXPECT_FALSE(cl::scan_pick_host(*cl::make_placement_scorer("fitness"),
+                                    demand, table, first, last,
                                     cl::ScanFeasibility::FreeCapacity,
                                     /*under_pressure=*/false));
   }
@@ -126,7 +128,7 @@ TEST(Placement, FeasibilityToleratesOneEpsilon) {
   const auto pick = [&](const res::ResourceVector& available,
                         const res::ResourceVector& deflatable,
                         cl::ScanFeasibility feasibility) {
-    return cl::scan_pick_host(cl::PlacementStrategy::FirstFit, demand,
+    return cl::scan_pick_host(*cl::make_placement_scorer("first-fit"), demand,
                               make_table({available}, deflatable), 0, 1,
                               feasibility, /*under_pressure=*/false);
   };
@@ -266,6 +268,20 @@ class MostFreeMemoryScorer final : public cl::PlacementScorer {
   }
 };
 
+/// The four builtins, each resolved through its registry name, then the
+/// plugin.
+std::vector<std::shared_ptr<const cl::PlacementScorer>> scorers_under_test() {
+  std::vector<std::shared_ptr<const cl::PlacementScorer>> scorers;
+  for (const auto strategy :
+       {cl::PlacementStrategy::Fitness, cl::PlacementStrategy::FirstFit,
+        cl::PlacementStrategy::BestFit, cl::PlacementStrategy::WorstFit}) {
+    scorers.push_back(
+        cl::make_placement_scorer(cl::placement_strategy_name(strategy)));
+  }
+  scorers.push_back(std::make_shared<MostFreeMemoryScorer>());
+  return scorers;
+}
+
 /// Rewrites every row as a copy of one of the first `distinct` rows, so
 /// equal scores tie across blocks and only the lowest id may win.
 void duplicate_rows(cl::HostScanTable& table, util::Rng& rng,
@@ -295,13 +311,7 @@ TEST(PlacementScan, CachedColumnsMatchTheAvailabilityFormula) {
 }
 
 TEST(PlacementScan, PicksTheSameServerAsTheNaiveReference) {
-  const MostFreeMemoryScorer plugin;
-  std::vector<const cl::PlacementScorer*> scorers{&plugin};
-  for (const auto strategy :
-       {cl::PlacementStrategy::Fitness, cl::PlacementStrategy::FirstFit,
-        cl::PlacementStrategy::BestFit, cl::PlacementStrategy::WorstFit}) {
-    scorers.push_back(&cl::builtin_placement_scorer(strategy));
-  }
+  const auto scorers = scorers_under_test();
 
   util::Rng rng(11);
   std::size_t compared = 0, placed = 0, empty = 0, ties = 0;
@@ -332,7 +342,7 @@ TEST(PlacementScan, PicksTheSameServerAsTheNaiveReference) {
                   table.eligible.begin() + static_cast<std::ptrdiff_t>(last),
                   std::uint8_t{0});
       }
-      for (const cl::PlacementScorer* scorer : scorers) {
+      for (const auto& scorer : scorers) {
         for (const auto feasibility : {cl::ScanFeasibility::FreeCapacity,
                                        cl::ScanFeasibility::WithDeflation}) {
           for (const bool pressure : {false, true}) {
@@ -360,4 +370,132 @@ TEST(PlacementScan, PicksTheSameServerAsTheNaiveReference) {
   EXPECT_GT(placed, compared / 2);
   EXPECT_GT(empty, 0U);
   EXPECT_GT(ties, 0U);
+}
+
+// --- selection index vs scan ------------------------------------------------
+
+namespace {
+
+/// A plugin that scores NaN on rows with under a quarter of the memory
+/// free, and free cores elsewhere: over NaN the scan's pick is no argmax,
+/// so a key that meets one must answer by scan.
+class NanScorer final : public cl::PlacementScorer {
+ public:
+  [[nodiscard]] Order order() const noexcept override {
+    return Order::HigherBetter;
+  }
+  void score_rows(const cl::DemandTerms&, const cl::HostScanTable& table,
+                  std::size_t first, std::size_t count, bool,
+                  std::span<double> scores) const override {
+    const auto cpu = static_cast<std::size_t>(res::Resource::Cpu);
+    const auto memory = static_cast<std::size_t>(res::Resource::Memory);
+    for (std::size_t j = 0; j < count; ++j) {
+      scores[j] = table.available[memory][first + j] < 0.25 * kCapacity.memory()
+                      ? std::nan("")
+                      : table.available[cpu][first + j];
+    }
+  }
+};
+
+/// One random write through the selector: flip a row's eligibility, copy
+/// another row of [first, last) (exact score ties), or write fresh values.
+void random_write(cl::HostSelector& selector, util::Rng& rng,
+                  std::size_t first, std::size_t last) {
+  const cl::HostScanTable& table = selector.table();
+  const auto random_row = [&](std::size_t lo, std::size_t hi) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(static_cast<std::int64_t>(lo),
+                        static_cast<std::int64_t>(hi) - 1));
+  };
+  const std::size_t row = rng.bernoulli(0.9) ? random_row(first, last)
+                                             : random_row(0, table.size());
+  const double kind = rng.u01();
+  if (kind < 0.2) {
+    selector.set_eligible(row, table.eligible[row] == 0);
+  } else if (kind < 0.45) {
+    const std::size_t from = random_row(first, last);
+    selector.set_row(row, table.available_of(from), table.deflatable_of(from),
+                     table.overcommit[from]);
+  } else {
+    res::ResourceVector available, deflatable;
+    for (const res::Resource r : res::all_resources) {
+      available[r] = rng.uniform(0.0, kCapacity[r]);
+      deflatable[r] = rng.uniform(0.0, 0.5 * kCapacity[r]);
+    }
+    selector.set_row(row, available, deflatable, rng.uniform(0.2, 2.5));
+  }
+}
+
+}  // namespace
+
+TEST(PlacementIndex, PicksTheSameServerAsTheScanUnderChurn) {
+  auto scorers = scorers_under_test();
+  scorers.push_back(std::make_shared<NanScorer>());
+
+  util::Rng rng(23);
+  // A few hot demands that the selector indexes, and more cold ones than
+  // it holds keys, which the scan answers once the keys run out.
+  constexpr std::size_t kHot = 8;
+  std::vector<res::ResourceVector> demands;
+  while (demands.size() < kHot + cl::HostSelector::kMaxKeys + 8) {
+    demands.push_back(random_demand(rng));
+  }
+  std::size_t compared = 0, placed = 0, ties = 0, full_selectors = 0;
+  for (const std::size_t length : {1U, 127U, 128U, 129U, 1500U}) {
+    for (const auto& scorer : scorers) {
+      // A sub-range [first, last) starting off block alignment, inside a
+      // larger table whose rows outside it must never win.
+      const auto first = static_cast<std::size_t>(
+          1 + rng.uniform_int(0, 126) + 128 * rng.uniform_int(0, 1));
+      const std::size_t last = first + length;
+      const std::size_t servers =
+          last + static_cast<std::size_t>(rng.uniform_int(0, 200));
+      cl::HostSelector selector(scorer);
+      selector.resize(servers, kCapacity);
+      const cl::HostScanTable seed = random_table(rng, servers);
+      for (std::size_t i = 0; i < servers; ++i) {
+        selector.set_row(i, seed.available_of(i), seed.deflatable_of(i),
+                         seed.overcommit[i]);
+        selector.set_eligible(i, seed.eligible[i] != 0);
+      }
+      for (int step = 0; step < 400; ++step) {
+        for (auto writes = rng.uniform_int(0, 4); writes > 0; --writes) {
+          random_write(selector, rng, first, last);
+        }
+        const res::ResourceVector& demand =
+            demands[static_cast<std::size_t>(
+                rng.bernoulli(0.8)
+                    ? rng.uniform_int(0, std::int64_t{kHot} - 1)
+                    : rng.uniform_int(std::int64_t{kHot},
+                                      std::ssize(demands) - 1))];
+        const auto feasibility = rng.bernoulli(0.5)
+                                     ? cl::ScanFeasibility::FreeCapacity
+                                     : cl::ScanFeasibility::WithDeflation;
+        const bool pressure = rng.bernoulli(0.5);
+        const bool whole = rng.bernoulli(0.2);
+        const std::size_t lo = whole ? 0 : first;
+        const std::size_t hi = whole ? servers : last;
+        const auto expected = cl::scan_pick_host(
+            *scorer, demand, selector.table(), lo, hi, feasibility, pressure);
+        ASSERT_EQ(selector.pick(demand, lo, hi, feasibility, pressure),
+                  expected)
+            << "length " << length << " step " << step << " range [" << lo
+            << ", " << hi << ") pressure " << pressure;
+        ++compared;
+        if (expected) ++placed;
+        if (scorer->order() != cl::PlacementScorer::Order::ById) {
+          (void)reference_pick(*scorer, demand, selector.table(), lo, hi,
+                               feasibility, pressure, ties);
+        }
+      }
+      if (selector.indexed_keys() == cl::HostSelector::kMaxKeys) {
+        ++full_selectors;
+      }
+    }
+  }
+  // Not vacuous: most picks find a server, exact ties occur, and
+  // selectors fill their keys, so later keys fall back to the scan.
+  EXPECT_GT(placed, compared / 2);
+  EXPECT_GT(ties, 0U);
+  EXPECT_GT(full_selectors, 0U);
 }

@@ -559,6 +559,56 @@ void expect_free_total_exact(cl::ClusterManager& manager,
   }
 }
 
+/// The generated traces' VM size menu (vcpus, memory GiB), with their
+/// disk and network demands.
+std::vector<res::ResourceVector> size_menu_demands() {
+  constexpr std::pair<int, double> kSizes[] = {
+      {1, 1.75}, {1, 2.0},  {2, 3.5},  {2, 4.0},   {2, 8.0},   {4, 8.0},
+      {4, 16.0}, {8, 16.0}, {8, 32.0}, {16, 64.0}, {24, 64.0}, {32, 112.0}};
+  std::vector<res::ResourceVector> demands;
+  for (const auto& [vcpus, memory_gib] : kSizes) {
+    demands.emplace_back(vcpus, memory_gib * 1024.0, 50.0 + 20.0 * vcpus,
+                         500.0 + 125.0 * vcpus);
+  }
+  return demands;
+}
+
+/// Each of the manager's selectors picks, for every size-menu shape in
+/// the passes its placements ask and over every partition pool, the
+/// server scan_pick_host picks over the same table.
+void expect_selectors_match_scan(const cl::ClusterManager& manager,
+                                 const std::string& where) {
+  static const std::vector<res::ResourceVector> demands = size_menu_demands();
+  using Pass = std::pair<cl::ScanFeasibility, bool>;
+  const bool preemption = manager.eviction_table().size() != 0;
+  const std::vector<Pass> passes =
+      preemption ? std::vector<Pass>{{cl::ScanFeasibility::WithDeflation,
+                                      false}}
+                 : std::vector<Pass>{{cl::ScanFeasibility::FreeCapacity, false},
+                                     {cl::ScanFeasibility::WithDeflation,
+                                      true}};
+  std::vector<const cl::HostSelector*> selectors{
+      &manager.placement_selector()};
+  if (preemption) selectors.push_back(&manager.eviction_selector());
+  for (const cl::HostSelector* selector : selectors) {
+    for (std::size_t pool = 0; pool < manager.partitions().pool_count();
+         ++pool) {
+      const cl::ServerRange range = manager.partitions().pool(pool);
+      for (const res::ResourceVector& demand : demands) {
+        for (const auto& [feasibility, pressure] : passes) {
+          EXPECT_EQ(selector->pick(demand, range.first, range.last,
+                                   feasibility, pressure),
+                    cl::scan_pick_host(selector->scorer(), demand,
+                                       selector->table(), range.first,
+                                       range.last, feasibility, pressure))
+              << where << " pool " << pool << " demand " << demand.cpu()
+              << " pressure " << pressure;
+        }
+      }
+    }
+  }
+}
+
 /// Flushes and checks every shard (or the flat manager) plus the sharded
 /// scheduler's routing cache.
 void flush_and_check(cl::ClusterManagerBase& manager,
@@ -566,11 +616,13 @@ void flush_and_check(cl::ClusterManagerBase& manager,
   manager.flush_views();
   if (auto* flat = dynamic_cast<cl::ClusterManager*>(&manager)) {
     expect_free_total_exact(*flat, where);
+    expect_selectors_match_scan(*flat, where);
     return;
   }
   auto& sharded = dynamic_cast<cl::ShardedClusterManager&>(manager);
   for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
     expect_free_total_exact(sharded.shard(s), where);
+    expect_selectors_match_scan(sharded.shard(s), where);
     EXPECT_EQ(sharded.cached_shard_free(s), sharded.shard(s).aggregate_free())
         << where << " shard " << s;
   }
@@ -580,14 +632,16 @@ void flush_and_check(cl::ClusterManagerBase& manager,
 /// flushes and periodic mass departures.
 void churn_with_checks(std::size_t shards, std::size_t servers = 1200,
                        cl::ReclamationMode mode =
-                           cl::ReclamationMode::Deflation) {
-  const cl::ShardedClusterConfig config =
-      sharded_config(servers, shards, mode);
+                           cl::ReclamationMode::Deflation,
+                       bool partitioned = false) {
+  cl::ShardedClusterConfig config = sharded_config(servers, shards, mode);
+  config.cluster.partitioned = partitioned;
   std::unique_ptr<cl::ClusterManagerBase> manager =
       shards == 1 ? std::make_unique<cl::ClusterManager>(config.cluster)
                   : std::unique_ptr<cl::ClusterManagerBase>(
                         std::make_unique<cl::ShardedClusterManager>(config));
-  const std::string where = "shards " + std::to_string(shards);
+  const std::string where = "shards " + std::to_string(shards) +
+                            (partitioned ? " partitioned" : "");
 
   util::Rng rng(99);
   std::vector<std::uint64_t> live;
@@ -636,12 +690,24 @@ void churn_with_checks(std::size_t shards, std::size_t servers = 1200,
   if (mode == cl::ReclamationMode::Preemption) {
     EXPECT_GT(manager->stats().preemptions, 0U) << where;  // evictions ran
   }
+  // The selector checks compared indexed picks, not only scan fallbacks.
+  const auto* flat = dynamic_cast<const cl::ClusterManager*>(manager.get());
+  const cl::ClusterManager& probe =
+      flat != nullptr
+          ? *flat
+          : dynamic_cast<cl::ShardedClusterManager&>(*manager).shard(0);
+  EXPECT_GT(probe.placement_selector().indexed_keys(), 0U) << where;
 }
 
 }  // namespace
 
 TEST(ShardedClusterManager, IncrementalFreeTotalsMatchRescanThroughChurn) {
   for (const std::size_t shards : {1U, 4U}) churn_with_checks(shards);
+}
+
+TEST(ShardedClusterManager, PartitionedSelectorsMatchTheScanThroughChurn) {
+  churn_with_checks(1, 1200, cl::ReclamationMode::Deflation,
+                    /*partitioned=*/true);
 }
 
 TEST(ShardedClusterManager, EvictionTableMatchesRescanThroughPreemptionChurn) {
