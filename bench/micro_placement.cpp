@@ -14,7 +14,7 @@
 
 using deflate::res::ResourceVector;
 
-// --- end-to-end manager placement: flat scan vs sharded routing ------------
+// --- end-to-end manager placement: one shard vs routed shards -------------
 
 namespace {
 
@@ -37,11 +37,6 @@ std::unique_ptr<deflate::cluster::ClusterManagerBase> make_manager(
   config.cluster.server_count = servers;
   config.cluster.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
   config.shard_count = shards;
-  if (shards == 1) {
-    // The /1 case measures the scheduler wrapper's overhead over the flat
-    // manager, so bypass the factory's flat-degenerate shortcut.
-    return std::make_unique<deflate::cluster::ShardedClusterManager>(config);
-  }
   return deflate::cluster::make_cluster_manager(std::move(config));
 }
 
@@ -49,7 +44,7 @@ std::unique_ptr<deflate::cluster::ClusterManagerBase> make_manager(
 
 /// One steady-state placement (replace a resident VM with a fresh one) on
 /// a fleet warmed to ~50% CPU. range(0) = servers, range(1) = shard count
-/// (0 = flat manager). Fixed iteration counts keep the warm-up from being
+/// (1 = the flat fleet). Fixed iteration counts keep the warm-up from being
 /// re-run by the adaptive timer.
 static void bench_manager_place(benchmark::State& state) {
   const auto servers = static_cast<std::size_t>(state.range(0));
@@ -80,9 +75,8 @@ static void bench_manager_place(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(bench_manager_place)
-    ->Args({400, 0})
-    ->Args({4000, 0})
-    ->Args({10000, 0})
+    ->Args({400, 1})
+    ->Args({4000, 1})
     ->Args({10000, 1})
     ->Args({10000, 4})
     ->Args({10000, 16})
@@ -276,7 +270,7 @@ static void bench_sharded_flush(benchmark::State& state) {
   config.cluster.server_count = kShards * kPerShard;
   config.cluster.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
   config.shard_count = kShards;
-  deflate::cluster::ShardedClusterManager manager(config);
+  deflate::cluster::ClusterManager manager(config);
   deflate::util::Rng rng(42);
   std::uint64_t next_id = 1;
   double committed = 0.0;

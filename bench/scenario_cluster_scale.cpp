@@ -1,10 +1,11 @@
-// Scenario: placement throughput at fleet scale — flat manager vs the
-// sharded scheduler at increasing shard counts.
+// Scenario: placement throughput at fleet scale — one shard vs routed
+// shards at increasing shard counts.
 //
 // Each configuration owns an identical 10k fleet, is warmed to ~50% CPU
 // with the same seeded arrival stream, then runs a steady-state churn of
-// place+remove pairs. The flat manager scans all 10k rows per placement;
-// shards cut the scan to fleet/shards plus an O(shards) routing step.
+// place+remove pairs. A placement picks inside one shard's id range
+// through that shard's selection index; more shards add an O(shards)
+// routing step and shrink each shard's index.
 //
 //   $ ./build/bench_scenario_cluster_scale            # full 10k fleet
 //   $ DEFLATE_BENCH_SCALE=0.1 ./build/bench_...       # quick smoke
@@ -106,7 +107,7 @@ void shard_sweep() {
 
   struct Case {
     std::string label;
-    std::size_t shards;  // 0 = flat ClusterManager
+    std::size_t shards;  // 0 = one shard, the flat fleet
   };
   const std::vector<Case> cases = {
       {"flat scan", 0},  {"sharded x2", 2},  {"sharded x4", 4},
@@ -119,7 +120,7 @@ void shard_sweep() {
   for (const Case& c : cases) {
     cluster::ShardedClusterConfig config;
     config.cluster = fleet;
-    config.shard_count = c.shards;  // <= 1 builds the flat manager
+    config.shard_count = c.shards;  // <= 1 builds the flat fleet
     std::unique_ptr<cluster::ClusterManagerBase> manager =
         cluster::make_cluster_manager(config);
     const RunResult result = run(*manager, servers, churn_ops, 0.5);

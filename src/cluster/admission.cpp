@@ -160,30 +160,39 @@ AdmissionDecision AdmissionController::evaluate(const AdmissionRequest& request,
   return place(request, now);
 }
 
-AdmissionDecision AdmissionController::decide(const AdmissionRequest& request,
-                                              sim::SimTime now) {
-  ++stats_.requests;
-  AdmissionDecision decision = evaluate(request, now);
+bool AdmissionController::count_resolved(
+    const AdmissionDecision& decision) noexcept {
   switch (decision.status) {
     case AdmissionDecision::Status::Placed:
     case AdmissionDecision::Status::PlacedDeflated:
       ++stats_.admitted;
-      break;
+      return true;
     case AdmissionDecision::Status::Rejected:
       if (decision.reason == AdmissionDecision::Reason::DeadlineExpired) {
         ++stats_.expired;
       } else {
         ++stats_.rejected;
       }
-      break;
-    case AdmissionDecision::Status::Deferred: {
-      ++stats_.deferrals;
-      const Pending pending{request, decision.retry_at};
-      queue_.insert(std::upper_bound(queue_.begin(), queue_.end(), pending,
-                                     PendingBefore{}),
-                    pending);
-      break;
-    }
+      return true;
+    case AdmissionDecision::Status::Deferred:
+      return false;
+  }
+  return false;
+}
+
+void AdmissionController::enqueue(const Pending& pending) {
+  queue_.insert(
+      std::upper_bound(queue_.begin(), queue_.end(), pending, PendingBefore{}),
+      pending);
+}
+
+AdmissionDecision AdmissionController::decide(const AdmissionRequest& request,
+                                              sim::SimTime now) {
+  ++stats_.requests;
+  AdmissionDecision decision = evaluate(request, now);
+  if (!count_resolved(decision)) {
+    ++stats_.deferrals;
+    enqueue({request, decision.retry_at});
   }
   return decision;
 }
@@ -200,33 +209,15 @@ std::vector<AdmissionController::Resolved> AdmissionController::drain(
     const Pending pending = queue_.front();
     queue_.erase(queue_.begin());
     AdmissionDecision decision = evaluate(pending.request, now);
-    switch (decision.status) {
-      case AdmissionDecision::Status::Placed:
-      case AdmissionDecision::Status::PlacedDeflated:
-        ++stats_.admitted;
-        resolved.push_back({pending.request, decision});
-        break;
-      case AdmissionDecision::Status::Rejected:
-        if (decision.reason == AdmissionDecision::Reason::DeadlineExpired) {
-          ++stats_.expired;
-        } else {
-          ++stats_.rejected;
-        }
-        resolved.push_back({pending.request, decision});
-        break;
-      case AdmissionDecision::Status::Deferred: {
-        // Queue invariant: a re-deferral must move strictly forward, or
-        // drain would spin on the same entry.
-        ++stats_.retries;
-        Pending requeued = pending;
-        requeued.retry_at = std::max(
-            decision.retry_at, now + sim::SimTime::from_micros(1));
-        queue_.insert(std::upper_bound(queue_.begin(), queue_.end(), requeued,
-                                       PendingBefore{}),
-                      requeued);
-        break;
-      }
+    if (count_resolved(decision)) {
+      resolved.push_back({pending.request, decision});
+      continue;
     }
+    // Queue invariant: a re-deferral must move strictly forward, or drain
+    // would spin on the same entry.
+    ++stats_.retries;
+    enqueue({pending.request,
+             std::max(decision.retry_at, now + sim::SimTime::from_micros(1))});
   }
   return resolved;
 }

@@ -173,8 +173,8 @@ class PriceFeed {
 
 /// The admission stage: policies subclass `evaluate`; the base class owns
 /// the deferral queue, the stats and the placement forwarding. One
-/// controller fronts one ClusterManagerBase (flat or sharded — the
-/// protocol only uses the common interface).
+/// controller fronts one ClusterManagerBase (the protocol only uses the
+/// common interface).
 class AdmissionController {
  public:
   AdmissionController(AdmissionConfig config, ClusterManagerBase& manager,
@@ -255,6 +255,12 @@ class AdmissionController {
     AdmissionRequest request;
     sim::SimTime retry_at;
   };
+
+  /// Counts a decision's final outcome (admitted, expired or rejected);
+  /// false, counting nothing, when it deferred.
+  bool count_resolved(const AdmissionDecision& decision) noexcept;
+  /// Inserts into the queue at its (retry_at, arrival, id) position.
+  void enqueue(const Pending& pending);
 
   AdmissionConfig config_;
   /// Kept sorted by (retry_at, arrival, vm id) — see the queue invariants

@@ -23,6 +23,7 @@
 #include "cluster/placement.hpp"
 #include "core/local_controller.hpp"
 #include "core/policy.hpp"
+#include "util/rng.hpp"
 
 namespace deflate::cluster {
 
@@ -138,12 +139,12 @@ class FixedPointScale {
   std::array<int, res::kNumResources> exponent_{};  ///< quantum = 2^exponent
 };
 
-/// Common interface of the flat ClusterManager and the sharded scheduler
-/// layered on top of it (src/cluster/sharded_manager.hpp). The simulator,
-/// the transient-market wiring and deflatectl operate exclusively against
-/// this interface, so fleets switch between flat and sharded transparently.
-/// Every `server` parameter and every server id carried by a callback or a
-/// PlacementResult is a *global* fleet id in [0, server_count()).
+/// The cluster manager's interface. ClusterManager is its one
+/// implementation; perfbench's TracedManager wraps it to time every call.
+/// The simulator, the transient-market wiring and deflatectl operate
+/// exclusively against this interface. Every `server` parameter and every
+/// server id carried by a callback or a PlacementResult is a *global*
+/// fleet id in [0, server_count()).
 class ClusterManagerBase {
  public:
   /// Preemption/revocation-kill observer; `host_id` is the server the VM
@@ -219,31 +220,35 @@ class ClusterManagerBase {
   virtual void flush_views() = 0;
 };
 
+struct ShardedClusterConfig;  // sharded_manager.hpp
+class ShardSelector;          // sharded_manager.hpp
+
+/// The fleet: every server, split into contiguous shards (one by default).
+/// Shard s owns the global ids [first_s, first_s + size_s) and keeps its
+/// own partition pools, placement and eviction selectors over shard-local
+/// rows, fixed-point free total and dirty-view queue, so a placement picks
+/// inside one shard's id range. With one shard a placement goes straight
+/// to that shard; with several, a shard-selection policy routes it over
+/// each shard's cached free aggregate and falls back to the other shards
+/// in score order (sharded_manager.hpp), so a VM is rejected only when
+/// every shard rejects it.
 class ClusterManager : public ClusterManagerBase {
  public:
+  /// A flat fleet: one shard.
   explicit ClusterManager(ClusterConfig config);
+  /// `config.shard_count` near-even shards, clamped so every shard holds
+  /// at least one server (one per pool when partitioned).
+  explicit ClusterManager(ShardedClusterConfig config);
+  ~ClusterManager() override;
 
   PlacementResult place_vm(const hv::VmSpec& spec) override;
-  /// depart_vm without the freed allocation.
   bool remove_vm(std::uint64_t vm_id) override;
-  /// Terminates a VM like remove_vm and returns the effective allocation
-  /// it held just before it left; empty when the VM is unknown. The
-  /// sharded scheduler folds the freed amount into its shard's routing
-  /// estimate without a second lookup.
-  std::optional<res::ResourceVector> depart_vm(std::uint64_t vm_id);
+  /// Displaced VMs are re-placed through place_vm, so on a sharded fleet
+  /// they shop every shard like a fresh arrival: a full home shard does
+  /// not kill VMs the rest of the fleet could absorb.
   RevocationOutcome revoke_server(std::size_t server) override;
   void restore_server(std::size_t server) override;
   void drain_server(std::size_t server) override;
-
-  /// Scheduler plumbing for revocations: takes `server` offline and strips
-  /// its residents *without* re-placing them — counts the revocation and
-  /// returns the displaced specs in migration order (priority descending,
-  /// id ascending). The caller owns their fate: `revoke_server` re-places
-  /// or kills them inside this manager; the sharded scheduler routes them
-  /// through the fleet-wide scheduler instead. Empty optional when the
-  /// server was already inactive (idempotency).
-  std::optional<std::vector<hv::VmSpec>> take_server_offline(
-      std::size_t server);
 
   [[nodiscard]] bool server_active(std::size_t server) const override {
     return nodes_.at(server)->active;
@@ -263,6 +268,9 @@ class ClusterManager : public ClusterManagerBase {
   [[nodiscard]] std::optional<std::size_t> server_of(
       std::uint64_t vm_id) const override;
 
+  /// End to end on a sharded fleet too: a placement that shops several
+  /// shards keeps one attempt's rejection and reclamation counts (the
+  /// successful one, or the first failed one when every shard rejects).
   [[nodiscard]] const ClusterStats& stats() const override { return stats_; }
   [[nodiscard]] res::ResourceVector total_capacity() const override;
   [[nodiscard]] res::ResourceVector total_allocated() const override;
@@ -279,48 +287,65 @@ class ClusterManager : public ClusterManagerBase {
     migration_callbacks_.push_back(std::move(callback));
   }
 
-  [[nodiscard]] const ClusterPartitions& partitions() const noexcept {
-    return partitions_;
-  }
+  /// Partitioned fleets partition each shard with the same pool weights,
+  /// so on a sharded fleet a pool's ids ascend but need not be contiguous.
   [[nodiscard]] std::vector<std::size_t> pool_servers(
       std::size_t pool) const override;
 
   /// Refreshes the cached views of every server marked dirty since the
-  /// last flush. Mutations (placements, departures, revocations) no longer
-  /// rescan eagerly; the views are exact whenever a placement consults
-  /// them because place_vm flushes first.
+  /// last flush; on a sharded fleet, of every shard touched since the last
+  /// flush, re-reading its routing aggregate. Mutations do not rescan
+  /// eagerly; the views are exact whenever a placement consults them
+  /// because each shard's placement flushes that shard first.
   void flush_views() override;
-
-  /// Free + reclaimable capacity summed over the active servers (exact:
-  /// flushes first). O(1) after the flush: every view refresh folds the
-  /// server's change into a running fixed-point total, so a flush costs
-  /// O(dirty servers), not O(server_count). The sharded scheduler routes
-  /// on this, refreshed once per tick for each dirty shard.
-  [[nodiscard]] res::ResourceVector aggregate_free();
-  /// The same total in fixed-point units (flushes first).
-  [[nodiscard]] FixedPointRow aggregate_free_units();
-  /// The total recomputed from scratch over the active servers' cached
-  /// rows, ignoring the running sum; equals aggregate_free_units() after
-  /// any flush (invariant checks).
-  [[nodiscard]] FixedPointRow rescan_free_units() const;
 
   [[nodiscard]] const PlacementScorer& placement_scorer() const noexcept {
     return *scorer_;
   }
 
-  /// The selector every placement picks through: the placement table and
-  /// its index. Exact after a flush.
-  [[nodiscard]] const HostSelector& placement_selector() const noexcept {
-    return scan_;
+  // --- shard topology (introspection, tests) --------------------------------
+  [[nodiscard]] std::size_t shard_count() const noexcept {
+    return shards_.size();
+  }
+  [[nodiscard]] std::size_t shard_of_server(std::size_t server) const;
+  /// The global ids shard `s` owns.
+  [[nodiscard]] ServerRange shard_servers(std::size_t s) const;
+  /// Shard `s`'s partition pools, in shard-local ids.
+  [[nodiscard]] const ClusterPartitions& partitions(std::size_t s = 0) const {
+    return shards_.at(s).partitions;
+  }
+  /// The selector shard `s`'s placements pick through: its placement table
+  /// (rows are shard-local ids) and the table's index. Exact after a flush.
+  [[nodiscard]] const HostSelector& placement_selector(
+      std::size_t s = 0) const {
+    return shards_.at(s).scan;
   }
   /// Preemption mode's eviction selector (empty table in Deflation mode):
   /// the placement table's rows with each server's preemptable allocation
   /// in the deflatable column. Exact after a flush.
-  [[nodiscard]] const HostSelector& eviction_selector() const noexcept {
-    return evict_scan_;
+  [[nodiscard]] const HostSelector& eviction_selector(std::size_t s = 0) const {
+    return shards_.at(s).evict_scan;
   }
-  [[nodiscard]] const HostScanTable& eviction_table() const noexcept {
-    return evict_scan_.table();
+  [[nodiscard]] const HostScanTable& eviction_table(std::size_t s = 0) const {
+    return shards_.at(s).evict_scan.table();
+  }
+
+  /// Free + reclaimable capacity summed over shard `s`'s active servers
+  /// (exact: flushes the shard first). O(1) after the flush: every view
+  /// refresh folds the server's change into a running fixed-point total,
+  /// so a flush costs O(dirty servers), not O(shard size).
+  [[nodiscard]] res::ResourceVector aggregate_free(std::size_t s = 0);
+  /// The same total in fixed-point units (flushes the shard first).
+  [[nodiscard]] FixedPointRow aggregate_free_units(std::size_t s = 0);
+  /// The total recomputed from scratch over the shard's active servers'
+  /// cached rows, ignoring the running sum; equals aggregate_free_units()
+  /// after any flush (invariant checks).
+  [[nodiscard]] FixedPointRow rescan_free_units(std::size_t s = 0) const;
+  /// The routing aggregate cached for shard `s` on a sharded fleet:
+  /// estimated between flushes, exact after flush_views.
+  [[nodiscard]] const res::ResourceVector& cached_shard_free(
+      std::size_t s) const {
+    return shards_.at(s).free;
   }
 
  private:
@@ -334,46 +359,108 @@ class ClusterManager : public ClusterManagerBase {
     bool accepting = true;
   };
 
+  /// One contiguous id range of the fleet with its own placement state.
+  /// Tables, pools and selector picks use shard-local rows (global id -
+  /// first); the dirty queue holds global ids.
+  struct Shard {
+    Shard(std::size_t first, std::size_t size, const ClusterConfig& config,
+          const std::shared_ptr<const PlacementScorer>& scorer);
+    std::size_t first = 0;  ///< global id of the shard's row 0
+    std::size_t size = 0;
+    ClusterPartitions partitions;
+    /// SoA per-server scan state and its selection index: placement picks
+    /// from these dense columns instead of chasing per-node structs.
+    HostSelector scan;
+    /// Preemption mode only: scan's rows with the deflatable column
+    /// holding the summed effective allocation of each server's deflatable
+    /// residents, what an on-demand placement may evict. Kept apart
+    /// because scan's deflatable column feeds the free totals and routing.
+    HostSelector evict_scan;
+    std::vector<std::size_t> dirty_views;  ///< servers awaiting a rescan
+    /// Free + deflatable capacity in fixed-point units, sized to the
+    /// shard, and its running sum over the shard's folded rows.
+    FixedPointScale free_scale;
+    FixedPointRow free_units{};
+    /// Routing aggregate (sharded fleets): available + deflatable over the
+    /// active servers, incrementally estimated between flushes.
+    res::ResourceVector free;
+    bool dirty = false;  ///< queued for the next routing refresh
+  };
+
+  /// Several shards: placements route, and each shard keeps `free`.
+  [[nodiscard]] bool routed() const noexcept { return shards_.size() > 1; }
+  [[nodiscard]] Shard& shard_for(std::size_t server) {
+    return shards_[shard_of_server(server)];
+  }
+
   /// Rewrites the server's scan-table row and replaces its contribution
-  /// to free_units_ with the new row (zero while inactive).
-  void refresh_view(std::size_t server);
-  /// The server's contribution to the free total from its table row.
-  [[nodiscard]] FixedPointRow free_row(std::size_t server) const noexcept;
-  /// Queues `server` for a view rescan at the next flush (dedups repeated
-  /// mutations of the same server between placements).
-  void mark_view_dirty(std::size_t server);
-  /// Mirrors active && accepting into the selectors' eligibility columns.
-  void update_eligible(std::size_t server);
-  PlacementResult admit(const hv::VmSpec& spec, std::size_t server,
-                        double fraction);
-  PlacementResult place_with_preemption(const hv::VmSpec& spec,
+  /// to the shard's free_units with the new row (zero while inactive).
+  void refresh_view(Shard& shard, std::size_t server);
+  /// The server's contribution to its shard's free total.
+  [[nodiscard]] FixedPointRow free_row(const Shard& shard,
+                                       std::size_t server) const noexcept;
+  /// Queues `server` for a view rescan at its shard's next flush (dedups
+  /// repeated mutations of the same server between placements).
+  void mark_view_dirty(Shard& shard, std::size_t server);
+  /// Refreshes the shard's dirty views.
+  void flush_shard(Shard& shard);
+  /// Mirrors active && accepting into the shard's eligibility columns.
+  void update_eligible(Shard& shard, std::size_t server);
+
+  /// One placement attempt inside one shard: the flat manager's protocol
+  /// over the shard's pool range.
+  PlacementResult place_in_shard(Shard& shard, const hv::VmSpec& spec);
+  PlacementResult admit(Shard& shard, const hv::VmSpec& spec,
+                        std::size_t server, double fraction);
+  PlacementResult place_with_preemption(Shard& shard, const hv::VmSpec& spec,
                                         ServerRange pool);
   /// Smallest launch fraction the configured policy would ever leave the
   /// VM with (deflated-launch lower bound).
   [[nodiscard]] double min_launch_fraction(const hv::VmSpec& spec) const;
 
+  // --- routing (sharded fleets) ---------------------------------------------
+  /// Tries the selection policy's picks, then every other shard by
+  /// descending cached score.
+  PlacementResult place_routed(const hv::VmSpec& spec);
+  /// Queues shard `s` for the next routing refresh.
+  void mark_shard_dirty(std::size_t s);
+  /// Re-reads the shard's exact aggregate into `free`. Does not clear the
+  /// dirty flag: callers outside the flush at worst schedule one redundant
+  /// refresh.
+  void refresh_routing(Shard& shard);
+  /// Copies of the demand the shard's cached aggregate could hold; the
+  /// routing score (larger = more headroom).
+  [[nodiscard]] static double shard_score(const Shard& shard,
+                                          const res::ResourceVector& demand);
+  /// The selection policy's preferred shards for one placement (only those
+  /// whose cached aggregate fits the demand); at most two for
+  /// power-of-two. The sorted fallback tail is built separately — and only
+  /// when every pick rejected — by route_tail.
+  [[nodiscard]] std::vector<std::size_t> route_picks(
+      const res::ResourceVector& demand);
+  /// Every shard not in `tried`, by descending cached score (ties by
+  /// index).
+  [[nodiscard]] std::vector<std::size_t> route_tail(
+      const res::ResourceVector& demand,
+      const std::vector<std::size_t>& tried) const;
+
   ClusterConfig config_;
   std::shared_ptr<core::DeflationPolicy> policy_;
-  /// Resolved placement scorer (registry-backed).
+  /// Resolved placement scorer (registry-backed), shared by every shard.
   std::shared_ptr<const PlacementScorer> scorer_;
   std::vector<std::unique_ptr<ServerNode>> nodes_;
-  ClusterPartitions partitions_;
+  std::vector<Shard> shards_;
   std::unordered_map<std::uint64_t, std::size_t> vm_locations_;
-  /// SoA per-server scan state and its selection index: placement picks
-  /// from these dense columns instead of chasing per-node structs.
-  HostSelector scan_;
-  /// Preemption mode only: scan_'s rows with the deflatable column holding
-  /// the summed effective allocation of each server's deflatable
-  /// residents, what an on-demand placement may evict. Kept apart because
-  /// scan_'s deflatable column feeds the free totals and shard routing.
-  HostSelector evict_scan_;
-  std::vector<std::uint8_t> view_dirty_;   ///< per-server dirty flag
-  std::vector<std::size_t> dirty_queue_;   ///< servers awaiting a rescan
-  /// Free + deflatable capacity in fixed-point units: each server's folded
-  /// row, and their running sum (what aggregate_free returns).
-  FixedPointScale free_scale_;
+  std::vector<std::uint8_t> view_dirty_;  ///< per-server dirty flag
+  /// Each server's row as folded into its shard's free_units.
   std::vector<FixedPointRow> free_rows_;
-  FixedPointRow free_units_{};
+  /// Shards whose routing aggregate awaits a refresh.
+  std::vector<std::size_t> dirty_shards_;
+  /// Seeded routing stream (power-of-two sampling).
+  util::Rng routing_rng_;
+  /// Registry-resolved routing policy (owns its own state, e.g. the
+  /// round-robin cursor).
+  std::unique_ptr<ShardSelector> selector_;
   ClusterStats stats_;
   std::vector<PreemptionCallback> preemption_callbacks_;
   std::vector<RevocationCallback> revocation_callbacks_;

@@ -44,8 +44,7 @@ struct SimConfig {
   res::ResourceVector server_capacity{48.0, 128.0 * 1024.0, 1e9, 1e9};
 
   // --- fleet sharding (src/cluster/sharded_manager) ---
-  /// Number of placement shards; 1 = the flat ClusterManager (the sharded
-  /// scheduler's degenerate case, bit-identical decisions).
+  /// Number of placement shards; 1 = the flat fleet (no routing).
   std::size_t shard_count = 1;
   cluster::ShardSelectionPolicy shard_selection =
       cluster::ShardSelectionPolicy::PowerOfTwoChoices;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "simcluster/cluster_sim.hpp"
+#include "trace/azure.hpp"
+
 namespace cl = deflate::cluster;
 namespace hv = deflate::hv;
 namespace res = deflate::res;
@@ -375,4 +380,59 @@ TEST(ClusterManager, DrainedServerRefusesPlacementsUntilRevokedOrRestored) {
   manager.remove_vm(1);
   EXPECT_TRUE(manager.place_vm(make_spec(2, 16, 32768.0, false)).ok());
   EXPECT_TRUE(manager.place_vm(make_spec(3, 16, 32768.0, false)).ok());
+}
+
+TEST(ClusterManager, EveryRejectedPlacementCountsOneRejection) {
+  // Explicit deflation cannot always reach what the policy promised (whole
+  // vCPUs, 128 MiB blocks, guest safety floors), so the chosen server's
+  // reclamation sometimes fails after the scan picked it. That rejection
+  // counts like every other one: stats().rejections is the number of
+  // Rejected results.
+  deflate::trace::AzureTraceConfig trace_config;
+  trace_config.vm_count = 250;
+  trace_config.seed = 3;
+  trace_config.duration = deflate::sim::SimTime::from_hours(48);
+  const auto records =
+      deflate::trace::AzureTraceGenerator(trace_config).generate();
+
+  cl::ClusterConfig config;
+  config.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
+  config.server_count =
+      deflate::simcluster::TraceDrivenSimulator::servers_for_overcommit(
+          records, config.server_capacity, 0.5);
+  config.mechanism = deflate::mech::MechanismKind::Explicit;
+  config.placement = cl::PlacementStrategy::BestFit;
+  cl::ClusterManager manager(config);
+
+  struct Event {
+    deflate::sim::SimTime at;
+    bool arrival;
+    std::size_t index;
+  };
+  std::vector<Event> events;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    events.push_back({records[i].start, true, i});
+    events.push_back({records[i].end, false, i});
+  }
+  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+    if (a.at != b.at) return a.at < b.at;
+    if (a.arrival != b.arrival) return !a.arrival;  // departures first
+    return a.index < b.index;
+  });
+  std::uint64_t rejected = 0;
+  for (const Event& event : events) {
+    const auto& record = records[event.index];
+    if (!event.arrival) {
+      manager.remove_vm(record.id);
+      continue;
+    }
+    const cl::ClusterStats before = manager.stats();
+    const cl::PlacementResult placed = manager.place_vm(record.to_spec());
+    if (placed.ok()) continue;
+    ++rejected;
+    EXPECT_EQ(manager.stats().rejections, before.rejections + 1)
+        << "vm " << record.id;
+  }
+  EXPECT_GT(rejected, 0U);
+  EXPECT_EQ(manager.stats().rejections, rejected);
 }

@@ -1,10 +1,10 @@
 // Cluster-scale stress test (ctest label: scale): a deterministic seeded
 // churn of placements / departures / deflation-inducing arrivals / server
-// revocations / restorations against a 10,000-server fleet, run through
-// the flat manager and the sharded scheduler.
+// revocations / restorations against a 10,000-server fleet, run on one
+// shard and on routed shards.
 //
-//  * shard_count == 1 must reproduce the flat manager's end state exactly
-//    (the sharded scheduler is a strict wrapper in its degenerate case);
+//  * a one-shard ShardedClusterConfig must reproduce the ClusterConfig-
+//    built flat manager's end state exactly (one shard is never routed);
 //  * larger shard counts may diverge (routing is approximate and shards
 //    fragment capacity) but only boundedly: same fleet, same workload,
 //    end-state utilization within a few percent.
@@ -153,7 +153,7 @@ TEST(ClusterScale, ShardedFleetMatchesFlatAtTenThousandServers) {
     cl::ShardedClusterConfig config;
     config.cluster = fleet_config();
     config.shard_count = 1;
-    cl::ShardedClusterManager sharded(config);
+    cl::ClusterManager sharded(config);
     const ChurnOutcome outcome = run_churn(sharded);
     EXPECT_EQ(outcome.placements, flat_outcome.placements);
     EXPECT_EQ(outcome.rejections, flat_outcome.rejections);
@@ -176,7 +176,7 @@ TEST(ClusterScale, ShardedFleetMatchesFlatAtTenThousandServers) {
     cl::ShardedClusterConfig config;
     config.cluster = fleet_config();
     config.shard_count = shards;
-    cl::ShardedClusterManager sharded(config);
+    cl::ClusterManager sharded(config);
     const ChurnOutcome outcome = run_churn(sharded);
     const double flat_cpu = flat_outcome.committed.cpu();
     const double sharded_cpu = outcome.committed.cpu();

@@ -94,7 +94,7 @@ TEST(GoldenRevocation, InstantMigrationSentinelReproducesGoldenOutcome) {
 }
 
 TEST(GoldenRevocation, ShardedFleetKeepsDeflationKillFreeOnGoldenTrace) {
-  // The sharded scheduler may route differently (so migration counts are
+  // A sharded fleet may route differently (so migration counts are
   // not pinned) but the scenario's headline — deflation absorbs this
   // revocation schedule without losing a single VM — must survive
   // sharding. Same seeds, 4 shards of 10 servers.

@@ -234,7 +234,7 @@ TEST(MigrationEngine, LiveMigrationLandsCrossShardWhenHomeShardIsFull) {
   cl::ShardedClusterConfig config;
   config.cluster = small_cluster(4);
   config.shard_count = 2;  // shard 0: servers 0-1, shard 1: servers 2-3
-  cl::ShardedClusterManager manager(config);
+  cl::ClusterManager manager(config);
 
   // Victim: 8 cores with a hard 50% floor, so a 16-core filler can never
   // deflate its way onto the victim's server.

@@ -173,7 +173,7 @@ TEST(PolicyRegistry, PluginSelectorDrivesShardedManager) {
   config.cluster.server_capacity = {16.0, 32768.0, 1e9, 1e9};
   config.shard_count = 4;
   config.selection_name = "first-shard";
-  cl::ShardedClusterManager manager(config);
+  cl::ClusterManager manager(config);
 
   // Shard 0 owns global servers 0..3 (64 cores): the plugin must steer
   // every placement there until the shard is full.
@@ -219,7 +219,7 @@ TEST(PolicyRegistry, UnknownNamesThrowListingValidChoices) {
   config.shard_count = 2;
   config.selection_name = "no-such-policy";
   try {
-    cl::ShardedClusterManager manager(config);
+    cl::ClusterManager manager(config);
     FAIL() << "unknown selection_name must throw";
   } catch (const std::invalid_argument& error) {
     const std::string what = error.what();
@@ -293,8 +293,8 @@ TEST(PolicyRegistry, ShardSelectionNamesMatchEnumsBitExact) {
     named_config.selection = cl::ShardSelectionPolicy::PowerOfTwoChoices;
     named_config.selection_name = test_case.name;
 
-    cl::ShardedClusterManager by_enum(enum_config);
-    cl::ShardedClusterManager by_name(named_config);
+    cl::ClusterManager by_enum(enum_config);
+    cl::ClusterManager by_name(named_config);
     util::Rng rng(19);
     for (std::uint64_t id = 1; id <= 150; ++id) {
       const hv::VmSpec spec = random_spec(rng, id);

@@ -1,7 +1,7 @@
-// Placement-invariant property tests for the sharded cluster manager:
-// no VM is ever resident twice, shard capacity accounting matches the
-// per-server sums, callbacks carry global server ids, and shard_count == 1
-// reproduces the flat manager decision-for-decision.
+// Placement-invariant property tests for sharded fleets: no VM is ever
+// resident twice, shard capacity accounting matches the per-server sums,
+// callbacks carry global server ids, and a one-shard ShardedClusterConfig
+// reproduces the ClusterConfig-built flat manager decision-for-decision.
 #include "cluster/sharded_manager.hpp"
 
 #include <gtest/gtest.h>
@@ -87,10 +87,12 @@ void expect_accounting_matches(cl::ClusterManagerBase& manager) {
 
 }  // namespace
 
-TEST(ShardedClusterManager, DegeneratesToFlatManagerExactly) {
+TEST(ShardedFleet, OneShardConfigEqualsTheFlatConfig) {
   cl::ShardedClusterConfig config = sharded_config(24, 1);
   cl::ClusterManager flat(config.cluster);
-  cl::ShardedClusterManager sharded(config);
+  cl::ClusterManager sharded(config);
+  ASSERT_EQ(flat.shard_count(), 1U);
+  ASSERT_EQ(sharded.shard_count(), 1U);
 
   util::Rng rng(13);
   std::vector<std::uint64_t> live;
@@ -115,15 +117,16 @@ TEST(ShardedClusterManager, DegeneratesToFlatManagerExactly) {
   EXPECT_EQ(flat.stats().placements, sharded.stats().placements);
   EXPECT_EQ(flat.stats().rejections, sharded.stats().rejections);
   EXPECT_EQ(flat.stats().deflated_launches, sharded.stats().deflated_launches);
+  EXPECT_EQ(flat.stats(), sharded.stats());
   for (const res::Resource r : res::all_resources) {
     EXPECT_DOUBLE_EQ(flat.total_committed()[r], sharded.total_committed()[r]);
     EXPECT_DOUBLE_EQ(flat.total_allocated()[r], sharded.total_allocated()[r]);
   }
 }
 
-TEST(ShardedClusterManager, NoVmPlacedTwiceAcrossRandomizedChurn) {
+TEST(ShardedFleet, NoVmPlacedTwiceAcrossRandomizedChurn) {
   for (const std::uint64_t seed : {1ULL, 7ULL, 23ULL, 71ULL, 2020ULL}) {
-    cl::ShardedClusterManager manager(sharded_config(64, 8));
+    cl::ClusterManager manager(sharded_config(64, 8));
     util::Rng rng(seed);
     std::vector<std::uint64_t> live;
     std::uint64_t next_id = 1;
@@ -160,8 +163,8 @@ TEST(ShardedClusterManager, NoVmPlacedTwiceAcrossRandomizedChurn) {
   }
 }
 
-TEST(ShardedClusterManager, CapacityAccountingMatchesPerServerSum) {
-  cl::ShardedClusterManager manager(sharded_config(20, 4));
+TEST(ShardedFleet, CapacityAccountingMatchesPerServerSum) {
+  cl::ClusterManager manager(sharded_config(20, 4));
   for (std::uint64_t id = 1; id <= 60; ++id) {
     manager.place_vm(make_spec(id, 4, 8192.0, id % 2 == 0));
   }
@@ -169,10 +172,10 @@ TEST(ShardedClusterManager, CapacityAccountingMatchesPerServerSum) {
   EXPECT_DOUBLE_EQ(manager.total_capacity().cpu(), 20 * 16.0);
 }
 
-TEST(ShardedClusterManager, MigrationCallbacksCarryGlobalServerIds) {
+TEST(ShardedFleet, MigrationCallbacksCarryGlobalServerIds) {
   // 12 servers in 4 shards of 3; fill a server in the *last* shard so the
   // local->global translation (local ids 0..2) is actually exercised.
-  cl::ShardedClusterManager manager(sharded_config(12, 4));
+  cl::ClusterManager manager(sharded_config(12, 4));
   std::uint64_t id = 1;
   std::size_t victim_server = 0;
   std::uint64_t victim_vm = 0;
@@ -212,8 +215,8 @@ TEST(ShardedClusterManager, MigrationCallbacksCarryGlobalServerIds) {
   expect_single_residency(manager);
 }
 
-TEST(ShardedClusterManager, PreemptionCallbacksCarryGlobalServerIds) {
-  cl::ShardedClusterManager manager(
+TEST(ShardedFleet, PreemptionCallbacksCarryGlobalServerIds) {
+  cl::ClusterManager manager(
       sharded_config(8, 4, cl::ReclamationMode::Preemption));
   std::unordered_map<std::uint64_t, std::size_t> placed_on;
   for (std::uint64_t id = 1; id <= 16; ++id) {
@@ -233,12 +236,12 @@ TEST(ShardedClusterManager, PreemptionCallbacksCarryGlobalServerIds) {
   EXPECT_GE(kills, 1U);
 }
 
-TEST(ShardedClusterManager, PreemptionModeEvictionForwardsGlobalIds) {
+TEST(ShardedFleet, PreemptionModeEvictionForwardsGlobalIds) {
   // Shard 0 (servers 0-1) ends up holding only on-demand VMs and shard 1
   // (servers 2-3) only deflatable ones, so the last on-demand VM can land
   // only by evicting in shard 1. The shard's preemption callback must
   // reach subscribers with the global server id and retire the victim.
-  cl::ShardedClusterManager manager(
+  cl::ClusterManager manager(
       sharded_config(4, 2, cl::ReclamationMode::Preemption));
   std::unordered_map<std::uint64_t, std::size_t> placed_on;
   for (std::uint64_t id = 1; id <= 8; ++id) {
@@ -269,11 +272,11 @@ TEST(ShardedClusterManager, PreemptionModeEvictionForwardsGlobalIds) {
   EXPECT_EQ(manager.stats().preemptions, evicted.size());
 }
 
-TEST(ShardedClusterManager, RejectionStatsAreEndToEnd) {
+TEST(ShardedFleet, RejectionStatsAreEndToEnd) {
   // Two single-server shards, both full: a third on-demand VM is turned
   // away by *both* shards but must count as one cluster-level rejection,
   // matching the flat manager's semantics.
-  cl::ShardedClusterManager manager(sharded_config(2, 2));
+  cl::ClusterManager manager(sharded_config(2, 2));
   ASSERT_TRUE(manager.place_vm(make_spec(1, 16, 32768.0, false)).ok());
   ASSERT_TRUE(manager.place_vm(make_spec(2, 16, 32768.0, false)).ok());
   EXPECT_FALSE(manager.place_vm(make_spec(3, 16, 32768.0, false)).ok());
@@ -285,13 +288,13 @@ TEST(ShardedClusterManager, RejectionStatsAreEndToEnd) {
   EXPECT_EQ(manager.stats().reclamation_failures, 1U);
 }
 
-TEST(ShardedClusterManager, RevocationMigratesCrossShardWithFlatKillParity) {
+TEST(ShardedFleet, RevocationMigratesCrossShardWithFlatKillParity) {
   // Home shard full, neighbor shard empty: the displaced VM used to be
   // killed (the shard-local place_vm only scanned its own shard); it must
   // now migrate through the top-level scheduler, matching the flat
   // manager's kill count on the same workload.
   cl::ShardedClusterConfig config = sharded_config(4, 2);
-  cl::ShardedClusterManager sharded(config);
+  cl::ClusterManager sharded(config);
   cl::ClusterManager flat(config.cluster);
 
   // Victim: 8 cores with a 50% floor so fillers cannot deflate onto its
@@ -362,11 +365,11 @@ TEST(ShardedClusterManager, RevocationMigratesCrossShardWithFlatKillParity) {
   expect_single_residency(sharded);
 }
 
-TEST(ShardedClusterManager, RestoreReturnsCapacityToTheAggregateView) {
+TEST(ShardedFleet, RestoreReturnsCapacityToTheAggregateView) {
   // After a revoke + restore cycle the scheduler must route placements
   // onto the returned capacity again (the shard aggregate is refreshed on
   // both transitions).
-  cl::ShardedClusterManager manager(sharded_config(4, 2));
+  cl::ClusterManager manager(sharded_config(4, 2));
   for (std::uint64_t id = 1; id <= 4; ++id) {
     ASSERT_TRUE(manager.place_vm(make_spec(id, 16, 32768.0, false)).ok());
   }
@@ -386,11 +389,11 @@ TEST(ShardedClusterManager, RestoreReturnsCapacityToTheAggregateView) {
   EXPECT_EQ(placed.host_id, victim);
 }
 
-TEST(ShardedClusterManager, PoolServersCoverFleetWithoutOverlap) {
+TEST(ShardedFleet, PoolServersCoverFleetWithoutOverlap) {
   cl::ShardedClusterConfig config = sharded_config(20, 4);
   config.cluster.partitioned = true;
   config.cluster.pool_weights = {0.5, 0.5};
-  cl::ShardedClusterManager manager(config);
+  cl::ClusterManager manager(config);
 
   std::unordered_set<std::size_t> seen;
   std::size_t total = 0;
@@ -405,12 +408,12 @@ TEST(ShardedClusterManager, PoolServersCoverFleetWithoutOverlap) {
   EXPECT_EQ(total, manager.server_count());
 }
 
-TEST(ShardedClusterManager, PoolServersOrderingContractAcrossManagers) {
+TEST(ShardedFleet, PoolServersOrderingContractAcrossManagers) {
   // The pool_servers contract every consumer (market plan rebinding, the
   // partitioned simulator) relies on: global ids, strictly ascending
   // within a pool, pools disjoint and jointly covering the fleet, stable
   // across calls — for the flat manager and any shard count alike, and
-  // identical between the flat manager and the 1-shard scheduler.
+  // identical between the flat manager and a 1-shard config.
   cl::ShardedClusterConfig flat_config = sharded_config(20, 1);
   flat_config.cluster.partitioned = true;
   flat_config.cluster.pool_weights = {0.4, 0.2, 0.2, 0.2};
@@ -418,8 +421,8 @@ TEST(ShardedClusterManager, PoolServersOrderingContractAcrossManagers) {
   sharded.shard_count = 4;
 
   const cl::ClusterManager flat(flat_config.cluster);
-  const cl::ShardedClusterManager one_shard(flat_config);
-  const cl::ShardedClusterManager four_shards(sharded);
+  const cl::ClusterManager one_shard(flat_config);
+  const cl::ClusterManager four_shards(sharded);
   const std::vector<const cl::ClusterManagerBase*> managers{
       &flat, &one_shard, &four_shards};
 
@@ -449,12 +452,12 @@ TEST(ShardedClusterManager, PoolServersOrderingContractAcrossManagers) {
   }
 }
 
-TEST(ShardedClusterManager, DrainThenRestoreWithoutRevocationReopensServer) {
+TEST(ShardedFleet, DrainThenRestoreWithoutRevocationReopensServer) {
   // A withdrawn warning: drain_server followed by restore_server with no
   // revocation in between must reopen the server for placements without
   // counting a restoration, on flat and sharded fleets alike.
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-    cl::ShardedClusterManager manager(sharded_config(4, shards));
+    cl::ClusterManager manager(sharded_config(4, shards));
     // Fill every server except the victim so placements must land there.
     for (std::uint64_t id = 1; id <= 3; ++id) {
       ASSERT_TRUE(manager.place_vm(make_spec(id, 16, 32768.0, false)).ok());
@@ -483,21 +486,21 @@ TEST(ShardedClusterManager, DrainThenRestoreWithoutRevocationReopensServer) {
   }
 }
 
-TEST(ShardedClusterManager, ShardCountClampedToFleetSize) {
+TEST(ShardedFleet, ShardCountClampedToFleetSize) {
   // More shards than servers: every shard still owns at least one server.
-  cl::ShardedClusterManager manager(sharded_config(3, 16));
+  cl::ClusterManager manager(sharded_config(3, 16));
   EXPECT_EQ(manager.shard_count(), 3U);
   EXPECT_EQ(manager.server_count(), 3U);
   EXPECT_TRUE(manager.place_vm(make_spec(1, 4, 8192.0, false)).ok());
 }
 
-TEST(ShardedClusterManager, SelectionPoliciesAllPlaceAndBalance) {
+TEST(ShardedFleet, SelectionPoliciesAllPlaceAndBalance) {
   for (const auto policy : {cl::ShardSelectionPolicy::PowerOfTwoChoices,
                             cl::ShardSelectionPolicy::LeastLoaded,
                             cl::ShardSelectionPolicy::RoundRobin}) {
     cl::ShardedClusterConfig config = sharded_config(16, 4);
     config.selection = policy;
-    cl::ShardedClusterManager manager(config);
+    cl::ClusterManager manager(config);
     for (std::uint64_t id = 1; id <= 32; ++id) {
       ASSERT_TRUE(manager.place_vm(make_spec(id, 4, 8192.0, false)).ok())
           << cl::shard_selection_name(policy);
@@ -515,10 +518,10 @@ TEST(ShardedClusterManager, SelectionPoliciesAllPlaceAndBalance) {
   }
 }
 
-TEST(ShardedClusterManager, ZeroServerFleetsAreRejected) {
+TEST(ShardedFleet, ZeroServerFleetsAreRejected) {
   cl::ShardedClusterConfig config = sharded_config(0, 4);
   EXPECT_THROW(cl::ClusterManager{config.cluster}, std::invalid_argument);
-  EXPECT_THROW(cl::ShardedClusterManager{config}, std::invalid_argument);
+  EXPECT_THROW(cl::ClusterManager{config}, std::invalid_argument);
   EXPECT_THROW((void)cl::make_cluster_manager(config), std::invalid_argument);
   config.shard_count = 1;
   EXPECT_THROW((void)cl::make_cluster_manager(config), std::invalid_argument);
@@ -528,34 +531,36 @@ TEST(ShardedClusterManager, ZeroServerFleetsAreRejected) {
 
 namespace {
 
-/// After a flush, the manager's running free total equals a from-scratch
+/// After a flush, shard `s`'s running free total equals a from-scratch
 /// fixed-point sum over its active rows exactly, and a plain double
-/// rescan of the servers themselves to within rounding. In preemption
+/// rescan of its servers themselves to within rounding. In preemption
 /// mode every eviction-table row also equals a fresh in-order sum over
 /// the server's deflatable residents, bit for bit.
-void expect_free_total_exact(cl::ClusterManager& manager,
+void expect_free_total_exact(cl::ClusterManager& manager, std::size_t s,
                              const std::string& where) {
-  const cl::FixedPointRow incremental = manager.aggregate_free_units();
-  EXPECT_EQ(incremental, manager.rescan_free_units()) << where;
-  const cl::HostScanTable& eviction = manager.eviction_table();
+  const cl::FixedPointRow incremental = manager.aggregate_free_units(s);
+  EXPECT_EQ(incremental, manager.rescan_free_units(s)) << where;
+  const cl::HostScanTable& eviction = manager.eviction_table(s);
   const bool preemption = eviction.size() != 0;
+  const cl::ServerRange servers = manager.shard_servers(s);
   res::ResourceVector rescan;
-  for (std::size_t i = 0; i < manager.server_count(); ++i) {
+  for (std::size_t i = servers.first; i < servers.last; ++i) {
     if (preemption) {
       res::ResourceVector preemptable;
       for (const hv::Vm* vm : manager.host(i).vms()) {
         if (vm->spec().deflatable) preemptable += vm->effective_allocation();
       }
-      EXPECT_EQ(eviction.deflatable_of(i), preemptable) << where << " " << i;
+      EXPECT_EQ(eviction.deflatable_of(i - servers.first), preemptable)
+          << where << " " << i;
     }
     if (!manager.server_active(i)) continue;
     rescan += manager.host(i).available();
     if (!preemption) rescan += manager.controller(i).reclaimable_headroom();
   }
-  const res::ResourceVector total = manager.aggregate_free();
+  const res::ResourceVector total = manager.aggregate_free(s);
   for (const res::Resource r : res::all_resources) {
     EXPECT_NEAR(total[r], rescan[r], 1e-9 * std::max(1.0, std::abs(rescan[r])))
-        << where << " " << res::resource_name(r);
+        << where << " shard " << s << " " << res::resource_name(r);
   }
 }
 
@@ -573,14 +578,14 @@ std::vector<res::ResourceVector> size_menu_demands() {
   return demands;
 }
 
-/// Each of the manager's selectors picks, for every size-menu shape in
-/// the passes its placements ask and over every partition pool, the
-/// server scan_pick_host picks over the same table.
+/// Each of shard `s`'s selectors picks, for every size-menu shape in the
+/// passes its placements ask and over every partition pool, the row
+/// scan_pick_host picks over the same table.
 void expect_selectors_match_scan(const cl::ClusterManager& manager,
-                                 const std::string& where) {
+                                 std::size_t s, const std::string& where) {
   static const std::vector<res::ResourceVector> demands = size_menu_demands();
   using Pass = std::pair<cl::ScanFeasibility, bool>;
-  const bool preemption = manager.eviction_table().size() != 0;
+  const bool preemption = manager.eviction_table(s).size() != 0;
   const std::vector<Pass> passes =
       preemption ? std::vector<Pass>{{cl::ScanFeasibility::WithDeflation,
                                       false}}
@@ -588,12 +593,12 @@ void expect_selectors_match_scan(const cl::ClusterManager& manager,
                                      {cl::ScanFeasibility::WithDeflation,
                                       true}};
   std::vector<const cl::HostSelector*> selectors{
-      &manager.placement_selector()};
-  if (preemption) selectors.push_back(&manager.eviction_selector());
+      &manager.placement_selector(s)};
+  if (preemption) selectors.push_back(&manager.eviction_selector(s));
+  const cl::ClusterPartitions& partitions = manager.partitions(s);
   for (const cl::HostSelector* selector : selectors) {
-    for (std::size_t pool = 0; pool < manager.partitions().pool_count();
-         ++pool) {
-      const cl::ServerRange range = manager.partitions().pool(pool);
+    for (std::size_t pool = 0; pool < partitions.pool_count(); ++pool) {
+      const cl::ServerRange range = partitions.pool(pool);
       for (const res::ResourceVector& demand : demands) {
         for (const auto& [feasibility, pressure] : passes) {
           EXPECT_EQ(selector->pick(demand, range.first, range.last,
@@ -601,30 +606,26 @@ void expect_selectors_match_scan(const cl::ClusterManager& manager,
                     cl::scan_pick_host(selector->scorer(), demand,
                                        selector->table(), range.first,
                                        range.last, feasibility, pressure))
-              << where << " pool " << pool << " demand " << demand.cpu()
-              << " pressure " << pressure;
+              << where << " shard " << s << " pool " << pool << " demand "
+              << demand.cpu() << " pressure " << pressure;
         }
       }
     }
   }
 }
 
-/// Flushes and checks every shard (or the flat manager) plus the sharded
-/// scheduler's routing cache.
-void flush_and_check(cl::ClusterManagerBase& manager,
-                     const std::string& where) {
+/// Flushes and checks every shard, plus the routing cache of a sharded
+/// fleet.
+void flush_and_check(cl::ClusterManager& manager, const std::string& where) {
   manager.flush_views();
-  if (auto* flat = dynamic_cast<cl::ClusterManager*>(&manager)) {
-    expect_free_total_exact(*flat, where);
-    expect_selectors_match_scan(*flat, where);
-    return;
-  }
-  auto& sharded = dynamic_cast<cl::ShardedClusterManager&>(manager);
-  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-    expect_free_total_exact(sharded.shard(s), where);
-    expect_selectors_match_scan(sharded.shard(s), where);
-    EXPECT_EQ(sharded.cached_shard_free(s), sharded.shard(s).aggregate_free())
-        << where << " shard " << s;
+  for (std::size_t s = 0; s < manager.shard_count(); ++s) {
+    if (manager.shard_count() > 1) {
+      // Before the checks below, which flush the shard themselves.
+      EXPECT_EQ(manager.cached_shard_free(s), manager.aggregate_free(s))
+          << where << " shard " << s;
+    }
+    expect_free_total_exact(manager, s, where);
+    expect_selectors_match_scan(manager, s, where);
   }
 }
 
@@ -636,10 +637,8 @@ void churn_with_checks(std::size_t shards, std::size_t servers = 1200,
                        bool partitioned = false) {
   cl::ShardedClusterConfig config = sharded_config(servers, shards, mode);
   config.cluster.partitioned = partitioned;
-  std::unique_ptr<cl::ClusterManagerBase> manager =
-      shards == 1 ? std::make_unique<cl::ClusterManager>(config.cluster)
-                  : std::unique_ptr<cl::ClusterManagerBase>(
-                        std::make_unique<cl::ShardedClusterManager>(config));
+  const auto manager = std::make_unique<cl::ClusterManager>(config);
+  ASSERT_EQ(manager->shard_count(), shards);
   const std::string where = "shards " + std::to_string(shards) +
                             (partitioned ? " partitioned" : "");
 
@@ -691,31 +690,34 @@ void churn_with_checks(std::size_t shards, std::size_t servers = 1200,
     EXPECT_GT(manager->stats().preemptions, 0U) << where;  // evictions ran
   }
   // The selector checks compared indexed picks, not only scan fallbacks.
-  const auto* flat = dynamic_cast<const cl::ClusterManager*>(manager.get());
-  const cl::ClusterManager& probe =
-      flat != nullptr
-          ? *flat
-          : dynamic_cast<cl::ShardedClusterManager&>(*manager).shard(0);
-  EXPECT_GT(probe.placement_selector().indexed_keys(), 0U) << where;
+  for (std::size_t s = 0; s < shards; ++s) {
+    EXPECT_GT(manager->placement_selector(s).indexed_keys(), 0U)
+        << where << " shard " << s;
+  }
 }
 
 }  // namespace
 
-TEST(ShardedClusterManager, IncrementalFreeTotalsMatchRescanThroughChurn) {
+TEST(ShardedFleet, IncrementalFreeTotalsMatchRescanThroughChurn) {
   for (const std::size_t shards : {1U, 4U}) churn_with_checks(shards);
 }
 
-TEST(ShardedClusterManager, PartitionedSelectorsMatchTheScanThroughChurn) {
+TEST(ShardedFleet, PartitionedSelectorsMatchTheScanThroughChurn) {
   churn_with_checks(1, 1200, cl::ReclamationMode::Deflation,
+                    /*partitioned=*/true);
+  // Each of the four 120-server shards partitions itself.
+  churn_with_checks(4, 480, cl::ReclamationMode::Deflation,
                     /*partitioned=*/true);
 }
 
-TEST(ShardedClusterManager, EvictionTableMatchesRescanThroughPreemptionChurn) {
-  // A small flat fleet fills up, so on-demand placements evict.
-  churn_with_checks(1, 120, cl::ReclamationMode::Preemption);
+TEST(ShardedFleet, EvictionTableMatchesRescanThroughPreemptionChurn) {
+  // A small fleet fills up, so on-demand placements evict.
+  for (const std::size_t shards : {1U, 4U}) {
+    churn_with_checks(shards, 120, cl::ReclamationMode::Preemption);
+  }
 }
 
-TEST(ShardedClusterManager, FreeTotalIsIndependentOfMutationOrder) {
+TEST(ShardedFleet, FreeTotalIsIndependentOfMutationOrder) {
   // Two fleets reach one end state along different paths: the same
   // placements, then the same departures and empty-server revocations in
   // opposite orders and at different flush cadences. Fractional memory

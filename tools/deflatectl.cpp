@@ -56,8 +56,8 @@
 // rate, --duration-scale stretches the horizon, --window/--threads tune
 // the streaming prefetch (never the results).
 //
-// --shards > 1 runs the fleet through the sharded cluster manager
-// (src/cluster/sharded_manager.hpp); 1 (default) is the flat manager.
+// --shards > 1 splits the fleet into routed shards
+// (src/cluster/sharded_manager.hpp); 1 (default) is the flat fleet.
 // --markets > 1 spreads the transient fleet across K correlated spot
 // markets (pairwise innovation correlation --correlation, provider-wide
 // crunches at --common-shock-rate per hour), each market carrying the

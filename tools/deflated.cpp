@@ -8,8 +8,8 @@
 //
 // Serves the Admission API v2 (src/cluster/admission.hpp) over the
 // framed binary codec (src/net/codec.hpp) on loopback TCP: one
-// ShardedClusterManager fleet, one spot-price feed, one admission policy
-// picked *by name* from the self-describing registry
+// ClusterManager fleet of --shards shards, one spot-price feed, one
+// admission policy picked *by name* from the self-describing registry
 // (cluster::AdmissionRegistry — `--list-policies` prints every name with its
 // description). --port 0 (the default) binds an ephemeral port;
 // --port-file writes the bound port to FILE so scripts (CI smoke) can
