@@ -113,9 +113,9 @@ sim::SimTime TraceDrivenSimulator::horizon_of(
 TraceDrivenSimulator::TraceDrivenSimulator(std::vector<trace::VmRecord> records,
                                            SimConfig config)
     : config_(std::move(config)),
-      owned_stream_(
+      owned_records_(
           std::make_unique<trace::VectorArrivalStream>(std::move(records))),
-      stream_(owned_stream_.get()) {
+      stream_(owned_records_.get()) {
   init_common();
 }
 
@@ -348,8 +348,10 @@ void TraceDrivenSimulator::apply_admission(
 }
 
 void TraceDrivenSimulator::on_vm_start(VmRuntime& vm) {
+  const hv::VmSpec spec = vm.record->to_spec();
+  vm.priority = spec.priority;
   cluster::AdmissionRequest request =
-      cluster::AdmissionRequest::from_spec(vm.record->to_spec(), now_);
+      cluster::AdmissionRequest::from_spec(spec, now_);
   // A VM admitted at (or after) its departure would never be removed:
   // clamp the deferral window strictly inside the record's lifetime, so
   // expiry always resolves before the (already ignored) VmEnd event.
@@ -384,7 +386,7 @@ void TraceDrivenSimulator::finalize(VmRuntime& vm, sim::SimTime at) {
   // --- revenue integrals ---
   revenue_.df_committed_core_hours += cores * hours;
   revenue_.df_priority_committed_core_hours +=
-      record.priority_level() * cores * hours;
+      vm.priority * cores * hours;
   double allocated_core_hours = 0.0;
   for (std::size_t k = 0; k < vm.alloc_timeline.size(); ++k) {
     const sim::SimTime seg_start = vm.alloc_timeline[k].first;
@@ -588,7 +590,20 @@ void TraceDrivenSimulator::run_events() {
   std::priority_queue<EndEvent, std::vector<EndEvent>, std::greater<EndEvent>>
       ends;
 
-  std::optional<trace::VmRecord> next_arrival = stream_->next();
+  // One-record arrival lookahead. The record-vector path borrows it from
+  // the sorted trace by index; a stream's record waits in `streamed`
+  // until its arrival moves it into active_.
+  std::size_t next_index = 0;
+  std::optional<trace::VmRecord> streamed;
+  const auto advance = [&]() -> const trace::VmRecord* {
+    if (owned_records_) {
+      const std::vector<trace::VmRecord>& records = owned_records_->records();
+      return next_index < records.size() ? &records[next_index++] : nullptr;
+    }
+    streamed = stream_->next();
+    return streamed ? &*streamed : nullptr;
+  };
+  const trace::VmRecord* next_arrival = advance();
 
   constexpr int kSourceEnd = 0, kSourcePlan = 1, kSourceArrival = 2,
                 kSourceReopt = 3;
@@ -616,7 +631,7 @@ void TraceDrivenSimulator::run_events() {
                kPlanRank + static_cast<int>(plan_queue_[next_plan_].kind),
                kSourcePlan);
     }
-    if (next_arrival.has_value()) {
+    if (next_arrival != nullptr) {
       consider(next_arrival->start, kArrivalRank, kSourceArrival);
     }
     if (next_reopt_ != sim::SimTime::max()) {
@@ -684,23 +699,26 @@ void TraceDrivenSimulator::run_events() {
         break;
       }
       case kSourceArrival: {
-        trace::VmRecord record = std::move(*next_arrival);
-        next_arrival = stream_->next();
-        const std::uint64_t id = record.id;
+        const std::uint64_t id = next_arrival->id;
         const auto [it, inserted] = active_.try_emplace(id);
         if (!inserted) {
           throw std::runtime_error(
               "trace replay: duplicate vm id " + std::to_string(id) +
               " in arrival stream");
         }
-        OwnedVm& owned = it->second;
-        owned.record = std::move(record);
-        owned.rt.record = &owned.record;
+        VmRuntime& rt = it->second.rt;
+        if (owned_records_) {
+          rt.record = next_arrival;
+        } else {
+          it->second.record = std::move(*streamed);
+          rt.record = &it->second.record;
+        }
+        next_arrival = advance();
         peak_active_ = std::max(peak_active_, active_.size());
         ++vm_count_;
-        if (owned.record.deflatable()) ++deflatable_count_;
-        ends.push({owned.record.end, id});
-        on_vm_start(owned.rt);
+        if (rt.record->deflatable()) ++deflatable_count_;
+        ends.push({rt.record->end, id});
+        on_vm_start(rt);
         break;
       }
       case kSourceReopt: run_reopt(); break;

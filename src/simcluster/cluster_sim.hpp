@@ -191,9 +191,11 @@ struct SimMetrics {
 /// only the VMs currently active are resident in the simulator.
 class TraceDrivenSimulator {
  public:
-  /// Replays an in-memory trace (wrapped in a trace::VectorArrivalStream,
-  /// so the records may come in any order). Throws std::invalid_argument
-  /// on a duplicate VM id.
+  /// Replays an in-memory trace. The records may come in any order: the
+  /// simulator sorts them by (start, id) once and keeps them, and each
+  /// active VM reads its record, series included, where it lies in that
+  /// vector. Memory is O(trace), with no second copy of any series.
+  /// Throws std::invalid_argument on a duplicate VM id.
   TraceDrivenSimulator(std::vector<trace::VmRecord> records, SimConfig config);
 
   /// Replays arrivals from `stream` (non-owning; must outlive the
@@ -254,6 +256,9 @@ class TraceDrivenSimulator {
  private:
   struct VmRuntime {
     const trace::VmRecord* record = nullptr;
+    /// The spec's priority, fixed at arrival (deflatable VMs derive it
+    /// from the series' p95, so it is computed once per VM).
+    double priority = 1.0;
     bool running = false;
     bool preempted = false;
     bool rejected = false;
@@ -330,10 +335,10 @@ class TraceDrivenSimulator {
   void run_reopt();
 
   SimConfig config_;
-  /// Built by the record-vector and SimConfig constructors; null when the
-  /// caller owns the stream.
-  std::unique_ptr<trace::VmArrivalStream> owned_stream_;
-  /// The arrival source (non-owning; points at owned_stream_ when set).
+  /// The sorted trace of the record-vector constructor, whose records
+  /// active VMs point into; null when the caller owns the stream.
+  std::unique_ptr<trace::VectorArrivalStream> owned_records_;
+  /// The arrival source (non-owning; points at owned_records_ when set).
   trace::VmArrivalStream* stream_ = nullptr;
   /// Market plan computed before the manager so portfolio pool weights can
   /// shape the cluster partitions. Empty when the market is disabled.
@@ -389,9 +394,11 @@ class TraceDrivenSimulator {
   void apply_alloc_event(const AllocEvent& alloc);
   sim::SimTime now_;
 
-  /// An active VM: the materialized record plus its runtime. Erased at
-  /// departure — the unordered_map's node-based storage keeps the record
-  /// pointer in VmRuntime stable meanwhile.
+  /// An active VM: its runtime, plus the record moved out of the stream
+  /// when the caller owns one. On the record-vector path `record` stays
+  /// empty and rt.record points into owned_records_. Erased at departure;
+  /// the unordered_map's node-based storage keeps rt.record stable
+  /// meanwhile.
   struct OwnedVm {
     trace::VmRecord record;
     VmRuntime rt;

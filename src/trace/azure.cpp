@@ -77,13 +77,27 @@ UtilModel sample_model(hv::WorkloadClass workload, util::Rng& rng) {
   return m;
 }
 
+/// base + amp * max(0, sin(2*pi*(h - phase)/24))^1.5: a positive half-sine
+/// sharpened to concentrate the daily peak. Where h - phase lies inside
+/// (-12, 0) or (12, 24) the sine is negative, the clamped term is +0 and
+/// the level is exactly `base`, so sin and pow are skipped there; a 1e-6 h
+/// margin leaves the zero crossings, where rounding could decide the
+/// sign, to the full formula. pow(+0, 1.5) is +0 too.
+double diurnal_level(const UtilModel& m, double hours_of_day) {
+  constexpr double kMargin = 1e-6;
+  const double d = hours_of_day - m.phase_hours;
+  if ((d > -12.0 + kMargin && d < -kMargin) ||
+      (d > 12.0 + kMargin && d < 24.0 - kMargin)) {
+    return m.base;
+  }
+  const double s = std::max(0.0, std::sin(2.0 * std::numbers::pi * d / 24.0));
+  if (s == 0.0) return m.base;
+  return m.base + m.diurnal_amp * std::pow(s, 1.5);
+}
+
 float sample_interval(const UtilModel& m, double hours_of_day, bool in_burst,
                       double burst_level, util::Rng& rng) {
-  // Positive half-sine sharpened to concentrate the daily peak.
-  const double angle =
-      2.0 * std::numbers::pi * (hours_of_day - m.phase_hours) / 24.0;
-  const double s = std::max(0.0, std::sin(angle));
-  double u = m.base + m.diurnal_amp * std::pow(s, 1.5);
+  double u = diurnal_level(m, hours_of_day);
   if (in_burst) u = std::max(u, burst_level);
   // Rare near-saturation spikes (cron, GC, load flaps). The trace records
   // the per-interval *maximum*, which amplifies such transients.
@@ -179,6 +193,9 @@ VmRecord AzureTraceGenerator::generate_vm(std::uint64_t vm_id) const {
   bool in_burst = false;
   double burst_level = 0.0;
   const double exit_prob = 1.0 / std::max(1.0, model.burst_mean_len);
+  // Hour of day by whole-day wraps: x grows with i, and x - 24*days is
+  // exact for x in [24*days, 24*(days + 1)), so it equals fmod(x, 24).
+  double days = 0.0;
   for (std::size_t i = 0; i < samples; ++i) {
     if (in_burst) {
       if (rng.u01() < exit_prob) in_burst = false;
@@ -186,8 +203,9 @@ VmRecord AzureTraceGenerator::generate_vm(std::uint64_t vm_id) const {
       in_burst = true;
       burst_level = rng.uniform(model.base, model.burst_hi);
     }
-    const double hours_of_day =
-        std::fmod(start_hours + static_cast<double>(i) * 5.0 / 60.0, 24.0);
+    const double x = start_hours + static_cast<double>(i) * 5.0 / 60.0;
+    while (x >= 24.0 * (days + 1.0)) days += 1.0;
+    const double hours_of_day = x - 24.0 * days;
     series.push_back(
         sample_interval(model, hours_of_day, in_burst, burst_level, rng));
   }

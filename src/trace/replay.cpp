@@ -418,14 +418,9 @@ void IndexedArrivalStream::reset() {
 
 VectorArrivalStream::VectorArrivalStream(std::vector<VmRecord> records)
     : records_(std::move(records)) {
-  std::vector<ArrivalStub> stubs;
   std::vector<std::uint64_t> ids;
-  stubs.reserve(records_.size());
   ids.reserve(records_.size());
-  for (const VmRecord& record : records_) {
-    stubs.push_back(record.stub());
-    ids.push_back(record.id);
-  }
+  for (const VmRecord& record : records_) ids.push_back(record.id);
   std::sort(ids.begin(), ids.end());
   if (const auto dup = std::adjacent_find(ids.begin(), ids.end());
       dup != ids.end()) {
@@ -436,8 +431,13 @@ VectorArrivalStream::VectorArrivalStream(std::vector<VmRecord> records)
             [](const VmRecord& a, const VmRecord& b) {
               return arrives_before(a.stub(), b.stub());
             });
+  // Stubs taken after the sort are already in (start, id) order, so the
+  // peak sweep needs no second sort.
+  std::vector<ArrivalStub> stubs;
+  stubs.reserve(records_.size());
+  for (const VmRecord& record : records_) stubs.push_back(record.stub());
   horizon_ = latest_end(stubs);
-  peak_ = trace::peak_committed(std::move(stubs));
+  peak_ = sweep_peak(stubs);
 }
 
 std::optional<VmRecord> VectorArrivalStream::next() {

@@ -117,15 +117,21 @@ class IndexedArrivalStream final : public VmArrivalStream {
 };
 
 /// An in-memory trace as a stream: the records are sorted by (start, id)
-/// once and next() hands out copies, so a materialized vector replays
-/// through the same event loop as a generated trace. Throws
-/// std::invalid_argument on a duplicate id (the (start, id) order, and
-/// the simulator's per-VM bookkeeping, need ids to be unique).
+/// once, and the horizon and peak are swept from that order. next() hands
+/// out copies, as every stream does; a reader that can borrow instead
+/// walks records() by index (the record-vector simulator does, so a
+/// replay holds each series once). Throws std::invalid_argument on a
+/// duplicate id (the (start, id) order, and the simulator's per-VM
+/// bookkeeping, need ids to be unique).
 class VectorArrivalStream final : public VmArrivalStream {
  public:
   explicit VectorArrivalStream(std::vector<VmRecord> records);
 
   [[nodiscard]] std::optional<VmRecord> next() override;
+  /// The records in (start, id) order; stable for the stream's lifetime.
+  [[nodiscard]] const std::vector<VmRecord>& records() const noexcept {
+    return records_;
+  }
   void reset() override { cursor_ = 0; }
   [[nodiscard]] std::size_t size() const noexcept override {
     return records_.size();
