@@ -18,16 +18,36 @@ namespace {
 
 std::atomic<std::size_t> g_allocated_bytes{0};
 
-}  // namespace
-
-void* operator new(std::size_t size) {
+void* counted_malloc(std::size_t size) noexcept {
   g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
+  return std::malloc(size == 0 ? 1 : size);
 }
 
+}  // namespace
+
+// Every unaligned form, so each allocation is counted and each pointer is
+// released by the same allocator that made it (std::stable_sort's buffer
+// uses the nothrow form).
+void* operator new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
 void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t /*size*/) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace sc = deflate::simcluster;
 namespace tr = deflate::trace;

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Records and compares committed benchmark snapshots (BENCH_<label>.json).
 
-    python3 tools/bench_snapshot.py --label 27 [--seconds 45]
+    python3 tools/bench_snapshot.py --label 27
     python3 tools/bench_snapshot.py --compare BENCH_25.json BENCH_27.json
 
 A snapshot drives perfbench/run.py unchanged, from the root of the
-checkout this file lives in: `replay` and `market` at seeds 1-3 with
---trace 0, plus one --trace 1 run per workload for the per-layer `layer`
-lines. It writes the host record, the commit, every metric, each
+checkout this file lives in, for BENCHMARK.json's run_seconds: `replay`
+and `market` at seeds 1-3 with --trace 0, plus one --trace 1 run per
+workload for the per-layer `layer` lines. It writes BENCH_<label>.json
+at that root, with the host record, the commit, every metric, each
 repetition's setup and run seconds, the digests and the layer lines.
 
 --compare always checks that every run was correct and that the digests
@@ -38,7 +39,6 @@ DECISION_METRICS = ("throughput_loss_pct", "effective_cost")
 
 REP = re.compile(r"^rep (\d+): setup ([0-9.]+) s, run ([0-9.]+) s, "
                  r".*digest ([0-9a-f]+)")
-METRIC = re.compile(r"^metric (\S+) = (\S+) ")
 
 
 def run_perfbench(workload, seed, seconds, trace):
@@ -52,9 +52,8 @@ def run_perfbench(workload, seed, seconds, trace):
                                text=True)
     lines = completed.stdout.rstrip("\n").split("\n")
     run = {"workload": workload, "seed": seed, "trace": trace,
-           "exit_code": completed.returncode, "correct": False,
-           "host": {}, "digest": None, "reps": [], "metrics": {},
-           "layers": []}
+           "correct": False, "host": {}, "digest": None, "reps": [],
+           "metrics": {}, "layers": []}
     for line in lines:
         if line.startswith("host "):
             run["host"] = json.loads(line[len("host "):])
@@ -80,15 +79,15 @@ def commit_of_root():
     return completed.stdout.strip() or None
 
 
-def snapshot(label, seconds):
+def snapshot(label):
+    seconds = benchmark()["run_seconds"]
     runs = [run_perfbench(workload, seed, seconds, 0)
             for workload in WORKLOADS for seed in SEEDS]
     runs += [run_perfbench(workload, TRACE_SEED, seconds, 1)
              for workload in WORKLOADS]
     host = {key: runs[0]["host"].get(key) for key in FINGERPRINT}
     return {"label": str(label), "commit": commit_of_root(),
-            "seconds": seconds, "host": host,
-            "source": runs[0]["host"].get("source"), "runs": runs}
+            "seconds": seconds, "host": host, "runs": runs}
 
 
 def load(path):
@@ -101,11 +100,14 @@ def untraced(snap):
             for run in snap["runs"] if run["trace"] == 0}
 
 
-def end_to_end_bounds():
+def benchmark():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        spec = json.load(handle)
+        return json.load(handle)
+
+
+def end_to_end_bounds():
     return [(metric["name"], metric["better"], metric["bound"])
-            for metric in spec["end_to_end"]]
+            for metric in benchmark()["end_to_end"]]
 
 
 def wall_s(run):
@@ -184,17 +186,14 @@ def compare(old_path, new_path):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", help="writes BENCH_<label>.json")
-    parser.add_argument("--out", help="output path (default: BENCH_<label>.json "
-                                      "at the checkout root)")
-    parser.add_argument("--seconds", type=int, default=45)
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args()
     if args.compare:
         return compare(*args.compare)
     if not args.label:
         parser.error("give --label to record a snapshot, or --compare OLD NEW")
-    snap = snapshot(args.label, args.seconds)
-    out = args.out or os.path.join(ROOT, "BENCH_%s.json" % args.label)
+    snap = snapshot(args.label)
+    out = os.path.join(ROOT, "BENCH_%s.json" % args.label)
     with open(out, "w") as handle:
         json.dump(snap, handle, indent=1)
         handle.write("\n")
