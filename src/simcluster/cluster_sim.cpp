@@ -225,7 +225,7 @@ void TraceDrivenSimulator::init_common() {
     const double spec_cores = static_cast<double>(vm.spec().vcpus);
     const double fraction =
         spec_cores > 0.0 ? new_alloc[res::Resource::Cpu] / spec_cores : 1.0;
-    rt->alloc_timeline.emplace_back(now_, fraction);
+    note_alloc(*rt, now_, fraction);
   });
 
   manager_->subscribe_preemption(
@@ -243,14 +243,43 @@ void TraceDrivenSimulator::init_common() {
                                       std::uint64_t /*to*/, double fraction) {
     VmRuntime* rt = runtime_of(spec.id);
     if (rt == nullptr || !rt->running) return;
-    rt->alloc_timeline.emplace_back(now_, fraction);
+    note_alloc(*rt, now_, fraction);
   });
 }
 
 TraceDrivenSimulator::VmRuntime* TraceDrivenSimulator::runtime_of(
     std::uint64_t id) {
-  const auto it = active_.find(id);
-  return it == active_.end() ? nullptr : &it->second.rt;
+  const std::uint32_t slot = slot_of_.find(id);
+  return slot == VmSlotIndex::kNone ? nullptr : &slots_[slot];
+}
+
+std::uint32_t TraceDrivenSimulator::acquire_slot(std::uint64_t id) {
+  const bool recycled = !free_slots_.empty();
+  const std::uint32_t slot = recycled ? free_slots_.back() : slots_.size();
+  if (!slot_of_.insert(id, slot)) {
+    throw std::runtime_error("trace replay: duplicate vm id " +
+                             std::to_string(id) + " in arrival stream");
+  }
+  if (recycled) {
+    free_slots_.pop_back();
+  } else {
+    slots_.grow();
+    if (!owned_records_) slot_records_.grow();
+  }
+  peak_active_ = std::max(peak_active_, slot_of_.size());
+  return slot;
+}
+
+void TraceDrivenSimulator::release_slot(std::uint32_t slot) {
+  slot_of_.erase(slots_[slot].record->id);
+  slots_[slot] = VmRuntime{};
+  if (!owned_records_) slot_records_[slot] = trace::VmRecord{};
+  free_slots_.push_back(slot);
+}
+
+void TraceDrivenSimulator::note_alloc(VmRuntime& vm, sim::SimTime at,
+                                      double fraction) {
+  if (vm.deflatable) vm.alloc_timeline.emplace_back(at, fraction);
 }
 
 bool TraceDrivenSimulator::timed_migration() const noexcept {
@@ -281,7 +310,7 @@ void TraceDrivenSimulator::track_migration(
   // placement may have deflated it); it pauses for the cutover window and
   // resumes at its destination fraction when the transfer lands. Downtime
   // is billed by the pause event, when the pause is known to happen.
-  rt->alloc_timeline.emplace_back(record.start, record.launch_fraction);
+  note_alloc(*rt, record.start, record.launch_fraction);
   pending_allocs_.push({record.cutover_begin, record.spec.id, 0.0, epoch,
                         record.cutover_end});
   pending_allocs_.push(
@@ -292,7 +321,7 @@ void TraceDrivenSimulator::charge_unserved_tail(const VmRuntime& vm,
                                                 sim::SimTime at) {
   // finalize() integrates usage for deflatable VMs only; keep the two
   // populations consistent or throughput_loss mixes denominators.
-  if (!vm.record->deflatable()) return;
+  if (!vm.deflatable) return;
   const trace::VmRecord& record = *vm.record;
   const auto& samples = record.cpu.samples();
   const std::int64_t interval_us = record.cpu.interval().micros();
@@ -309,7 +338,7 @@ void TraceDrivenSimulator::charge_never_served(const VmRuntime& vm) {
   // Mirror of charge_unserved_tail for a VM that never launched: the whole
   // series is demand the fleet failed to serve. Deflatable only, to keep
   // the throughput denominators consistent (see charge_unserved_tail).
-  if (!vm.record->deflatable()) return;
+  if (!vm.deflatable) return;
   for (const double sample : vm.record->cpu.samples()) {
     used_ += sample;
     lost_ += sample;
@@ -322,7 +351,7 @@ void TraceDrivenSimulator::apply_admission(
     vm.running = true;
     vm.placed_at = now_;
     vm.alloc_timeline.clear();
-    vm.alloc_timeline.emplace_back(now_, decision.placement.launch_fraction);
+    note_alloc(vm, now_, decision.placement.launch_fraction);
     if (vm.deferred) {
       // The arrival→launch window went unserved: bill it as replacement
       // capacity. (The displaced tail samples are charged to throughput
@@ -372,15 +401,23 @@ void TraceDrivenSimulator::finalize(VmRuntime& vm, sim::SimTime at) {
   const double hours = (at - vm.placed_at).hours();
   if (hours <= 0.0) return;
 
-  // In-flight migration cutovers can interleave with deflation events out
-  // of order when a VM is displaced twice in quick succession; the
-  // integrations below assume a time-sorted step function.
-  std::stable_sort(vm.alloc_timeline.begin(), vm.alloc_timeline.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  if (!record.deflatable()) {
+  if (!vm.deflatable) {
     revenue_.od_committed_core_hours += cores * hours;
     return;
+  }
+
+  // In-flight migration cutovers can interleave with deflation events out
+  // of order when a VM is displaced twice in quick succession; the
+  // integrations below assume a time-sorted step function. A sorted
+  // timeline (nearly every one) is left as it is, which is what the
+  // stable sort would leave, without its merge buffer.
+  const auto by_time = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  if (!std::is_sorted(vm.alloc_timeline.begin(), vm.alloc_timeline.end(),
+                      by_time)) {
+    std::stable_sort(vm.alloc_timeline.begin(), vm.alloc_timeline.end(),
+                     by_time);
   }
 
   // --- revenue integrals ---
@@ -469,7 +506,7 @@ void TraceDrivenSimulator::handle_warn(std::size_t server,
       // it (restore or kill); supersedes queued cutovers. The
       // suspension pause is certain, so it bills immediately.
       ++rt->displacement_epoch;
-      rt->alloc_timeline.emplace_back(now_, 0.0);
+      note_alloc(*rt, now_, 0.0);
       charge_downtime(*rt, now_, deadline);
     }
     suspended_[server].push_back(spec.id);
@@ -533,7 +570,7 @@ void TraceDrivenSimulator::apply_alloc_event(const AllocEvent& alloc) {
   VmRuntime* rt = runtime_of(alloc.vm_id);
   if (rt != nullptr && rt->running &&
       rt->displacement_epoch == alloc.epoch) {
-    rt->alloc_timeline.emplace_back(alloc.at, alloc.fraction);
+    note_alloc(*rt, alloc.at, alloc.fraction);
     // A pause that actually fired bills its window (a superseded one
     // was dropped by the epoch guard above and costs nothing).
     charge_downtime(*rt, alloc.at, alloc.pause_until);
@@ -579,9 +616,11 @@ void TraceDrivenSimulator::run_events() {
         shifted_warning_hours);
   }
 
+  // A departure carries its VM's slot; it orders by (at, id) alone.
   struct EndEvent {
     sim::SimTime at;
     std::uint64_t id;
+    std::uint32_t slot;
     [[nodiscard]] bool operator>(const EndEvent& other) const noexcept {
       if (at != other.at) return at > other.at;
       return id > other.id;
@@ -592,7 +631,7 @@ void TraceDrivenSimulator::run_events() {
 
   // One-record arrival lookahead. The record-vector path borrows it from
   // the sorted trace by index; a stream's record waits in `streamed`
-  // until its arrival moves it into active_.
+  // until its arrival moves it into its VM's slot.
   std::size_t next_index = 0;
   std::optional<trace::VmRecord> streamed;
   const auto advance = [&]() -> const trace::VmRecord* {
@@ -677,10 +716,10 @@ void TraceDrivenSimulator::run_events() {
     now_ = at;
     switch (source) {
       case kSourceEnd: {
-        const auto it = active_.find(ends.top().id);
+        const std::uint32_t slot = ends.top().slot;
         ends.pop();
-        on_vm_end(it->second.rt);
-        active_.erase(it);
+        on_vm_end(slots_[slot]);
+        release_slot(slot);
         break;
       }
       case kSourcePlan: {
@@ -700,24 +739,23 @@ void TraceDrivenSimulator::run_events() {
       }
       case kSourceArrival: {
         const std::uint64_t id = next_arrival->id;
-        const auto [it, inserted] = active_.try_emplace(id);
-        if (!inserted) {
-          throw std::runtime_error(
-              "trace replay: duplicate vm id " + std::to_string(id) +
-              " in arrival stream");
-        }
-        VmRuntime& rt = it->second.rt;
+        const std::uint32_t slot = acquire_slot(id);
+        VmRuntime& rt = slots_[slot];
         if (owned_records_) {
           rt.record = next_arrival;
         } else {
-          it->second.record = std::move(*streamed);
-          rt.record = &it->second.record;
+          trace::VmRecord& record = slot_records_[slot];
+          record = std::move(*streamed);
+          // Only a deflatable VM's samples are read (its p95 at arrival,
+          // its throughput integrals at release); drop the others now.
+          if (!record.deflatable()) record.cpu = trace::UtilizationSeries{};
+          rt.record = &record;
         }
+        rt.deflatable = rt.record->deflatable();
         next_arrival = advance();
-        peak_active_ = std::max(peak_active_, active_.size());
         ++vm_count_;
-        if (rt.record->deflatable()) ++deflatable_count_;
-        ends.push({rt.record->end, id});
+        if (rt.deflatable) ++deflatable_count_;
+        ends.push({rt.record->end, id, slot});
         on_vm_start(rt);
         break;
       }

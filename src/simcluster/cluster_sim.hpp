@@ -27,6 +27,7 @@
 #include "cluster/sharded_manager.hpp"
 #include "control/controller.hpp"
 #include "policy/policy_set.hpp"
+#include "simcluster/vm_slots.hpp"
 #include "trace/replay.hpp"
 #include "trace/vm_record.hpp"
 #include "transient/market.hpp"
@@ -254,11 +255,17 @@ class TraceDrivenSimulator {
       const std::vector<trace::VmRecord>& records);
 
  private:
+  /// An active VM's slot. It holds only what the simulator reads: the
+  /// record it points at (in the sorted trace, or in the slot's stream
+  /// record) and the run state below.
   struct VmRuntime {
     const trace::VmRecord* record = nullptr;
     /// The spec's priority, fixed at arrival (deflatable VMs derive it
     /// from the series' p95, so it is computed once per VM).
     double priority = 1.0;
+    /// record->deflatable(), cached: only a deflatable VM's allocation
+    /// timeline and usage series are ever read.
+    bool deflatable = false;
     bool running = false;
     bool preempted = false;
     bool rejected = false;
@@ -266,7 +273,8 @@ class TraceDrivenSimulator {
     bool expired = false;   ///< the deferral window ran out (a rejection)
     sim::SimTime placed_at;
     sim::SimTime finished_at;
-    /// (time, cpu allocation fraction) change-points while running.
+    /// (time, cpu allocation fraction) change-points while running;
+    /// recorded for deflatable VMs only (finalize reads no other).
     std::vector<std::pair<sim::SimTime, double>> alloc_timeline;
     /// Bumped each time the VM is displaced again (new migration or
     /// suspension); queued cutover events from an earlier displacement
@@ -282,6 +290,17 @@ class TraceDrivenSimulator {
   /// The active VM's runtime state, or nullptr when unknown, not yet
   /// arrived or already released.
   [[nodiscard]] VmRuntime* runtime_of(std::uint64_t id);
+
+  /// Takes a slot for the arriving VM `id` (a recycled one when any is
+  /// free) and maps `id` to it. Throws std::runtime_error when `id` is
+  /// already active.
+  [[nodiscard]] std::uint32_t acquire_slot(std::uint64_t id);
+  /// Unmaps the departed VM in `slot`, frees what it held and recycles
+  /// the slot.
+  void release_slot(std::uint32_t slot);
+  /// Appends an allocation change-point to a deflatable VM's timeline
+  /// (a no-op for the others, whose timelines nothing reads).
+  static void note_alloc(VmRuntime& vm, sim::SimTime at, double fraction);
 
   void on_vm_start(VmRuntime& vm);
   /// Departure: finalizes and removes a running VM, and bills the
@@ -394,16 +413,19 @@ class TraceDrivenSimulator {
   void apply_alloc_event(const AllocEvent& alloc);
   sim::SimTime now_;
 
-  /// An active VM: its runtime, plus the record moved out of the stream
-  /// when the caller owns one. On the record-vector path `record` stays
-  /// empty and rt.record points into owned_records_. Erased at departure;
-  /// the unordered_map's node-based storage keeps rt.record stable
-  /// meanwhile.
-  struct OwnedVm {
-    trace::VmRecord record;
-    VmRuntime rt;
-  };
-  std::unordered_map<std::uint64_t, OwnedVm> active_;
+  /// Active VMs, one slot each from arrival to departure (vm_slots.hpp).
+  /// Slots never move, so `VmRuntime::record` stays valid; a departed
+  /// VM's slot goes on `free_slots_` and the next arrival reuses it.
+  /// Departure events carry their slot; callbacks, which know a VM by
+  /// id, find it through `slot_of_`.
+  ChunkedSlots<VmRuntime> slots_;
+  /// Stream path only: slot i's record, moved out of the stream at
+  /// arrival, with the usage series kept for deflatable VMs only (no
+  /// other VM's samples are read). Empty on the record-vector path,
+  /// where `VmRuntime::record` points into owned_records_.
+  ChunkedSlots<trace::VmRecord> slot_records_;
+  std::vector<std::uint32_t> free_slots_;
+  VmSlotIndex slot_of_;
   std::size_t peak_active_ = 0;
 
   // --- per-run context (read by build_metrics) -------------------------------

@@ -25,8 +25,8 @@ double UtilizationSeries::fraction_above(double threshold) const noexcept {
 
 double UtilizationSeries::percentile(double q) const {
   if (samples_.empty()) return 0.0;
-  std::vector<double> values(samples_.begin(), samples_.end());
-  return util::quantile_in_place(values, q);
+  std::vector<float> scratch(samples_);
+  return util::quantile_in_place(std::span<float>(scratch), q);
 }
 
 double UtilizationSeries::mean() const noexcept {

@@ -61,6 +61,20 @@ double interpolate(double lower, double upper, double frac) {
   return lower * (1.0 - frac) + upper * frac;
 }
 
+/// Selects the two order statistics around quantile q and interpolates
+/// them in double. Widening float to double is exact and keeps the order,
+/// so a float range gives the double copy's value bit for bit.
+template <typename T>
+double select_quantile(std::span<T> values, double q) {
+  const QuantilePosition at = quantile_position(values.size(), q);
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(at.idx);
+  std::nth_element(values.begin(), nth, values.end());
+  if (at.idx + 1 >= values.size()) return *nth;
+  // Everything after nth is >= it, so the next order statistic is the
+  // tail's minimum.
+  return interpolate(*nth, *std::min_element(nth + 1, values.end()), at.frac);
+}
+
 }  // namespace
 
 double quantile_sorted(std::span<const double> sorted, double q) {
@@ -70,13 +84,11 @@ double quantile_sorted(std::span<const double> sorted, double q) {
 }
 
 double quantile_in_place(std::span<double> values, double q) {
-  const QuantilePosition at = quantile_position(values.size(), q);
-  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(at.idx);
-  std::nth_element(values.begin(), nth, values.end());
-  if (at.idx + 1 >= values.size()) return *nth;
-  // Everything after nth is >= it, so the next order statistic is the
-  // tail's minimum.
-  return interpolate(*nth, *std::min_element(nth + 1, values.end()), at.frac);
+  return select_quantile(values, q);
+}
+
+double quantile_in_place(std::span<float> values, double q) {
+  return select_quantile(values, q);
 }
 
 double quantile(std::span<const double> values, double q) {

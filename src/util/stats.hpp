@@ -40,6 +40,9 @@ class RunningStats {
 /// quantile_sorted's value for the sorted order of `values`, found by
 /// selection instead of a full sort; reorders `values`.
 [[nodiscard]] double quantile_in_place(std::span<double> values, double q);
+/// The same for float values: equal to quantile_in_place over a double
+/// copy of them, bit for bit, at half the scratch bytes.
+[[nodiscard]] double quantile_in_place(std::span<float> values, double q);
 
 /// Convenience: copies and evaluates one quantile.
 [[nodiscard]] double quantile(std::span<const double> values, double q);

@@ -18,6 +18,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -219,6 +221,209 @@ TEST(TraceReplayParity, DuplicateRecordIdsAreRejected) {
   records[7].id = records[3].id;
   EXPECT_THROW(simcluster::TraceDrivenSimulator(records, golden_config()),
                std::invalid_argument);
+}
+
+// --- active-VM slots and the id index ---------------------------------------
+
+namespace {
+
+/// Hands out `records` (already in (start, id) order) as a stream, ids
+/// unchecked, so a test can feed the simulator a repeated id.
+class ListStream final : public trace::VmArrivalStream {
+ public:
+  explicit ListStream(std::vector<trace::VmRecord> records)
+      : records_(std::move(records)) {
+    std::vector<trace::ArrivalStub> stubs;
+    for (const trace::VmRecord& record : records_) {
+      stubs.push_back(record.stub());
+      horizon_ = std::max(horizon_, record.end);
+    }
+    peak_ = trace::peak_committed(std::move(stubs));
+  }
+  [[nodiscard]] std::optional<trace::VmRecord> next() override {
+    if (cursor_ >= records_.size()) return std::nullopt;
+    return records_[cursor_++];
+  }
+  void reset() override { cursor_ = 0; }
+  [[nodiscard]] std::size_t size() const noexcept override {
+    return records_.size();
+  }
+  [[nodiscard]] sim::SimTime horizon() const noexcept override {
+    return horizon_;
+  }
+  [[nodiscard]] res::ResourceVector peak_committed() const noexcept override {
+    return peak_;
+  }
+
+ private:
+  std::vector<trace::VmRecord> records_;
+  std::size_t cursor_ = 0;
+  sim::SimTime horizon_;
+  res::ResourceVector peak_;
+};
+
+/// Relabels every record of `inner` through `relabel`.
+class RelabelledStream final : public trace::VmArrivalStream {
+ public:
+  RelabelledStream(trace::VmArrivalStream& inner,
+                   std::uint64_t (*relabel)(std::uint64_t))
+      : inner_(inner), relabel_(relabel) {}
+  [[nodiscard]] std::optional<trace::VmRecord> next() override {
+    std::optional<trace::VmRecord> record = inner_.next();
+    if (record) record->id = relabel_(record->id);
+    return record;
+  }
+  void reset() override { inner_.reset(); }
+  [[nodiscard]] std::size_t size() const noexcept override {
+    return inner_.size();
+  }
+  [[nodiscard]] sim::SimTime horizon() const noexcept override {
+    return inner_.horizon();
+  }
+  [[nodiscard]] res::ResourceVector peak_committed() const noexcept override {
+    return inner_.peak_committed();
+  }
+
+ private:
+  trace::VmArrivalStream& inner_;
+  std::uint64_t (*relabel_)(std::uint64_t);
+};
+
+/// A strictly increasing map onto sparse ids above 2^32, so (start, id)
+/// order, and with it every event's order, is kept.
+std::uint64_t sparse_id(std::uint64_t id) {
+  constexpr std::uint64_t kStride = 1'000'003;
+  return (std::uint64_t{1} << 32) + id * kStride + (id * 7'919) % kStride;
+}
+
+trace::VmRecord small_vm(std::uint64_t id, double start_h, double end_h,
+                         hv::WorkloadClass workload) {
+  trace::VmRecord record;
+  record.id = id;
+  record.workload = workload;
+  record.vcpus = 4;
+  record.memory_mib = 8192.0;
+  record.start = sim::SimTime::from_hours(start_h);
+  record.end = sim::SimTime::from_hours(end_h);
+  const auto samples = static_cast<std::size_t>((end_h - start_h) * 12.0);
+  std::vector<float> cpu(samples);
+  for (std::size_t i = 0; i < samples; ++i) {
+    cpu[i] = 0.2F + 0.1F * static_cast<float>(i % 7);
+  }
+  record.cpu = trace::UtilizationSeries(std::move(cpu));
+  return record;
+}
+
+simcluster::SimMetrics run_list(std::vector<trace::VmRecord> records) {
+  ListStream stream(std::move(records));
+  simcluster::SimConfig config;
+  config.server_count = 2;
+  simcluster::TraceDrivenSimulator simulator(stream, config);
+  return simulator.run();
+}
+
+}  // namespace
+
+TEST(TraceReplaySlots, DuplicateActiveIdInStreamThrows) {
+  const auto interactive = hv::WorkloadClass::Interactive;
+  EXPECT_THROW(run_list({small_vm(5, 0.0, 4.0, interactive),
+                         small_vm(5, 1.0, 3.0, interactive)}),
+               std::runtime_error);
+  // The repeat comes after another arrival, still before VM 9 departs.
+  EXPECT_THROW(run_list({small_vm(9, 0.0, 4.0, hv::WorkloadClass::Unknown),
+                         small_vm(8, 3.0, 5.0, interactive),
+                         small_vm(9, 3.5, 6.0, interactive)}),
+               std::runtime_error);
+}
+
+TEST(TraceReplaySlots, IdReusedAfterDepartureIsAccepted) {
+  const auto interactive = hv::WorkloadClass::Interactive;
+  const auto batch = hv::WorkloadClass::DelayInsensitive;
+  // VM 5 departs at 4 h and its id arrives again at 4 h (departures rank
+  // ahead of arrivals) and at 9 h; the run must equal one where each of
+  // those VMs has a fresh id that keeps the same event order.
+  const simcluster::SimMetrics reused =
+      run_list({small_vm(5, 0.0, 4.0, interactive),
+                small_vm(7, 1.0, 8.0, batch),
+                small_vm(5, 4.0, 6.0, interactive),
+                small_vm(5, 9.0, 10.0, batch)});
+  const simcluster::SimMetrics fresh =
+      run_list({small_vm(5, 0.0, 4.0, interactive),
+                small_vm(7, 1.0, 8.0, batch),
+                small_vm(11, 4.0, 6.0, interactive),
+                small_vm(12, 9.0, 10.0, batch)});
+  EXPECT_EQ(reused.vm_count, 4U);
+  EXPECT_EQ(reused.deflatable_count, 2U);
+  expect_identical(fresh, reused, "reused-vs-fresh ids");
+  EXPECT_TRUE(fresh == reused);
+}
+
+TEST(TraceReplaySlots, SparseIdsAboveTwoToThe32ReplayIdentically) {
+  // Stream constructor: the golden stream, relabelled on the fly.
+  {
+    const auto dense_stream = trace::make_arrival_stream(golden_replay());
+    simcluster::TraceDrivenSimulator dense(*dense_stream, golden_config());
+    const simcluster::SimMetrics a = dense.run();
+    const auto inner = trace::make_arrival_stream(golden_replay());
+    RelabelledStream sparse_stream(*inner, sparse_id);
+    simcluster::TraceDrivenSimulator sparse(sparse_stream, golden_config());
+    const simcluster::SimMetrics b = sparse.run();
+    expect_identical(a, b, "stream: dense-vs-sparse ids");
+    EXPECT_TRUE(a == b);
+    EXPECT_EQ(dense.peak_active_records(), sparse.peak_active_records());
+    // The golden scenario has revocations, timed migration and deferrals.
+    EXPECT_GT(b.live_migrations, 0U);
+    EXPECT_GT(b.admission_deferrals, 0U);
+  }
+  // Record-vector constructor.
+  {
+    auto records = trace::AzureTraceGenerator(golden_replay().azure).generate();
+    simcluster::TraceDrivenSimulator dense(records, golden_config());
+    const simcluster::SimMetrics a = dense.run();
+    for (trace::VmRecord& record : records) record.id = sparse_id(record.id);
+    simcluster::TraceDrivenSimulator sparse(std::move(records), golden_config());
+    const simcluster::SimMetrics b = sparse.run();
+    expect_identical(a, b, "vector: dense-vs-sparse ids");
+    EXPECT_TRUE(a == b);
+  }
+}
+
+TEST(TraceReplaySlots, SlotIndexMatchesAMapUnderChurn) {
+  // Random inserts and erases over ids clustered to collide (dense low
+  // ids, sparse ids above 2^32, and ids sharing their low bits), with
+  // growth and backward-shift deletes along the way; every lookup must
+  // agree with a std::map.
+  std::mt19937_64 rng(28);
+  std::vector<std::uint64_t> pool;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    pool.push_back(i);
+    pool.push_back(sparse_id(i));
+    pool.push_back(i << 40);
+  }
+  simcluster::VmSlotIndex index;
+  std::map<std::uint64_t, std::uint32_t> reference;
+  for (std::uint32_t step = 0; step < 60'000; ++step) {
+    const std::uint64_t id = pool[rng() % pool.size()];
+    // Grow towards most of the pool, then drain back down.
+    const bool draining = step > 40'000;
+    if (rng() % 3 == 0 || draining) {
+      index.erase(id);
+      reference.erase(id);
+    } else {
+      const bool inserted = index.insert(id, step);
+      EXPECT_EQ(inserted, reference.emplace(id, step).second) << "id " << id;
+    }
+    ASSERT_EQ(index.size(), reference.size());
+    if (step % 97 == 0) {
+      for (const std::uint64_t probe : pool) {
+        const auto it = reference.find(probe);
+        ASSERT_EQ(index.find(probe), it == reference.end()
+                                         ? simcluster::VmSlotIndex::kNone
+                                         : it->second)
+            << "step " << step << " id " << probe;
+      }
+    }
+  }
 }
 
 // --- bounded memory ---------------------------------------------------------

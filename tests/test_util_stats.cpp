@@ -115,6 +115,29 @@ TEST(Quantile, SelectionMatchesTheSortedValueBitForBit) {
   }
 }
 
+TEST(Quantile, FloatSeriesPercentileMatchesTheDoubleCopyBitForBit) {
+  // UtilizationSeries::percentile selects over a float scratch copy; it
+  // must return what selecting over a double copy of the samples returns.
+  // Every length 1-300; each series draws from a few values, a spread of
+  // values or a mix, so ties appear at every length.
+  du::Rng rng(28);
+  for (std::size_t n = 1; n <= 300; ++n) {
+    std::vector<float> samples(n);
+    for (float& sample : samples) {
+      sample = rng.bernoulli(0.5)
+                   ? 0.125F * static_cast<float>(rng.uniform_int(0, 8))
+                   : static_cast<float>(rng.u01());
+    }
+    const deflate::trace::UtilizationSeries series(samples);
+    for (const double q : {0.0, 0.25, 0.5, 0.95, 1.0}) {
+      std::vector<double> copy(samples.begin(), samples.end());
+      const double expected = du::quantile_in_place(copy, q);
+      EXPECT_EQ(series.percentile(q), expected) << "n " << n << " q " << q;
+    }
+    EXPECT_EQ(series.samples(), samples);  // the series itself is untouched
+  }
+}
+
 TEST(BoxStats, EmptyInput) {
   const auto b = du::BoxStats::from(std::vector<double>{});
   EXPECT_EQ(b.count, 0U);
