@@ -111,7 +111,8 @@ bool k1_parity() {
   const auto plan_b = b.plan(kServers, horizon());
   const auto cost_a = a.cost_report(plan_a, kCoresPerServer, horizon());
   const auto cost_b = b.cost_report(plan_b, kCoresPerServer, horizon());
-  return plan_a.prices.samples() == plan_b.prices.samples() &&
+  return plan_a.markets[0].prices.samples() ==
+             plan_b.markets[0].prices.samples() &&
          plan_a.on_demand_servers == plan_b.on_demand_servers &&
          plan_a.transient_servers == plan_b.transient_servers &&
          plan_a.revocations == plan_b.revocations &&

@@ -8,7 +8,6 @@
 #include "cluster/sharded_manager.hpp"
 
 #include "mechanisms/mechanism.hpp"
-#include "util/logging.hpp"
 #include "util/profiler.hpp"
 
 namespace deflate::cluster {

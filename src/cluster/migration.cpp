@@ -109,20 +109,12 @@ double MigrationEngine::transfer_mib(const hv::VmSpec& spec) const {
   return spec.memory_mib * fraction;
 }
 
-void MigrationEngine::charge_downtime(const hv::VmSpec& spec,
-                                      sim::SimTime window) {
-  const double hours = std::max(0.0, window.hours());
-  stats_.downtime_hours += hours;
-  stats_.downtime_core_hours += hours * static_cast<double>(spec.vcpus);
-}
-
 WarningResult MigrationEngine::begin_warning(std::size_t server,
                                              sim::SimTime now,
                                              sim::SimTime deadline) {
   WarningResult result;
   if (model_.instant() || !manager_.server_active(server)) return result;
   manager_.drain_server(server);
-  ++stats_.warnings;
 
   std::vector<hv::VmSpec> residents;
   for (const hv::Vm* vm : manager_.host(server).vms()) {
@@ -130,7 +122,6 @@ WarningResult MigrationEngine::begin_warning(std::size_t server,
   }
   std::sort(residents.begin(), residents.end(), displacement_before);
 
-  RevocationOutcome& pending = pending_[server];
   const int streams = contention_streams(residents.size());
   for (const hv::VmSpec& spec : residents) {
     const MigrationEstimate estimate =
@@ -142,14 +133,12 @@ WarningResult MigrationEngine::begin_warning(std::size_t server,
     }
     manager_.remove_vm(spec.id);
     const PlacementResult placed = manager_.place_vm(spec);
-    ++pending.vms_displaced;
     if (!placed.ok()) {
       // Fits the warning but no destination today: checkpoint it and let
       // the deadline retry (capacity may free up in between).
       result.suspended.push_back(spec);
       continue;
     }
-    ++pending.vms_migrated;
     ++stats_.live_migrations;
     MigrationRecord record;
     record.spec = spec;
@@ -160,7 +149,6 @@ WarningResult MigrationEngine::begin_warning(std::size_t server,
     record.cutover_end = now + estimate.duration;
     record.cutover_begin = record.cutover_end - estimate.downtime;
     record.live = true;
-    charge_downtime(spec, estimate.downtime);
     result.started.push_back(record);
   }
   return result;
@@ -170,12 +158,8 @@ RevocationFinish MigrationEngine::finish_revocation(
     std::size_t server, sim::SimTime now,
     std::span<const hv::VmSpec> suspended) {
   RevocationFinish result;
-  if (const auto it = pending_.find(server); it != pending_.end()) {
-    result.outcome = it->second;
-    pending_.erase(it);
-  }
   if (model_.instant()) {  // defensive: callers gate on timed()
-    result.outcome = manager_.revoke_server(server);
+    manager_.revoke_server(server);
     return result;
   }
   if (!manager_.server_active(server)) return result;
@@ -201,14 +185,10 @@ RevocationFinish MigrationEngine::finish_revocation(
   const int streams = contention_streams(candidates.size());
   for (const Candidate& candidate : candidates) {
     const hv::VmSpec& spec = candidate.spec;
-    if (!candidate.was_suspended) {
-      ++result.outcome.vms_displaced;  // suspended were counted at warning
-      manager_.remove_vm(spec.id);
-    }
+    if (!candidate.was_suspended) manager_.remove_vm(spec.id);
     PlacementResult placed;
     if (strategy_.checkpoint_fallback) placed = manager_.place_vm(spec);
     if (strategy_.checkpoint_fallback && placed.ok()) {
-      ++result.outcome.vms_migrated;
       ++stats_.checkpoint_restores;
       MigrationRecord record;
       record.spec = spec;
@@ -220,10 +200,8 @@ RevocationFinish MigrationEngine::finish_revocation(
       record.cutover_end =
           now + model_.checkpoint(transfer_mib(spec), streams).duration;
       record.live = false;
-      charge_downtime(spec, record.cutover_end - record.cutover_begin);
       result.restored.push_back(record);
     } else {
-      ++result.outcome.vms_killed;
       ++stats_.checkpoint_kills;
       result.killed.push_back(spec);
     }

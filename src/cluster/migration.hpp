@@ -29,7 +29,6 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster_manager.hpp"
@@ -160,23 +159,18 @@ struct WarningResult {
 };
 
 struct RevocationFinish {
-  RevocationOutcome outcome;  ///< across warning + deadline phases
   std::vector<MigrationRecord> restored;  ///< checkpoint restores begun now
   std::vector<hv::VmSpec> killed;
 };
 
+/// What the engine did, counted per VM. Downtime is not here: the engine
+/// only schedules pause windows (`MigrationRecord::cutover_begin`/`_end`),
+/// and the simulator bills them from its own lifetime-clipped ledger (a
+/// VM that departs before its cutover never pauses).
 struct MigrationEngineStats {
-  std::uint64_t warnings = 0;
   std::uint64_t live_migrations = 0;
   std::uint64_t checkpoint_restores = 0;
   std::uint64_t checkpoint_kills = 0;
-  /// Sum of scheduled VM-paused windows (stop-and-copy + checkpoint
-  /// restores), as estimated when each transfer started. The simulator
-  /// bills `transient::CostReport` from its own lifetime-clipped
-  /// accounting (a VM that departs before its cutover never pauses).
-  double downtime_hours = 0.0;
-  /// The same windows weighted by the VM's core count.
-  double downtime_core_hours = 0.0;
 };
 
 /// Drives timed revocations against any ClusterManagerBase. Placement of
@@ -223,15 +217,12 @@ class MigrationEngine {
   /// count under `share_bandwidth` (every displacement nominally streams
   /// out together — a conservative contention stub), 1 otherwise.
   [[nodiscard]] int contention_streams(std::size_t residents) const noexcept;
-  void charge_downtime(const hv::VmSpec& spec, sim::SimTime window);
 
   MigrationEngineConfig config_;
   MigrationStrategy strategy_;
   MigrationModel model_;
   ClusterManagerBase& manager_;
   MigrationEngineStats stats_;
-  /// Partial outcome of servers between warning and deadline.
-  std::unordered_map<std::size_t, RevocationOutcome> pending_;
 };
 
 }  // namespace deflate::cluster

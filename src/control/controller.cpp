@@ -138,7 +138,6 @@ void apply_regime_shift(transient::CapacityPlan& plan,
     }
     plan.markets[m].prices = transient::PriceTrace(step, std::move(samples));
   }
-  plan.prices = plan.markets[0].prices;
 
   // Revocation schedules: keep every realized event before the shift,
   // continue each server under the new regime's keyed stream from the
@@ -418,13 +417,10 @@ ReoptResult FleetController::reoptimize(sim::SimTime now) {
   }
   if (market_.use_portfolio) {
     const transient::PortfolioManager manager(market_.portfolio);
-    // As in TransientMarketEngine::plan, the legacy single market keeps
-    // the scalar correlation path, so a `static` forecast reproduces it
-    // bit-exactly.
+    // The correlation estimator is seeded with the plan's matrix, so a
+    // `static` forecast reproduces the planned weights bit-exactly.
     const transient::PortfolioResult result =
-        market_.markets.empty()
-            ? manager.optimize(specs)
-            : manager.optimize(specs, correlation_.forecast());
+        manager.optimize(specs, correlation_.forecast());
     target_weights.assign(result.weights.begin() + 1, result.weights.end());
   }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/logging.hpp"
-
 namespace deflate::core {
 
 namespace {
@@ -135,8 +133,6 @@ ReclaimOutcome LocalDeflationController::make_room_for(
 
   Plan plan = plan_reclaim(need);
   if (!plan.success) {
-    util::logf(util::LogLevel::Info, "controller(host=", hypervisor_.host().id(),
-               "): reclamation failure for demand ", demand);
     outcome.success = false;
     return outcome;
   }

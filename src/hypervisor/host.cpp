@@ -49,11 +49,6 @@ Vm* Host::find_vm(std::uint64_t vm_id) noexcept {
   return it == ids_.end() ? nullptr : vms_[it - ids_.begin()].get();
 }
 
-const Vm* Host::find_vm(std::uint64_t vm_id) const noexcept {
-  const auto it = std::find(ids_.begin(), ids_.end(), vm_id);
-  return it == ids_.end() ? nullptr : vms_[it - ids_.begin()].get();
-}
-
 void Host::refresh_totals() const noexcept {
   if (totals_version_ == version_) return;
   res::ResourceVector committed;

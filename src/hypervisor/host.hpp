@@ -44,7 +44,6 @@ class Host {
   /// Removes and destroys the VM. Returns false if not resident.
   bool remove_vm(std::uint64_t vm_id);
   [[nodiscard]] Vm* find_vm(std::uint64_t vm_id) noexcept;
-  [[nodiscard]] const Vm* find_vm(std::uint64_t vm_id) const noexcept;
 
   /// Resident VMs in arrival order (deterministic iteration for policies):
   /// a non-allocating view of Vm pointers, invalidated by add_vm and

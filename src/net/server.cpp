@@ -6,10 +6,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <exception>
+#include <iostream>
 #include <map>
 
 #include "policy/catalog.hpp"
-#include "util/logging.hpp"
 
 namespace deflate::net {
 
@@ -121,8 +121,7 @@ bool Server::start() {
     try {
       run();
     } catch (const std::exception& error) {
-      util::logf(util::LogLevel::Error, "deflated: loop stopped: ",
-                 error.what());
+      std::cerr << "deflated: loop stopped: " << error.what() << '\n';
       request_shutdown();
     }
   });
@@ -148,8 +147,7 @@ void Server::run() {
     }
     if (::poll(fds.data(), static_cast<nfds_t>(fds.size()), -1) < 0) {
       if (errno == EINTR) continue;
-      util::logf(util::LogLevel::Error, "deflated: poll failed, errno ",
-                 errno);
+      std::cerr << "deflated: poll failed, errno " << errno << '\n';
       request_shutdown();
       return;
     }
@@ -164,8 +162,8 @@ void Server::run() {
         try {
           read_and_serve(conn);
         } catch (const std::exception& error) {
-          util::logf(util::LogLevel::Error, "deflated: connection ", conn.id,
-                     " dropped: ", error.what());
+          std::cerr << "deflated: connection " << conn.id
+                    << " dropped: " << error.what() << '\n';
           conn.broken = true;
         }
       }

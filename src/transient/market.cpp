@@ -230,7 +230,6 @@ CapacityPlan TransientMarketEngine::plan(std::size_t server_count,
     out.markets[m].name = defs[m].name;
     out.markets[m].prices = std::move(traces[m]);
   }
-  out.prices = out.markets[0].prices;
 
   // Per-class bid optimization: replace each market's hand-set bid with
   // the mean of that market's per-class optima *before* the estimates
@@ -273,15 +272,10 @@ CapacityPlan TransientMarketEngine::plan(std::size_t server_count,
   double on_demand_share = std::clamp(config_.on_demand_share, 0.0, 1.0);
   if (config_.use_portfolio) {
     const PortfolioManager manager(config_.portfolio);
-    // Multi-market mode couples price risk with the correlation the
-    // traces actually realized (configured coupling + common shocks); the
-    // legacy single market keeps the scalar market_correlation path.
-    if (!config_.markets.empty()) {
-      out.planned_correlation = empirical_correlation(out.markets);
-    }
-    out.portfolio = config_.markets.empty()
-                        ? manager.optimize(specs)
-                        : manager.optimize(specs, out.planned_correlation);
+    // Price risk is coupled by the correlation the traces actually
+    // realized (configured coupling + common shocks).
+    out.planned_correlation = empirical_correlation(out.markets);
+    out.portfolio = manager.optimize(specs, out.planned_correlation);
     out.pool_weights = manager.pool_weights(out.portfolio, deflatable_pools);
     on_demand_share = out.portfolio.on_demand_weight();
   } else {

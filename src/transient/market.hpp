@@ -6,8 +6,10 @@
 // weights implied by the portfolio, the per-market revocation schedules,
 // and the per-market cost accounting against an all-on-demand baseline.
 //
-// One market with identity correlation is the legacy single-market engine,
-// decision-for-decision (tests/test_transient_multimarket.cpp pins this).
+// A single market is one MarketDef through the same K-market path: the
+// config's `price`/`revocation` pair is planned as that one entry
+// (tests/test_transient_multimarket.cpp pins it against the listed
+// one-entry plan).
 #pragma once
 
 #include <cstdint>
@@ -32,20 +34,20 @@ struct MarketDef {
 };
 
 struct MarketEngineConfig {
-  /// Legacy single-market parameters, used when `markets` is empty.
+  /// The single market's parameters, planned as one "spot" MarketDef when
+  /// `markets` is empty.
   SpotPriceConfig price;
   RevocationConfig revocation;
   PortfolioConfig portfolio;
-  /// Multi-market mode: when non-empty these markets replace the legacy
-  /// price/revocation pair above. One entry reproduces the legacy plan
-  /// decision-for-decision (same seed, same trace, same schedule).
+  /// Multi-market mode: when non-empty these markets replace the
+  /// price/revocation pair above. One "spot" entry with that pair is the
+  /// same plan, decision for decision.
   std::vector<MarketDef> markets;
   /// K x K innovation correlation across `markets` (shared market factor
   /// plus per-market noise, via Cholesky). This couples the *generated*
   /// traces; the portfolio optimizer prices the correlation the traces
-  /// actually realize — which folds in the common shocks below — in place
-  /// of the scalar portfolio.market_correlation of single-market mode.
-  /// Empty = identity.
+  /// actually realize, which folds in the common shocks below. Empty =
+  /// identity.
   std::vector<std::vector<double>> correlation;
   /// Provider-wide capacity crunches that spike every market at once
   /// (see CorrelatedPriceConfig); 0 disables.
@@ -123,8 +125,6 @@ struct CapacityPlan {
   PortfolioResult portfolio;
   /// ClusterPartitions-compatible pool weights (pool 0 = on-demand).
   std::vector<double> pool_weights;
-  /// Market 0's spot prices (the legacy single-market view).
-  PriceTrace prices;
   /// Merged revoke/restore schedule across every market.
   std::vector<RevocationEvent> revocations;
   /// Per-market slices; size >= 1 whenever the plan is non-empty.
@@ -139,12 +139,11 @@ struct CapacityPlan {
   /// BidOptimized admission policy defers a class while the spot quote
   /// exceeds its entry.
   std::vector<double> class_ceilings;
-  /// The correlation matrix the portfolio actually optimized against
-  /// (the realized empirical correlation in multi-market mode). Empty in
-  /// legacy single-market mode, which uses the scalar
-  /// `PortfolioConfig::market_correlation` path. The online control
-  /// plane (src/control) seeds its CorrelationEstimator from this so a
-  /// `static` forecast reproduces the planned weights bit-exactly.
+  /// The correlation matrix the portfolio actually optimized against: the
+  /// realized empirical correlation of the markets' traces ({{1}} for one
+  /// market; empty only when the portfolio optimizer is off). The online
+  /// control plane (src/control) seeds its CorrelationEstimator from this
+  /// so a `static` forecast reproduces the planned weights bit-exactly.
   std::vector<std::vector<double>> planned_correlation;
 };
 
@@ -205,15 +204,14 @@ struct CostReport {
 
 /// Seed of market m's revocation stream: the plan seed plus m times the
 /// 64-bit golden ratio (0x9e3779b97f4a7c15). Market 0 keeps the plan seed,
-/// so a one-market plan is bit-identical to the legacy single-market
-/// engine, and a schedule suffix regenerated from this seed continues the
-/// plan's per-server keyed streams.
+/// and a schedule suffix regenerated from this seed continues the plan's
+/// per-server keyed streams.
 [[nodiscard]] std::uint64_t market_seed(std::uint64_t seed,
                                         std::size_t market) noexcept;
 
 /// The markets' coupled price traces over [0, horizon), drawn from the
-/// config's seed (stream 0). One market with identity correlation and no
-/// common shocks is the legacy OU + shock process, bit for bit.
+/// config's seed (stream 0). One market with no common shocks is
+/// SpotPriceModel's trace for the same seed.
 [[nodiscard]] std::vector<PriceTrace> market_price_traces(
     const MarketEngineConfig& config, sim::SimTime horizon);
 

@@ -57,15 +57,6 @@ MarketSpec MarketSpec::from_observations(std::string name,
 }
 
 PortfolioResult PortfolioManager::optimize(
-    std::span<const MarketSpec> markets) const {
-  const double rho = std::clamp(config_.market_correlation, -1.0, 1.0);
-  std::vector<std::vector<double>> correlation(
-      markets.size(), std::vector<double>(markets.size(), rho));
-  for (std::size_t i = 0; i < markets.size(); ++i) correlation[i][i] = 1.0;
-  return optimize(markets, correlation);
-}
-
-PortfolioResult PortfolioManager::optimize(
     std::span<const MarketSpec> markets,
     const std::vector<std::vector<double>>& correlation) const {
   if (markets.empty()) {
@@ -94,8 +85,8 @@ PortfolioResult PortfolioManager::optimize(
   }
 
   // Covariance: on-demand is risk-free; transient markets carry their own
-  // price variance plus a revocation-rate variance proxy, coupled by a
-  // common correlation (provider-wide capacity crunches).
+  // price variance plus a revocation-rate variance proxy, coupled by the
+  // markets' price correlation (provider-wide capacity crunches).
   std::vector<std::vector<double>> sigma(n, std::vector<double>(n, 0.0));
   std::vector<double> stddev(n, 0.0);
   for (std::size_t i = 0; i < markets.size(); ++i) {

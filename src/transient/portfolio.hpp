@@ -11,8 +11,8 @@
 //
 // over the probability simplex, where c_i is the effective per-core-hour
 // cost of market i (spot price plus the expected cost of its revocations)
-// and Sigma couples markets through price variance and a common
-// correlation factor. The risk-aversion alpha trades cost for stability,
+// and Sigma couples markets through price variance and their pairwise
+// price correlation. The risk-aversion alpha trades cost for stability,
 // and an on-demand floor guarantees a minimum fraction of revocation-free
 // capacity for the interactive tier.
 //
@@ -60,9 +60,6 @@ struct PortfolioConfig {
   /// core (re-placement, deflation churn, cold caches). Converts
   /// revocation rates into the effective-cost term.
   double revocation_penalty_core_hours = 2.0;
-  /// Pairwise correlation of transient markets (capacity crunches are
-  /// correlated across markets of one provider).
-  double market_correlation = 0.5;
   /// Projected-gradient iterations / step size.
   std::size_t iterations = 2000;
   double learning_rate = 0.05;
@@ -91,15 +88,11 @@ class PortfolioManager {
   explicit PortfolioManager(PortfolioConfig config) noexcept
       : config_(config) {}
 
-  /// Mean-variance optimal weights over {on-demand} + markets.
-  /// Deterministic; throws if `markets` is empty.
-  [[nodiscard]] PortfolioResult optimize(
-      std::span<const MarketSpec> markets) const;
-
-  /// Same, with an explicit K x K price correlation across the transient
-  /// markets (row/column i maps to markets[i]; the on-demand asset stays
-  /// risk-free). Empty = identity. The single-argument overload is this
-  /// with a uniform config().market_correlation matrix.
+  /// Mean-variance optimal weights over {on-demand} + markets, with the
+  /// K x K price correlation across the transient markets (row/column i
+  /// maps to markets[i]; the on-demand asset stays risk-free). Empty =
+  /// identity; one market has no off-diagonal term, so its matrix does
+  /// not matter. Deterministic; throws if `markets` is empty.
   [[nodiscard]] PortfolioResult optimize(
       std::span<const MarketSpec> markets,
       const std::vector<std::vector<double>>& correlation) const;

@@ -170,9 +170,10 @@ std::vector<PriceTrace> CorrelatedPriceModel::generate(
   std::vector<std::vector<double>> prices(market_count);
   for (auto& series : prices) series.reserve(steps);
 
-  // Per-market OU + shock state, exactly as in SpotPriceModel::generate —
-  // only the innovation is replaced by the Cholesky-mixed draw, so one
-  // market with identity correlation reproduces that trace bit for bit.
+  // Per-market Euler-Maruyama discretization of dp = kappa (mu - p) dt +
+  // sigma dW, plus an additive shock term that jumps on Poisson arrivals
+  // and decays exponentially (capacity-crunch spikes). The innovation dW
+  // is the Cholesky-mixed draw; with one market it is the raw draw.
   std::vector<double> level(market_count), shock(market_count, 0.0);
   std::vector<double> shock_decay(market_count);
   std::vector<double> z(market_count), innovation(market_count);
@@ -237,42 +238,12 @@ std::vector<PriceTrace> CorrelatedPriceModel::generate(
 }
 
 PriceTrace SpotPriceModel::generate(sim::SimTime duration) const {
-  const std::int64_t step_us = config_.step.micros();
-  if (step_us <= 0) {
-    throw std::invalid_argument("SpotPriceModel: step must be positive");
-  }
-  const auto steps = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, (duration.micros() + step_us - 1) / step_us));
-  const double dt = config_.step.hours();
-
-  util::Rng rng = util::Rng::keyed(seed_, stream_);
-  std::vector<double> prices;
-  prices.reserve(steps);
-
-  // Euler-Maruyama discretization of dp = kappa (mu - p) dt + sigma dW,
-  // plus an additive shock term that jumps on Poisson arrivals and decays
-  // exponentially (capacity-crunch spikes).
-  double p = config_.mean_price;
-  double shock = 0.0;
-  const double shock_decay =
-      config_.shock_decay_hours > 0.0
-          ? std::exp(-dt / config_.shock_decay_hours)
-          : 0.0;
-  const double sqrt_dt = std::sqrt(dt);
-  for (std::size_t i = 0; i < steps; ++i) {
-    p += config_.reversion_rate * (config_.mean_price - p) * dt +
-         config_.volatility * sqrt_dt * rng.normal();
-    shock *= shock_decay;
-    if (config_.shock_rate_per_hour > 0.0 &&
-        rng.bernoulli(1.0 - std::exp(-config_.shock_rate_per_hour * dt))) {
-      shock = std::max(
-          shock, (config_.shock_multiplier - 1.0) * config_.mean_price);
-    }
-    const double value = std::clamp(p + shock, config_.floor_price,
-                                    config_.on_demand_price * 2.0);
-    prices.push_back(value);
-  }
-  return PriceTrace(config_.step, std::move(prices));
+  CorrelatedPriceConfig one_market;
+  one_market.markets = {config_};
+  return std::move(
+      CorrelatedPriceModel(std::move(one_market), seed_, stream_)
+          .generate(duration)
+          .front());
 }
 
 }  // namespace deflate::transient

@@ -87,8 +87,7 @@ struct CorrelatedPriceConfig {
   /// (independent markets). Diagonal must be 1.
   std::vector<std::vector<double>> correlation;
   /// Poisson rate of provider-wide crunches hitting all markets at once.
-  /// 0 disables the extra draw, keeping K=1 bit-identical to
-  /// SpotPriceModel with the same seed/stream.
+  /// 0 disables the extra draw (SpotPriceModel's one market has none).
   double common_shock_rate_per_hour = 0.0;
   /// Peak of a common crunch as a multiple of each market's own mean.
   double common_shock_multiplier = 4.0;
@@ -97,8 +96,8 @@ struct CorrelatedPriceConfig {
 };
 
 /// Generates the K coupled traces. Deterministic in (config, seed,
-/// stream); with one market, identity correlation and no common shocks the
-/// trace is bit-identical to SpotPriceModel's.
+/// stream). This is the only OU + shock recurrence: one market is K = 1,
+/// and SpotPriceModel is that case.
 class CorrelatedPriceModel {
  public:
   explicit CorrelatedPriceModel(CorrelatedPriceConfig config,
@@ -129,8 +128,10 @@ class CorrelatedPriceModel {
   std::uint64_t stream_ = 0;
 };
 
-/// Mean-reverting + shock spot-price generator. Deterministic in
-/// (config, seed, stream); `generate` is const and reusable.
+/// One market's mean-reverting + shock price trace: a one-market
+/// CorrelatedPriceModel with the same seed and stream (no correlation, no
+/// common shocks). Deterministic in (config, seed, stream); `generate` is
+/// const and reusable.
 class SpotPriceModel {
  public:
   explicit SpotPriceModel(SpotPriceConfig config, std::uint64_t seed = 42,

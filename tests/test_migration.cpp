@@ -108,7 +108,7 @@ TEST(MigrationEngine, AmpleWarningLiveMigratesEveryResident) {
   EXPECT_TRUE(record.live);
   EXPECT_GT(record.cutover_end, now);
   EXPECT_LE(record.cutover_end, deadline);
-  EXPECT_LE(record.cutover_begin, record.cutover_end);
+  EXPECT_LT(record.cutover_begin, record.cutover_end);  // paused to cut over
   // The VM already lives on the destination; the doomed server is drained
   // and no longer a placement candidate.
   EXPECT_EQ(manager.server_of(1).value(), record.to);
@@ -119,13 +119,11 @@ TEST(MigrationEngine, AmpleWarningLiveMigratesEveryResident) {
 
   const cl::RevocationFinish finish =
       engine.finish_revocation(victim, deadline, {});
-  EXPECT_EQ(finish.outcome.vms_displaced, 1U);
-  EXPECT_EQ(finish.outcome.vms_migrated, 1U);
-  EXPECT_EQ(finish.outcome.vms_killed, 0U);
+  EXPECT_TRUE(finish.restored.empty());
+  EXPECT_TRUE(finish.killed.empty());
   EXPECT_FALSE(manager.server_active(victim));
   EXPECT_EQ(engine.stats().live_migrations, 1U);
   EXPECT_EQ(engine.stats().checkpoint_kills, 0U);
-  EXPECT_GT(engine.stats().downtime_hours, 0.0);
 }
 
 TEST(MigrationEngine, MissedDeadlineFallsBackToCheckpointRestore) {
@@ -152,7 +150,7 @@ TEST(MigrationEngine, MissedDeadlineFallsBackToCheckpointRestore) {
   EXPECT_FALSE(finish.restored[0].live);
   EXPECT_EQ(finish.restored[0].cutover_begin, deadline);
   EXPECT_GT(finish.restored[0].cutover_end, deadline);
-  EXPECT_EQ(finish.outcome.vms_killed, 0U);
+  EXPECT_TRUE(finish.killed.empty());
   EXPECT_EQ(engine.stats().checkpoint_restores, 1U);
   EXPECT_NE(manager.find_vm(1), nullptr);
 }
@@ -172,7 +170,6 @@ TEST(MigrationEngine, PureMigrationKillsWhatMissesTheDeadline) {
       engine.finish_revocation(victim, sim::SimTime::from_seconds(30.0), {});
   ASSERT_EQ(finish.killed.size(), 1U);
   EXPECT_EQ(finish.killed[0].id, 1U);
-  EXPECT_EQ(finish.outcome.vms_killed, 1U);
   EXPECT_EQ(engine.stats().checkpoint_kills, 1U);
   EXPECT_EQ(manager.find_vm(1), nullptr);
 }
@@ -225,8 +222,8 @@ TEST(MigrationEngine, SuspendedVmRestoresWhenCapacityFreesByDeadline) {
   const cl::RevocationFinish finish =
       engine.finish_revocation(victim, deadline, warned.suspended);
   ASSERT_EQ(finish.restored.size(), 1U);
-  EXPECT_EQ(finish.outcome.vms_migrated, 1U);
-  EXPECT_EQ(finish.outcome.vms_displaced, 1U);  // not double-counted
+  EXPECT_TRUE(finish.killed.empty());
+  EXPECT_EQ(engine.stats().checkpoint_restores, 1U);
   EXPECT_EQ(manager.server_of(1).value(), other);
 }
 

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -60,20 +62,66 @@ std::vector<SimTime> revoke_times(const tn::MarketPlan& market) {
   return times;
 }
 
+/// FNV-1a over the bit patterns of a trace's samples: one 64-bit word per
+/// sample, so any last-bit change in any sample changes the hash.
+std::uint64_t sample_hash(const tn::PriceTrace& trace) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const double sample : trace.samples()) {
+    hash ^= std::bit_cast<std::uint64_t>(sample);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 }  // namespace
 
 // --- CorrelatedPriceModel ---------------------------------------------------
 
-TEST(CorrelatedPrice, SingleMarketMatchesSpotPriceModelBitwise) {
-  tn::SpotPriceConfig price;  // defaults, shocks included
-  tn::CorrelatedPriceConfig config;
-  config.markets = {price};
-  const auto correlated = tn::CorrelatedPriceModel(config, 7, 0).generate(
-      SimTime::from_hours(96));
-  const auto legacy =
-      tn::SpotPriceModel(price, 7, 0).generate(SimTime::from_hours(96));
-  ASSERT_EQ(correlated.size(), 1U);
-  EXPECT_EQ(correlated[0].samples(), legacy.samples());
+// The one-market OU + shock process, pinned to hashes recorded from the
+// standalone single-market recurrence SpotPriceModel used before it became
+// a one-market CorrelatedPriceModel. Covers the shock branch, a zero shock
+// decay, and both clamps.
+TEST(CorrelatedPrice, SingleMarketMatchesRecordedGolden) {
+  struct Case {
+    const char* name;
+    tn::SpotPriceConfig config;
+  };
+  std::vector<Case> cases(4);
+  cases[0].name = "defaults";
+  cases[1].name = "no-shocks";
+  cases[1].config.shock_rate_per_hour = 0.0;
+  cases[2].name = "zero-decay";
+  cases[2].config.shock_decay_hours = 0.0;
+  cases[3].name = "clamped";
+  cases[3].config.volatility = 0.6;
+  cases[3].config.shock_rate_per_hour = 0.25;
+  cases[3].config.shock_multiplier = 12.0;
+  const std::pair<std::uint64_t, std::uint64_t> keys[] = {{7, 0}, {7, 1},
+                                                          {11, 0}};
+  const std::uint64_t golden[4][3] = {
+      {0x0269495b845192c2ULL, 0x3e75dc79b3edb530ULL, 0xf6aa7cd159b61f92ULL},
+      {0xc5c4dd9b9dadd87cULL, 0x5b7860711c717f8dULL, 0xce6954a9c4d2b451ULL},
+      {0x931cbc02fd07fc54ULL, 0x170a8ebdad350f93ULL, 0x3fbceb379ee33b01ULL},
+      {0x4f730f6bcf6389cfULL, 0xd82a087bb4ef0c9aULL, 0x006aeb9a16f88409ULL},
+  };
+  const SimTime horizon = SimTime::from_hours(96);
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    for (std::size_t k = 0; k < 3; ++k) {
+      const tn::PriceTrace trace =
+          tn::SpotPriceModel(cases[c].config, keys[k].first, keys[k].second)
+              .generate(horizon);
+      ASSERT_EQ(trace.samples().size(), 96U * 12U);
+      EXPECT_EQ(sample_hash(trace), golden[c][k])
+          << cases[c].name << " seed " << keys[k].first << " stream "
+          << keys[k].second << ": 0x" << std::hex << sample_hash(trace);
+    }
+  }
+  // The clamped case really reaches the floor and the 2x on-demand cap.
+  const tn::SpotPriceConfig& clamped = cases[3].config;
+  const tn::PriceTrace trace =
+      tn::SpotPriceModel(clamped, 7, 0).generate(horizon);
+  EXPECT_EQ(trace.min(), clamped.floor_price);
+  EXPECT_EQ(trace.max(), 2.0 * clamped.on_demand_price);
 }
 
 TEST(CorrelatedPrice, CholeskyReconstructsTheCorrelation) {
@@ -159,7 +207,11 @@ TEST(MultiMarket, SingleEntryMarketListReproducesLegacyPlan) {
   const auto plan_a = a.plan(60, horizon);
   const auto plan_b = b.plan(60, horizon);
 
-  EXPECT_EQ(plan_a.prices.samples(), plan_b.prices.samples());
+  ASSERT_EQ(plan_a.markets.size(), 1U);
+  ASSERT_EQ(plan_b.markets.size(), 1U);
+  EXPECT_EQ(plan_a.markets[0].prices.samples(),
+            plan_b.markets[0].prices.samples());
+  EXPECT_EQ(plan_a.planned_correlation, plan_b.planned_correlation);
   EXPECT_EQ(plan_a.on_demand_servers, plan_b.on_demand_servers);
   EXPECT_EQ(plan_a.transient_servers, plan_b.transient_servers);
   EXPECT_EQ(plan_a.revocations, plan_b.revocations);
@@ -168,8 +220,6 @@ TEST(MultiMarket, SingleEntryMarketListReproducesLegacyPlan) {
     EXPECT_EQ(plan_a.portfolio.weights[i], plan_b.portfolio.weights[i]);
   }
   EXPECT_EQ(plan_a.pool_weights, plan_b.pool_weights);
-  ASSERT_EQ(plan_a.markets.size(), 1U);
-  ASSERT_EQ(plan_b.markets.size(), 1U);
   EXPECT_EQ(plan_a.markets[0].servers, plan_b.markets[0].servers);
 
   const auto cost_a = a.cost_report(plan_a, 48.0, horizon);

@@ -20,6 +20,13 @@ tn::MarketSpec cheap_market(double price = 0.2, double variance = 0.005,
   return spec;
 }
 
+/// Uniform pairwise price correlation 0.5 across `markets`: capacity
+/// crunches of one provider move its markets together.
+std::vector<std::vector<double>> crunch_correlation(
+    const std::vector<tn::MarketSpec>& markets) {
+  return tn::CorrelatedPriceModel::uniform_correlation(markets.size(), 0.5);
+}
+
 double weight_sum(const std::vector<double>& w) {
   return std::accumulate(w.begin(), w.end(), 0.0);
 }
@@ -32,7 +39,7 @@ TEST(Portfolio, WeightsSumToOneAndRespectFloor) {
   const tn::PortfolioManager manager(config);
   const std::vector<tn::MarketSpec> markets{cheap_market(0.2),
                                             cheap_market(0.4, 0.02, 1.0 / 6.0)};
-  const auto result = manager.optimize(markets);
+  const auto result = manager.optimize(markets, crunch_correlation(markets));
   ASSERT_EQ(result.weights.size(), 3U);
   EXPECT_NEAR(weight_sum(result.weights), 1.0, 1e-9);
   EXPECT_GE(result.weights[0], config.on_demand_floor - 1e-9);
@@ -49,7 +56,7 @@ TEST(Portfolio, CheapMarketDominatesWhenRiskIsFree) {
   config.revocation_penalty_core_hours = 0.0;
   const tn::PortfolioManager manager(config);
   const std::vector<tn::MarketSpec> markets{cheap_market(0.2)};
-  const auto result = manager.optimize(markets);
+  const auto result = manager.optimize(markets, crunch_correlation(markets));
   // Pure cost minimization: everything but the floor goes transient.
   EXPECT_NEAR(result.weights[0], 0.1, 1e-6);
   EXPECT_NEAR(result.weights[1], 0.9, 1e-6);
@@ -64,8 +71,10 @@ TEST(Portfolio, RiskAversionShiftsTowardOnDemand) {
   relaxed.risk_aversion = 0.0;
   tn::PortfolioConfig nervous;
   nervous.risk_aversion = 50.0;
-  const auto w_relaxed = tn::PortfolioManager(relaxed).optimize(markets);
-  const auto w_nervous = tn::PortfolioManager(nervous).optimize(markets);
+  const auto w_relaxed = tn::PortfolioManager(relaxed).optimize(
+      markets, crunch_correlation(markets));
+  const auto w_nervous = tn::PortfolioManager(nervous).optimize(
+      markets, crunch_correlation(markets));
   EXPECT_GT(w_nervous.on_demand_weight(), w_relaxed.on_demand_weight());
 }
 
@@ -75,7 +84,8 @@ TEST(Portfolio, FlakierMarketGetsLowerWeight) {
   const std::vector<tn::MarketSpec> markets{
       cheap_market(0.25, 0.005, 1.0 / 48.0),  // stable
       cheap_market(0.25, 0.05, 1.0 / 4.0)};   // same price, flaky
-  const auto result = tn::PortfolioManager(config).optimize(markets);
+  const auto result = tn::PortfolioManager(config).optimize(
+      markets, crunch_correlation(markets));
   EXPECT_GT(result.weights[1], result.weights[2]);
 }
 
@@ -83,8 +93,8 @@ TEST(Portfolio, DeterministicAcrossCalls) {
   const std::vector<tn::MarketSpec> markets{cheap_market(0.3, 0.01),
                                             cheap_market(0.2, 0.02)};
   const tn::PortfolioManager manager(tn::PortfolioConfig{});
-  const auto a = manager.optimize(markets);
-  const auto b = manager.optimize(markets);
+  const auto a = manager.optimize(markets, crunch_correlation(markets));
+  const auto b = manager.optimize(markets, crunch_correlation(markets));
   ASSERT_EQ(a.weights.size(), b.weights.size());
   for (std::size_t i = 0; i < a.weights.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.weights[i], b.weights[i]);
@@ -93,7 +103,7 @@ TEST(Portfolio, DeterministicAcrossCalls) {
 
 TEST(Portfolio, EmptyMarketsThrows) {
   const tn::PortfolioManager manager(tn::PortfolioConfig{});
-  EXPECT_THROW(manager.optimize({}), std::invalid_argument);
+  EXPECT_THROW(manager.optimize({}, {}), std::invalid_argument);
 }
 
 TEST(Portfolio, PoolWeightsSplitTransientShare) {
@@ -148,7 +158,8 @@ TEST(MarketEngine, PlanSplitsFleetAndSchedulesOnlyTransients) {
   for (const auto& event : plan.revocations) {
     EXPECT_GE(event.server, plan.on_demand_servers);
   }
-  EXPECT_FALSE(plan.prices.empty());
+  ASSERT_EQ(plan.markets.size(), 1U);
+  EXPECT_FALSE(plan.markets[0].prices.empty());
 }
 
 TEST(MarketEngine, CostReportBeatsOnDemandAndAddsUp) {

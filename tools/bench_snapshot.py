@@ -11,12 +11,14 @@ workload for the per-layer `layer` lines. It writes BENCH_<label>.json
 at that root, with the host record, the commit, every metric, each
 repetition's setup and run seconds, the digests and the layer lines.
 
---compare always checks that every run was correct and that the digests
-match. It applies BENCHMARK.json's bounds to the timing metrics only when
-both snapshots come from the same host fingerprint (CPU model, nproc,
-compiler, build type, flags); the decision metrics are compared on any
-host. Next to vms_per_s it prints setup_s + run, so work that moves
-across the setup/run boundary shows. Exits 1 when a check fails.
+--compare checks that every run was correct, that the digests match and
+that the decision metrics stay within BENCHMARK.json's bounds. It prints
+the other metrics' changes with their direction only (better or worse),
+never a verdict: two snapshots of bit-identical code, taken on different
+days on one host fingerprint, differ by more than the timing bounds, so
+a timing gain or loss needs paired runs, not two snapshots. Next to
+vms_per_s it prints setup_s + run, so work that moves across the
+setup/run boundary shows. Exits 1 when a check fails.
 """
 
 import argparse
@@ -31,7 +33,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("replay", "market")
 SEEDS = (1, 2, 3)
 TRACE_SEED = 1
-# Host fields that say whether two snapshots' timings are comparable.
+# Host fields recorded with a snapshot.
 FINGERPRINT = ("cpu_model", "nproc", "compiler", "build_type", "cxx_flags")
 # Functions of the decisions alone: the same digest gives the same value
 # on any host.
@@ -144,9 +146,6 @@ def compare(old_path, new_path):
         if a != b:
             failures.append("%s seed %d digest %s -> %s" % (key + (a, b)))
 
-    same_host = old["host"] == new["host"]
-    print("host: %s" % ("same fingerprint, timing bounds apply" if same_host
-                        else "fingerprints differ, timing bounds skipped"))
     print("%-7s %-20s %14s %14s %8s %6s" % ("", "metric (median of seeds)",
                                             "old", "new", "change", "bound"))
     for workload in WORKLOADS:
@@ -159,16 +158,19 @@ def compare(old_path, new_path):
                 continue
             change = (b - a) / a if a else 0.0
             worse = -change if better == "higher" else change
-            checked = same_host or name in DECISION_METRICS
-            verdict = ""
-            if checked and worse > bound:
-                verdict = "WORSE"
-                failures.append("%s %s worse by %.1f%% (bound %.0f%%)"
-                                % (workload, name, 100 * worse, 100 * bound))
-            elif not checked:
-                verdict = "(host)"
-            print("%-7s %-20s %14.6g %14.6g %+7.1f%% %5.0f%% %s"
-                  % (workload, name, a, b, 100 * change, 100 * bound,
+            if name in DECISION_METRICS:
+                shown_bound = "%5.0f%%" % (100 * bound)
+                verdict = "WORSE" if worse > bound else ""
+                if verdict:
+                    failures.append("%s %s worse by %.1f%% (bound %.0f%%)"
+                                    % (workload, name, 100 * worse,
+                                       100 * bound))
+            else:
+                shown_bound = "-"
+                verdict = ("same" if worse == 0 else
+                           "worse" if worse > 0 else "better")
+            print("%-7s %-20s %14.6g %14.6g %+7.1f%% %6s %s"
+                  % (workload, name, a, b, 100 * change, shown_bound,
                      verdict))
             if name == "vms_per_s":
                 a, b = median_of(olds, wall_s), median_of(news, wall_s)
