@@ -7,16 +7,21 @@ namespace deflate::cluster {
 
 namespace {
 
-/// Deferral-queue ordering: (retry_at, arrival, vm id) — due-first, and
-/// older requests ahead of newer ones at the same instant.
-struct PendingBefore {
+/// Deferral-queue ordering as a heap comparator: true when `a` pops
+/// after `b`. Pops go in (retry_at, arrival, vm id, enqueue sequence)
+/// order — due-first, older requests ahead of newer ones at the same
+/// instant, and first-queued first among equal keys.
+struct PendingAfter {
   template <typename Pending>
   bool operator()(const Pending& a, const Pending& b) const noexcept {
-    if (a.retry_at != b.retry_at) return a.retry_at < b.retry_at;
+    if (a.retry_at != b.retry_at) return a.retry_at > b.retry_at;
     if (a.request.arrival != b.request.arrival) {
-      return a.request.arrival < b.request.arrival;
+      return a.request.arrival > b.request.arrival;
     }
-    return a.request.spec.id < b.request.spec.id;
+    if (a.request.spec.id != b.request.spec.id) {
+      return a.request.spec.id > b.request.spec.id;
+    }
+    return a.sequence > b.sequence;
   }
 };
 
@@ -180,10 +185,10 @@ bool AdmissionController::count_resolved(
   return false;
 }
 
-void AdmissionController::enqueue(const Pending& pending) {
-  queue_.insert(
-      std::upper_bound(queue_.begin(), queue_.end(), pending, PendingBefore{}),
-      pending);
+void AdmissionController::enqueue(const AdmissionRequest& request,
+                                  sim::SimTime retry_at) {
+  queue_.push_back({request, retry_at, next_sequence_++});
+  std::push_heap(queue_.begin(), queue_.end(), PendingAfter{});
 }
 
 AdmissionDecision AdmissionController::decide(const AdmissionRequest& request,
@@ -192,22 +197,23 @@ AdmissionDecision AdmissionController::decide(const AdmissionRequest& request,
   AdmissionDecision decision = evaluate(request, now);
   if (!count_resolved(decision)) {
     ++stats_.deferrals;
-    enqueue({request, decision.retry_at});
+    enqueue(request, decision.retry_at);
   }
   return decision;
 }
 
 std::optional<sim::SimTime> AdmissionController::next_retry() const {
   if (queue_.empty()) return std::nullopt;
-  return queue_.front().retry_at;
+  return queue_.front().retry_at;  // the heap's top
 }
 
 std::vector<AdmissionController::Resolved> AdmissionController::drain(
     sim::SimTime now) {
   std::vector<Resolved> resolved;
   while (!queue_.empty() && queue_.front().retry_at <= now) {
-    const Pending pending = queue_.front();
-    queue_.erase(queue_.begin());
+    std::pop_heap(queue_.begin(), queue_.end(), PendingAfter{});
+    const Pending pending = std::move(queue_.back());
+    queue_.pop_back();
     AdmissionDecision decision = evaluate(pending.request, now);
     if (count_resolved(decision)) {
       resolved.push_back({pending.request, decision});
@@ -216,8 +222,8 @@ std::vector<AdmissionController::Resolved> AdmissionController::drain(
     // Queue invariant: a re-deferral must move strictly forward, or drain
     // would spin on the same entry.
     ++stats_.retries;
-    enqueue({pending.request,
-             std::max(decision.retry_at, now + sim::SimTime::from_micros(1))});
+    enqueue(pending.request,
+            std::max(decision.retry_at, now + sim::SimTime::from_micros(1)));
   }
   return resolved;
 }

@@ -41,6 +41,7 @@
 //     DeadlineExpired rejection — so the queue never holds an entry whose
 //     retry time is in the past;
 //   * entries due at the same instant resolve in (arrival, vm id) order,
+//     first-queued first among equal keys (a client may repeat an id),
 //     ahead of any same-instant fresh arrival the caller processes after
 //     drain — deterministic replay, independent of queue internals.
 #pragma once
@@ -254,18 +255,23 @@ class AdmissionController {
   struct Pending {
     AdmissionRequest request;
     sim::SimTime retry_at;
+    /// This controller's enqueue count when the entry was queued: breaks
+    /// ties among equal (retry_at, arrival, vm id) keys first-in first-out.
+    std::uint64_t sequence = 0;
   };
 
   /// Counts a decision's final outcome (admitted, expired or rejected);
   /// false, counting nothing, when it deferred.
   bool count_resolved(const AdmissionDecision& decision) noexcept;
-  /// Inserts into the queue at its (retry_at, arrival, id) position.
-  void enqueue(const Pending& pending);
+  /// Queues `request` for a retry at `retry_at`.
+  void enqueue(const AdmissionRequest& request, sim::SimTime retry_at);
 
   AdmissionConfig config_;
-  /// Kept sorted by (retry_at, arrival, vm id) — see the queue invariants
-  /// in the header comment.
+  /// A binary min-heap on (retry_at, arrival, vm id, sequence): front()
+  /// is the next entry due. See the queue invariants in the header
+  /// comment.
   std::vector<Pending> queue_;
+  std::uint64_t next_sequence_ = 0;
   AdmissionStats stats_;
   /// Manager-counter increments from placement attempts whose rejection
   /// was converted into a re-deferral (retry noise; only the final

@@ -14,6 +14,9 @@ namespace deflate::cluster {
 
 namespace {
 
+/// Granularity of deflated-launch attempts (fraction steps).
+constexpr double kDeflatedLaunchStep = 0.05;
+
 /// Rejects configs the manager cannot serve before any member is built: a
 /// zero-server fleet would leave every partition pool naming a server
 /// that does not exist.
@@ -442,9 +445,8 @@ PlacementResult ClusterManager::place_in_shard(Shard& shard,
   if (spec.deflatable) {
     ++stats_.reclamation_attempts;  // full-size reclamation was infeasible
     const double min_fraction = min_launch_fraction(spec);
-    for (double fraction = 1.0 - config_.deflated_launch_step;
-         fraction >= min_fraction - 1e-9;
-         fraction -= config_.deflated_launch_step) {
+    for (double fraction = 1.0 - kDeflatedLaunchStep;
+         fraction >= min_fraction - 1e-9; fraction -= kDeflatedLaunchStep) {
       const double f = std::max(fraction, min_fraction);
       if (const auto server = try_fraction(f)) {
         return admit(shard, spec, *server, f);

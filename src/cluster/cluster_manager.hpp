@@ -51,8 +51,6 @@ struct ClusterConfig {
   /// Pool weights when partitioned: pool 0 = on-demand, then one pool per
   /// deflatable priority level.
   std::vector<double> pool_weights{0.5, 0.125, 0.125, 0.125, 0.125};
-  /// Granularity of deflated-launch attempts (fraction steps).
-  double deflated_launch_step = 0.05;
   /// ignored: the fleet places serially; delete once perfbench/ stops assigning it
   std::size_t worker_threads = 0;
 };

@@ -6,6 +6,18 @@
 
 namespace deflate::cluster {
 
+namespace {
+
+/// Pre-copy rounds before the model forces stop-and-copy.
+constexpr int kMaxPrecopyRounds = 16;
+/// Stop-and-copy as soon as the remaining dirty set is this small (MiB).
+constexpr double kStopCopyThresholdMib = 64.0;
+/// Footprint fraction streamed when the engine deflates a VM before
+/// transfer (floored by the VM's own `min_fraction`).
+constexpr double kDeflatedTransferFraction = 0.25;
+
+}  // namespace
+
 void MigrationSurface::register_builtins(
     policy::PolicyRegistry<MigrationSurface>& registry) {
   registry.add("migrate",
@@ -69,8 +81,7 @@ MigrationEstimate MigrationModel::precopy(double memory_mib,
 
   double total_seconds = 0.0;
   int round = 0;
-  while (remaining > config_.stop_copy_threshold_mib &&
-         round < config_.max_precopy_rounds) {
+  while (remaining > kStopCopyThresholdMib && round < kMaxPrecopyRounds) {
     const double round_seconds = remaining / bandwidth;
     total_seconds += round_seconds;
     remaining = round_seconds * dirty;  // redirtied while this round streamed
@@ -104,8 +115,7 @@ int MigrationEngine::contention_streams(std::size_t residents) const noexcept {
 double MigrationEngine::transfer_mib(const hv::VmSpec& spec) const {
   if (!strategy_.deflate_before_transfer) return spec.memory_mib;
   const double fraction = std::clamp(
-      std::max(spec.min_fraction, config_.model.deflated_transfer_fraction),
-      0.0, 1.0);
+      std::max(spec.min_fraction, kDeflatedTransferFraction), 0.0, 1.0);
   return spec.memory_mib * fraction;
 }
 

@@ -44,13 +44,6 @@ struct MigrationModelConfig {
   /// Rate at which a running VM redirties its memory during pre-copy,
   /// MiB/s. At or above the bandwidth, pre-copy cannot converge.
   double dirty_mib_per_sec = 64.0;
-  /// Pre-copy rounds before the model forces stop-and-copy.
-  int max_precopy_rounds = 16;
-  /// Stop-and-copy as soon as the remaining dirty set is this small (MiB).
-  double stop_copy_threshold_mib = 64.0;
-  /// Footprint fraction streamed when the engine deflates a VM before
-  /// transfer (floored by the VM's own `min_fraction`).
-  double deflated_transfer_fraction = 0.25;
   /// Bandwidth contention: N simultaneous cutover streams leaving one
   /// server share the uplink, so each stream sees bandwidth / N and
   /// stretches accordingly. Off by default (each transfer priced

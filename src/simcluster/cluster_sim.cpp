@@ -112,22 +112,36 @@ sim::SimTime TraceDrivenSimulator::horizon_of(
 
 TraceDrivenSimulator::TraceDrivenSimulator(std::vector<trace::VmRecord> records,
                                            SimConfig config)
-    : config_(std::move(config)),
-      owned_records_(
-          std::make_unique<trace::VectorArrivalStream>(std::move(records))),
-      stream_(owned_records_.get()) {
+    : config_(std::move(config)), records_(std::move(records)) {
+  // The (start, id) arrival order and the per-VM bookkeeping need unique
+  // ids.
+  std::vector<std::uint64_t> ids;
+  ids.reserve(records_.size());
+  for (const trace::VmRecord& record : records_) ids.push_back(record.id);
+  std::sort(ids.begin(), ids.end());
+  if (const auto dup = std::adjacent_find(ids.begin(), ids.end());
+      dup != ids.end()) {
+    throw std::invalid_argument("trace replay: duplicate vm id " +
+                                std::to_string(*dup) + " in record vector");
+  }
+  std::sort(records_.begin(), records_.end(),
+            [](const trace::VmRecord& a, const trace::VmRecord& b) {
+              return a.start != b.start ? a.start < b.start : a.id < b.id;
+            });
+  horizon_ = horizon_of(records_);
+  trace_peak_committed_ = peak_committed(records_);
   init_common();
 }
 
 TraceDrivenSimulator::TraceDrivenSimulator(trace::VmArrivalStream& stream,
                                            SimConfig config)
     : config_(std::move(config)), stream_(&stream) {
+  horizon_ = stream.horizon();
+  trace_peak_committed_ = stream.peak_committed();
   init_common();
 }
 
 void TraceDrivenSimulator::init_common() {
-  horizon_ = stream_->horizon();
-  trace_peak_committed_ = stream_->peak_committed();
   apply_policy_set(config_);
   plan_ = make_plan(horizon_, config_);
   manager_ = make_manager(config_, plan_);
@@ -264,22 +278,20 @@ std::uint32_t TraceDrivenSimulator::acquire_slot(std::uint64_t id) {
     free_slots_.pop_back();
   } else {
     slots_.grow();
-    if (!owned_records_) slot_records_.grow();
   }
   peak_active_ = std::max(peak_active_, slot_of_.size());
   return slot;
 }
 
 void TraceDrivenSimulator::release_slot(std::uint32_t slot) {
-  slot_of_.erase(slots_[slot].record->id);
+  slot_of_.erase(slots_[slot].record.id);
   slots_[slot] = VmRuntime{};
-  if (!owned_records_) slot_records_[slot] = trace::VmRecord{};
   free_slots_.push_back(slot);
 }
 
 void TraceDrivenSimulator::note_alloc(VmRuntime& vm, sim::SimTime at,
                                       double fraction) {
-  if (vm.deflatable) vm.alloc_timeline.emplace_back(at, fraction);
+  if (vm.record.deflatable()) vm.alloc_timeline.emplace_back(at, fraction);
 }
 
 bool TraceDrivenSimulator::timed_migration() const noexcept {
@@ -291,12 +303,12 @@ bool TraceDrivenSimulator::timed_migration() const noexcept {
 void TraceDrivenSimulator::charge_downtime(const VmRuntime& vm,
                                            sim::SimTime from,
                                            sim::SimTime until) {
-  const sim::SimTime end = std::min(until, vm.record->end);
+  const sim::SimTime end = std::min(until, vm.record.end);
   if (end <= from) return;
   const double hours = (end - from).hours();
   migration_downtime_hours_ += hours;
   migration_downtime_core_hours_ +=
-      hours * static_cast<double>(vm.record->vcpus);
+      hours * static_cast<double>(vm.record.vcpus);
 }
 
 void TraceDrivenSimulator::track_migration(
@@ -321,8 +333,8 @@ void TraceDrivenSimulator::charge_unserved_tail(const VmRuntime& vm,
                                                 sim::SimTime at) {
   // finalize() integrates usage for deflatable VMs only; keep the two
   // populations consistent or throughput_loss mixes denominators.
-  if (!vm.deflatable) return;
-  const trace::VmRecord& record = *vm.record;
+  if (!vm.record.deflatable()) return;
+  const trace::VmRecord& record = vm.record;
   const auto& samples = record.cpu.samples();
   const std::int64_t interval_us = record.cpu.interval().micros();
   const auto served = static_cast<std::size_t>(std::min<std::int64_t>(
@@ -338,8 +350,8 @@ void TraceDrivenSimulator::charge_never_served(const VmRuntime& vm) {
   // Mirror of charge_unserved_tail for a VM that never launched: the whole
   // series is demand the fleet failed to serve. Deflatable only, to keep
   // the throughput denominators consistent (see charge_unserved_tail).
-  if (!vm.deflatable) return;
-  for (const double sample : vm.record->cpu.samples()) {
+  if (!vm.record.deflatable()) return;
+  for (const double sample : vm.record.cpu.samples()) {
     used_ += sample;
     lost_ += sample;
   }
@@ -356,10 +368,10 @@ void TraceDrivenSimulator::apply_admission(
       // The arrival→launch window went unserved: bill it as replacement
       // capacity. (The displaced tail samples are charged to throughput
       // loss when the VM finalizes.)
-      const double delay_hours = (now_ - vm.record->start).hours();
+      const double delay_hours = (now_ - vm.record.start).hours();
       admission_delay_hours_ += delay_hours;
       admission_unserved_core_hours_ +=
-          delay_hours * static_cast<double>(vm.record->vcpus);
+          delay_hours * static_cast<double>(vm.record.vcpus);
     }
     return;
   }
@@ -372,12 +384,12 @@ void TraceDrivenSimulator::apply_admission(
     vm.expired = true;
     charge_never_served(vm);
     admission_unserved_core_hours_ +=
-        static_cast<double>(vm.record->vcpus) * vm.record->lifetime().hours();
+        static_cast<double>(vm.record.vcpus) * vm.record.lifetime().hours();
   }
 }
 
 void TraceDrivenSimulator::on_vm_start(VmRuntime& vm) {
-  const hv::VmSpec spec = vm.record->to_spec();
+  const hv::VmSpec spec = vm.record.to_spec();
   vm.priority = spec.priority;
   cluster::AdmissionRequest request =
       cluster::AdmissionRequest::from_spec(spec, now_);
@@ -385,7 +397,7 @@ void TraceDrivenSimulator::on_vm_start(VmRuntime& vm) {
   // clamp the deferral window strictly inside the record's lifetime, so
   // expiry always resolves before the (already ignored) VmEnd event.
   const sim::SimTime latest =
-      vm.record->end - sim::SimTime::from_micros(1);
+      vm.record.end - sim::SimTime::from_micros(1);
   const sim::SimTime window =
       now_ + sim::SimTime::from_hours(
                  std::max(0.0, admission_->config().max_defer_hours));
@@ -396,12 +408,12 @@ void TraceDrivenSimulator::on_vm_start(VmRuntime& vm) {
 void TraceDrivenSimulator::finalize(VmRuntime& vm, sim::SimTime at) {
   vm.running = false;
   vm.finished_at = at;
-  const trace::VmRecord& record = *vm.record;
+  const trace::VmRecord& record = vm.record;
   const double cores = static_cast<double>(record.vcpus);
   const double hours = (at - vm.placed_at).hours();
   if (hours <= 0.0) return;
 
-  if (!vm.deflatable) {
+  if (!record.deflatable()) {
     revenue_.od_committed_core_hours += cores * hours;
     return;
   }
@@ -471,18 +483,30 @@ void TraceDrivenSimulator::on_vm_end(VmRuntime& vm) {
       // departure — lost throughput.
       charge_unserved_tail(vm, now_);
     }
-    manager_->remove_vm(vm.record->id);
+    manager_->remove_vm(vm.record.id);
   }
   // Non-admission unserved demand, in committed core-hours: capacity
   // rejections in full, preempted/killed VMs from their eviction onwards.
   // (Admission-caused unserved demand is billed into the cost report.)
-  const double cores = static_cast<double>(vm.record->vcpus);
+  const double cores = static_cast<double>(vm.record.vcpus);
   if (vm.rejected && !vm.expired) {
-    unserved_core_hours_ += cores * vm.record->lifetime().hours();
+    unserved_core_hours_ += cores * vm.record.lifetime().hours();
   } else if (vm.preempted) {
     unserved_core_hours_ +=
-        cores * std::max(0.0, (vm.record->end - vm.finished_at).hours());
+        cores * std::max(0.0, (vm.record.end - vm.finished_at).hours());
   }
+}
+
+void TraceDrivenSimulator::advance_clock(sim::SimTime at) {
+  if (at == now_) return;
+  // Batched view maintenance: dirty views/aggregates accumulated by the
+  // events of one simulated tick are flushed once at the tick boundary
+  // instead of once per event (placement stays exact either way). The
+  // telemetry observer sees every active server on the same cadence, in
+  // the freshly flushed state.
+  manager_->flush_views();
+  publish_utilization();
+  now_ = at;
 }
 
 void TraceDrivenSimulator::publish_utilization() {
@@ -525,7 +549,7 @@ void TraceDrivenSimulator::handle_revoke(std::size_t server) {
     for (const std::uint64_t id : it->second) {
       VmRuntime* rt = runtime_of(id);
       if (rt != nullptr && rt->running) {
-        suspended.push_back(rt->record->to_spec());
+        suspended.push_back(rt->record.to_spec());
       }
     }
     suspended_.erase(it);
@@ -566,7 +590,7 @@ void TraceDrivenSimulator::run_reopt() {
 }
 
 void TraceDrivenSimulator::apply_alloc_event(const AllocEvent& alloc) {
-  now_ = std::max(now_, alloc.at);
+  advance_clock(std::max(now_, alloc.at));
   VmRuntime* rt = runtime_of(alloc.vm_id);
   if (rt != nullptr && rt->running &&
       rt->displacement_epoch == alloc.epoch) {
@@ -629,20 +653,16 @@ void TraceDrivenSimulator::run_events() {
   std::priority_queue<EndEvent, std::vector<EndEvent>, std::greater<EndEvent>>
       ends;
 
-  // One-record arrival lookahead. The record-vector path borrows it from
-  // the sorted trace by index; a stream's record waits in `streamed`
-  // until its arrival moves it into its VM's slot.
+  // One-record arrival lookahead: the next record, taken out of the
+  // sorted trace or pulled from the stream, waits here until its arrival
+  // moves it into its VM's slot.
   std::size_t next_index = 0;
-  std::optional<trace::VmRecord> streamed;
-  const auto advance = [&]() -> const trace::VmRecord* {
-    if (owned_records_) {
-      const std::vector<trace::VmRecord>& records = owned_records_->records();
-      return next_index < records.size() ? &records[next_index++] : nullptr;
-    }
-    streamed = stream_->next();
-    return streamed ? &*streamed : nullptr;
+  const auto advance = [&]() -> std::optional<trace::VmRecord> {
+    if (stream_ != nullptr) return stream_->next();
+    if (next_index == records_.size()) return std::nullopt;
+    return std::move(records_[next_index++]);
   };
-  const trace::VmRecord* next_arrival = advance();
+  std::optional<trace::VmRecord> next_arrival = advance();
 
   constexpr int kSourceEnd = 0, kSourcePlan = 1, kSourceArrival = 2,
                 kSourceReopt = 3;
@@ -670,7 +690,7 @@ void TraceDrivenSimulator::run_events() {
                kPlanRank + static_cast<int>(plan_queue_[next_plan_].kind),
                kSourcePlan);
     }
-    if (next_arrival != nullptr) {
+    if (next_arrival) {
       consider(next_arrival->start, kArrivalRank, kSourceArrival);
     }
     if (next_reopt_ != sim::SimTime::max()) {
@@ -687,7 +707,7 @@ void TraceDrivenSimulator::run_events() {
         (*retry < next_static ||
          (*retry == next_static && retry_before_static)) &&
         (pending_allocs_.empty() || *retry <= pending_allocs_.top().at)) {
-      now_ = std::max(now_, *retry);
+      advance_clock(std::max(now_, *retry));
       for (const cluster::AdmissionController::Resolved& resolved :
            admission_->drain(now_)) {
         if (VmRuntime* rt = runtime_of(resolved.request.spec.id)) {
@@ -704,16 +724,7 @@ void TraceDrivenSimulator::run_events() {
       continue;
     }
 
-    // Batched view maintenance: dirty views/aggregates accumulated by the
-    // events of one simulated tick are flushed once at the tick boundary
-    // instead of once per event (placement stays exact either way). The
-    // telemetry observer sees every active server on the same cadence,
-    // in the freshly flushed state.
-    if (at != now_) {
-      manager_->flush_views();
-      publish_utilization();
-    }
-    now_ = at;
+    advance_clock(at);
     switch (source) {
       case kSourceEnd: {
         const std::uint32_t slot = ends.top().slot;
@@ -738,24 +749,19 @@ void TraceDrivenSimulator::run_events() {
         break;
       }
       case kSourceArrival: {
-        const std::uint64_t id = next_arrival->id;
-        const std::uint32_t slot = acquire_slot(id);
+        const std::uint32_t slot = acquire_slot(next_arrival->id);
         VmRuntime& rt = slots_[slot];
-        if (owned_records_) {
-          rt.record = next_arrival;
-        } else {
-          trace::VmRecord& record = slot_records_[slot];
-          record = std::move(*streamed);
-          // Only a deflatable VM's samples are read (its p95 at arrival,
-          // its throughput integrals at release); drop the others now.
-          if (!record.deflatable()) record.cpu = trace::UtilizationSeries{};
-          rt.record = &record;
-        }
-        rt.deflatable = rt.record->deflatable();
+        rt.record = std::move(*next_arrival);
         next_arrival = advance();
+        // Only a deflatable VM's samples are read (its p95 at arrival,
+        // its throughput integrals at release); drop the others now.
+        if (rt.record.deflatable()) {
+          ++deflatable_count_;
+        } else {
+          rt.record.cpu = trace::UtilizationSeries{};
+        }
         ++vm_count_;
-        if (rt.deflatable) ++deflatable_count_;
-        ends.push({rt.record->end, id, slot});
+        ends.push({rt.record.end, rt.record.id, slot});
         on_vm_start(rt);
         break;
       }

@@ -188,14 +188,15 @@ struct SimMetrics {
   bool operator==(const SimMetrics&) const = default;
 };
 
-/// Every constructor feeds one event loop from a trace::VmArrivalStream;
-/// only the VMs currently active are resident in the simulator.
+/// Both constructors feed one event loop, which admits every arrival the
+/// same way: the record moves into the arriving VM's slot and is freed
+/// when the VM departs.
 class TraceDrivenSimulator {
  public:
   /// Replays an in-memory trace. The records may come in any order: the
   /// simulator sorts them by (start, id) once and keeps them, and each
-  /// active VM reads its record, series included, where it lies in that
-  /// vector. Memory is O(trace), with no second copy of any series.
+  /// arrival's record is moved out of that vector into its VM's slot, so
+  /// no series is ever copied and a departed VM's series is freed.
   /// Throws std::invalid_argument on a duplicate VM id.
   TraceDrivenSimulator(std::vector<trace::VmRecord> records, SimConfig config);
 
@@ -255,17 +256,14 @@ class TraceDrivenSimulator {
       const std::vector<trace::VmRecord>& records);
 
  private:
-  /// An active VM's slot. It holds only what the simulator reads: the
-  /// record it points at (in the sorted trace, or in the slot's stream
-  /// record) and the run state below.
+  /// An active VM's slot: its record, moved in at arrival, and the run
+  /// state below. A non-deflatable VM's usage series is dropped at
+  /// arrival, because only a deflatable VM's samples are ever read.
   struct VmRuntime {
-    const trace::VmRecord* record = nullptr;
+    trace::VmRecord record;
     /// The spec's priority, fixed at arrival (deflatable VMs derive it
     /// from the series' p95, so it is computed once per VM).
     double priority = 1.0;
-    /// record->deflatable(), cached: only a deflatable VM's allocation
-    /// timeline and usage series are ever read.
-    bool deflatable = false;
     bool running = false;
     bool preempted = false;
     bool rejected = false;
@@ -282,9 +280,9 @@ class TraceDrivenSimulator {
     std::uint32_t displacement_epoch = 0;
   };
 
-  /// Shared constructor tail: trace horizon and peak from `stream_`,
-  /// market plan, manager, admission controller and the manager
-  /// callbacks.
+  /// Shared constructor tail, run once `horizon_` and
+  /// `trace_peak_committed_` are set: market plan, manager, admission
+  /// controller and the manager callbacks.
   void init_common();
 
   /// The active VM's runtime state, or nullptr when unknown, not yet
@@ -295,8 +293,8 @@ class TraceDrivenSimulator {
   /// free) and maps `id` to it. Throws std::runtime_error when `id` is
   /// already active.
   [[nodiscard]] std::uint32_t acquire_slot(std::uint64_t id);
-  /// Unmaps the departed VM in `slot`, frees what it held and recycles
-  /// the slot.
+  /// Unmaps the departed VM in `slot`, frees its record and run state
+  /// and recycles the slot.
   void release_slot(std::uint32_t slot);
   /// Appends an allocation change-point to a deflatable VM's timeline
   /// (a no-op for the others, whose timelines nothing reads).
@@ -318,7 +316,11 @@ class TraceDrivenSimulator {
   /// deferral) as lost throughput.
   void charge_never_served(const VmRuntime& vm);
 
-  // --- telemetry plumbing ----------------------------------------------------
+  // --- tick barrier ----------------------------------------------------------
+  /// Moves the clock to `at`. When that opens a new tick (`at != now_`),
+  /// it first runs the tick barrier: flush_views, then the telemetry
+  /// round. Every event source advances the clock through here.
+  void advance_clock(sim::SimTime at);
   /// Hands every active server to `config_.telemetry_bus` (no-op when it
   /// is empty). Called at every tick boundary, right after flush_views.
   void publish_utilization();
@@ -354,10 +356,12 @@ class TraceDrivenSimulator {
   void run_reopt();
 
   SimConfig config_;
-  /// The sorted trace of the record-vector constructor, whose records
-  /// active VMs point into; null when the caller owns the stream.
-  std::unique_ptr<trace::VectorArrivalStream> owned_records_;
-  /// The arrival source (non-owning; points at owned_records_ when set).
+  /// The record-vector constructor's trace, sorted by (start, id); the
+  /// event loop moves each record out as it arrives. Empty on the stream
+  /// path.
+  std::vector<trace::VmRecord> records_;
+  /// The caller's arrival stream (non-owning); null on the record-vector
+  /// path.
   trace::VmArrivalStream* stream_ = nullptr;
   /// Market plan computed before the manager so portfolio pool weights can
   /// shape the cluster partitions. Empty when the market is disabled.
@@ -414,16 +418,11 @@ class TraceDrivenSimulator {
   sim::SimTime now_;
 
   /// Active VMs, one slot each from arrival to departure (vm_slots.hpp).
-  /// Slots never move, so `VmRuntime::record` stays valid; a departed
-  /// VM's slot goes on `free_slots_` and the next arrival reuses it.
-  /// Departure events carry their slot; callbacks, which know a VM by
-  /// id, find it through `slot_of_`.
+  /// Slots never move, so a reference to one stays valid while later
+  /// arrivals grow the slab; a departed VM's slot goes on `free_slots_`
+  /// and the next arrival reuses it. Departure events carry their slot;
+  /// callbacks, which know a VM by id, find it through `slot_of_`.
   ChunkedSlots<VmRuntime> slots_;
-  /// Stream path only: slot i's record, moved out of the stream at
-  /// arrival, with the usage series kept for deflatable VMs only (no
-  /// other VM's samples are read). Empty on the record-vector path,
-  /// where `VmRuntime::record` points into owned_records_.
-  ChunkedSlots<trace::VmRecord> slot_records_;
   std::vector<std::uint32_t> free_slots_;
   VmSlotIndex slot_of_;
   std::size_t peak_active_ = 0;

@@ -416,35 +416,6 @@ void IndexedArrivalStream::reset() {
   buffer_pos_ = 0;
 }
 
-VectorArrivalStream::VectorArrivalStream(std::vector<VmRecord> records)
-    : records_(std::move(records)) {
-  std::vector<std::uint64_t> ids;
-  ids.reserve(records_.size());
-  for (const VmRecord& record : records_) ids.push_back(record.id);
-  std::sort(ids.begin(), ids.end());
-  if (const auto dup = std::adjacent_find(ids.begin(), ids.end());
-      dup != ids.end()) {
-    throw std::invalid_argument("trace replay: duplicate vm id " +
-                                std::to_string(*dup) + " in record vector");
-  }
-  std::sort(records_.begin(), records_.end(),
-            [](const VmRecord& a, const VmRecord& b) {
-              return arrives_before(a.stub(), b.stub());
-            });
-  // Stubs taken after the sort are already in (start, id) order, so the
-  // peak sweep needs no second sort.
-  std::vector<ArrivalStub> stubs;
-  stubs.reserve(records_.size());
-  for (const VmRecord& record : records_) stubs.push_back(record.stub());
-  horizon_ = latest_end(stubs);
-  peak_ = sweep_peak(stubs);
-}
-
-std::optional<VmRecord> VectorArrivalStream::next() {
-  if (cursor_ >= records_.size()) return std::nullopt;
-  return records_[cursor_++];
-}
-
 res::ResourceVector peak_committed(std::vector<ArrivalStub> stubs) {
   std::sort(stubs.begin(), stubs.end(), arrives_before);
   return sweep_peak(stubs);

@@ -116,40 +116,6 @@ class IndexedArrivalStream final : public VmArrivalStream {
   res::ResourceVector peak_;
 };
 
-/// An in-memory trace as a stream: the records are sorted by (start, id)
-/// once, and the horizon and peak are swept from that order. next() hands
-/// out copies, as every stream does; a reader that can borrow instead
-/// walks records() by index (the record-vector simulator does, so a
-/// replay holds each series once). Throws std::invalid_argument on a
-/// duplicate id (the (start, id) order, and the simulator's per-VM
-/// bookkeeping, need ids to be unique).
-class VectorArrivalStream final : public VmArrivalStream {
- public:
-  explicit VectorArrivalStream(std::vector<VmRecord> records);
-
-  [[nodiscard]] std::optional<VmRecord> next() override;
-  /// The records in (start, id) order; stable for the stream's lifetime.
-  [[nodiscard]] const std::vector<VmRecord>& records() const noexcept {
-    return records_;
-  }
-  void reset() override { cursor_ = 0; }
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return records_.size();
-  }
-  [[nodiscard]] sim::SimTime horizon() const noexcept override {
-    return horizon_;
-  }
-  [[nodiscard]] res::ResourceVector peak_committed() const noexcept override {
-    return peak_;
-  }
-
- private:
-  std::vector<VmRecord> records_;
-  std::size_t cursor_ = 0;
-  sim::SimTime horizon_;
-  res::ResourceVector peak_;
-};
-
 /// Peak concurrently-committed (cpu, memory) over a set of arrivals, in
 /// any order; departures at an instant free capacity before that
 /// instant's arrivals. The one sweep every stream and sizing helper uses.

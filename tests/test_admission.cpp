@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <random>
+#include <string>
 
 #include "policy/registry.hpp"
 #include "simcluster/cluster_sim.hpp"
@@ -140,6 +143,84 @@ TEST(AdmissionProtocol, ClusterStatsFoldsExpiredDeferralsIntoRejections) {
   // The placement layer never saw the VM; the expiry still counts as a
   // rejection end to end.
   EXPECT_EQ(stats.rejections, manager.stats().rejections + 1);
+}
+
+namespace {
+
+/// Defers every request until `due`, then rejects it: a drain at `due`
+/// resolves the whole queue, in the queue's pop order.
+class DeferUntil final : public cl::AdmissionController {
+ public:
+  DeferUntil(cl::ClusterManagerBase& manager, sim::SimTime due)
+      : AdmissionController({}, manager, cl::PriceFeed({}, 1.0)), due_(due) {}
+
+ protected:
+  cl::AdmissionDecision evaluate(const cl::AdmissionRequest& /*request*/,
+                                 sim::SimTime now) override {
+    cl::AdmissionDecision decision;  // Rejected unless deferred below
+    if (now < due_) {
+      decision.status = cl::AdmissionDecision::Status::Deferred;
+      decision.reason = cl::AdmissionDecision::Reason::PriceDeferred;
+      decision.retry_at = due_;
+    }
+    return decision;
+  }
+
+ private:
+  sim::SimTime due_;
+};
+
+}  // namespace
+
+TEST(AdmissionProtocol, RequestsDueAtOneInstantDrainInArrivalIdEnqueueOrder) {
+  cl::ClusterManager manager(small_cluster(1));
+  const sim::SimTime due = sim::SimTime::from_hours(2.0);
+  DeferUntil controller(manager, due);
+
+  // 240 requests over 4 arrival instants and 6 ids, so most share their
+  // (arrival, id) with others, as a client that repeats ids sends them.
+  // Each request's name records its enqueue position.
+  struct Key {
+    sim::SimTime arrival;
+    std::uint64_t id = 0;
+  };
+  std::vector<Key> keys;
+  for (int copy = 0; copy < 10; ++copy) {
+    for (int minute = 0; minute < 40; minute += 10) {
+      for (std::uint64_t id = 0; id < 6; ++id) {
+        keys.push_back({sim::SimTime::from_minutes(minute), id});
+      }
+    }
+  }
+  std::shuffle(keys.begin(), keys.end(), std::mt19937{2024});
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    cl::AdmissionRequest request = cl::AdmissionRequest::from_spec(
+        make_spec(keys[k].id, 2, true), keys[k].arrival);
+    request.spec.name = std::to_string(k);
+    ASSERT_EQ(controller.decide(request, keys[k].arrival).status,
+              cl::AdmissionDecision::Status::Deferred);
+  }
+  ASSERT_EQ(controller.queued(), keys.size());
+  ASSERT_EQ(controller.next_retry(), due);
+
+  // (arrival, id) order, and enqueue order among equal keys.
+  std::vector<std::size_t> order(keys.size());
+  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
+  std::stable_sort(order.begin(), order.end(),
+                   [&keys](std::size_t a, std::size_t b) {
+                     if (keys[a].arrival != keys[b].arrival) {
+                       return keys[a].arrival < keys[b].arrival;
+                     }
+                     return keys[a].id < keys[b].id;
+                   });
+  const auto resolved = controller.drain(due);
+  ASSERT_EQ(resolved.size(), keys.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(resolved[i].request.spec.name, std::to_string(order[i]))
+        << "drain position " << i;
+  }
+  EXPECT_EQ(controller.queued(), 0U);
+  EXPECT_FALSE(controller.next_retry().has_value());
 }
 
 // --- PriceThreshold ---------------------------------------------------------

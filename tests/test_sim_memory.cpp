@@ -1,15 +1,16 @@
 // Heap bytes a replay allocates and holds while it runs.
 //
-// The record-vector simulator keeps the sorted trace it was handed and
-// every active VM reads its record, usage series included, where it lies
-// in that vector. A run that copied each arrival's record would allocate
-// the whole trace's series bytes a second time; one test counts the bytes
+// On both paths an arrival's record is moved into its VM's slot (out of
+// the record-vector simulator's sorted trace, or out of the stream), only
+// a deflatable VM's usage series stays there, and a departing VM's record
+// is freed. A run that copied each arrival's record would allocate the
+// whole trace's series bytes a second time; one test counts the bytes
 // run() asks of global operator new and bounds them far below that.
-//
-// On the stream path an arrival's record is moved into its VM's slot, and
-// only a deflatable VM's usage series stays there. The other test tracks
-// the live heap bytes during a run whose VMs are nearly all active at once
-// and none deflatable, and bounds their peak far below the series bytes.
+// Another tracks the live heap bytes during a stream run whose VMs are
+// nearly all active at once and none deflatable, and bounds their peak
+// far below the series bytes. A third checks that once every VM of a
+// record-vector run has departed, the simulator no longer holds their
+// series.
 //
 // It is its own executable because it replaces operator new for the whole
 // program.
@@ -165,5 +166,30 @@ TEST(SimMemory, StreamRunHoldsNoUnreadSeries) {
   EXPECT_GT(simulator.peak_active_records(), kVms * 9 / 10);
   EXPECT_LT(peak_run_bytes, kSeriesBytes / 4)
       << "run() held up to " << peak_run_bytes << " live bytes against "
+      << kSeriesBytes << " bytes of series";
+}
+
+TEST(SimMemory, RecordVectorRunReleasesDepartedSeries) {
+  // Every other VM is deflatable and keeps its series in its slot until it
+  // departs; the others drop theirs at arrival. After run() every VM has
+  // departed, so the simulator, still alive, holds almost none of the
+  // series bytes it was handed.
+  const std::size_t live_before = g_live_bytes.load(std::memory_order_relaxed);
+  std::vector<tr::VmRecord> records = long_series_trace();
+  for (std::size_t i = 0; i < records.size(); i += 2) {
+    records[i].workload = hv::WorkloadClass::Interactive;
+  }
+  sc::SimConfig config;
+  config.server_count = 40;
+  sc::TraceDrivenSimulator simulator(std::move(records), config);
+  const sc::SimMetrics metrics = simulator.run();
+  const std::size_t live_after = g_live_bytes.load(std::memory_order_relaxed);
+  const std::size_t held = live_after > live_before ? live_after - live_before : 0;
+
+  ASSERT_EQ(metrics.vm_count, kVms);
+  ASSERT_EQ(metrics.deflatable_count, kVms / 2);
+  ASSERT_EQ(metrics.rejections, 0U);
+  EXPECT_LT(held, kSeriesBytes / 20)
+      << "the simulator still holds " << held << " live bytes against "
       << kSeriesBytes << " bytes of series";
 }

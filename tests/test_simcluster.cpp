@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
+#include "policy/registry.hpp"
 #include "trace/azure.hpp"
 
 namespace sc = deflate::simcluster;
@@ -303,6 +306,77 @@ TEST(SimCluster, TelemetryObserverSeesActiveServersAndChangesNothing) {
   EXPECT_EQ(metrics, expected);
   EXPECT_EQ(metrics.cost, expected.cost);
   EXPECT_EQ(observed.cluster_stats(), plain.cluster_stats());
+}
+
+namespace {
+
+/// Admission plugin that makes every request wait half an hour after its
+/// arrival before it is placed.
+class DeferHalfHour final : public cl::AdmissionController {
+ public:
+  using AdmissionController::AdmissionController;
+
+ protected:
+  cl::AdmissionDecision evaluate(const cl::AdmissionRequest& request,
+                                 deflate::sim::SimTime now) override {
+    const deflate::sim::SimTime ready =
+        request.arrival + deflate::sim::SimTime::from_minutes(30);
+    if (now >= ready) return place(request, now);
+    cl::AdmissionDecision decision;
+    decision.status = cl::AdmissionDecision::Status::Deferred;
+    decision.reason = cl::AdmissionDecision::Reason::PriceDeferred;
+    decision.retry_at = ready;
+    return decision;
+  }
+};
+
+bool register_defer_half_hour() {
+  static const bool registered = cl::AdmissionRegistry::instance().add(
+      "test-defer-half-hour", "test plugin: every request waits 30 minutes",
+      [](const cl::AdmissionConfig& config, cl::ClusterManagerBase& manager,
+         cl::PriceFeed feed) -> std::unique_ptr<cl::AdmissionController> {
+        return std::make_unique<DeferHalfHour>(config, manager,
+                                               std::move(feed));
+      });
+  return registered;
+}
+
+}  // namespace
+
+TEST(SimCluster, DeferralRetryOpensATelemetryTick) {
+  // One VM arrives at 1 h, is deferred, and is placed by the retry at
+  // 1.5 h, when no other event is due; it departs at 11 h. Each of the
+  // three instants opens a tick, so the observer of the one server runs
+  // three times: before the arrival and before the retry it sees an empty
+  // host, and before the departure it sees the VM.
+  ASSERT_TRUE(register_defer_half_hour());
+  const auto hours = [](double h) {
+    return deflate::sim::SimTime::from_hours(h);
+  };
+  std::vector<tr::VmRecord> records(1);
+  records[0].id = 0;
+  records[0].vcpus = 4;
+  records[0].memory_mib = 4096.0;
+  records[0].workload = deflate::hv::WorkloadClass::DelayInsensitive;
+  records[0].start = hours(1.0);
+  records[0].end = hours(11.0);
+  records[0].cpu = tr::UtilizationSeries(std::vector<float>(120, 0.5F));
+
+  sc::SimConfig config;
+  config.server_count = 1;
+  config.policies.admission.name = "test-defer-half-hour";
+  std::vector<std::size_t> vms_seen;
+  config.telemetry_bus = [&](std::size_t /*server*/,
+                             const deflate::hv::Host& host) {
+    vms_seen.push_back(host.vm_count());
+  };
+  sc::TraceDrivenSimulator simulator(records, config);
+  const sc::SimMetrics metrics = simulator.run();
+
+  EXPECT_EQ(metrics.admission_deferrals, 1U);
+  EXPECT_DOUBLE_EQ(metrics.admission_delay_hours, 0.5);
+  EXPECT_EQ(metrics.rejections, 0U);
+  EXPECT_EQ(vms_seen, (std::vector<std::size_t>{0, 0, 1}));
 }
 
 TEST(SimCluster, TimedMigrationSuspendsAtTheWarningAndKillsAtRevocation) {
