@@ -11,6 +11,7 @@
 
 #include "bench_common.hpp"
 #include "core/perf_model.hpp"
+#include "hypervisor/host.hpp"
 #include "mechanisms/mechanism.hpp"
 
 namespace {
@@ -26,32 +27,31 @@ struct Point {
 Point run_point(deflate::mech::DeflationMechanism& mechanism, double deflation,
                 const deflate::core::MemoryPerfModel& model) {
   using namespace deflate;
-  hv::SimHypervisor hypervisor(0, {48.0, 131072.0, 4000.0, 40000.0});
-  virt::Connection conn(hypervisor);
+  hv::Host host(0, {48.0, 131072.0, 4000.0, 40000.0});
   hv::VmSpec spec;
   spec.id = 1;
   spec.name = "specjbb";
   spec.vcpus = 8;
   spec.memory_mib = kVmMemoryMib;
   spec.deflatable = true;
-  virt::Domain dom = conn.define_and_start(spec);
-  dom.vm().set_rss(kRssFraction * kVmMemoryMib);
+  hv::Vm& vm = host.add_vm(spec);
+  vm.set_rss(kRssFraction * kVmMemoryMib);
 
   res::ResourceVector target = spec.vector();
   target[res::Resource::Memory] = kVmMemoryMib * (1.0 - deflation);
-  mechanism.apply(dom, target);
+  mechanism.apply(vm, target);
 
   const std::string name = mechanism.name();
-  const double pressure = dom.vm().memory_swap_pressure();
+  const double pressure = vm.memory_swap_pressure();
   Point point;
-  point.guest_visible_mib = dom.vm().guest().usable_memory_mib();
+  point.guest_visible_mib = vm.guest().usable_memory_mib();
   if (name == "balloon") {
     const double balloon_fraction =
-        dom.vm().guest().balloon_mib() / kVmMemoryMib;
+        vm.guest().balloon_mib() / kVmMemoryMib;
     point.rt = model.rt_multiplier_balloon(pressure, balloon_fraction);
   } else {
     const bool guest_assisted =
-        name == "hybrid" && dom.info().memory_mib < spec.memory_mib - 1.0;
+        name == "hybrid" && vm.guest().plugged_memory_mib() < spec.memory_mib - 1.0;
     point.rt = model.rt_multiplier(pressure, guest_assisted);
   }
   return point;

@@ -8,6 +8,7 @@
 
 #include "bench_common.hpp"
 #include "core/perf_model.hpp"
+#include "hypervisor/host.hpp"
 #include "mechanisms/mechanism.hpp"
 
 namespace {
@@ -18,25 +19,24 @@ constexpr double kRssFraction = 0.56;  // JVM heap + runtime resident set
 double run_point(deflate::mech::DeflationMechanism& mechanism, double deflation,
                  const deflate::core::MemoryPerfModel& model) {
   using namespace deflate;
-  hv::SimHypervisor hypervisor(0, {48.0, 131072.0, 4000.0, 40000.0});
-  virt::Connection conn(hypervisor);
+  hv::Host host(0, {48.0, 131072.0, 4000.0, 40000.0});
   hv::VmSpec spec;
   spec.id = 1;
   spec.name = "specjbb";
   spec.vcpus = 8;
   spec.memory_mib = kVmMemoryMib;
   spec.deflatable = true;
-  virt::Domain dom = conn.define_and_start(spec);
-  dom.vm().set_rss(kRssFraction * kVmMemoryMib);
+  hv::Vm& vm = host.add_vm(spec);
+  vm.set_rss(kRssFraction * kVmMemoryMib);
 
   res::ResourceVector target = spec.vector();
   target[res::Resource::Memory] = kVmMemoryMib * (1.0 - deflation);
-  mechanism.apply(dom, target);
+  mechanism.apply(vm, target);
 
   const bool guest_assisted =
       std::string(mechanism.name()) == "hybrid" &&
-      dom.info().memory_mib < spec.memory_mib - 1.0;
-  return model.rt_multiplier(dom.vm().memory_swap_pressure(), guest_assisted);
+      vm.guest().plugged_memory_mib() < spec.memory_mib - 1.0;
+  return model.rt_multiplier(vm.memory_swap_pressure(), guest_assisted);
 }
 
 }  // namespace

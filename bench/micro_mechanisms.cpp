@@ -2,8 +2,7 @@
 // mechanisms (the local controller applies one per VM per reclamation).
 #include <benchmark/benchmark.h>
 
-#include <optional>
-
+#include "hypervisor/host.hpp"
 #include "mechanisms/mechanism.hpp"
 
 namespace {
@@ -11,28 +10,27 @@ namespace {
 using namespace deflate;
 
 struct Rig {
-  Rig() : hypervisor(0, {48.0, 131072.0, 4000.0, 40000.0}), conn(hypervisor) {
+  Rig() : host(0, {48.0, 131072.0, 4000.0, 40000.0}) {
     hv::VmSpec spec;
     spec.id = 1;
     spec.name = "vm";
     spec.vcpus = 16;
     spec.memory_mib = 32768.0;
     spec.deflatable = true;
-    domain.emplace(conn.define_and_start(spec));
-    domain->vm().set_rss(12000.0);
+    vm = &host.add_vm(spec);
+    vm->set_rss(12000.0);
   }
-  hv::SimHypervisor hypervisor;
-  virt::Connection conn;
-  std::optional<virt::Domain> domain;
+  hv::Host host;
+  hv::Vm* vm = nullptr;
 };
 
 void bench_mechanism(benchmark::State& state, mech::DeflationMechanism& m) {
   Rig rig;
-  const res::ResourceVector spec = rig.domain->vm().spec().vector();
+  const res::ResourceVector spec = rig.vm->spec().vector();
   double deflation = 0.1;
   for (auto _ : state) {
     deflation = deflation > 0.8 ? 0.1 : deflation + 0.07;
-    benchmark::DoNotOptimize(m.apply(*rig.domain, spec * (1.0 - deflation)));
+    benchmark::DoNotOptimize(m.apply(*rig.vm, spec * (1.0 - deflation)));
   }
 }
 

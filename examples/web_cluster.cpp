@@ -15,9 +15,9 @@ int main() {
   using namespace deflate;
 
   // One server hosting three 10-core web replica VMs.
-  hv::SimHypervisor hypervisor(0, {48.0, 128.0 * 1024.0, 4000.0, 40000.0});
+  hv::Host host(0, {48.0, 128.0 * 1024.0, 4000.0, 40000.0});
   core::LocalDeflationController controller(
-      hypervisor, core::make_policy(core::PolicyKind::Proportional),
+      host, core::make_policy(core::PolicyKind::Proportional),
       std::make_shared<mech::HybridDeflation>());
 
   std::vector<hv::Vm*> replicas;
@@ -29,7 +29,7 @@ int main() {
     spec.memory_mib = 10 * 1024.0;
     spec.deflatable = i < 2;  // §7.3: two of three replicas deflatable
     spec.priority = 0.4;
-    replicas.push_back(&hypervisor.create_vm(spec));
+    replicas.push_back(&host.add_vm(spec));
   }
 
   // The balancer starts with equal weights; controller notifications keep

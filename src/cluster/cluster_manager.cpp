@@ -105,10 +105,6 @@ std::string placement_policy_of(const ClusterConfig& config) {
              : config.placement_name;
 }
 
-ClusterManager::ServerNode::ServerNode(std::uint64_t id,
-                                       const ClusterConfig& config)
-    : hypervisor(id, config.server_capacity) {}
-
 ClusterManager::Shard::Shard(
     std::size_t first_id, std::size_t servers, const ClusterConfig& config,
     const std::shared_ptr<const PlacementScorer>& scorer)
@@ -154,9 +150,12 @@ ClusterManager::ClusterManager(ShardedClusterConfig config)
     Shard& shard = shards_.emplace_back(
         nodes_.size(), base + (s < extra ? 1 : 0), config_, scorer_);
     for (std::size_t row = 0; row < shard.size; ++row) {
-      auto node = std::make_unique<ServerNode>(nodes_.size(), config_);
+      // hv::Host can be neither copied nor moved, so make_unique cannot
+      // forward one; the node is brace-initialized in place instead.
+      auto node = std::unique_ptr<ServerNode>(
+          new ServerNode{{nodes_.size(), config_.server_capacity}});
       node->controller = std::make_unique<core::LocalDeflationController>(
-          node->hypervisor, policy_, mechanism);
+          node->host, policy_, mechanism);
       nodes_.push_back(std::move(node));
       refresh_view(shard, shard.first + row);
     }
@@ -244,7 +243,7 @@ FixedPointRow ClusterManager::free_row(const Shard& shard,
 
 void ClusterManager::refresh_view(Shard& shard, std::size_t server) {
   ServerNode& node = *nodes_[server];
-  const hv::Host& host = node.hypervisor.host();
+  const hv::Host& host = node.host;
   const res::ResourceVector available = host.available();
   const double overcommit = host.overcommit_ratio();
   const std::size_t row = server - shard.first;
@@ -300,7 +299,7 @@ PlacementResult ClusterManager::admit(Shard& shard, const hv::VmSpec& spec,
 
   PlacementResult result;
   const res::ResourceVector need =
-      (demand - node.hypervisor.host().available()).clamped_nonneg();
+      (demand - node.host.available()).clamped_nonneg();
   result.needed_reclamation = !need.is_zero();
   if (result.needed_reclamation) {
     ++stats_.reclamation_attempts;
@@ -314,7 +313,7 @@ PlacementResult ClusterManager::admit(Shard& shard, const hv::VmSpec& spec,
     }
   }
 
-  hv::Vm& vm = node.hypervisor.create_vm(spec);
+  hv::Vm& vm = node.host.add_vm(spec);
   if (fraction < 1.0) {
     node.controller->apply_allocation(vm, demand);
     ++stats_.deflated_launches;
@@ -366,10 +365,10 @@ PlacementResult ClusterManager::place_with_preemption(Shard& shard,
 
   // Preempt lowest-priority deflatable VMs until the demand fits (§7.4.1's
   // "cloud operators preempt low-priority VMs under resource pressure").
-  if (!demand.all_leq(node.hypervisor.host().available(), 1e-9)) {
+  if (!demand.all_leq(node.host.available(), 1e-9)) {
     ++stats_.reclamation_attempts;
     std::vector<hv::Vm*> victims;
-    for (hv::Vm* vm : node.hypervisor.host().vms()) {
+    for (hv::Vm* vm : node.host.vms()) {
       if (vm->spec().deflatable) victims.push_back(vm);
     }
     std::sort(victims.begin(), victims.end(), [](const hv::Vm* a, const hv::Vm* b) {
@@ -379,9 +378,9 @@ PlacementResult ClusterManager::place_with_preemption(Shard& shard,
       return a->spec().id < b->spec().id;
     });
     for (hv::Vm* victim : victims) {
-      if (demand.all_leq(node.hypervisor.host().available(), 1e-9)) break;
+      if (demand.all_leq(node.host.available(), 1e-9)) break;
       const hv::VmSpec victim_spec = victim->spec();
-      node.hypervisor.destroy_vm(victim_spec.id);
+      node.host.remove_vm(victim_spec.id);
       vm_locations_.erase(victim_spec.id);
       ++stats_.preemptions;
       for (const auto& callback : preemption_callbacks_) {
@@ -604,12 +603,12 @@ RevocationOutcome ClusterManager::revoke_server(std::size_t server) {
   // Strip the residents, most valuable first, then re-place them through
   // place_vm, which on a sharded fleet shops every shard.
   std::vector<hv::VmSpec> residents;
-  for (const hv::Vm* vm : node.hypervisor.host().vms()) {
+  for (const hv::Vm* vm : node.host.vms()) {
     residents.push_back(vm->spec());
   }
   std::sort(residents.begin(), residents.end(), displacement_before);
   for (const hv::VmSpec& spec : residents) {
-    node.hypervisor.destroy_vm(spec.id);
+    node.host.remove_vm(spec.id);
     vm_locations_.erase(spec.id);
   }
   mark_view_dirty(shard, server);
@@ -688,12 +687,12 @@ bool ClusterManager::remove_vm(std::uint64_t vm_id) {
   if (routed()) {
     // Fold the freed allocation into the routing estimate; the next flush
     // recomputes exactly.
-    if (const hv::Vm* vm = node.hypervisor.host().find_vm(vm_id)) {
+    if (const hv::Vm* vm = node.host.find_vm(vm_id)) {
       shard.free += vm->effective_allocation();
     }
     mark_shard_dirty(s);
   }
-  node.hypervisor.destroy_vm(vm_id);
+  node.host.remove_vm(vm_id);
   if (config_.mode == ReclamationMode::Deflation &&
       config_.reinflate_on_departure) {
     node.controller->redistribute_free();
@@ -705,7 +704,7 @@ bool ClusterManager::remove_vm(std::uint64_t vm_id) {
 hv::Vm* ClusterManager::find_vm(std::uint64_t vm_id) {
   const auto it = vm_locations_.find(vm_id);
   if (it == vm_locations_.end()) return nullptr;
-  return nodes_[it->second]->hypervisor.host().find_vm(vm_id);
+  return nodes_[it->second]->host.find_vm(vm_id);
 }
 
 std::optional<std::size_t> ClusterManager::server_of(std::uint64_t vm_id) const {
@@ -720,13 +719,13 @@ res::ResourceVector ClusterManager::total_capacity() const {
 
 res::ResourceVector ClusterManager::total_allocated() const {
   res::ResourceVector total;
-  for (const auto& node : nodes_) total += node->hypervisor.host().allocated();
+  for (const auto& node : nodes_) total += node->host.allocated();
   return total;
 }
 
 res::ResourceVector ClusterManager::total_committed() const {
   res::ResourceVector total;
-  for (const auto& node : nodes_) total += node->hypervisor.host().committed();
+  for (const auto& node : nodes_) total += node->host.committed();
   return total;
 }
 

@@ -257,7 +257,7 @@ class ClusterManager : public ClusterManagerBase {
     return nodes_.size();
   }
   [[nodiscard]] hv::Host& host(std::size_t i) override {
-    return nodes_.at(i)->hypervisor.host();
+    return nodes_.at(i)->host;
   }
   [[nodiscard]] core::LocalDeflationController& controller(std::size_t i) {
     return *nodes_.at(i)->controller;
@@ -348,9 +348,9 @@ class ClusterManager : public ClusterManagerBase {
 
  private:
   struct ServerNode {
-    explicit ServerNode(std::uint64_t id, const ClusterConfig& config);
-    hv::SimHypervisor hypervisor;
-    std::unique_ptr<core::LocalDeflationController> controller;
+    hv::Host host;
+    /// Acts on `host`; made once the node has its address.
+    std::unique_ptr<core::LocalDeflationController> controller{};
     bool active = true;  ///< false while revoked by the transient market
     /// false while draining ahead of an announced revocation: residents
     /// keep running but no new placements land here.

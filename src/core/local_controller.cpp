@@ -45,9 +45,9 @@ std::vector<VmShare> shares_of(const std::vector<ShareBasis>& residents,
 }  // namespace
 
 LocalDeflationController::LocalDeflationController(
-    hv::SimHypervisor& hypervisor, std::shared_ptr<const DeflationPolicy> policy,
+    hv::Host& host, std::shared_ptr<const DeflationPolicy> policy,
     std::shared_ptr<mech::DeflationMechanism> mechanism)
-    : hypervisor_(hypervisor),
+    : host_(host),
       policy_(std::move(policy)),
       mechanism_(std::move(mechanism)) {}
 
@@ -55,7 +55,7 @@ LocalDeflationController::Plan LocalDeflationController::plan_reclaim(
     const res::ResourceVector& need) const {
   Plan plan;
   std::vector<ShareBasis> deflatable;
-  for (hv::Vm* vm : hypervisor_.host().vms()) {
+  for (hv::Vm* vm : host_.vms()) {
     if (!vm->spec().deflatable) continue;
     deflatable.push_back(share_basis(*vm));
     plan.vms.push_back(vm);
@@ -82,20 +82,9 @@ LocalDeflationController::Plan LocalDeflationController::plan_reclaim(
   return plan;
 }
 
-bool LocalDeflationController::can_fit(const res::ResourceVector& demand) const {
-  const res::ResourceVector need =
-      (demand - hypervisor_.host().available()).clamped_nonneg();
-  if (need.is_zero()) return true;
-  // O(#vms) feasibility via the policy's reclaimable headroom (exact: the
-  // proportional-family solver and the deterministic policy can both reach
-  // every VM's min_retained level simultaneously).
-  const res::ResourceVector headroom = reclaimable_headroom();
-  return need.all_leq(headroom, 1e-9);
-}
-
 res::ResourceVector LocalDeflationController::reclaimable_headroom() const {
   res::ResourceVector headroom;
-  for (const hv::Vm* vm : hypervisor_.host().vms()) {
+  for (const hv::Vm* vm : host_.vms()) {
     if (!vm->spec().deflatable) continue;
     const ShareBasis basis = share_basis(*vm);
     for (const res::Resource r : res::all_resources) {
@@ -112,8 +101,7 @@ void LocalDeflationController::apply_plan(const Plan& plan,
     hv::Vm& vm = *plan.vms[i];
     const res::ResourceVector before = vm.effective_allocation();
     if ((before - plan.targets[i]).is_zero()) continue;
-    virt::Domain domain(hypervisor_, vm);
-    mechanism_->apply(domain, plan.targets[i]);
+    mechanism_->apply(vm, plan.targets[i]);
     const res::ResourceVector after = vm.effective_allocation();
     outcome.reclaimed += (before - after).clamped_nonneg();
     ++outcome.vms_deflated;
@@ -125,7 +113,7 @@ ReclaimOutcome LocalDeflationController::make_room_for(
     const res::ResourceVector& demand) {
   ReclaimOutcome outcome;
   const res::ResourceVector need =
-      (demand - hypervisor_.host().available()).clamped_nonneg();
+      (demand - host_.available()).clamped_nonneg();
   if (need.is_zero()) {
     outcome.success = true;
     return outcome;
@@ -139,19 +127,18 @@ ReclaimOutcome LocalDeflationController::make_room_for(
   apply_plan(plan, outcome);
   // Deflation mechanisms are coarse in places (hotplug rounds up); verify
   // the demand actually fits now.
-  outcome.success = demand.all_leq(hypervisor_.host().available(), 1e-6);
+  outcome.success = demand.all_leq(host_.available(), 1e-6);
   return outcome;
 }
 
 res::ResourceVector LocalDeflationController::redistribute_free() {
-  const hv::Host& host = hypervisor_.host();
-  const res::ResourceVector free = host.available();
+  const res::ResourceVector free = host_.available();
   if (free.is_zero()) return {};
 
   std::vector<hv::Vm*> deflated;
   std::vector<ShareBasis> bases;
   std::vector<res::ResourceVector> targets;
-  for (hv::Vm* vm : hypervisor_.host().vms()) {
+  for (hv::Vm* vm : host_.vms()) {
     if (!vm->spec().deflatable) continue;
     if (vm->max_deflation_fraction() > 1e-9) {
       deflated.push_back(vm);
@@ -175,8 +162,7 @@ res::ResourceVector LocalDeflationController::redistribute_free() {
     hv::Vm& vm = *deflated[i];
     const res::ResourceVector before = vm.effective_allocation();
     if ((targets[i] - before).is_zero()) continue;
-    virt::Domain domain(hypervisor_, vm);
-    mechanism_->apply(domain, targets[i]);
+    mechanism_->apply(vm, targets[i]);
     const res::ResourceVector after = vm.effective_allocation();
     given += (after - before).clamped_nonneg();
     notify(vm, before, after);
@@ -187,8 +173,7 @@ res::ResourceVector LocalDeflationController::redistribute_free() {
 void LocalDeflationController::apply_allocation(hv::Vm& vm,
                                                 const res::ResourceVector& target) {
   const res::ResourceVector before = vm.effective_allocation();
-  virt::Domain domain(hypervisor_, vm);
-  mechanism_->apply(domain, target);
+  mechanism_->apply(vm, target);
   const res::ResourceVector after = vm.effective_allocation();
   if (!(after - before).is_zero()) notify(vm, before, after);
 }

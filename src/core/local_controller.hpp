@@ -4,7 +4,9 @@
 //
 // The controller is the glue between a deflation *policy* (how much each VM
 // gives up) and a deflation *mechanism* (how the hypervisor takes it). It
-// also emits notifications so application managers / load balancers can
+// acts on one server's hv::Host, which it does not own: the policy's
+// per-VM targets are handed to the mechanism with the resident hv::Vm
+// itself, in the host's arrival order. It also emits notifications so application managers / load balancers can
 // react (Fig. 1's "Deflate VM Notification" arrow) — the deflation-aware
 // HAProxy model in src/workloads subscribes to these.
 #pragma once
@@ -14,7 +16,7 @@
 #include <vector>
 
 #include "core/policy.hpp"
-#include "hypervisor/hypervisor.hpp"
+#include "hypervisor/host.hpp"
 #include "mechanisms/mechanism.hpp"
 
 namespace deflate::core {
@@ -33,7 +35,7 @@ class LocalDeflationController {
       std::function<void(const hv::Vm&, const res::ResourceVector& old_alloc,
                          const res::ResourceVector& new_alloc)>;
 
-  LocalDeflationController(hv::SimHypervisor& hypervisor,
+  LocalDeflationController(hv::Host& host,
                            std::shared_ptr<const DeflationPolicy> policy,
                            std::shared_ptr<mech::DeflationMechanism> mechanism);
 
@@ -49,10 +51,6 @@ class LocalDeflationController {
   /// Returns the amount handed back.
   res::ResourceVector redistribute_free();
 
-  /// Computes, without applying anything, whether `demand` could be
-  /// satisfied (used by the cluster manager's placement step).
-  [[nodiscard]] bool can_fit(const res::ResourceVector& demand) const;
-
   /// Total resources reclaimable from this server under the configured
   /// policy (the paper's `deflatable_j` term, respecting policy minimums).
   [[nodiscard]] res::ResourceVector reclaimable_headroom() const;
@@ -65,7 +63,6 @@ class LocalDeflationController {
     callbacks_.push_back(std::move(callback));
   }
 
-  [[nodiscard]] hv::SimHypervisor& hypervisor() noexcept { return hypervisor_; }
   [[nodiscard]] const DeflationPolicy& policy() const noexcept { return *policy_; }
 
  private:
@@ -81,7 +78,7 @@ class LocalDeflationController {
   void notify(const hv::Vm& vm, const res::ResourceVector& old_alloc,
               const res::ResourceVector& new_alloc) const;
 
-  hv::SimHypervisor& hypervisor_;
+  hv::Host& host_;
   std::shared_ptr<const DeflationPolicy> policy_;
   std::shared_ptr<mech::DeflationMechanism> mechanism_;
   std::vector<DeflationEvent> callbacks_;

@@ -18,19 +18,6 @@ void GuestOs::set_cpu_load(double cores) noexcept {
   cpu_load_ = std::max(0.0, cores);
 }
 
-GuestMemoryStats GuestOs::memory_stats() const noexcept {
-  GuestMemoryStats stats;
-  stats.total_mib = memory_mib_;
-  stats.rss_mib = rss_mib_;
-  stats.reserve_mib = kernel_reserve_mib_;
-  // The guest opportunistically fills otherwise-free memory with page cache
-  // (§3.2.2: "modern applications and operating systems aggressively use
-  // unallocated RAM for caching and buffering").
-  stats.page_cache_mib =
-      std::max(0.0, memory_mib_ - rss_mib_ - kernel_reserve_mib_);
-  return stats;
-}
-
 double GuestOs::align_up_block(double mib) noexcept {
   return std::ceil(mib / kMemoryBlockMib) * kMemoryBlockMib;
 }

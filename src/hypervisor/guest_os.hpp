@@ -20,13 +20,6 @@ namespace deflate::hv {
 /// matches x86-64 defaults.
 inline constexpr double kMemoryBlockMib = 128.0;
 
-struct GuestMemoryStats {
-  double total_mib = 0.0;       ///< currently plugged memory
-  double rss_mib = 0.0;         ///< resident set (application working memory)
-  double page_cache_mib = 0.0;  ///< reclaimable cache/buffers
-  double reserve_mib = 0.0;     ///< kernel floor that can never be unplugged
-};
-
 class GuestOs {
  public:
   GuestOs(int vcpus, double memory_mib, double kernel_reserve_mib = 256.0);
@@ -37,7 +30,6 @@ class GuestOs {
   /// Sets runnable CPU load in cores (drives vCPU unplug safety).
   void set_cpu_load(double cores) noexcept;
 
-  [[nodiscard]] GuestMemoryStats memory_stats() const noexcept;
   [[nodiscard]] int vcpus() const noexcept { return vcpus_; }
   [[nodiscard]] double plugged_memory_mib() const noexcept { return memory_mib_; }
   [[nodiscard]] double rss_mib() const noexcept { return rss_mib_; }

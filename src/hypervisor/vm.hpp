@@ -76,7 +76,7 @@ class Vm {
   void set_rss(double rss_mib) noexcept { guest_.set_rss(rss_mib); }
   void set_cpu_load(double cores) noexcept { guest_.set_cpu_load(cores); }
 
-  // --- guest requests (explicit deflation; see SimHypervisor) ----------------
+  // --- guest requests (agent hotplug and the balloon; see mechanism.hpp) -----
   /// GuestOs::request_vcpus capped at the spec; returns the online count.
   int request_vcpus(int vcpus);
   /// GuestOs::request_memory capped at the spec; returns the plugged size.

@@ -4,29 +4,29 @@
 
 namespace deflate::mech {
 
-MechanismReport ExplicitDeflation::apply(virt::Domain& domain,
+MechanismReport ExplicitDeflation::apply(hv::Vm& vm,
                                          const res::ResourceVector& target) {
-  const res::ResourceVector goal = clamp_target(domain, target);
-  const auto& spec = domain.vm().spec();
+  const res::ResourceVector goal = clamp_target(vm, target);
+  const auto& spec = vm.spec();
 
   // Hotplug is coarse: round the CPU target up to whole vCPUs and let the
   // guest apply its own safety floor. Lift any cgroup caps so the plugged
   // amount *is* the effective allocation (this mechanism is hotplug-only).
   const int cpu_request =
       static_cast<int>(std::ceil(goal[res::Resource::Cpu]));
-  domain.agent_set_vcpus(cpu_request);
-  domain.set_scheduler_cpu_quota(static_cast<double>(spec.vcpus));
+  vm.request_vcpus(cpu_request);
+  vm.set_cpu_quota(static_cast<double>(spec.vcpus));
 
-  domain.balloon_set_memory(spec.memory_mib);  // hotplug path: no balloon
-  domain.agent_set_memory(goal[res::Resource::Memory]);
-  domain.set_memory_hard_limit(spec.memory_mib);
+  vm.request_balloon(spec.memory_mib);  // hotplug path: no balloon
+  vm.request_memory(goal[res::Resource::Memory]);
+  vm.set_memory_limit(spec.memory_mib);
 
   // NIC/disk unplug is unsafe (§4.3); a pure explicit mechanism leaves I/O
   // at the spec allocation.
-  domain.set_blkio_bandwidth(spec.disk_bw_mbps);
-  domain.set_interface_bandwidth(spec.net_bw_mbps);
+  vm.set_disk_throttle(spec.disk_bw_mbps);
+  vm.set_net_throttle(spec.net_bw_mbps);
 
-  return finish(domain, goal);
+  return finish(vm, goal);
 }
 
 }  // namespace deflate::mech

@@ -14,18 +14,18 @@ namespace deflate::mech {
 //
 // per resource: hotplug as far as the guest's safety threshold allows, then
 // cgroup multiplexing covers the (fractional or refused) remainder.
-MechanismReport HybridDeflation::apply(virt::Domain& domain,
+MechanismReport HybridDeflation::apply(hv::Vm& vm,
                                        const res::ResourceVector& target) {
-  const res::ResourceVector goal = clamp_target(domain, target);
-  const hv::GuestOs& guest = domain.vm().guest();
+  const res::ResourceVector goal = clamp_target(vm, target);
+  const hv::GuestOs& guest = vm.guest();
 
   // --- CPU ---
   const double cpu_target = goal[res::Resource::Cpu];
   const int cpu_hotplug_val =
       std::max(guest.vcpu_unplug_floor(),
                static_cast<int>(std::ceil(cpu_target)));
-  domain.agent_set_vcpus(cpu_hotplug_val);
-  domain.set_scheduler_cpu_quota(cpu_target);
+  vm.request_vcpus(cpu_hotplug_val);
+  vm.set_cpu_quota(cpu_target);
 
   // --- Memory --- (hp threshold = RSS-derived floor, §4.4: "we presume it
   // is safe to unplug as long as the VM has more memory than the current
@@ -34,15 +34,15 @@ MechanismReport HybridDeflation::apply(virt::Domain& domain,
   const double mem_hotplug_val =
       std::max(guest.memory_unplug_floor_mib(),
                std::ceil(mem_target / hv::kMemoryBlockMib) * hv::kMemoryBlockMib);
-  domain.balloon_set_memory(domain.vm().spec().memory_mib);  // no balloon
-  domain.agent_set_memory(mem_hotplug_val);
-  domain.set_memory_hard_limit(mem_target);
+  vm.request_balloon(vm.spec().memory_mib);  // no balloon
+  vm.request_memory(mem_hotplug_val);
+  vm.set_memory_limit(mem_target);
 
   // --- I/O --- (transparent only; no unplug path exists)
-  domain.set_blkio_bandwidth(goal[res::Resource::DiskBw]);
-  domain.set_interface_bandwidth(goal[res::Resource::NetBw]);
+  vm.set_disk_throttle(goal[res::Resource::DiskBw]);
+  vm.set_net_throttle(goal[res::Resource::NetBw]);
 
-  return finish(domain, goal);
+  return finish(vm, goal);
 }
 
 }  // namespace deflate::mech

@@ -24,16 +24,16 @@ const char* mechanism_kind_name(MechanismKind kind) noexcept {
 }
 
 res::ResourceVector DeflationMechanism::clamp_target(
-    const virt::Domain& domain, const res::ResourceVector& target) noexcept {
-  return target.clamped_nonneg().elementwise_min(domain.vm().spec().vector());
+    const hv::Vm& vm, const res::ResourceVector& target) noexcept {
+  return target.clamped_nonneg().elementwise_min(vm.spec().vector());
 }
 
 MechanismReport DeflationMechanism::finish(
-    const virt::Domain& domain, const res::ResourceVector& target) noexcept {
+    const hv::Vm& vm, const res::ResourceVector& target) noexcept {
   MechanismReport report;
   report.target = target;
-  report.achieved = domain.vm().effective_allocation();
-  report.plugged = domain.vm().plugged();
+  report.achieved = vm.effective_allocation();
+  report.plugged = vm.plugged();
   constexpr double kTol = 1e-6;
   report.met_target = true;
   for (const res::Resource r : res::all_resources) {

@@ -5,11 +5,17 @@
 // (explicit, §4.3), or the paper's hybrid combination (§4.4, Fig. 13).
 // Mechanisms are also used in reverse for reinflation: targets above the
 // current allocation re-plug / relax limits.
+//
+// A mechanism is a fixed sequence of calls to hv::Vm's allocation writers:
+// the four cgroup setters (the prototype's libvirt scheduler, memory,
+// blkio and interface parameters) and the three guest requests (agent
+// vCPU and memory hotplug, the balloon). Each write bumps the host's
+// version (vm.hpp), so the order of the calls is part of the contract.
 #pragma once
 
 #include <memory>
 
-#include "hypervisor/virt.hpp"
+#include "hypervisor/vm.hpp"
 #include "resources/resource_vector.hpp"
 
 namespace deflate::mech {
@@ -28,9 +34,9 @@ class DeflationMechanism {
  public:
   virtual ~DeflationMechanism() = default;
 
-  /// Drives `domain` towards effective allocation `target` (clamped to
+  /// Drives `vm` towards effective allocation `target` (clamped to
   /// [0, spec] per dimension). Returns what actually happened.
-  virtual MechanismReport apply(virt::Domain& domain,
+  virtual MechanismReport apply(hv::Vm& vm,
                                 const res::ResourceVector& target) = 0;
 
   /// Human-readable mechanism name for logs/benchmarks.
@@ -38,9 +44,9 @@ class DeflationMechanism {
 
  protected:
   /// Clamps the request to the spec and fills in the report skeleton.
-  static res::ResourceVector clamp_target(const virt::Domain& domain,
+  static res::ResourceVector clamp_target(const hv::Vm& vm,
                                           const res::ResourceVector& target) noexcept;
-  static MechanismReport finish(const virt::Domain& domain,
+  static MechanismReport finish(const hv::Vm& vm,
                                 const res::ResourceVector& target) noexcept;
 };
 
@@ -48,7 +54,7 @@ class DeflationMechanism {
 /// all four resources, invisible to the guest (the VM just runs "slower").
 class TransparentDeflation final : public DeflationMechanism {
  public:
-  MechanismReport apply(virt::Domain& domain,
+  MechanismReport apply(hv::Vm& vm,
                         const res::ResourceVector& target) override;
   [[nodiscard]] const char* name() const noexcept override { return "transparent"; }
 };
@@ -58,7 +64,7 @@ class TransparentDeflation final : public DeflationMechanism {
 /// disk and network cannot be unplugged (§4.3) and are left at spec.
 class ExplicitDeflation final : public DeflationMechanism {
  public:
-  MechanismReport apply(virt::Domain& domain,
+  MechanismReport apply(hv::Vm& vm,
                         const res::ResourceVector& target) override;
   [[nodiscard]] const char* name() const noexcept override { return "explicit"; }
 };
@@ -69,7 +75,7 @@ class ExplicitDeflation final : public DeflationMechanism {
 /// the range and granularity of transparent deflation.
 class HybridDeflation final : public DeflationMechanism {
  public:
-  MechanismReport apply(virt::Domain& domain,
+  MechanismReport apply(hv::Vm& vm,
                         const res::ResourceVector& target) override;
   [[nodiscard]] const char* name() const noexcept override { return "hybrid"; }
 };
@@ -83,7 +89,7 @@ class HybridDeflation final : public DeflationMechanism {
 /// fall back to transparent multiplexing.
 class BalloonDeflation final : public DeflationMechanism {
  public:
-  MechanismReport apply(virt::Domain& domain,
+  MechanismReport apply(hv::Vm& vm,
                         const res::ResourceVector& target) override;
   [[nodiscard]] const char* name() const noexcept override { return "balloon"; }
 };

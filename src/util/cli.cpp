@@ -9,11 +9,17 @@ namespace deflate::util {
 
 namespace {
 
+/// The whole of `text` as a finite number. strtod also accepts "nan",
+/// "inf" and overflowing literals such as "1e999"; those are refused,
+/// because every comparison with NaN is false (a range check would pass
+/// it) and casting a non-finite value to an integer is undefined.
 std::optional<double> parse_double(const std::string& text) {
   if (text.empty()) return std::nullopt;
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') return std::nullopt;
+  if (end == nullptr || *end != '\0' || !std::isfinite(value)) {
+    return std::nullopt;
+  }
   return value;
 }
 
@@ -34,7 +40,8 @@ double CliArgs::get_double(const std::string& key, double fallback) const {
   if (it == flags.end()) return fallback;
   const std::optional<double> value = parse_double(it->second);
   if (!value) {
-    throw std::invalid_argument("flag --" + key + ": expected a number, got '" +
+    throw std::invalid_argument("flag --" + key +
+                                ": expected a finite number, got '" +
                                 it->second + "'");
   }
   return *value;
@@ -65,7 +72,7 @@ std::optional<double> CliValidator::parsed(const std::string& key) {
   if (it == args_.flags.end()) return std::nullopt;
   const std::optional<double> value = parse_double(it->second);
   if (!value) {
-    errors_.push_back("flag --" + key + ": expected a number, got '" +
+    errors_.push_back("flag --" + key + ": expected a finite number, got '" +
                       it->second + "'");
   }
   return value;

@@ -6,10 +6,10 @@
 
 #include "cluster/cluster_manager.hpp"
 #include "core/perf_model.hpp"
+#include "hypervisor/host.hpp"
 #include "mechanisms/mechanism.hpp"
 
 namespace hv = deflate::hv;
-namespace virt = deflate::virt;
 namespace mech = deflate::mech;
 namespace res = deflate::res;
 namespace cl = deflate::cluster;
@@ -18,20 +18,19 @@ namespace core = deflate::core;
 namespace {
 
 struct Rig {
-  Rig() : hypervisor(0, {48.0, 131072.0, 4000.0, 40000.0}), conn(hypervisor) {}
+  Rig() : host(0, {48.0, 131072.0, 4000.0, 40000.0}) {}
 
-  virt::Domain make_domain(double mem = 16384.0) {
+  hv::Vm& make_vm(double mem = 16384.0) {
     hv::VmSpec spec;
     spec.id = next_id++;
     spec.name = "vm";
     spec.vcpus = 8;
     spec.memory_mib = mem;
     spec.deflatable = true;
-    return conn.define_and_start(spec);
+    return host.add_vm(spec);
   }
 
-  hv::SimHypervisor hypervisor;
-  virt::Connection conn;
+  hv::Host host;
   std::uint64_t next_id = 1;
 };
 
@@ -39,57 +38,57 @@ struct Rig {
 
 TEST(Balloon, PageGranularMemoryTarget) {
   Rig rig;
-  auto dom = rig.make_domain();
+  hv::Vm& vm = rig.make_vm();
   mech::BalloonDeflation balloon;
   // 6000 MiB is not block-aligned; the balloon hits it exactly.
   const auto report =
-      balloon.apply(dom, res::ResourceVector(8.0, 6000.0, 200.0, 2000.0));
+      balloon.apply(vm, res::ResourceVector(8.0, 6000.0, 200.0, 2000.0));
   EXPECT_TRUE(report.met_target);
-  EXPECT_DOUBLE_EQ(dom.vm().guest().usable_memory_mib(), 6000.0);
-  EXPECT_DOUBLE_EQ(dom.vm().guest().balloon_mib(), 16384.0 - 6000.0);
+  EXPECT_DOUBLE_EQ(vm.guest().usable_memory_mib(), 6000.0);
+  EXPECT_DOUBLE_EQ(vm.guest().balloon_mib(), 16384.0 - 6000.0);
   // Plugged memory unchanged: the balloon pins pages, no hot-unplug.
-  EXPECT_DOUBLE_EQ(dom.vm().guest().plugged_memory_mib(), 16384.0);
+  EXPECT_DOUBLE_EQ(vm.guest().plugged_memory_mib(), 16384.0);
 }
 
 TEST(Balloon, SqueezesPastRssWithSwapPressure) {
   Rig rig;
-  auto dom = rig.make_domain();
-  dom.vm().set_rss(9216.0);
+  hv::Vm& vm = rig.make_vm();
+  vm.set_rss(9216.0);
   mech::BalloonDeflation balloon;
-  balloon.apply(dom, res::ResourceVector(8.0, 4096.0, 200.0, 2000.0));
+  balloon.apply(vm, res::ResourceVector(8.0, 4096.0, 200.0, 2000.0));
   // Unlike hotplug, the balloon ignores the RSS threshold...
-  EXPECT_DOUBLE_EQ(dom.vm().guest().usable_memory_mib(), 4096.0);
+  EXPECT_DOUBLE_EQ(vm.guest().usable_memory_mib(), 4096.0);
   // ...and the guest pays in swap pressure.
-  EXPECT_GT(dom.vm().memory_swap_pressure(), 0.0);
+  EXPECT_GT(vm.memory_swap_pressure(), 0.0);
 }
 
 TEST(Balloon, DeflatesFullyOnReinflation) {
   Rig rig;
-  auto dom = rig.make_domain();
+  hv::Vm& vm = rig.make_vm();
   mech::BalloonDeflation balloon;
-  balloon.apply(dom, res::ResourceVector(8.0, 4096.0, 200.0, 2000.0));
-  balloon.apply(dom, dom.vm().spec().vector());
-  EXPECT_DOUBLE_EQ(dom.vm().guest().balloon_mib(), 0.0);
-  EXPECT_DOUBLE_EQ(dom.vm().max_deflation_fraction(), 0.0);
+  balloon.apply(vm, res::ResourceVector(8.0, 4096.0, 200.0, 2000.0));
+  balloon.apply(vm, vm.spec().vector());
+  EXPECT_DOUBLE_EQ(vm.guest().balloon_mib(), 0.0);
+  EXPECT_DOUBLE_EQ(vm.max_deflation_fraction(), 0.0);
 }
 
 TEST(Balloon, OtherMechanismsClearTheBalloon) {
   Rig rig;
-  auto dom = rig.make_domain();
+  hv::Vm& vm = rig.make_vm();
   mech::BalloonDeflation balloon;
-  balloon.apply(dom, res::ResourceVector(8.0, 4096.0, 200.0, 2000.0));
-  ASSERT_GT(dom.vm().guest().balloon_mib(), 0.0);
+  balloon.apply(vm, res::ResourceVector(8.0, 4096.0, 200.0, 2000.0));
+  ASSERT_GT(vm.guest().balloon_mib(), 0.0);
   mech::HybridDeflation hybrid;
-  hybrid.apply(dom, dom.vm().spec().vector());
-  EXPECT_DOUBLE_EQ(dom.vm().guest().balloon_mib(), 0.0);
+  hybrid.apply(vm, vm.spec().vector());
+  EXPECT_DOUBLE_EQ(vm.guest().balloon_mib(), 0.0);
 }
 
 TEST(Balloon, EffectiveAllocationReflectsBalloon) {
   Rig rig;
-  auto dom = rig.make_domain();
+  hv::Vm& vm = rig.make_vm();
   mech::BalloonDeflation balloon;
-  balloon.apply(dom, res::ResourceVector(8.0, 5000.0, 200.0, 2000.0));
-  EXPECT_DOUBLE_EQ(dom.vm().effective_allocation()[res::Resource::Memory],
+  balloon.apply(vm, res::ResourceVector(8.0, 5000.0, 200.0, 2000.0));
+  EXPECT_DOUBLE_EQ(vm.effective_allocation()[res::Resource::Memory],
                    5000.0);
 }
 

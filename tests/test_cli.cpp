@@ -74,7 +74,28 @@ TEST(CliValidator, MalformedNumberIsReportedOnceNotRangeChecked) {
   util::CliValidator validator(args);
   validator.require_at_least("rate", 0.0);
   ASSERT_EQ(validator.errors().size(), 1U);
-  EXPECT_NE(validator.errors()[0].find("expected a number"), std::string::npos);
+  EXPECT_NE(validator.errors()[0].find("expected a finite number"),
+            std::string::npos);
+}
+
+TEST(CliValidator, NonFiniteNumbersAreRejected) {
+  // strtod parses all four; each must fail like a malformed number, or a
+  // NaN would pass every range check and an infinity would reach integer
+  // casts such as the daemon's port.
+  for (const char* text : {"nan", "inf", "-inf", "1e999"}) {
+    SCOPED_TRACE(text);
+    const util::CliArgs args = parse({"--port", text});
+    util::CliValidator validator(args);
+    validator.require_at_least("port", 0.0).require_in_range("port", 0, 65535);
+    ASSERT_EQ(validator.errors().size(), 2U);
+    for (const std::string& error : validator.errors()) {
+      EXPECT_NE(error.find("--port: expected a finite number"),
+                std::string::npos)
+          << error;
+    }
+    EXPECT_THROW(static_cast<void>(args.get_double("port", 0)),
+                 std::invalid_argument);
+  }
 }
 
 TEST(CliValidator, ConflictingCombinationsAreRejected) {

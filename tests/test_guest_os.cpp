@@ -60,15 +60,6 @@ TEST(GuestOs, RssClampedToAvailableMemory) {
   EXPECT_DOUBLE_EQ(guest.rss_mib(), 4096.0 - 256.0);
 }
 
-TEST(GuestOs, PageCacheFillsFreeMemory) {
-  hv::GuestOs guest(4, 8192.0, 256.0);
-  guest.set_rss(3000.0);
-  const auto stats = guest.memory_stats();
-  EXPECT_DOUBLE_EQ(stats.rss_mib, 3000.0);
-  EXPECT_DOUBLE_EQ(stats.page_cache_mib, 8192.0 - 3000.0 - 256.0);
-  EXPECT_DOUBLE_EQ(stats.total_mib, 8192.0);
-}
-
 TEST(GuestOs, SwapPressureZeroAboveRss) {
   hv::GuestOs guest(4, 16384.0, 256.0);
   guest.set_rss(9216.0);

@@ -21,7 +21,6 @@ namespace mech = deflate::mech;
 namespace res = deflate::res;
 namespace sc = deflate::simcluster;
 namespace tr = deflate::trace;
-namespace virt = deflate::virt;
 namespace wl = deflate::wl;
 
 TEST(Integration, FeasibilityHeadline_Fig5) {
@@ -41,8 +40,7 @@ TEST(Integration, HybridMemoryDeflationStory_Fig14) {
   // Drive the actual mechanism stack for the SpecJBB memory experiment and
   // check the Fig. 14 shape: flat to ~40%, then transparent deflation pays
   // a swap penalty that hybrid reduces.
-  hv::SimHypervisor hypervisor(0, {48.0, 131072.0, 4000.0, 40000.0});
-  virt::Connection conn(hypervisor);
+  hv::Host host(0, {48.0, 131072.0, 4000.0, 40000.0});
   const core::MemoryPerfModel model;
 
   auto run = [&](bool hybrid, double deflation) {
@@ -52,8 +50,8 @@ TEST(Integration, HybridMemoryDeflationStory_Fig14) {
     spec.vcpus = 8;
     spec.memory_mib = 16384.0;
     spec.deflatable = true;
-    virt::Domain dom = conn.define_and_start(spec);
-    dom.vm().set_rss(0.56 * 16384.0);
+    hv::Vm& vm = host.add_vm(spec);
+    vm.set_rss(0.56 * 16384.0);
     std::unique_ptr<mech::DeflationMechanism> mechanism;
     if (hybrid) {
       mechanism = std::make_unique<mech::HybridDeflation>();
@@ -62,12 +60,12 @@ TEST(Integration, HybridMemoryDeflationStory_Fig14) {
     }
     res::ResourceVector target = spec.vector();
     target[res::Resource::Memory] = 16384.0 * (1.0 - deflation);
-    mechanism->apply(dom, target);
+    mechanism->apply(vm, target);
     const bool guest_assisted =
-        hybrid && dom.info().memory_mib < spec.memory_mib - 1.0;
+        hybrid && vm.guest().plugged_memory_mib() < spec.memory_mib - 1.0;
     const double rt =
-        model.rt_multiplier(dom.vm().memory_swap_pressure(), guest_assisted);
-    EXPECT_TRUE(conn.destroy(spec.id));
+        model.rt_multiplier(vm.memory_swap_pressure(), guest_assisted);
+    EXPECT_TRUE(host.remove_vm(spec.id));
     return rt;
   };
 
@@ -85,9 +83,9 @@ TEST(Integration, HybridMemoryDeflationStory_Fig14) {
 TEST(Integration, ControllerNotificationsDriveLoadBalancerWeights) {
   // Fig. 1's notification arrow: the local controller tells the application
   // manager about deflation; a deflation-aware LB re-weights accordingly.
-  hv::SimHypervisor hypervisor(0, {48.0, 131072.0, 4000.0, 40000.0});
+  hv::Host host(0, {48.0, 131072.0, 4000.0, 40000.0});
   core::LocalDeflationController controller(
-      hypervisor, core::make_policy(core::PolicyKind::Proportional),
+      host, core::make_policy(core::PolicyKind::Proportional),
       std::make_shared<mech::HybridDeflation>());
 
   hv::VmSpec spec;
@@ -96,10 +94,10 @@ TEST(Integration, ControllerNotificationsDriveLoadBalancerWeights) {
   spec.vcpus = 10;
   spec.memory_mib = 10240.0;
   spec.deflatable = true;
-  hv::Vm& web1 = hypervisor.create_vm(spec);
+  hv::Vm& web1 = host.add_vm(spec);
   spec.id = 2;
   spec.name = "web-2";
-  hypervisor.create_vm(spec);
+  host.add_vm(spec);
 
   wl::SmoothWrr balancer({10.0, 10.0});
   controller.subscribe([&](const hv::Vm& vm, const res::ResourceVector&,

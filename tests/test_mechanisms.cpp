@@ -4,17 +4,18 @@
 
 #include <cmath>
 
+#include "hypervisor/host.hpp"
+
 namespace hv = deflate::hv;
-namespace virt = deflate::virt;
 namespace mech = deflate::mech;
 namespace res = deflate::res;
 
 namespace {
 
 struct Rig {
-  Rig() : hypervisor(0, {48.0, 131072.0, 4000.0, 40000.0}), conn(hypervisor) {}
+  Rig() : host(0, {48.0, 131072.0, 4000.0, 40000.0}) {}
 
-  virt::Domain make_domain(int vcpus = 8, double mem = 16384.0) {
+  hv::Vm& make_vm(int vcpus = 8, double mem = 16384.0) {
     hv::VmSpec spec;
     spec.id = next_id++;
     spec.name = "vm";
@@ -23,11 +24,10 @@ struct Rig {
     spec.disk_bw_mbps = 200.0;
     spec.net_bw_mbps = 2000.0;
     spec.deflatable = true;
-    return conn.define_and_start(spec);
+    return host.add_vm(spec);
   }
 
-  hv::SimHypervisor hypervisor;
-  virt::Connection conn;
+  hv::Host host;
   std::uint64_t next_id = 1;
 };
 
@@ -35,55 +35,55 @@ struct Rig {
 
 TEST(Transparent, HitsTargetExactlyOnAllResources) {
   Rig rig;
-  auto dom = rig.make_domain();
+  hv::Vm& vm = rig.make_vm();
   mech::TransparentDeflation mechanism;
   const res::ResourceVector target(3.5, 6000.0, 120.0, 900.0);
-  const auto report = mechanism.apply(dom, target);
+  const auto report = mechanism.apply(vm, target);
   EXPECT_TRUE(report.met_target);
   EXPECT_EQ(report.achieved, target);
   // Guest view unchanged: all vCPUs and memory still plugged.
-  EXPECT_EQ(dom.info().online_vcpus, 8);
-  EXPECT_DOUBLE_EQ(dom.info().memory_mib, 16384.0);
+  EXPECT_EQ(vm.guest().vcpus(), 8);
+  EXPECT_DOUBLE_EQ(vm.guest().plugged_memory_mib(), 16384.0);
 }
 
 TEST(Transparent, ClampsTargetToSpec) {
   Rig rig;
-  auto dom = rig.make_domain(4, 8192.0);
+  hv::Vm& vm = rig.make_vm(4, 8192.0);
   mech::TransparentDeflation mechanism;
   const auto report =
-      mechanism.apply(dom, res::ResourceVector(100.0, 1e9, 1e9, 1e9));
-  EXPECT_EQ(report.achieved, dom.vm().spec().vector());
+      mechanism.apply(vm, res::ResourceVector(100.0, 1e9, 1e9, 1e9));
+  EXPECT_EQ(report.achieved, vm.spec().vector());
 }
 
 TEST(Transparent, ReinflatesAfterDeflation) {
   Rig rig;
-  auto dom = rig.make_domain();
+  hv::Vm& vm = rig.make_vm();
   mech::TransparentDeflation mechanism;
-  mechanism.apply(dom, res::ResourceVector(2.0, 4096.0, 50.0, 500.0));
-  const auto report = mechanism.apply(dom, dom.vm().spec().vector());
+  mechanism.apply(vm, res::ResourceVector(2.0, 4096.0, 50.0, 500.0));
+  const auto report = mechanism.apply(vm, vm.spec().vector());
   EXPECT_TRUE(report.met_target);
-  EXPECT_DOUBLE_EQ(dom.vm().max_deflation_fraction(), 0.0);
+  EXPECT_DOUBLE_EQ(vm.max_deflation_fraction(), 0.0);
 }
 
 TEST(Explicit, CpuRoundsUpToWholeVcpus) {
   Rig rig;
-  auto dom = rig.make_domain(8);
+  hv::Vm& vm = rig.make_vm(8);
   mech::ExplicitDeflation mechanism;
   const auto report =
-      mechanism.apply(dom, res::ResourceVector(2.5, 16384.0, 200.0, 2000.0));
+      mechanism.apply(vm, res::ResourceVector(2.5, 16384.0, 200.0, 2000.0));
   // 2.5 cores -> 3 vCPUs; coarse-grained, target not met exactly.
-  EXPECT_EQ(dom.info().online_vcpus, 3);
+  EXPECT_EQ(vm.guest().vcpus(), 3);
   EXPECT_DOUBLE_EQ(report.achieved[res::Resource::Cpu], 3.0);
   EXPECT_FALSE(report.met_target);
 }
 
 TEST(Explicit, MemoryBlockAlignedAndRssSafe) {
   Rig rig;
-  auto dom = rig.make_domain(8, 16384.0);
-  dom.vm().set_rss(6000.0);
+  hv::Vm& vm = rig.make_vm(8, 16384.0);
+  vm.set_rss(6000.0);
   mech::ExplicitDeflation mechanism;
   const auto report =
-      mechanism.apply(dom, res::ResourceVector(8.0, 2048.0, 200.0, 2000.0));
+      mechanism.apply(vm, res::ResourceVector(8.0, 2048.0, 200.0, 2000.0));
   const double mem = report.achieved[res::Resource::Memory];
   EXPECT_GE(mem, 6000.0);  // never below RSS
   EXPECT_NEAR(std::fmod(mem, hv::kMemoryBlockMib), 0.0, 1e-9);
@@ -91,10 +91,10 @@ TEST(Explicit, MemoryBlockAlignedAndRssSafe) {
 
 TEST(Explicit, CannotDeflateIo) {
   Rig rig;
-  auto dom = rig.make_domain();
+  hv::Vm& vm = rig.make_vm();
   mech::ExplicitDeflation mechanism;
   const auto report =
-      mechanism.apply(dom, res::ResourceVector(8.0, 16384.0, 10.0, 10.0));
+      mechanism.apply(vm, res::ResourceVector(8.0, 16384.0, 10.0, 10.0));
   // NIC/disk unplug is unsafe (§4.3): I/O stays at spec.
   EXPECT_DOUBLE_EQ(report.achieved[res::Resource::DiskBw], 200.0);
   EXPECT_DOUBLE_EQ(report.achieved[res::Resource::NetBw], 2000.0);
@@ -102,63 +102,63 @@ TEST(Explicit, CannotDeflateIo) {
 
 TEST(Hybrid, ReachesFractionalTargets) {
   Rig rig;
-  auto dom = rig.make_domain(8, 16384.0);
+  hv::Vm& vm = rig.make_vm(8, 16384.0);
   mech::HybridDeflation mechanism;
   const res::ResourceVector target(2.5, 6000.0, 120.0, 900.0);
-  const auto report = mechanism.apply(dom, target);
+  const auto report = mechanism.apply(vm, target);
   EXPECT_TRUE(report.met_target);
   EXPECT_EQ(report.achieved, target);
 }
 
 TEST(Hybrid, HotplugsDownToRoundedTarget) {
   Rig rig;
-  auto dom = rig.make_domain(8, 16384.0);
+  hv::Vm& vm = rig.make_vm(8, 16384.0);
   mech::HybridDeflation mechanism;
-  mechanism.apply(dom, res::ResourceVector(2.5, 6000.0, 200.0, 2000.0));
+  mechanism.apply(vm, res::ResourceVector(2.5, 6000.0, 200.0, 2000.0));
   // Fig. 13: hotplug to round_up(2.5) = 3, multiplexing covers 0.5.
-  EXPECT_EQ(dom.info().online_vcpus, 3);
-  EXPECT_DOUBLE_EQ(dom.info().cpu_quota_cores, 2.5);
+  EXPECT_EQ(vm.guest().vcpus(), 3);
+  EXPECT_DOUBLE_EQ(vm.cgroups().cpu_quota_cores, 2.5);
   // Memory: plugged to ceil(6000/128)*128 = 6016, limit at 6000.
-  EXPECT_DOUBLE_EQ(dom.info().memory_mib, 6016.0);
-  EXPECT_DOUBLE_EQ(dom.info().memory_limit_mib, 6000.0);
+  EXPECT_DOUBLE_EQ(vm.guest().plugged_memory_mib(), 6016.0);
+  EXPECT_DOUBLE_EQ(vm.cgroups().memory_limit_mib, 6000.0);
 }
 
 TEST(Hybrid, MultiplexingCoversGuestRefusal) {
   Rig rig;
-  auto dom = rig.make_domain(8, 16384.0);
-  dom.vm().set_cpu_load(6.5);  // guest keeps >= 7 vCPUs
+  hv::Vm& vm = rig.make_vm(8, 16384.0);
+  vm.set_cpu_load(6.5);  // guest keeps >= 7 vCPUs
   mech::HybridDeflation mechanism;
   const auto report =
-      mechanism.apply(dom, res::ResourceVector(2.0, 16384.0, 200.0, 2000.0));
-  EXPECT_EQ(dom.info().online_vcpus, 7);  // hotplug under-delivered
+      mechanism.apply(vm, res::ResourceVector(2.0, 16384.0, 200.0, 2000.0));
+  EXPECT_EQ(vm.guest().vcpus(), 7);  // hotplug under-delivered
   EXPECT_TRUE(report.met_target);         // cgroups took up the slack
   EXPECT_DOUBLE_EQ(report.achieved[res::Resource::Cpu], 2.0);
 }
 
 TEST(Hybrid, MemoryHotplugStopsAtRssButLimitContinues) {
   Rig rig;
-  auto dom = rig.make_domain(8, 16384.0);
-  dom.vm().set_rss(9216.0);
+  hv::Vm& vm = rig.make_vm(8, 16384.0);
+  vm.set_rss(9216.0);
   mech::HybridDeflation mechanism;
   const auto report =
-      mechanism.apply(dom, res::ResourceVector(8.0, 4096.0, 200.0, 2000.0));
-  EXPECT_GE(dom.info().memory_mib, 9216.0);        // safety threshold
-  EXPECT_DOUBLE_EQ(dom.info().memory_limit_mib, 4096.0);
+      mechanism.apply(vm, res::ResourceVector(8.0, 4096.0, 200.0, 2000.0));
+  EXPECT_GE(vm.guest().plugged_memory_mib(), 9216.0);        // safety threshold
+  EXPECT_DOUBLE_EQ(vm.cgroups().memory_limit_mib, 4096.0);
   EXPECT_DOUBLE_EQ(report.achieved[res::Resource::Memory], 4096.0);
-  EXPECT_GT(dom.vm().memory_swap_pressure(), 0.0);  // squeezed below RSS
+  EXPECT_GT(vm.memory_swap_pressure(), 0.0);  // squeezed below RSS
 }
 
 TEST(Hybrid, ReinflationRestoresFullAllocation) {
   Rig rig;
-  auto dom = rig.make_domain(8, 16384.0);
+  hv::Vm& vm = rig.make_vm(8, 16384.0);
   mech::HybridDeflation mechanism;
-  mechanism.apply(dom, res::ResourceVector(1.0, 2048.0, 20.0, 200.0));
-  EXPECT_GT(dom.vm().max_deflation_fraction(), 0.5);
-  const auto report = mechanism.apply(dom, dom.vm().spec().vector());
+  mechanism.apply(vm, res::ResourceVector(1.0, 2048.0, 20.0, 200.0));
+  EXPECT_GT(vm.max_deflation_fraction(), 0.5);
+  const auto report = mechanism.apply(vm, vm.spec().vector());
   EXPECT_TRUE(report.met_target);
-  EXPECT_EQ(dom.info().online_vcpus, 8);
-  EXPECT_DOUBLE_EQ(dom.info().memory_mib, 16384.0);
-  EXPECT_DOUBLE_EQ(dom.vm().max_deflation_fraction(), 0.0);
+  EXPECT_EQ(vm.guest().vcpus(), 8);
+  EXPECT_DOUBLE_EQ(vm.guest().plugged_memory_mib(), 16384.0);
+  EXPECT_DOUBLE_EQ(vm.max_deflation_fraction(), 0.0);
 }
 
 TEST(MechanismNames, Distinct) {
@@ -181,17 +181,17 @@ TEST_P(MechanismSweep, TargetSemantics) {
   const res::ResourceVector spec(8.0, 16384.0, 200.0, 2000.0);
   const res::ResourceVector target = spec * (1.0 - d);
 
-  auto dom_t = rig.make_domain();
+  hv::Vm& vm_t = rig.make_vm();
   mech::TransparentDeflation transparent;
-  EXPECT_TRUE(transparent.apply(dom_t, target).met_target);
+  EXPECT_TRUE(transparent.apply(vm_t, target).met_target);
 
-  auto dom_h = rig.make_domain();
+  hv::Vm& vm_h = rig.make_vm();
   mech::HybridDeflation hybrid;
-  EXPECT_TRUE(hybrid.apply(dom_h, target).met_target);
+  EXPECT_TRUE(hybrid.apply(vm_h, target).met_target);
 
-  auto dom_e = rig.make_domain();
+  hv::Vm& vm_e = rig.make_vm();
   mech::ExplicitDeflation explicit_mech;
-  const auto report = explicit_mech.apply(dom_e, target);
+  const auto report = explicit_mech.apply(vm_e, target);
   EXPECT_GE(report.achieved[res::Resource::Cpu],
             target[res::Resource::Cpu] - 1e-9);
   EXPECT_GE(report.achieved[res::Resource::Memory],

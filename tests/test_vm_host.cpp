@@ -3,13 +3,10 @@
 #include <vector>
 
 #include "hypervisor/host.hpp"
-#include "hypervisor/hypervisor.hpp"
-#include "hypervisor/virt.hpp"
 #include "hypervisor/vm.hpp"
 
 namespace hv = deflate::hv;
 namespace res = deflate::res;
-namespace virt = deflate::virt;
 
 namespace {
 
@@ -68,6 +65,37 @@ TEST(Vm, CgroupsClampToSpec) {
   EXPECT_DOUBLE_EQ(vm.cgroups().cpu_quota_cores, 4.0);
   EXPECT_DOUBLE_EQ(vm.cgroups().memory_limit_mib, 8192.0);
   EXPECT_DOUBLE_EQ(vm.cgroups().disk_bw_mbps, 0.0);
+}
+
+TEST(Vm, VcpuHotplugIsGuestVisible) {
+  hv::Vm vm(make_spec(1, 8, 16384.0));
+  EXPECT_EQ(vm.request_vcpus(3), 3);
+  EXPECT_EQ(vm.guest().vcpus(), 3);
+}
+
+TEST(Vm, VcpuHotplugStopsAtLoadFloor) {
+  hv::Vm vm(make_spec(1, 8, 16384.0));
+  vm.set_cpu_load(5.2);  // guest needs 6 vCPUs
+  EXPECT_EQ(vm.request_vcpus(2), 6);
+  EXPECT_EQ(vm.guest().vcpus(), 6);
+}
+
+TEST(Vm, MemoryHotplugRespectsRss) {
+  hv::Vm vm(make_spec(1, 8, 16384.0));
+  vm.set_rss(9216.0);
+  const double plugged = vm.request_memory(4096.0);
+  EXPECT_GE(plugged, 9216.0);
+  EXPECT_DOUBLE_EQ(vm.guest().plugged_memory_mib(), plugged);
+}
+
+TEST(Vm, IoThrottlesCapEffectiveAllocation) {
+  hv::Vm vm(make_spec(1, 8, 16384.0));
+  vm.set_disk_throttle(50.0);
+  vm.set_net_throttle(500.0);
+  EXPECT_DOUBLE_EQ(vm.cgroups().disk_bw_mbps, 50.0);
+  EXPECT_DOUBLE_EQ(vm.cgroups().net_bw_mbps, 500.0);
+  EXPECT_DOUBLE_EQ(vm.effective_allocation().disk_bw(), 50.0);
+  EXPECT_DOUBLE_EQ(vm.effective_allocation().net_bw(), 500.0);
 }
 
 TEST(Vm, EffectiveIsMinOfPluggedAndLimit) {
@@ -152,8 +180,7 @@ TEST(Host, AllocationMemoTracksEveryWriter) {
   // Every write to a resident's effective allocation must move the host's
   // version, or the memoized totals go stale. After each writer, the
   // totals must equal a fresh arrival-order sum bit for bit.
-  hv::SimHypervisor hypervisor(0, {48.0, 131072.0, 4000.0, 40000.0});
-  hv::Host& host = hypervisor.host();
+  hv::Host host(0, {48.0, 131072.0, 4000.0, 40000.0});
   const auto expect_fresh = [&host](const char* writer) {
     SCOPED_TRACE(writer);
     res::ResourceVector committed;
@@ -177,33 +204,32 @@ TEST(Host, AllocationMemoTracksEveryWriter) {
     expect_fresh(writer);
   };
 
-  write("add_vm", [&] { hypervisor.create_vm(make_spec(1, 8, 16384.0)); });
-  write("add_vm", [&] { hypervisor.create_vm(make_spec(2, 6, 12288.0)); });
-  write("add_vm", [&] { hypervisor.create_vm(make_spec(3, 4, 8192.0)); });
+  write("add_vm", [&] { host.add_vm(make_spec(1, 8, 16384.0)); });
+  write("add_vm", [&] { host.add_vm(make_spec(2, 6, 12288.0)); });
+  write("add_vm", [&] { host.add_vm(make_spec(3, 4, 8192.0)); });
   hv::Vm& vm = *host.find_vm(2);
   write("set_cpu_quota", [&] { vm.set_cpu_quota(2.3); });
   write("set_memory_limit", [&] { vm.set_memory_limit(7000.7); });
   write("set_disk_throttle", [&] { vm.set_disk_throttle(33.3); });
   write("set_net_throttle", [&] { vm.set_net_throttle(444.4); });
-  virt::Domain domain(hypervisor, vm);
   write("cgroup reset", [&] {
-    domain.set_scheduler_cpu_quota(6.0);
-    domain.set_memory_hard_limit(12288.0);
+    vm.set_cpu_quota(6.0);
+    vm.set_memory_limit(12288.0);
   });
-  write("hotplug_vcpus", [&] { domain.agent_set_vcpus(3); });
-  write("hotplug_memory", [&] { domain.agent_set_memory(5000.0); });
-  write("hotplug_memory up", [&] { domain.agent_set_memory(12288.0); });
-  write("balloon", [&] { domain.balloon_set_memory(9000.5); });
+  write("request_vcpus", [&] { vm.request_vcpus(3); });
+  write("request_memory", [&] { vm.request_memory(5000.0); });
+  write("request_memory up", [&] { vm.request_memory(12288.0); });
+  write("request_balloon", [&] { vm.request_balloon(9000.5); });
   // An arrival extends current totals in place; after an unread write the
   // totals are stale and the arrival must not extend them.
   write("write, then add_vm", [&] {
     vm.set_cpu_quota(1.7);
-    hypervisor.create_vm(make_spec(4, 2, 4096.0));
+    host.add_vm(make_spec(4, 2, 4096.0));
   });
-  write("remove_vm", [&] { ASSERT_TRUE(hypervisor.destroy_vm(4)); });
-  write("remove_vm", [&] { ASSERT_TRUE(hypervisor.destroy_vm(1)); });
-  write("remove_vm", [&] { ASSERT_TRUE(hypervisor.destroy_vm(3)); });
-  write("remove_vm", [&] { ASSERT_TRUE(hypervisor.destroy_vm(2)); });
+  write("remove_vm", [&] { ASSERT_TRUE(host.remove_vm(4)); });
+  write("remove_vm", [&] { ASSERT_TRUE(host.remove_vm(1)); });
+  write("remove_vm", [&] { ASSERT_TRUE(host.remove_vm(3)); });
+  write("remove_vm", [&] { ASSERT_TRUE(host.remove_vm(2)); });
   EXPECT_TRUE(host.allocated().is_zero());
 }
 
