@@ -6,8 +6,8 @@
 // admission decisions/sec through that protocol under concurrent client
 // connections, against the in-process controller as the ceiling:
 //
-//   * in-process — AdmissionController::decide() called directly (no
-//     wire at all): the upper bound;
+//   * in-process — net::Session::serve() called directly, the server's
+//     own per-request step with no wire at all: the upper bound;
 //   * sync       — 4 concurrent connections, one request per round-trip
 //     (submit + flush every request): the naive RPC shape, paying a full
 //     loopback RTT per decision;
@@ -78,14 +78,16 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// In-process ceiling: decisions/sec straight through the controller.
+/// In-process ceiling: decisions/sec through the server's session step.
 double run_in_process(std::size_t requests) {
   net::ServiceCore core(fleet_config());
-  const auto controller = core.make_controller();
+  net::Session session(core);
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < requests; ++i) {
-    const auto request = make_request(i + 1);
-    (void)controller->decide(request, core.advance_clock(request.arrival));
+    net::AdmissionRequestMsg message;
+    message.request_id = i + 1;
+    message.request = make_request(i + 1);
+    (void)session.serve(message);
   }
   return static_cast<double>(requests) / seconds_since(start);
 }

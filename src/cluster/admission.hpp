@@ -72,6 +72,11 @@ struct AdmissionRequest {
   sim::SimTime arrival;
   /// Latest admit time; unset = arrival + AdmissionConfig::max_defer_hours.
   std::optional<sim::SimTime> deadline;
+  /// Opaque to the controller, which never reads it: drain() hands it
+  /// back in Resolved::request, so a caller correlates a resolution with
+  /// the request it submitted even when two requests share a vm id. The
+  /// service puts the client's request id here; it is not on the wire.
+  std::uint64_t tag = 0;
 
   /// Builds a request from a spec, deriving the priority class the same
   /// way partitioned placement does (pool_for_priority).

@@ -393,6 +393,13 @@ PlacementResult ClusterManager::place_with_preemption(Shard& shard,
 }
 
 PlacementResult ClusterManager::place_vm(const hv::VmSpec& spec) {
+  // An id already resident is refused before any reclamation: placing it
+  // again would orphan the first copy's allocation (or throw from
+  // Host::add_vm on the same server).
+  if (vm_locations_.contains(spec.id)) {
+    ++stats_.rejections;
+    return PlacementResult{};
+  }
   return routed() ? place_routed(spec) : place_in_shard(shards_.front(), spec);
 }
 

@@ -160,7 +160,9 @@ class ClusterManagerBase {
 
   virtual ~ClusterManagerBase() = default;
 
-  /// Places a VM per the three-step protocol; see PlacementResult.
+  /// Places a VM per the three-step protocol; see PlacementResult. A VM
+  /// whose id is already resident is Rejected (one rejection) before any
+  /// reclamation.
   virtual PlacementResult place_vm(const hv::VmSpec& spec) = 0;
 
   /// Terminates a VM and reinflates survivors on its server. Returns false

@@ -3,7 +3,6 @@
 #include <deque>
 #include <exception>
 #include <map>
-#include <memory>
 #include <optional>
 
 namespace deflate::net {
@@ -109,13 +108,6 @@ bool CaptureReader::next(CaptureRecord& record) {
 
 namespace {
 
-struct ReplayConnection {
-  std::unique_ptr<cluster::AdmissionController> controller;
-  /// vm id -> client request id, for correlating drained resolutions the
-  /// same way the live server did.
-  std::map<std::uint64_t, std::uint64_t> request_ids;
-};
-
 ReplayReport failed(const std::string& path, const std::string& error) {
   ReplayReport report;
   report.error = "capture '" + path + "': " + error;
@@ -136,7 +128,8 @@ ReplayReport replay_capture(const std::string& path) {
     return failed(path, std::string("header: ") + error.what());
   }
 
-  std::map<std::uint32_t, ReplayConnection> connections;
+  // One session per captured connection id, served like the live one.
+  std::map<std::uint32_t, Session> sessions;
   // Regenerated decisions not yet matched against a captured record, in
   // emission order: (conn id, frame bytes).
   std::deque<std::pair<std::uint32_t, std::vector<std::uint8_t>>> expected;
@@ -152,23 +145,11 @@ ReplayReport replay_capture(const std::string& path) {
     if (const auto* request =
             std::get_if<AdmissionRequestMsg>(&record.message)) {
       ++report.requests;
-      auto& conn = connections[record.conn_id];
-      if (conn.controller == nullptr) conn.controller = core->make_controller();
-      const sim::SimTime now = core->advance_clock(request->request.arrival);
-      // Same order as the live server: drain first, then the fresh decide.
-      for (auto& resolved : conn.controller->drain(now)) {
-        AdmissionDecisionMsg msg;
-        const auto id_it = conn.request_ids.find(resolved.request.spec.id);
-        msg.request_id =
-            id_it == conn.request_ids.end() ? 0 : id_it->second;
-        msg.decision = resolved.decision;
-        expected.emplace_back(record.conn_id, encode_frame(Message{msg}));
+      Session& session =
+          sessions.try_emplace(record.conn_id, *core).first->second;
+      for (const AdmissionDecisionMsg& decision : session.serve(*request)) {
+        expected.emplace_back(record.conn_id, encode_frame(Message{decision}));
       }
-      conn.request_ids[request->request.spec.id] = request->request_id;
-      AdmissionDecisionMsg direct;
-      direct.request_id = request->request_id;
-      direct.decision = conn.controller->decide(request->request, now);
-      expected.emplace_back(record.conn_id, encode_frame(Message{direct}));
     } else if (std::holds_alternative<AdmissionDecisionMsg>(record.message)) {
       ++report.decisions;
       if (expected.empty()) {

@@ -14,13 +14,13 @@
 // by the server's one loop thread as it decides, so file order IS
 // decision order.
 //
-// replay_capture() rebuilds a fresh ServiceCore from the header, feeds
-// the captured requests through per-connection controllers exactly the
-// way the live server did, and verifies the regenerated decision frames
-// are byte-identical to the captured ones — deferral retry ordering,
-// quoted prices, placement host ids and all. A nonzero `mismatches`
-// means the service's decision path is no longer deterministic (or the
-// log was tampered with).
+// replay_capture() rebuilds a fresh ServiceCore from the header, serves
+// the captured requests through one Session per connection id — the live
+// server's own step, so exactly the way the server did by construction —
+// and verifies the regenerated decision frames are byte-identical to the
+// captured ones: deferral retry ordering, quoted prices, placement host
+// ids and all. A nonzero `mismatches` means the service's decision path
+// is no longer deterministic (or the log was tampered with).
 #pragma once
 
 #include <cstdint>

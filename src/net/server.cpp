@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <exception>
 #include <iostream>
-#include <map>
 
 #include "policy/catalog.hpp"
 
@@ -42,14 +41,13 @@ std::vector<std::uint8_t> hello_frame(const ServiceConfig& config) {
 
 /// One client connection: a non-blocking socket and its protocol state.
 struct Server::Connection {
+  Connection(std::uint32_t conn_id, Socket peer, ServiceCore& core)
+      : id(conn_id), socket(std::move(peer)), session(core) {}
+
   std::uint32_t id = 0;
   Socket socket;
   FrameBuffer frames;
-  std::unique_ptr<cluster::AdmissionController> controller;
-  /// vm id -> client request id of each request still Deferred: drained
-  /// resolutions echo the id the client attached when it submitted the
-  /// request. Erased at the request's final decision.
-  std::map<std::uint64_t, std::uint64_t> request_ids;
+  Session session;
   /// Telemetry subscription (codec v3): a client Hello with a non-zero
   /// `telemetry_every` asks for one aggregate UtilizationReport after
   /// every N admission requests on this connection.
@@ -198,10 +196,8 @@ bool Server::accept_pending() {
       std::lock_guard<std::mutex> lock(state_mutex_);
       ++stats_.connections;
     }
-    auto conn = std::make_unique<Connection>();
-    conn->id = next_conn_id_++;
-    conn->socket = std::move(socket);
-    conn->controller = core_.make_controller();
+    auto conn =
+        std::make_unique<Connection>(next_conn_id_++, std::move(socket), core_);
     conn->append(hello_frame(core_.config()));
     conn->flush();
     connections_.push_back(std::move(conn));
@@ -246,39 +242,16 @@ void Server::read_and_serve(Connection& conn) {
 
 bool Server::serve_frame(Connection& conn, const Message& message) {
   if (const auto* request = std::get_if<AdmissionRequestMsg>(&message)) {
-    const sim::SimTime now = core_.advance_clock(request->request.arrival);
     if (capture_ != nullptr) {
       capture_->record(conn.id, encode_frame(message));
     }
-    std::uint64_t sent_decisions = 0;
-    // Piggyback drain: deferral resolutions due by now go out first,
-    // ahead of the fresh request's own decision.
-    for (auto& resolved : conn.controller->drain(now)) {
-      AdmissionDecisionMsg msg;
-      const auto it = conn.request_ids.find(resolved.request.spec.id);
-      msg.request_id = it == conn.request_ids.end() ? 0 : it->second;
-      if (it != conn.request_ids.end() &&
-          resolved.decision.status !=
-              cluster::AdmissionDecision::Status::Deferred) {
-        conn.request_ids.erase(it);
-      }
-      msg.decision = resolved.decision;
-      const auto frame = encode_frame(Message{msg});
+    const std::vector<AdmissionDecisionMsg> decisions =
+        conn.session.serve(*request);
+    for (const AdmissionDecisionMsg& decision : decisions) {
+      const auto frame = encode_frame(Message{decision});
       if (capture_ != nullptr) capture_->record(conn.id, frame);
       conn.append(frame);
-      ++sent_decisions;
     }
-    AdmissionDecisionMsg direct;
-    direct.request_id = request->request_id;
-    direct.decision = conn.controller->decide(request->request, now);
-    if (direct.decision.status ==
-        cluster::AdmissionDecision::Status::Deferred) {
-      conn.request_ids[request->request.spec.id] = request->request_id;
-    }
-    const auto frame = encode_frame(Message{direct});
-    if (capture_ != nullptr) capture_->record(conn.id, frame);
-    conn.append(frame);
-    ++sent_decisions;
     // Interleaved telemetry: after every `telemetry_every` requests a
     // subscribed connection gets one fleet-wide utilization frame,
     // snapshotted right after the decision it follows. Telemetry frames
@@ -293,7 +266,7 @@ bool Server::serve_frame(Connection& conn, const Message& message) {
     }
     std::lock_guard<std::mutex> lock(state_mutex_);
     ++stats_.admission_requests;
-    stats_.decisions += sent_decisions;
+    stats_.decisions += decisions.size();
     if (telemetry_due) ++stats_.telemetry_reports;
   } else if (const auto* hello = std::get_if<Hello>(&message)) {
     // A client Hello is a subscription update: it (re)arms or cancels

@@ -13,9 +13,9 @@
 // cluster manager, price feed, service clock, capture log and every
 // connection. Decisions are therefore globally ordered without a lock,
 // which is what makes the capture log replayable (capture.hpp). Each
-// connection gets its *own* AdmissionController, so the deferral queue —
-// and therefore every drained resolution — is unambiguously owned by one
-// connection. Other threads only call stats(), wait() and stop().
+// connection owns a Session (service.hpp), and with it its *own*
+// deferral queue and every resolution drained from it. Other threads
+// only call stats(), wait() and stop().
 //
 // Liveness: no peer can hold the loop. Sockets are non-blocking; an idle
 // or slow peer costs one poll entry. A peer whose pending output exceeds
@@ -23,10 +23,10 @@
 // accept() that runs out of descriptors takes the listener out of the
 // poll set until a connection closes, so the loop never spins.
 //
-// Deferral resolutions are delivered in-stream: before deciding a fresh
-// request, the loop drains its connection's queue at the advanced clock
-// and pushes every resolved deferral as an AdmissionDecisionMsg (echoing
-// the original request id) ahead of the direct response.
+// Deferral resolutions are delivered in-stream: Session::serve drains a
+// connection's queue before deciding its fresh request, and each
+// resolution (echoing its own request id) goes out ahead of the direct
+// response.
 #pragma once
 
 #include <condition_variable>

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "net/codec.hpp"
+
 namespace deflate::net {
 
 std::string shard_policy_of(const ServiceConfig& config) {
@@ -55,6 +57,23 @@ std::unique_ptr<cluster::AdmissionController> ServiceCore::make_controller() {
 sim::SimTime ServiceCore::advance_clock(sim::SimTime arrival) noexcept {
   if (arrival > clock_) clock_ = arrival;
   return clock_;
+}
+
+Session::Session(ServiceCore& core)
+    : core_(core), controller_(core.make_controller()) {}
+
+std::vector<AdmissionDecisionMsg> Session::serve(
+    const AdmissionRequestMsg& message) {
+  const sim::SimTime now = core_.advance_clock(message.request.arrival);
+  std::vector<AdmissionDecisionMsg> out;
+  // Resolutions due by now go out first, ahead of the fresh decision.
+  for (const auto& resolved : controller_->drain(now)) {
+    out.push_back({resolved.request.tag, resolved.decision});
+  }
+  cluster::AdmissionRequest request = message.request;
+  request.tag = message.request_id;
+  out.push_back({message.request_id, controller_->decide(request, now)});
+  return out;
 }
 
 }  // namespace deflate::net

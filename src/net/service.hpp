@@ -1,8 +1,8 @@
 // Shared substance of the admission service: the configuration a
-// deflated daemon runs with, and the state both the live server
-// (server.hpp) and the capture replayer (capture.hpp) build from it —
-// spot-price trace, price feed, cluster manager, per-connection admission
-// controllers and the global service clock.
+// deflated daemon runs with, the state both the live server (server.hpp)
+// and the capture replayer (capture.hpp) build from it — spot-price
+// trace, price feed, cluster manager, the global service clock — and
+// the per-request step both run (Session::serve).
 //
 // The replayer reconstructs a ServiceCore from the capture file's header
 // and must end up with *bit-identical* behavior (same trace, same
@@ -20,6 +20,9 @@
 #include "transient/spot_price.hpp"
 
 namespace deflate::net {
+
+struct AdmissionRequestMsg;   // codec.hpp
+struct AdmissionDecisionMsg;  // codec.hpp
 
 struct ServiceConfig {
   /// Listen port; 0 = kernel-assigned ephemeral port (tests, CI).
@@ -78,10 +81,9 @@ class ServiceCore {
   /// the config names an unknown admission policy.
   explicit ServiceCore(const ServiceConfig& config);
 
-  /// A fresh controller for one connection, built by the registry entry
-  /// the config names. Controllers share the manager and feed; the
-  /// deferral queue is per-connection, so drained resolutions always
-  /// belong to the connection being served.
+  /// A fresh controller, built by the registry entry the config names.
+  /// Controllers share the manager and feed; each keeps its own deferral
+  /// queue.
   [[nodiscard]] std::unique_ptr<cluster::AdmissionController>
   make_controller();
 
@@ -104,6 +106,26 @@ class ServiceCore {
   cluster::PriceFeed feed_;
   std::unique_ptr<cluster::ClusterManagerBase> manager_;
   sim::SimTime clock_;
+};
+
+/// One connection's admission state: its own controller over the core's
+/// manager and feed, so every resolution drained from its deferral queue
+/// belongs to this connection. The server runs one per connection, the
+/// replayer one per captured connection id. The core must outlive it.
+class Session {
+ public:
+  explicit Session(ServiceCore& core);
+
+  /// Advances the core's clock to the request's arrival, drains the
+  /// deferrals due by then and decides the request. Returns the decisions
+  /// in wire order: each resolution under its own request's id (vm ids
+  /// may repeat), then the request's own.
+  [[nodiscard]] std::vector<AdmissionDecisionMsg> serve(
+      const AdmissionRequestMsg& message);
+
+ private:
+  ServiceCore& core_;
+  std::unique_ptr<cluster::AdmissionController> controller_;
 };
 
 }  // namespace deflate::net

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "cluster/sharded_manager.hpp"
 #include "simcluster/cluster_sim.hpp"
 #include "trace/azure.hpp"
 
@@ -103,6 +104,56 @@ TEST(ClusterManager, RemoveVmReinflatesSurvivors) {
 TEST(ClusterManager, RemoveUnknownVmReturnsFalse) {
   cl::ClusterManager manager(small_cluster());
   EXPECT_FALSE(manager.remove_vm(404));
+}
+
+TEST(ClusterManager, ResidentIdOnAnotherServerIsRejected) {
+  cl::ClusterManager manager(small_cluster(2));
+  const auto first = manager.place_vm(make_spec(7, 8, 16384.0, false));
+  ASSERT_TRUE(first.ok());
+  // The other server is emptier, so only the resident-id check keeps a
+  // second copy of vm 7 off it.
+  const auto second = manager.place_vm(make_spec(7, 8, 16384.0, false));
+  EXPECT_EQ(second.status, cl::PlacementResult::Status::Rejected);
+  EXPECT_FALSE(second.needed_reclamation);
+  EXPECT_EQ(manager.stats().rejections, 1U);
+  EXPECT_EQ(manager.stats().placements, 1U);
+  EXPECT_EQ(manager.server_of(7), first.host_id);
+  EXPECT_DOUBLE_EQ(manager.total_committed().cpu(), 8.0);
+  EXPECT_TRUE(manager.remove_vm(7));
+  EXPECT_DOUBLE_EQ(manager.total_committed().cpu(), 0.0);
+  EXPECT_FALSE(manager.remove_vm(7));
+}
+
+TEST(ClusterManager, ResidentIdOnItsOwnServerIsRejectedBeforeReclamation) {
+  cl::ClusterManager manager(small_cluster(1));
+  ASSERT_TRUE(manager.place_vm(make_spec(1, 12, 24576.0, true)).ok());
+  ASSERT_TRUE(manager.place_vm(make_spec(7, 4, 8192.0, false)).ok());
+  // A second vm 7 would need vm 1 deflated; it is refused first, and vm 1
+  // keeps its full size.
+  const auto again = manager.place_vm(make_spec(7, 4, 8192.0, false));
+  EXPECT_EQ(again.status, cl::PlacementResult::Status::Rejected);
+  EXPECT_EQ(manager.stats().rejections, 1U);
+  EXPECT_EQ(manager.stats().reclamation_attempts, 0U);
+  EXPECT_DOUBLE_EQ(manager.find_vm(1)->max_deflation_fraction(), 0.0);
+  EXPECT_DOUBLE_EQ(manager.total_committed().cpu(), 16.0);
+}
+
+TEST(ClusterManager, ResidentIdIsRejectedOnAShardedFleet) {
+  cl::ShardedClusterConfig config;
+  config.cluster = small_cluster(8);
+  config.shard_count = 4;
+  cl::ClusterManager manager(config);
+  ASSERT_EQ(manager.shard_count(), 4U);
+  const auto first = manager.place_vm(make_spec(7, 8, 16384.0, false));
+  ASSERT_TRUE(first.ok());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(manager.place_vm(make_spec(7, 8, 16384.0, false)).ok());
+  }
+  EXPECT_EQ(manager.stats().rejections, 3U);
+  EXPECT_EQ(manager.server_of(7), first.host_id);
+  EXPECT_DOUBLE_EQ(manager.total_committed().cpu(), 8.0);
+  EXPECT_TRUE(manager.remove_vm(7));
+  EXPECT_FALSE(manager.remove_vm(7));
 }
 
 TEST(ClusterManager, TotalsTrackPlacements) {

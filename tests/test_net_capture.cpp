@@ -69,6 +69,24 @@ net::ServiceConfig churny_config(const std::string& capture_path) {
   return config;
 }
 
+/// test_net_service's always-expensive config, captured: the feed quotes
+/// a constant price above the 0.1 ceiling, so every deflatable request
+/// defers until its deadline.
+net::ServiceConfig always_expensive_config(const std::string& capture_path) {
+  net::ServiceConfig config;
+  config.server_count = 10;
+  config.admission_policy = "price";
+  config.admission.default_ceiling = 0.1;
+  config.admission.max_defer_hours = 6.0;
+  config.price_trace_hours = 48.0;
+  config.spot.mean_price = 0.5;
+  config.spot.volatility = 0.0;
+  config.spot.shock_rate_per_hour = 0.0;
+  config.spot.floor_price = 0.2;
+  config.capture_path = capture_path;
+  return config;
+}
+
 }  // namespace
 
 TEST(NetCapture, HeaderRoundTripsConfigExactly) {
@@ -259,6 +277,33 @@ TEST(NetCapture, ReplayCoversMultipleConnections) {
   EXPECT_EQ(report.requests, 60U);
   EXPECT_EQ(report.mismatches, 0U)
       << (report.details.empty() ? "" : report.details.front());
+}
+
+TEST(NetCapture, ReplayMatchesRepeatedVmIdDeferrals) {
+  TempFile capture("test_net_capture_repeated_id.bin");
+  {
+    net::Server server(always_expensive_config(capture.path()));
+    ASSERT_TRUE(server.start());
+    auto client = net::Client::connect(server.port());
+    ASSERT_TRUE(client.has_value());
+    // Request ids 1 and 2 defer the same vm id; the third request lands
+    // past both deadlines, so both resolutions drain ahead of it.
+    client->submit(request_at(5, 0.0, 0.3, true));
+    client->submit(request_at(5, 0.5, 0.3, true));
+    ASSERT_TRUE(client->flush());
+    client->submit(request_at(6, 7.0, 1.0, false));
+    ASSERT_TRUE(client->flush());
+    EXPECT_EQ(client->resolved_deferrals().size(), 2U);
+    server.stop();
+  }
+
+  const auto report = net::replay_capture(capture.path());
+  EXPECT_TRUE(report.error.empty()) << report.error;
+  EXPECT_EQ(report.requests, 3U);
+  EXPECT_EQ(report.decisions, 5U);
+  EXPECT_EQ(report.mismatches, 0U)
+      << (report.details.empty() ? "" : report.details.front());
+  EXPECT_TRUE(report.ok());
 }
 
 TEST(NetCapture, TelemetrySubscriptionIsNotCaptured) {

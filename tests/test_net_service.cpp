@@ -274,6 +274,36 @@ TEST(NetService, DeferralResolvedInStreamOnLaterRequest) {
   server.stop();
 }
 
+TEST(NetService, RepeatedVmIdDeferralsResolveUnderTheirOwnRequestIds) {
+  net::Server server(always_expensive_config());
+  ASSERT_TRUE(server.start());
+  auto client = net::Client::connect(server.port());
+  ASSERT_TRUE(client.has_value());
+
+  // Two requests for the same vm id, both deferred: the resolutions must
+  // still reach the client under the request ids it submitted them with.
+  const auto first = client->submit(request_at(5, 0.0));
+  const auto second = client->submit(request_at(5, 0.5));
+  ASSERT_TRUE(client->flush());
+  ASSERT_EQ(client->decisions().at(first).status,
+            cluster::AdmissionDecision::Status::Deferred);
+  ASSERT_EQ(client->decisions().at(second).status,
+            cluster::AdmissionDecision::Status::Deferred);
+
+  // Past both deadlines: both resolutions drain ahead of this decision.
+  (void)client->submit(request_at(6, 7.0, false));
+  ASSERT_TRUE(client->flush());
+
+  std::vector<std::uint64_t> resolved_ids;
+  for (const auto& [id, decision] : client->resolved_deferrals()) {
+    resolved_ids.push_back(id);
+    EXPECT_EQ(decision.reason,
+              cluster::AdmissionDecision::Reason::DeadlineExpired);
+  }
+  EXPECT_EQ(resolved_ids, (std::vector<std::uint64_t>{first, second}));
+  server.stop();
+}
+
 namespace {
 
 /// The plugin surface: a policy the library does not know, registered by

@@ -115,6 +115,11 @@ using namespace deflate;
 using util::CliArgs;
 using util::CliValidator;
 
+/// Upper bounds of --hours and --vms: far past any useful run, and small
+/// enough that SimTime's int64 microseconds and a std::size_t hold them.
+constexpr double kMaxHours = 1e5;
+constexpr double kMaxVms = 1e8;
+
 int usage() {
   std::cerr <<
       "usage:\n"
@@ -248,7 +253,8 @@ int cmd_trace_generate(const CliArgs& args) {
   validator
       .allow_only({"vms", "hours", "seed", "out", "interactive-share"})
       .require_integer_at_least("vms", 1)
-      .require_at_least("hours", 0.001)
+      .require_in_range("vms", 1, kMaxVms)
+      .require_in_range("hours", 0.001, kMaxHours)
       .require_at_least("seed", 0)
       .require_in_range("interactive-share", 0.0, 1.0);
   if (report_errors(validator)) return 1;
@@ -658,8 +664,9 @@ int cmd_connect(const CliArgs& args) {
                    "shutdown"})
       .require_in_range("port", 1, 65535)
       .require_integer_at_least("vms", 1)
+      .require_in_range("vms", 1, kMaxVms)
       .require_integer_at_least("batch", 1)
-      .require_at_least("hours", 0)
+      .require_in_range("hours", 0, kMaxHours)
       .require_integer_at_least("telemetry", 1);
   if (report_errors(validator)) return 1;
   if (!args.has("port")) return flag_error("connect requires --port");
@@ -793,7 +800,8 @@ int cmd_replay_trace(const CliArgs& args) {
                    "shards", "shard-policy", "reopt-hours", "forecast",
                    "reopt-max-moves"})
       .require_integer_at_least("vms", 1)
-      .require_at_least("hours", 0.001)
+      .require_in_range("vms", 1, kMaxVms)
+      .require_in_range("hours", 0.001, kMaxHours)
       .require_at_least("seed", 0)
       .require_at_least("rate", 1e-6)
       .require_at_least("duration-scale", 1e-6)
