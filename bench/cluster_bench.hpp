@@ -10,7 +10,7 @@
 
 #include "bench_common.hpp"
 #include "simcluster/cluster_sim.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace deflate::bench {
 

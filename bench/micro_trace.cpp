@@ -1,6 +1,6 @@
 // Micro-benchmark: synthetic trace generation rate (VMs/second), the
 // feasibility statistic kernel, and the streaming replay path (arrival-stub
-// indexing and windowed record delivery).
+// indexing and one-record-per-next() delivery).
 #include <benchmark/benchmark.h>
 
 #include "trace/alibaba.hpp"
@@ -67,17 +67,15 @@ static void bench_azure_arrival_stub(benchmark::State& state) {
 }
 BENCHMARK(bench_azure_arrival_stub);
 
-// End-to-end streaming delivery rate: records materialized lazily through
-// the prefetch window, in (start, id) order. The wrap-around reset() cost
-// (index rebuild is cached; only the window restarts) is amortized over
-// the stream length.
+// End-to-end streaming delivery rate: each next() materializes one record,
+// in (start, id) order. The wrap-around reset() only rewinds the cursor
+// (the index is built once).
 static void bench_replay_stream_next(benchmark::State& state) {
   using namespace deflate::trace;
   ReplayConfig replay;
   replay.azure.vm_count = 2000;
   replay.azure.seed = 3;
   replay.azure.duration = deflate::sim::SimTime::from_hours(24);
-  replay.window = static_cast<std::size_t>(state.range(0));
   const auto stream = make_arrival_stream(replay);
   for (auto _ : state) {
     auto record = stream->next();
@@ -89,4 +87,4 @@ static void bench_replay_stream_next(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(bench_replay_stream_next)->Arg(1)->Arg(256);
+BENCHMARK(bench_replay_stream_next);

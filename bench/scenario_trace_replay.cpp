@@ -1,19 +1,16 @@
 // Scenario: streaming megafleet trace replay (ROADMAP: "production-trace
 // megafleet scenario" — the bounded-memory path in src/trace/replay.hpp).
 //
-// Part 1 — determinism gates (CI greps the PASS lines): replays of one
-// Azure trace must be BIT-IDENTICAL across streaming window sizes and
-// prefetch worker-thread counts. Those knobs buy wall-clock time, never
-// results; any divergence is a determinism regression.
-//
-// Part 2 — megafleet replay: a multi-million-VM Azure arrival stream
+// Part 1 — megafleet replay: a multi-million-VM Azure arrival stream
 // driven through admission -> sharded placement -> market/revocation at
 // 100k+ servers (at DEFLATE_BENCH_SCALE=1), in bounded memory: the full
-// fleet is never materialized — only the arrival index, the streaming
-// window and the concurrently-live VMs are resident. The memory gate
-// checks the peak resident set stayed a fraction of the trace.
+// fleet is never materialized — only the arrival index and the
+// concurrently-live VMs are resident. The memory gate checks the peak
+// resident set stayed a fraction of the trace (CI greps the PASS lines).
+// Thread-count invariance of the replay is a unit test
+// (TraceReplayParity.ThreadCountNeverChangesResults).
 //
-// Part 3 — trace-driven vs synthetic-arrival baseline: the same offered
+// Part 2 — trace-driven vs synthetic-arrival baseline: the same offered
 // population with the diurnal arrival cohort disabled (uniform synthetic
 // arrivals, the shape earlier scenario benches used). Cost, served
 // throughput and placement latency are compared side by side: the diurnal
@@ -43,17 +40,9 @@ void gate(const std::string& name, bool pass) {
   if (!pass) all_gates_passed = false;
 }
 
-// --- part 1: determinism gates ---------------------------------------------
+// --- megafleet replay vs synthetic baseline ---------------------------------
 
-trace::ReplayConfig parity_replay() {
-  trace::ReplayConfig replay;
-  replay.azure.vm_count = bench::scaled(20000);
-  replay.azure.seed = 42;
-  replay.azure.duration = sim::SimTime::from_hours(24);
-  return replay;
-}
-
-simcluster::SimConfig parity_config(std::size_t servers) {
+simcluster::SimConfig fleet_config(std::size_t servers) {
   simcluster::SimConfig config;
   config.server_count = servers;
   config.server_capacity = {48.0, 128.0 * 1024.0, 1e9, 1e9};
@@ -63,72 +52,6 @@ simcluster::SimConfig parity_config(std::size_t servers) {
   config.market.revocation.model = transient::RevocationModel::Poisson;
   return config;
 }
-
-simcluster::SimMetrics run_once(const trace::ReplayConfig& replay,
-                                std::size_t servers, double* seconds = nullptr,
-                                std::size_t* peak_active = nullptr) {
-  const auto stream = trace::make_arrival_stream(replay);
-  simcluster::TraceDrivenSimulator simulator(*stream, parity_config(servers));
-  const auto start = std::chrono::steady_clock::now();
-  const simcluster::SimMetrics metrics = simulator.run();
-  const auto end = std::chrono::steady_clock::now();
-  if (seconds != nullptr) {
-    *seconds = std::chrono::duration<double>(end - start).count();
-  }
-  if (peak_active != nullptr) *peak_active = simulator.peak_active_records();
-  return metrics;
-}
-
-bool identical(const simcluster::SimMetrics& a,
-               const simcluster::SimMetrics& b) {
-  return a.rejections == b.rejections && a.preemptions == b.preemptions &&
-         a.revocations == b.revocations &&
-         a.revocation_migrations == b.revocation_migrations &&
-         a.revocation_kills == b.revocation_kills &&
-         a.reclamation_attempts == b.reclamation_attempts &&
-         a.reclamation_failures == b.reclamation_failures &&
-         a.vm_count == b.vm_count &&
-         a.throughput_loss == b.throughput_loss &&          // bit-identical
-         a.mean_cpu_deflation == b.mean_cpu_deflation &&    // bit-identical
-         a.unserved_core_hours == b.unserved_core_hours &&  // bit-identical
-         a.cost.total_cost() == b.cost.total_cost();        // bit-identical
-}
-
-void determinism_gates() {
-  const trace::ReplayConfig base = parity_replay();
-  const std::size_t servers = [&] {
-    const auto stream = trace::make_arrival_stream(base);
-    return trace::servers_for_overcommit(
-        *stream, {48.0, 128.0 * 1024.0, 1e9, 1e9}, 0.2);
-  }();
-  std::cout << "-- determinism gates --\n"
-            << base.azure.vm_count << " VMs / " << servers
-            << " servers; each knob must reproduce the reference replay bit "
-               "for bit\n\n";
-
-  trace::ReplayConfig reference_cfg = base;
-  reference_cfg.window = 1024;
-  reference_cfg.worker_threads = 1;
-  const simcluster::SimMetrics reference = run_once(reference_cfg, servers);
-
-  for (const std::size_t window : {std::size_t{1}, std::size_t{8192}}) {
-    trace::ReplayConfig replay = base;
-    replay.window = window;
-    replay.worker_threads = 1;
-    gate("window=" + std::to_string(window),
-         identical(reference, run_once(replay, servers)));
-  }
-  for (const std::size_t threads : {std::size_t{4}}) {
-    trace::ReplayConfig replay = base;
-    replay.window = 256;
-    replay.worker_threads = threads;
-    gate("worker_threads=" + std::to_string(threads),
-         identical(reference, run_once(replay, servers)));
-  }
-  std::cout << "\n";
-}
-
-// --- parts 2+3: megafleet replay vs synthetic baseline ----------------------
 
 struct FleetRun {
   std::string label;
@@ -148,7 +71,7 @@ FleetRun run_fleet(const std::string& label,
   run.servers = trace::servers_for_overcommit(
       *stream, {48.0, 128.0 * 1024.0, 1e9, 1e9}, 0.2);
   simcluster::TraceDrivenSimulator simulator(*stream,
-                                             parity_config(run.servers));
+                                             fleet_config(run.servers));
   const auto start = std::chrono::steady_clock::now();
   run.metrics = simulator.run();
   const auto end = std::chrono::steady_clock::now();
@@ -223,10 +146,8 @@ int main() {
       "Scenario: streaming megafleet trace replay",
       "cloud-scale deflation studies need production-shaped arrival "
       "traces; the streaming replay drives millions of trace arrivals "
-      "through admission and placement in bounded memory, bit-identically "
-      "across streaming knobs");
+      "through admission and placement in bounded memory");
 
-  determinism_gates();
   megafleet();
 
   std::cout << "\nThe diurnal trace concentrates its committed-capacity "

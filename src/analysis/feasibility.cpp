@@ -1,9 +1,8 @@
 #include "analysis/feasibility.hpp"
 
 #include <algorithm>
-#include <mutex>
 
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace deflate::analysis {
 
@@ -74,18 +73,18 @@ util::BoxStats container_underallocation_box(
 
 util::RunningStats container_utilization_stats(
     std::span<const trace::ContainerRecord> containers, ContainerSeries series) {
-  std::mutex merge_mutex;
-  util::RunningStats total;
+  // One RunningStats per container, merged in container order after the
+  // join: the result cannot depend on thread timing or thread count.
+  std::vector<util::RunningStats> per_container(containers.size());
   util::parallel_for(containers.size(), [&](std::size_t begin, std::size_t end) {
-    util::RunningStats local;
     for (std::size_t i = begin; i < end; ++i) {
       for (const float s : series(containers[i]).samples()) {
-        local.push(static_cast<double>(s));
+        per_container[i].push(static_cast<double>(s));
       }
     }
-    const std::scoped_lock lock(merge_mutex);
-    total.merge(local);
   });
+  util::RunningStats total;
+  for (const util::RunningStats& stats : per_container) total.merge(stats);
   return total;
 }
 

@@ -72,7 +72,9 @@ using ContainerSeries =
     double deflation);
 
 /// Population-wide utilization statistics of a container resource (Fig. 10
-/// reports the mean and max memory-bandwidth utilization).
+/// reports the mean and max memory-bandwidth utilization). Each container's
+/// samples are folded into their own stats, merged in container order, so
+/// the result is the same bits at any thread count.
 [[nodiscard]] util::RunningStats container_utilization_stats(
     std::span<const trace::ContainerRecord> containers, ContainerSeries series);
 

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace deflate::trace {
 

@@ -6,7 +6,7 @@
 #include <numbers>
 
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace deflate::trace {
 

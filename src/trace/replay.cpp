@@ -10,7 +10,7 @@
 #include "net/capture.hpp"
 #include "net/codec.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace deflate::trace {
 
@@ -94,8 +94,7 @@ std::unique_ptr<VmArrivalStream> make_azure_stream(const ReplayConfig& config) {
   });
   return std::make_unique<IndexedArrivalStream>(
       std::move(stubs),
-      [generator](std::uint64_t id) { return generator.generate_vm(id); },
-      config.window, config.worker_threads);
+      [generator](std::uint64_t id) { return generator.generate_vm(id); });
 }
 
 // --- Alibaba ----------------------------------------------------------------
@@ -225,8 +224,7 @@ std::unique_ptr<VmArrivalStream> make_alibaba_stream(
   });
   return std::make_unique<IndexedArrivalStream>(
       std::move(stubs),
-      [alibaba](std::uint64_t id) { return materialize_alibaba(alibaba, id); },
-      config.window, config.worker_threads);
+      [alibaba](std::uint64_t id) { return materialize_alibaba(alibaba, id); });
 }
 
 // --- Capture ----------------------------------------------------------------
@@ -350,9 +348,8 @@ std::unique_ptr<VmArrivalStream> make_capture_stream(
                      vm.spec.priority, vm.spec.deflatable))));
     return record;
   };
-  return std::make_unique<IndexedArrivalStream>(
-      std::move(stubs), std::move(materialize), config.window,
-      config.worker_threads);
+  return std::make_unique<IndexedArrivalStream>(std::move(stubs),
+                                                std::move(materialize));
 }
 
 }  // namespace
@@ -367,54 +364,19 @@ const char* arrival_source_name(ArrivalSource s) noexcept {
 }
 
 IndexedArrivalStream::IndexedArrivalStream(std::vector<ArrivalStub> stubs,
-                                           Materializer materialize,
-                                           std::size_t window,
-                                           std::size_t worker_threads)
-    : stubs_(std::move(stubs)),
-      materialize_(std::move(materialize)),
-      window_(std::max<std::size_t>(1, window)),
-      threads_(worker_threads != 0 ? worker_threads : util::env_threads()) {
+                                           Materializer materialize)
+    : stubs_(std::move(stubs)), materialize_(std::move(materialize)) {
   std::sort(stubs_.begin(), stubs_.end(), arrives_before);
   horizon_ = latest_end(stubs_);
   peak_ = sweep_peak(stubs_);
 }
 
-IndexedArrivalStream::~IndexedArrivalStream() = default;
-
 std::optional<VmRecord> IndexedArrivalStream::next() {
-  if (buffer_pos_ >= buffer_.size()) {
-    if (cursor_ >= stubs_.size()) return std::nullopt;
-    refill();
-  }
-  return std::move(buffer_[buffer_pos_++]);
+  if (cursor_ >= stubs_.size()) return std::nullopt;
+  return materialize_(stubs_[cursor_++].id);
 }
 
-void IndexedArrivalStream::refill() {
-  const std::size_t n = std::min(window_, stubs_.size() - cursor_);
-  buffer_.assign(n, VmRecord{});
-  const std::size_t base = cursor_;
-  // Each record is generated from its own keyed stream: chunking across
-  // threads cannot change any record, only how fast the window fills.
-  util::ThreadPool* pool = threads_ > 1 ? &prefetch_pool() : nullptr;
-  util::parallel_for(pool, n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      buffer_[i] = materialize_(stubs_[base + i].id);
-    }
-  });
-  cursor_ += n;
-  buffer_pos_ = 0;
-}
-
-util::ThreadPool& IndexedArrivalStream::prefetch_pool() {
-  if (!pool_) pool_ = std::make_unique<util::ThreadPool>(threads_);
-  return *pool_;
-}
-
-void IndexedArrivalStream::reset() {
-  cursor_ = 0;
-  buffer_.clear();
-  buffer_pos_ = 0;
-}
+void IndexedArrivalStream::reset() { cursor_ = 0; }
 
 res::ResourceVector peak_committed(std::vector<ArrivalStub> stubs) {
   std::sort(stubs.begin(), stubs.end(), arrives_before);

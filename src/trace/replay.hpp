@@ -5,8 +5,8 @@
 // trace never has to exist in memory to be replayed. This layer keeps only
 // a sorted *arrival index* of cheap ArrivalStubs (id, start, end, size)
 // and materializes the heavyweight VmRecords — the 5-minute utilization
-// series — lazily, a fixed-size window at a time, in arrival order.
-// Memory is O(index) + O(window); the full fleet is never resident.
+// series — lazily, one at a time, in arrival order. Memory is O(index)
+// plus the records the caller holds; the full fleet is never resident.
 //
 // Three sources share the index machinery:
 //   * Azure:   AzureTraceGenerator::arrival_of / generate_vm
@@ -17,10 +17,11 @@
 //     AdmissionRequests replayed as arrivals with keyed synthetic lifetimes
 //
 // Determinism contract: the record sequence produced by next() is a pure
-// function of the source config, ordered by (start, id). The streaming
-// window and worker_threads only change prefetch batching — each record is
-// generated from its own (seed, id)-keyed stream — so replay results are
-// bit-identical across both knobs (pinned by tests/test_trace_replay.cpp).
+// function of the source config, ordered by (start, id). Each record is
+// generated from its own (seed, id)-keyed stream, so the stub index, which
+// is built with util::parallel_for, and therefore every replay result are
+// bit-identical at any DEFLATE_THREADS (pinned by
+// tests/test_trace_replay.cpp).
 #pragma once
 
 #include <cstdint>
@@ -35,10 +36,6 @@
 #include "trace/azure.hpp"
 #include "trace/vm_record.hpp"
 
-namespace deflate::util {
-class ThreadPool;
-}
-
 namespace deflate::trace {
 
 /// Time-ordered VM arrival source. Single-pass with rewind: next() yields
@@ -51,7 +48,7 @@ class VmArrivalStream {
   /// The next record in (start, id) order; nullopt when exhausted.
   [[nodiscard]] virtual std::optional<VmRecord> next() = 0;
 
-  /// Rewinds to the first arrival (the prefetch window is rebuilt).
+  /// Rewinds to the first arrival.
   virtual void reset() = 0;
 
   /// Total number of arrivals the stream yields per pass.
@@ -66,22 +63,18 @@ class VmArrivalStream {
   [[nodiscard]] virtual res::ResourceVector peak_committed() const noexcept = 0;
 };
 
-/// The generated-trace stream: a sorted stub index plus a windowed
-/// materializer. All three sources are an index + a (seed, id)-keyed
-/// record function.
+/// The generated-trace stream: a sorted stub index plus a materializer.
+/// All three sources are an index + a (seed, id)-keyed record function.
 class IndexedArrivalStream final : public VmArrivalStream {
  public:
   using Materializer = std::function<VmRecord(std::uint64_t id)>;
 
   /// Sorts `stubs` by (start, id); `materialize(id)` must return the full
-  /// record for a stub's id (header fields equal to the stub). `window` is
-  /// the number of records prefetched per batch (min 1); `worker_threads`
-  /// parallelizes the batch (0 = DEFLATE_THREADS, never changes results).
+  /// record for a stub's id (header fields equal to the stub).
   IndexedArrivalStream(std::vector<ArrivalStub> stubs,
-                       Materializer materialize, std::size_t window,
-                       std::size_t worker_threads);
-  ~IndexedArrivalStream() override;  // out-of-line: ThreadPool is incomplete
+                       Materializer materialize);
 
+  /// Materializes exactly the record it returns.
   [[nodiscard]] std::optional<VmRecord> next() override;
   void reset() override;
   [[nodiscard]] std::size_t size() const noexcept override {
@@ -100,18 +93,9 @@ class IndexedArrivalStream final : public VmArrivalStream {
   }
 
  private:
-  void refill();
-  [[nodiscard]] util::ThreadPool& prefetch_pool();
-
   std::vector<ArrivalStub> stubs_;
   Materializer materialize_;
-  std::size_t window_;
-  std::size_t threads_;
-  /// Lazily built only when threads_ > 1 and a window actually refills.
-  std::unique_ptr<util::ThreadPool> pool_;
   std::size_t cursor_ = 0;  ///< next stub to materialize
-  std::vector<VmRecord> buffer_;
-  std::size_t buffer_pos_ = 0;
   sim::SimTime horizon_;
   res::ResourceVector peak_;
 };
@@ -168,10 +152,9 @@ struct ReplayConfig {
   /// rate (generated sources scale duration *and* population together; the
   /// capture source stretches its captured arrival times).
   double duration_scale = 1.0;
-  /// Streaming window: records materialized per prefetch batch.
+  /// ignored: next() materializes one record; delete once perfbench/ stops assigning it
   std::size_t window = 1024;
-  /// Worker threads for window prefetch (0 = DEFLATE_THREADS). Never
-  /// changes the stream, only wall-clock time.
+  /// ignored: the stream runs no threads; delete once perfbench/ stops assigning it
   std::size_t worker_threads = 0;
 };
 

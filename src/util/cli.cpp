@@ -25,7 +25,7 @@ std::optional<double> parse_double(const std::string& text) {
 
 /// Compact bound rendering for error messages ("0", "-1", "0.35").
 std::string bound(double value) {
-  if (value == std::floor(value) && std::abs(value) < 1e15) {
+  if (value == std::floor(value) && std::abs(value) < 1e18) {
     return std::to_string(static_cast<long long>(value));
   }
   char buffer[32];
@@ -111,15 +111,16 @@ CliValidator& CliValidator::require_in_range(const std::string& key,
   return *this;
 }
 
-CliValidator& CliValidator::require_integer_at_least(const std::string& key,
-                                                     double min) {
-  if (const auto value = parsed(key)) {
-    if (*value < min || *value != std::floor(*value)) {
-      errors_.push_back("flag --" + key + ": must be a whole number >= " +
-                        bound(min) + ", got " + args_.flags.at(key));
-    }
+CliValidator& CliValidator::require_integer_in_range(const std::string& key,
+                                                     double min, double max) {
+  const auto value = parsed(key);
+  if (!value) return *this;
+  if (*value != std::floor(*value)) {
+    errors_.push_back("flag --" + key + ": must be a whole number, got " +
+                      args_.flags.at(key));
+    return *this;
   }
-  return *this;
+  return require_in_range(key, min, max);
 }
 
 CliValidator& CliValidator::require_together(const std::string& key,

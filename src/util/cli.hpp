@@ -15,6 +15,21 @@
 
 namespace deflate::util {
 
+/// Upper bounds of the tools' numeric flags: far past any useful run, and
+/// small enough that every cast a flag reaches is defined. Every integer
+/// flag is bounded above, because a finite huge value cast to an integer
+/// is undefined behaviour.
+namespace flag_limits {
+/// SimTime's int64 microseconds hold it.
+inline constexpr double kMaxHours = 1e5;
+inline constexpr double kMaxVms = 1e8;
+inline constexpr double kMaxServers = 1e6;
+inline constexpr double kMaxMarkets = 1e3;
+/// 2^53: every whole number up to it is exact as a double.
+inline constexpr double kMaxSeed = 9007199254740992.0;
+inline constexpr double kMaxUint32 = 4294967295.0;
+}  // namespace flag_limits
+
 struct CliArgs {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
@@ -49,8 +64,10 @@ class CliValidator {
   /// Numeric flag must parse and satisfy min <= value <= max.
   CliValidator& require_in_range(const std::string& key, double min,
                                  double max);
-  /// Numeric flag must parse to a whole number >= min.
-  CliValidator& require_integer_at_least(const std::string& key, double min);
+  /// Numeric flag must parse to a whole number in [min, max]. There is no
+  /// unbounded variant: see flag_limits.
+  CliValidator& require_integer_in_range(const std::string& key, double min,
+                                         double max);
   /// `key` only makes sense together with `requires_key` ("--correlation
   /// requires --markets"); `detail` explains why.
   CliValidator& require_together(const std::string& key,

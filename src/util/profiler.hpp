@@ -10,8 +10,8 @@
 // A scope costs two steady_clock reads plus two relaxed atomic adds; the
 // phase lookup happens once per call site (function-local static). All
 // phases are process-global and thread-safe: concurrent scopes on the same
-// phase accumulate independently via atomics, so pool workers can be
-// profiled without locks on the hot path.
+// phase accumulate independently via atomics, so parallel_for threads can
+// be profiled without locks on the hot path.
 #pragma once
 
 #include <atomic>

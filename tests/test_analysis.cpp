@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scoped_env.hpp"
 #include "trace/alibaba.hpp"
 #include "trace/azure.hpp"
 
@@ -97,6 +98,41 @@ TEST(Feasibility, ContainerUtilizationStats) {
   EXPECT_EQ(stats.count(), 2U);
   EXPECT_NEAR(stats.mean(), 0.002, 1e-9);
   EXPECT_NEAR(stats.max(), 0.003, 1e-9);
+}
+
+// Fig. 10's statistic is one RunningStats per container, merged in
+// container order: the same bits at any thread count, never an order set
+// by which chunk finished first.
+TEST(Feasibility, ContainerUtilizationStatsIndependentOfThreadCount) {
+  tr::AlibabaTraceConfig config;
+  config.container_count = 300;
+  config.seed = 17;
+  config.duration = deflate::sim::SimTime::from_hours(6);
+  const auto containers = tr::AlibabaTraceGenerator(config).generate();
+
+  deflate::util::RunningStats expected;
+  for (const tr::ContainerRecord& container : containers) {
+    deflate::util::RunningStats one;
+    for (const float s : an::memory_bw_series(container).samples()) {
+      one.push(static_cast<double>(s));
+    }
+    expected.merge(one);
+  }
+
+  for (const char* threads : {"1", "4"}) {
+    const deflate::testutil::ScopedEnv env("DEFLATE_THREADS", threads);
+    for (int repeat = 0; repeat < 5; ++repeat) {
+      const auto stats =
+          an::container_utilization_stats(containers, an::memory_bw_series);
+      SCOPED_TRACE(std::string("DEFLATE_THREADS=") + threads);
+      EXPECT_EQ(stats.count(), expected.count());
+      EXPECT_EQ(stats.mean(), expected.mean());
+      EXPECT_EQ(stats.variance(), expected.variance());
+      EXPECT_EQ(stats.sum(), expected.sum());
+      EXPECT_EQ(stats.min(), expected.min());
+      EXPECT_EQ(stats.max(), expected.max());
+    }
+  }
 }
 
 TEST(Feasibility, ThroughputLossMatchesHandComputation) {

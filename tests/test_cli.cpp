@@ -64,9 +64,26 @@ TEST(CliValidator, RangeAndSignChecks) {
   util::CliValidator validator(args);
   validator.require_at_least("migration-bandwidth", 0.0)
       .require_in_range("correlation", -1.0, 1.0)
-      .require_integer_at_least("markets", 1);
+      .require_integer_in_range("markets", 1, 1000);
   EXPECT_EQ(validator.errors().size(), 3U);
   EXPECT_FALSE(validator.ok());
+}
+
+TEST(CliValidator, IntegerFlagsAreBoundedAbove) {
+  // A finite huge value must be refused before it reaches an integer
+  // cast, where it would be undefined behaviour.
+  const util::CliArgs args =
+      parse({"--seed", "1e30", "--servers", "2.5", "--shards", "4"});
+  util::CliValidator validator(args);
+  validator
+      .require_integer_in_range("seed", 0, util::flag_limits::kMaxSeed)
+      .require_integer_in_range("servers", 1, util::flag_limits::kMaxServers)
+      .require_integer_in_range("shards", 1, util::flag_limits::kMaxServers);
+  ASSERT_EQ(validator.errors().size(), 2U);
+  EXPECT_EQ(validator.errors()[0],
+            "flag --seed: must be in [0, 9007199254740992], got 1e30");
+  EXPECT_EQ(validator.errors()[1],
+            "flag --servers: must be a whole number, got 2.5");
 }
 
 TEST(CliValidator, MalformedNumberIsReportedOnceNotRangeChecked) {
@@ -117,7 +134,7 @@ TEST(CliValidator, ValidFlagSetPassesEveryCheck) {
   util::CliValidator validator(args);
   validator
       .allow_only({"in", "markets", "correlation", "migration-bandwidth"})
-      .require_integer_at_least("markets", 1)
+      .require_integer_in_range("markets", 1, 1000)
       .require_in_range("correlation", -1.0, 1.0)
       .require_at_least("migration-bandwidth", 0.0)
       .require_together("correlation", "markets", "needs several markets");
@@ -130,6 +147,6 @@ TEST(CliValidator, AbsentFlagsAreNeverChecked) {
   util::CliValidator validator(args);
   validator.require_at_least("rate", 0.0)
       .require_in_range("correlation", -1.0, 1.0)
-      .require_integer_at_least("markets", 1);
+      .require_integer_in_range("markets", 1, 1000);
   EXPECT_TRUE(validator.ok());
 }

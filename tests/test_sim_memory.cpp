@@ -137,9 +137,9 @@ TEST(SimMemory, RecordVectorRunDoesNotCopySeries) {
 }
 
 TEST(SimMemory, StreamRunHoldsNoUnreadSeries) {
-  // The stream materializes records a few at a time (serially), so its
-  // window holds a handful of series; the simulator must not hold the
-  // series of every active VM.
+  // The stream materializes only the record next() returns, so it holds
+  // no series of its own; the simulator must not hold the series of every
+  // active VM.
   std::vector<tr::ArrivalStub> stubs;
   stubs.reserve(kVms);
   for (std::size_t i = 0; i < kVms; ++i) {
@@ -149,8 +149,7 @@ TEST(SimMemory, StreamRunHoldsNoUnreadSeries) {
       std::move(stubs),
       [](std::uint64_t id) {
         return long_series_vm(static_cast<std::size_t>(id));
-      },
-      /*window=*/4, /*worker_threads=*/1);
+      });
   sc::SimConfig config;
   config.server_count = 40;
   sc::TraceDrivenSimulator simulator(stream, config);

@@ -4,10 +4,11 @@
 //   * A golden end-to-end replay on a small Azure trace pins the full
 //     metric surface (admission counters, revocation outcomes, throughput
 //     loss, fleet cost) to exact values.
-//   * Replays of the same trace must be BIT-IDENTICAL across streaming
-//     window sizes and prefetch worker-thread counts — those knobs buy
-//     wall-clock time, never results — and identical to a record-vector
-//     replay of the same trace, in any record order.
+//   * Replays of the same trace must be BIT-IDENTICAL at any
+//     DEFLATE_THREADS (the stub index is built in parallel; threads buy
+//     wall-clock time, never results) and identical to a record-vector
+//     replay of the same trace, in any record order. next() materializes
+//     only the record it returns.
 //   * Generator property tests pin the (seed, id) keying contract: arrival
 //     order is monotone, stubs agree with materialized records, the class
 //     mix survives the rate multiplier, and generation order is
@@ -25,6 +26,7 @@
 
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "scoped_env.hpp"
 #include "simcluster/cluster_sim.hpp"
 #include "trace/replay.hpp"
 
@@ -152,32 +154,34 @@ TEST(TraceReplayGolden, StreamingReplayPinsFullMetricSurface) {
   EXPECT_EQ(peak_active, 171U);
 }
 
-// --- bit-identical across streaming knobs -----------------------------------
+// --- bit-identical across thread counts -------------------------------------
 
-TEST(TraceReplayParity, WindowSizeNeverChangesResults) {
-  const simcluster::SimMetrics reference = run_streaming(golden_replay());
-  for (const std::size_t window : {std::size_t{1}, std::size_t{7},
-                                   std::size_t{4096}}) {
-    trace::ReplayConfig replay = golden_replay();
-    replay.window = window;
-    const simcluster::SimMetrics metrics = run_streaming(replay);
-    expect_identical(reference, metrics,
-                     ("window=" + std::to_string(window)).c_str());
-  }
+TEST(TraceReplayParity, ThreadCountNeverChangesResults) {
+  const auto run_at = [](const char* threads) {
+    const testutil::ScopedEnv env("DEFLATE_THREADS", threads);
+    return run_streaming(golden_replay());
+  };
+  expect_identical(run_at("1"), run_at("4"), "DEFLATE_THREADS=1 vs 4");
 }
 
-TEST(TraceReplayParity, WorkerThreadsNeverChangeResults) {
-  trace::ReplayConfig serial = golden_replay();
-  serial.worker_threads = 1;
-  const simcluster::SimMetrics reference = run_streaming(serial);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    trace::ReplayConfig replay = golden_replay();
-    replay.worker_threads = threads;
-    replay.window = 64;  // force several parallel refills
-    const simcluster::SimMetrics metrics = run_streaming(replay);
-    expect_identical(reference, metrics,
-                     ("threads=" + std::to_string(threads)).c_str());
+TEST(TraceReplayParity, NextMaterializesOnlyTheRecordItReturns) {
+  const auto records =
+      trace::AzureTraceGenerator(golden_replay().azure).generate();
+  std::vector<trace::ArrivalStub> stubs;
+  for (const trace::VmRecord& record : records) stubs.push_back(record.stub());
+  std::size_t calls = 0;
+  trace::IndexedArrivalStream stream(std::move(stubs), [&](std::uint64_t id) {
+    ++calls;
+    return records[static_cast<std::size_t>(id)];
+  });
+  EXPECT_EQ(calls, 0U);
+  for (std::size_t k = 1; k <= 5; ++k) {
+    ASSERT_TRUE(stream.next().has_value());
+    EXPECT_EQ(calls, k);
   }
+  stream.reset();
+  ASSERT_TRUE(stream.next().has_value());
+  EXPECT_EQ(calls, 6U);
 }
 
 TEST(TraceReplayParity, ResetStreamReplaysIdentically) {
@@ -446,7 +450,6 @@ TEST(TraceReplayProperties, ArrivalsAreMonotoneAndMatchStubs) {
     trace::ReplayConfig replay = golden_replay();
     replay.source = source;
     replay.alibaba.containers.container_count = 400;
-    replay.window = 37;  // misaligned with the stream size on purpose
     const auto stream = trace::make_arrival_stream(replay);
     const auto* indexed =
         dynamic_cast<const trace::IndexedArrivalStream*>(stream.get());
@@ -477,7 +480,6 @@ TEST(TraceReplayProperties, ArrivalsAreMonotoneAndMatchStubs) {
 TEST(TraceReplayProperties, ResetReplaysTheIdenticalSequence) {
   trace::ReplayConfig replay = golden_replay();
   replay.azure.vm_count = 200;
-  replay.window = 16;
   const auto stream = trace::make_arrival_stream(replay);
   std::vector<trace::VmRecord> first;
   for (auto r = stream->next(); r.has_value(); r = stream->next()) {

@@ -3,9 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
-
-#include "util/thread_pool.hpp"
 
 namespace tn = deflate::transient;
 namespace sim = deflate::sim;
@@ -166,18 +165,18 @@ TEST(Revocation, DeterministicAcrossThreadCounts) {
   }
 
   for (const std::size_t threads : {1UL, 2UL, 8UL}) {
-    deflate::util::ThreadPool pool(threads);
     std::vector<std::vector<tn::RevocationEvent>> parallel(servers);
     std::atomic<std::size_t> next{0};
+    std::vector<std::thread> workers;
     for (std::size_t t = 0; t < threads; ++t) {
-      pool.submit([&] {
+      workers.emplace_back([&] {
         for (std::size_t s = next.fetch_add(1); s < servers;
              s = next.fetch_add(1)) {
           parallel[s] = engine.schedule_for(s, horizon);
         }
       });
     }
-    pool.wait_idle();
+    for (std::thread& worker : workers) worker.join();
     for (std::size_t s = 0; s < servers; ++s) {
       EXPECT_EQ(parallel[s], serial[s]) << "server " << s << " with "
                                         << threads << " threads";

@@ -26,8 +26,7 @@
 //   deflatectl replay --capture FILE
 //   deflatectl replay-trace [--source azure|alibaba|capture] [--vms N]
 //               [--hours H] [--seed S] [--rate R] [--duration-scale D]
-//               [--window W] [--threads T] [--capture FILE]
-//               [--servers N | --overcommit O] [--shards N]
+//               [--capture FILE] [--servers N | --overcommit O] [--shards N]
 //               [--shard-policy p2c|least-loaded|round-robin]
 //               [--reopt-hours H] [--forecast F] [--reopt-max-moves N]
 //   deflatectl list-policies
@@ -53,8 +52,7 @@
 // `replay-trace` streams a generated (azure/alibaba) or captured arrival
 // trace through the full cluster simulation without ever materializing the
 // fleet (src/trace/replay.hpp): --rate multiplies the offered arrival
-// rate, --duration-scale stretches the horizon, --window/--threads tune
-// the streaming prefetch (never the results).
+// rate, --duration-scale stretches the horizon.
 //
 // --shards > 1 splits the fleet into routed shards
 // (src/cluster/sharded_manager.hpp); 1 (default) is the flat fleet.
@@ -115,10 +113,7 @@ using namespace deflate;
 using util::CliArgs;
 using util::CliValidator;
 
-/// Upper bounds of --hours and --vms: far past any useful run, and small
-/// enough that SimTime's int64 microseconds and a std::size_t hold them.
-constexpr double kMaxHours = 1e5;
-constexpr double kMaxVms = 1e8;
+using namespace util::flag_limits;
 
 int usage() {
   std::cerr <<
@@ -148,8 +143,7 @@ int usage() {
       "  deflatectl replay --capture FILE\n"
       "  deflatectl replay-trace [--source azure|alibaba|capture] [--vms N]\n"
       "             [--hours H] [--seed S] [--rate R] [--duration-scale D]\n"
-      "             [--window W] [--threads T] [--capture FILE]\n"
-      "             [--servers N | --overcommit O] [--shards N]\n"
+      "             [--capture FILE] [--servers N | --overcommit O] [--shards N]\n"
       "             [--shard-policy p2c|least-loaded|round-robin]\n"
       "             [--reopt-hours H] [--forecast F] [--reopt-max-moves N]\n"
       "  deflatectl list-policies\n";
@@ -252,10 +246,9 @@ int cmd_trace_generate(const CliArgs& args) {
   CliValidator validator(args);
   validator
       .allow_only({"vms", "hours", "seed", "out", "interactive-share"})
-      .require_integer_at_least("vms", 1)
-      .require_in_range("vms", 1, kMaxVms)
+      .require_integer_in_range("vms", 1, kMaxVms)
       .require_in_range("hours", 0.001, kMaxHours)
-      .require_at_least("seed", 0)
+      .require_integer_in_range("seed", 0, kMaxSeed)
       .require_in_range("interactive-share", 0.0, 1.0);
   if (report_errors(validator)) return 1;
 
@@ -316,8 +309,8 @@ int cmd_simulate(const CliArgs& args) {
                    "placement", "partitioned", "no-reinflate", "servers",
                    "shards", "shard-policy"})
       .require_at_least("overcommit", -0.9)
-      .require_integer_at_least("servers", 1)
-      .require_integer_at_least("shards", 1);
+      .require_integer_in_range("servers", 1, kMaxServers)
+      .require_integer_in_range("shards", 1, kMaxServers);
   if (report_errors(validator)) return 1;
 
   simcluster::SimConfig config;
@@ -424,15 +417,15 @@ int cmd_revoke_sim(const CliArgs& args) {
                    "migration-strategy", "admission", "price-ceiling",
                    "defer-hours", "bid-opt", "reopt-hours", "forecast",
                    "reopt-max-moves"})
-      .require_integer_at_least("servers", 1)
-      .require_integer_at_least("shards", 1)
-      .require_integer_at_least("markets", 1)
+      .require_integer_in_range("servers", 1, kMaxServers)
+      .require_integer_in_range("shards", 1, kMaxServers)
+      .require_integer_in_range("markets", 1, kMaxMarkets)
       .require_at_least("rate", 0.0)
       .require_in_range("bid", 1e-6, 100.0)
       .require_in_range("od-share", 0.0, 1.0)
       .require_in_range("floor", 0.0, 1.0)
       .require_at_least("risk", 0.0)
-      .require_at_least("seed", 0)
+      .require_integer_in_range("seed", 0, kMaxSeed)
       .require_in_range("correlation", -1.0, 1.0)
       .require_at_least("common-shock-rate", 0.0)
       .require_at_least("warning-secs", 0.0)
@@ -441,7 +434,7 @@ int cmd_revoke_sim(const CliArgs& args) {
       .require_in_range("price-ceiling", 1e-6, 100.0)
       .require_at_least("defer-hours", 0.0)
       .require_at_least("reopt-hours", 1e-6)
-      .require_integer_at_least("reopt-max-moves", 0)
+      .require_integer_in_range("reopt-max-moves", 0, kMaxServers)
       .check(!args.has("price-ceiling") || admission_name == "price",
              "flag --price-ceiling requires --admission price (admit-all "
              "ignores it; bid-opt derives its ceilings from the optimizer)")
@@ -663,11 +656,11 @@ int cmd_connect(const CliArgs& args) {
       .allow_only({"port", "vms", "batch", "hours", "seed", "telemetry",
                    "shutdown"})
       .require_in_range("port", 1, 65535)
-      .require_integer_at_least("vms", 1)
-      .require_in_range("vms", 1, kMaxVms)
-      .require_integer_at_least("batch", 1)
+      .require_integer_in_range("vms", 1, kMaxVms)
+      .require_integer_in_range("batch", 1, kMaxVms)
       .require_in_range("hours", 0, kMaxHours)
-      .require_integer_at_least("telemetry", 1);
+      .require_integer_in_range("seed", 0, kMaxSeed)
+      .require_integer_in_range("telemetry", 1, kMaxUint32);
   if (report_errors(validator)) return 1;
   if (!args.has("port")) return flag_error("connect requires --port");
 
@@ -796,22 +789,19 @@ int cmd_replay_trace(const CliArgs& args) {
   CliValidator validator(args);
   validator
       .allow_only({"source", "vms", "hours", "seed", "rate", "duration-scale",
-                   "window", "threads", "capture", "servers", "overcommit",
+                   "capture", "servers", "overcommit",
                    "shards", "shard-policy", "reopt-hours", "forecast",
                    "reopt-max-moves"})
-      .require_integer_at_least("vms", 1)
-      .require_in_range("vms", 1, kMaxVms)
+      .require_integer_in_range("vms", 1, kMaxVms)
       .require_in_range("hours", 0.001, kMaxHours)
-      .require_at_least("seed", 0)
+      .require_integer_in_range("seed", 0, kMaxSeed)
       .require_at_least("rate", 1e-6)
       .require_at_least("duration-scale", 1e-6)
-      .require_integer_at_least("window", 1)
-      .require_integer_at_least("threads", 1)
-      .require_integer_at_least("servers", 1)
+      .require_integer_in_range("servers", 1, kMaxServers)
       .require_at_least("overcommit", -0.9)
-      .require_integer_at_least("shards", 1)
+      .require_integer_in_range("shards", 1, kMaxServers)
       .require_at_least("reopt-hours", 1e-6)
-      .require_integer_at_least("reopt-max-moves", 0)
+      .require_integer_in_range("reopt-max-moves", 0, kMaxServers)
       .check(!(args.has("servers") && args.has("overcommit")),
              "flags --servers and --overcommit conflict (pick an explicit "
              "fleet size or derive one from the target overcommitment)");
@@ -847,11 +837,6 @@ int cmd_replay_trace(const CliArgs& args) {
   }
   replay.rate_multiplier = args.get_double("rate", 1.0);
   replay.duration_scale = args.get_double("duration-scale", 1.0);
-  replay.window = static_cast<std::size_t>(args.get_double("window", 1024));
-  if (args.has("threads")) {
-    replay.worker_threads =
-        static_cast<std::size_t>(args.get_double("threads", 0));
-  }
 
   const auto stream = trace::make_arrival_stream(replay);
 

@@ -33,6 +33,7 @@
 namespace {
 
 using namespace deflate;
+using namespace deflate::util::flag_limits;
 
 int usage() {
   std::cerr
@@ -81,11 +82,12 @@ int main(int argc, char** argv) {
                      "admission", "price-ceiling", "defer-hours",
                      "price-hours", "price-seed", "capture", "list-policies"})
         .require_in_range("port", 0, 65535)
-        .require_integer_at_least("servers", 1)
-        .require_integer_at_least("shards", 1)
+        .require_integer_in_range("servers", 1, kMaxServers)
+        .require_integer_in_range("shards", 1, kMaxServers)
         .require_at_least("price-ceiling", 0)
         .require_at_least("defer-hours", 0)
-        .require_at_least("price-hours", 0);
+        .require_in_range("price-hours", 0, kMaxHours)
+        .require_integer_in_range("price-seed", 0, kMaxSeed);
     if (!validator.ok()) {
       for (const auto& error : validator.errors()) {
         std::cerr << "error: " << error << "\n";
