@@ -1,4 +1,4 @@
-// Ablation: ballooning vs hotplug-based memory deflation (DESIGN.md §5).
+// Ablation: ballooning vs hotplug-based memory deflation.
 //
 // The paper's hybrid mechanism uses hot-unplug for guest-visible memory
 // reclamation; ballooning is the classic alternative ([47], compared in

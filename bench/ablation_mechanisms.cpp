@@ -1,5 +1,5 @@
 // Ablation: which deflation mechanism the cluster's local controllers
-// drive (DESIGN.md §5 item 1). Hybrid reaches fractional targets exactly;
+// drive. Hybrid reaches fractional targets exactly;
 // pure explicit hotplug is coarse (whole vCPUs, memory blocks, guest
 // refusals, no I/O path) and therefore under-reclaims, which surfaces as
 // placement failures under pressure.

@@ -1,4 +1,4 @@
-// Ablation: placement heuristic (DESIGN.md §5 item 2). §5.2 notes that
+// Ablation: placement heuristic. §5.2 notes that
 // "policies such as best-fit or first-fit can be used"; the paper's
 // fitness policy adds shape matching and the deflatable/overcommitted
 // load-balancing term.

@@ -323,7 +323,8 @@ PlacementResult ClusterManager::admit(Shard& shard, const hv::VmSpec& spec,
   }
   result.host_id = server;
   result.launch_fraction = fraction;
-  vm_locations_[spec.id] = server;
+  // place_vm refused a resident id, so this maps a new one.
+  vm_locations_.insert(spec.id, static_cast<std::uint32_t>(server));
   ++stats_.placements;
   mark_view_dirty(shard, server);
   return result;
@@ -396,7 +397,7 @@ PlacementResult ClusterManager::place_vm(const hv::VmSpec& spec) {
   // An id already resident is refused before any reclamation: placing it
   // again would orphan the first copy's allocation (or throw from
   // Host::add_vm on the same server).
-  if (vm_locations_.contains(spec.id)) {
+  if (vm_locations_.find(spec.id) != util::IdIndex::kNone) {
     ++stats_.rejections;
     return PlacementResult{};
   }
@@ -684,10 +685,9 @@ std::size_t ClusterManager::active_server_count() const {
 }
 
 bool ClusterManager::remove_vm(std::uint64_t vm_id) {
-  const auto it = vm_locations_.find(vm_id);
-  if (it == vm_locations_.end()) return false;
-  const std::size_t server = it->second;
-  vm_locations_.erase(it);
+  const std::uint32_t server = vm_locations_.find(vm_id);
+  if (server == util::IdIndex::kNone) return false;
+  vm_locations_.erase(vm_id);
   const std::size_t s = shard_of_server(server);
   Shard& shard = shards_[s];
   ServerNode& node = *nodes_[server];
@@ -709,15 +709,15 @@ bool ClusterManager::remove_vm(std::uint64_t vm_id) {
 }
 
 hv::Vm* ClusterManager::find_vm(std::uint64_t vm_id) {
-  const auto it = vm_locations_.find(vm_id);
-  if (it == vm_locations_.end()) return nullptr;
-  return nodes_[it->second]->host.find_vm(vm_id);
+  const std::uint32_t server = vm_locations_.find(vm_id);
+  if (server == util::IdIndex::kNone) return nullptr;
+  return nodes_[server]->host.find_vm(vm_id);
 }
 
 std::optional<std::size_t> ClusterManager::server_of(std::uint64_t vm_id) const {
-  const auto it = vm_locations_.find(vm_id);
-  if (it == vm_locations_.end()) return std::nullopt;
-  return it->second;
+  const std::uint32_t server = vm_locations_.find(vm_id);
+  if (server == util::IdIndex::kNone) return std::nullopt;
+  return server;
 }
 
 res::ResourceVector ClusterManager::total_capacity() const {

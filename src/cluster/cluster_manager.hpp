@@ -16,13 +16,13 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/partitions.hpp"
 #include "cluster/placement.hpp"
 #include "core/local_controller.hpp"
 #include "core/policy.hpp"
+#include "util/id_index.hpp"
 #include "util/rng.hpp"
 
 namespace deflate::cluster {
@@ -450,7 +450,9 @@ class ClusterManager : public ClusterManagerBase {
   std::shared_ptr<const PlacementScorer> scorer_;
   std::vector<std::unique_ptr<ServerNode>> nodes_;
   std::vector<Shard> shards_;
-  std::unordered_map<std::uint64_t, std::size_t> vm_locations_;
+  /// Each resident VM's server. One node per server keeps every server id
+  /// below IdIndex::kNone.
+  util::IdIndex vm_locations_;
   std::vector<std::uint8_t> view_dirty_;  ///< per-server dirty flag
   /// Each server's row as folded into its shard's free_units.
   std::vector<FixedPointRow> free_rows_;

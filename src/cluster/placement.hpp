@@ -60,10 +60,11 @@ struct DemandTerms {
   double normalized_norm = 0.0;    ///< ||d / capacity||
 };
 
-/// Placement-strategy ablation (DESIGN.md §5): the paper's fitness policy
-/// vs the classic bin-packing heuristics it competes with (§5.2 "policies
-/// such as best-fit or first-fit can be used"). An alias of the placement
-/// registry's builtins: configs resolve it through its primary name.
+/// Placement-strategy ablation (bench/ablation_placement.cpp): the paper's
+/// fitness policy vs the classic bin-packing heuristics it competes with
+/// (§5.2 "policies such as best-fit or first-fit can be used"). An alias of
+/// the placement registry's builtins: configs resolve it through its
+/// primary name.
 enum class PlacementStrategy { Fitness, FirstFit, BestFit, WorstFit };
 
 /// The registry primary name `s` aliases.

@@ -264,7 +264,7 @@ void TraceDrivenSimulator::init_common() {
 TraceDrivenSimulator::VmRuntime* TraceDrivenSimulator::runtime_of(
     std::uint64_t id) {
   const std::uint32_t slot = slot_of_.find(id);
-  return slot == VmSlotIndex::kNone ? nullptr : &slots_[slot];
+  return slot == util::IdIndex::kNone ? nullptr : &slots_[slot];
 }
 
 std::uint32_t TraceDrivenSimulator::acquire_slot(std::uint64_t id) {

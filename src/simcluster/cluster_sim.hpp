@@ -27,10 +27,10 @@
 #include "cluster/sharded_manager.hpp"
 #include "control/controller.hpp"
 #include "policy/policy_set.hpp"
-#include "simcluster/vm_slots.hpp"
 #include "trace/replay.hpp"
 #include "trace/vm_record.hpp"
 #include "transient/market.hpp"
+#include "util/id_index.hpp"
 
 namespace deflate::simcluster {
 
@@ -186,6 +186,31 @@ struct SimMetrics {
   std::uint64_t deflatable_count = 0;
 
   bool operator==(const SimMetrics&) const = default;
+};
+
+/// Append-only storage in fixed-size chunks: an element never moves, so a
+/// pointer to it stays valid while the storage grows.
+template <typename T>
+class ChunkedSlots {
+ public:
+  [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
+  [[nodiscard]] T& operator[](std::uint32_t i) noexcept {
+    return chunks_[i >> kShift][i & kMask];
+  }
+  /// Appends one value-initialized element and returns its index.
+  std::uint32_t grow() {
+    if ((size_ & kMask) == 0) {
+      chunks_.push_back(std::make_unique<T[]>(kChunk));
+    }
+    return size_++;
+  }
+
+ private:
+  static constexpr unsigned kShift = 8;
+  static constexpr std::uint32_t kChunk = 1U << kShift;
+  static constexpr std::uint32_t kMask = kChunk - 1;
+  std::vector<std::unique_ptr<T[]>> chunks_;
+  std::uint32_t size_ = 0;
 };
 
 /// Both constructors feed one event loop, which admits every arrival the
@@ -417,14 +442,14 @@ class TraceDrivenSimulator {
   void apply_alloc_event(const AllocEvent& alloc);
   sim::SimTime now_;
 
-  /// Active VMs, one slot each from arrival to departure (vm_slots.hpp).
+  /// Active VMs, one slot each from arrival to departure (ChunkedSlots).
   /// Slots never move, so a reference to one stays valid while later
   /// arrivals grow the slab; a departed VM's slot goes on `free_slots_`
   /// and the next arrival reuses it. Departure events carry their slot;
   /// callbacks, which know a VM by id, find it through `slot_of_`.
   ChunkedSlots<VmRuntime> slots_;
   std::vector<std::uint32_t> free_slots_;
-  VmSlotIndex slot_of_;
+  util::IdIndex slot_of_;
   std::size_t peak_active_ = 0;
 
   // --- per-run context (read by build_metrics) -------------------------------

@@ -1,4 +1,4 @@
-// Synthetic Azure-style VM trace generator (DESIGN.md §1).
+// Synthetic Azure-style VM trace generator (paper §3, Figs. 5-12).
 //
 // The Azure Resource Central dataset [Cortez et al., SOSP'17] provides, per
 // VM: a workload-class label (interactive / delay-insensitive / unknown),

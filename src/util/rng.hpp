@@ -3,7 +3,7 @@
 // Every stochastic component in the library draws from an Rng that is keyed
 // by (global seed, stream id). Parallel sweeps hand each work item its own
 // derived stream, so results are bit-identical regardless of thread count
-// or iteration order (see DESIGN.md §6).
+// or iteration order (see "Execution model" in docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cmath>

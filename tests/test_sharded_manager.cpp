@@ -9,8 +9,11 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -58,8 +61,11 @@ hv::VmSpec random_spec(util::Rng& rng, std::uint64_t id) {
 }
 
 /// Every VM resident on some host appears exactly once fleet-wide, and
-/// server_of/find_vm agree with the hosts' own bookkeeping.
-void expect_single_residency(cl::ClusterManagerBase& manager) {
+/// server_of/find_vm agree with the hosts' own bookkeeping both ways: they
+/// find every resident VM where it lives, and none of the ids in `placed`
+/// that is no longer resident.
+void expect_single_residency(cl::ClusterManagerBase& manager,
+                             const std::vector<std::uint64_t>& placed = {}) {
   std::unordered_map<std::uint64_t, std::size_t> seen;
   for (std::size_t s = 0; s < manager.server_count(); ++s) {
     for (const hv::Vm* vm : manager.host(s).vms()) {
@@ -69,6 +75,11 @@ void expect_single_residency(cl::ClusterManagerBase& manager) {
       EXPECT_EQ(manager.server_of(vm->spec().id).value(), s);
       EXPECT_NE(manager.find_vm(vm->spec().id), nullptr);
     }
+  }
+  for (const std::uint64_t id : placed) {
+    if (seen.contains(id)) continue;
+    EXPECT_FALSE(manager.server_of(id).has_value()) << "departed vm " << id;
+    EXPECT_EQ(manager.find_vm(id), nullptr) << "departed vm " << id;
   }
 }
 
@@ -124,17 +135,48 @@ TEST(ShardedFleet, OneShardConfigEqualsTheFlatConfig) {
   }
 }
 
-TEST(ShardedFleet, NoVmPlacedTwiceAcrossRandomizedChurn) {
+/// Churn over a flat and a sharded fleet in both reclamation modes, so
+/// every erase from the manager's id index runs on each: removal, the
+/// revocation strip (its VMs re-placed in deflation mode, killed in
+/// preemption mode) and preemption victims.
+class ShardedFleetChurn : public ::testing::TestWithParam<
+                              std::tuple<std::size_t, cl::ReclamationMode>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardsAndModes, ShardedFleetChurn,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{4}),
+                       ::testing::Values(cl::ReclamationMode::Deflation,
+                                         cl::ReclamationMode::Preemption)),
+    [](const auto& info) {
+      return "shards" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) == cl::ReclamationMode::Deflation
+                  ? "_deflation"
+                  : "_preemption");
+    });
+
+TEST_P(ShardedFleetChurn, NoVmPlacedTwiceAcrossRandomizedChurn) {
+  const auto [shards, mode] = GetParam();
+  std::uint64_t re_placed = 0, killed = 0, evicted = 0;
   for (const std::uint64_t seed : {1ULL, 7ULL, 23ULL, 71ULL, 2020ULL}) {
-    cl::ClusterManager manager(sharded_config(64, 8));
+    cl::ClusterManager manager(sharded_config(64, shards, mode));
     util::Rng rng(seed);
     std::vector<std::uint64_t> live;
+    std::vector<std::uint64_t> placed;
+    // Preemption victims and revocation kills leave through this callback;
+    // a VM that vanished without it stays in `live` and fails below.
+    manager.subscribe_preemption(
+        [&](const hv::VmSpec& spec, std::uint64_t /*server*/) {
+          std::erase(live, spec.id);
+        });
     std::uint64_t next_id = 1;
     for (int step = 0; step < 600; ++step) {
       const double roll = rng.u01();
       if (roll < 0.55 || live.empty()) {
         const hv::VmSpec spec = random_spec(rng, next_id++);
-        if (manager.place_vm(spec).ok()) live.push_back(spec.id);
+        if (manager.place_vm(spec).ok()) {
+          live.push_back(spec.id);
+          placed.push_back(spec.id);
+        }
       } else if (roll < 0.85) {
         const std::size_t pick = static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
@@ -145,21 +187,28 @@ TEST(ShardedFleet, NoVmPlacedTwiceAcrossRandomizedChurn) {
         if (manager.server_active(server) &&
             manager.active_server_count() > 48) {
           manager.revoke_server(server);
-          // Drop ids the revocation killed.
-          std::erase_if(live, [&](std::uint64_t id) {
-            return manager.find_vm(id) == nullptr;
-          });
         }
       } else {
         const auto server = static_cast<std::size_t>(rng.uniform_int(0, 63));
         if (!manager.server_active(server)) manager.restore_server(server);
       }
     }
-    expect_single_residency(manager);
+    expect_single_residency(manager, placed);
     expect_accounting_matches(manager);
     for (const std::uint64_t id : live) {
       EXPECT_NE(manager.find_vm(id), nullptr) << "seed " << seed;
     }
+    re_placed += manager.stats().revocation_migrations;
+    killed += manager.stats().revocation_kills;
+    evicted += manager.stats().preemptions - manager.stats().revocation_kills;
+  }
+  // The churn reaches the erase paths its mode has: a revocation re-places
+  // in deflation mode, and kills and evicts in preemption mode.
+  if (mode == cl::ReclamationMode::Deflation) {
+    EXPECT_GT(re_placed, 0U);
+  } else {
+    EXPECT_GT(killed, 0U);
+    EXPECT_GT(evicted, 0U);
   }
 }
 

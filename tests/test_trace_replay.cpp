@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <optional>
 #include <random>
 #include <vector>
@@ -227,7 +226,7 @@ TEST(TraceReplayParity, DuplicateRecordIdsAreRejected) {
                std::invalid_argument);
 }
 
-// --- active-VM slots and the id index ---------------------------------------
+// --- active-VM slots --------------------------------------------------------
 
 namespace {
 
@@ -389,44 +388,6 @@ TEST(TraceReplaySlots, SparseIdsAboveTwoToThe32ReplayIdentically) {
     const simcluster::SimMetrics b = sparse.run();
     expect_identical(a, b, "vector: dense-vs-sparse ids");
     EXPECT_TRUE(a == b);
-  }
-}
-
-TEST(TraceReplaySlots, SlotIndexMatchesAMapUnderChurn) {
-  // Random inserts and erases over ids clustered to collide (dense low
-  // ids, sparse ids above 2^32, and ids sharing their low bits), with
-  // growth and backward-shift deletes along the way; every lookup must
-  // agree with a std::map.
-  std::mt19937_64 rng(28);
-  std::vector<std::uint64_t> pool;
-  for (std::uint64_t i = 0; i < 300; ++i) {
-    pool.push_back(i);
-    pool.push_back(sparse_id(i));
-    pool.push_back(i << 40);
-  }
-  simcluster::VmSlotIndex index;
-  std::map<std::uint64_t, std::uint32_t> reference;
-  for (std::uint32_t step = 0; step < 60'000; ++step) {
-    const std::uint64_t id = pool[rng() % pool.size()];
-    // Grow towards most of the pool, then drain back down.
-    const bool draining = step > 40'000;
-    if (rng() % 3 == 0 || draining) {
-      index.erase(id);
-      reference.erase(id);
-    } else {
-      const bool inserted = index.insert(id, step);
-      EXPECT_EQ(inserted, reference.emplace(id, step).second) << "id " << id;
-    }
-    ASSERT_EQ(index.size(), reference.size());
-    if (step % 97 == 0) {
-      for (const std::uint64_t probe : pool) {
-        const auto it = reference.find(probe);
-        ASSERT_EQ(index.find(probe), it == reference.end()
-                                         ? simcluster::VmSlotIndex::kNone
-                                         : it->second)
-            << "step " << step << " id " << probe;
-      }
-    }
   }
 }
 
