@@ -1,7 +1,11 @@
-// Micro-benchmark: synthetic trace generation rate (VMs/second), the
-// feasibility statistic kernel, and the streaming replay path (arrival-stub
-// indexing and one-record-per-next() delivery).
+// Micro-benchmark: synthetic trace generation rate (series samples per
+// second), the feasibility statistic kernel, the streaming replay path
+// (arrival-stub indexing and one-record-per-next() delivery) and the peak
+// sweep that sizes a fleet.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "trace/alibaba.hpp"
 #include "trace/azure.hpp"
@@ -15,10 +19,14 @@ static void bench_azure_generate_vm(benchmark::State& state) {
   config.duration = deflate::sim::SimTime::from_hours(72);
   const AzureTraceGenerator gen(config);
   std::uint64_t id = 0;
+  std::int64_t samples = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gen.generate_vm(id++ % 1000));
+    const VmRecord record = gen.generate_vm(id++ % 1000);
+    samples += static_cast<std::int64_t>(record.cpu.size());
+    benchmark::DoNotOptimize(record);
   }
-  state.SetItemsProcessed(state.iterations());
+  // Items are series samples: the diurnal kernel's per-sample cost.
+  state.SetItemsProcessed(samples);
 }
 BENCHMARK(bench_azure_generate_vm);
 
@@ -88,3 +96,34 @@ static void bench_replay_stream_next(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(bench_replay_stream_next);
+
+// The peak sweep over 100k stubs, in id order (`sorted:0`, sorted first)
+// or already in (start, id) order (`sorted:1`, as the record-vector
+// simulator hands them over, where the sort is skipped). The copy the
+// sweep consumes is made outside the timed region.
+static void bench_peak_committed(benchmark::State& state) {
+  using namespace deflate::trace;
+  AzureTraceConfig config;
+  config.vm_count = 100000;
+  config.seed = 1;
+  config.duration = deflate::sim::SimTime::from_hours(72);
+  const AzureTraceGenerator gen(config);
+  std::vector<ArrivalStub> stubs(config.vm_count);
+  for (std::size_t i = 0; i < stubs.size(); ++i) stubs[i] = gen.arrival_of(i);
+  if (state.range(0) != 0) {
+    std::sort(stubs.begin(), stubs.end(),
+              [](const ArrivalStub& a, const ArrivalStub& b) {
+                return a.start != b.start ? a.start < b.start : a.id < b.id;
+              });
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<ArrivalStub> copy = stubs;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(peak_committed(std::move(copy)));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stubs.size()));
+}
+BENCHMARK(bench_peak_committed)->ArgName("sorted")->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);

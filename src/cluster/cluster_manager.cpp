@@ -691,15 +691,16 @@ bool ClusterManager::remove_vm(std::uint64_t vm_id) {
   const std::size_t s = shard_of_server(server);
   Shard& shard = shards_[s];
   ServerNode& node = *nodes_[server];
-  if (routed()) {
+  if (routed()) mark_shard_dirty(s);
+  // The removed VM is freed at the end of this statement, before the
+  // reinflation below allocates: held to the end of the call, it raised
+  // the `replay` benchmark's peak RSS by 0.8 MiB.
+  if (const std::unique_ptr<hv::Vm> removed = node.host.remove_vm(vm_id);
+      removed != nullptr && routed()) {
     // Fold the freed allocation into the routing estimate; the next flush
     // recomputes exactly.
-    if (const hv::Vm* vm = node.host.find_vm(vm_id)) {
-      shard.free += vm->effective_allocation();
-    }
-    mark_shard_dirty(s);
+    shard.free += removed->effective_allocation();
   }
-  node.host.remove_vm(vm_id);
   if (config_.mode == ReclamationMode::Deflation &&
       config_.reinflate_on_departure) {
     node.controller->redistribute_free();

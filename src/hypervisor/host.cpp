@@ -35,13 +35,16 @@ Vm& Host::add_vm(VmSpec spec) {
   return added;
 }
 
-bool Host::remove_vm(std::uint64_t vm_id) {
+std::unique_ptr<Vm> Host::remove_vm(std::uint64_t vm_id) {
   const auto it = std::find(ids_.begin(), ids_.end(), vm_id);
-  if (it == ids_.end()) return false;
-  vms_.erase(vms_.begin() + (it - ids_.begin()));
+  if (it == ids_.end()) return nullptr;
+  const auto slot = vms_.begin() + (it - ids_.begin());
+  std::unique_ptr<Vm> removed = std::move(*slot);
+  vms_.erase(slot);
   ids_.erase(it);
+  removed->host_version_ = nullptr;
   ++version_;
-  return true;
+  return removed;
 }
 
 Vm* Host::find_vm(std::uint64_t vm_id) noexcept {

@@ -41,8 +41,9 @@ class Host {
   /// Adds a VM; returns a stable reference (Host owns the VM). Throws
   /// std::invalid_argument on a duplicate id.
   Vm& add_vm(VmSpec spec);
-  /// Removes and destroys the VM. Returns false if not resident.
-  bool remove_vm(std::uint64_t vm_id);
+  /// Removes the VM and hands it back detached from this host (its writes
+  /// no longer bump version()); null if not resident.
+  std::unique_ptr<Vm> remove_vm(std::uint64_t vm_id);
   [[nodiscard]] Vm* find_vm(std::uint64_t vm_id) noexcept;
 
   /// Resident VMs in arrival order (deterministic iteration for policies):

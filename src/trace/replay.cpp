@@ -379,7 +379,11 @@ std::optional<VmRecord> IndexedArrivalStream::next() {
 void IndexedArrivalStream::reset() { cursor_ = 0; }
 
 res::ResourceVector peak_committed(std::vector<ArrivalStub> stubs) {
-  std::sort(stubs.begin(), stubs.end(), arrives_before);
+  // A record-vector simulator hands over stubs it has already sorted; on
+  // any other input is_sorted stops at the first inversion.
+  if (!std::is_sorted(stubs.begin(), stubs.end(), arrives_before)) {
+    std::sort(stubs.begin(), stubs.end(), arrives_before);
+  }
   return sweep_peak(stubs);
 }
 

@@ -477,6 +477,59 @@ TEST(TraceReplayProperties, RecordVectorSizingMatchesIndexedStream) {
   }
 }
 
+TEST(TraceReplayProperties, PeakCommittedIsOrderFreeAndMatchesRecount) {
+  // Whole-hour starts and lifetimes, so many VMs share a start and many
+  // depart exactly when others arrive; sizes are whole MiB, so every sum
+  // is exact and any order of additions gives the same bits.
+  std::mt19937 gen{5};
+  std::vector<trace::ArrivalStub> sorted;
+  for (std::uint64_t id = 0; id < 400; ++id) {
+    trace::ArrivalStub stub;
+    stub.id = id * 3 + 1;
+    const auto start_h = static_cast<std::int64_t>(gen() % 24);
+    const auto life_h = static_cast<std::int64_t>(1 + gen() % 8);
+    stub.start = sim::SimTime::from_hours(static_cast<double>(start_h));
+    stub.end = sim::SimTime::from_hours(static_cast<double>(start_h + life_h));
+    stub.vcpus = static_cast<int>(1 + gen() % 16);
+    stub.memory_mib = static_cast<double>(1024 * (1 + gen() % 64));
+    sorted.push_back(stub);
+  }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const trace::ArrivalStub& a, const trace::ArrivalStub& b) {
+              return a.start != b.start ? a.start < b.start : a.id < b.id;
+            });
+  std::vector<trace::ArrivalStub> shuffled = sorted;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937{6});
+  ASSERT_FALSE(std::is_sorted(
+      shuffled.begin(), shuffled.end(),
+      [](const trace::ArrivalStub& a, const trace::ArrivalStub& b) {
+        return a.start < b.start;
+      }));
+
+  // The sweep's definition, recounted at every arrival instant: what is
+  // committed once the instant's departures have freed their capacity
+  // (end <= t) and all of its arrivals (start <= t) have been admitted.
+  res::ResourceVector recount;
+  std::size_t shared_starts = 0;
+  for (const trace::ArrivalStub& at : sorted) {
+    res::ResourceVector committed;
+    for (const trace::ArrivalStub& stub : sorted) {
+      if (stub.start <= at.start && stub.end > at.start) {
+        committed += res::ResourceVector{static_cast<double>(stub.vcpus),
+                                         stub.memory_mib, 0.0, 0.0};
+      }
+      if (stub.start == at.start && stub.id != at.id) ++shared_starts;
+    }
+    recount = recount.elementwise_max(committed);
+  }
+  ASSERT_GT(shared_starts, 0U);
+
+  const res::ResourceVector from_sorted = trace::peak_committed(sorted);
+  EXPECT_EQ(trace::peak_committed(shuffled), from_sorted);
+  EXPECT_EQ(from_sorted, recount);
+  EXPECT_GT(recount[res::Resource::Cpu], 0.0);
+}
+
 TEST(TraceReplayProperties, KeyedGenerationIsIndependentOfOrder) {
   trace::AzureTraceConfig config;
   config.vm_count = 64;

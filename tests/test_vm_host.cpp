@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "hypervisor/host.hpp"
@@ -138,10 +139,16 @@ TEST(Host, AddAndRemoveVms) {
   host.add_vm(make_spec(2));
   EXPECT_EQ(host.vm_count(), 2U);
   EXPECT_NE(host.find_vm(1), nullptr);
-  EXPECT_TRUE(host.remove_vm(1));
-  EXPECT_FALSE(host.remove_vm(1));
+  const std::unique_ptr<hv::Vm> removed = host.remove_vm(1);
+  ASSERT_NE(removed, nullptr);
+  EXPECT_EQ(removed->spec().id, 1U);
+  EXPECT_EQ(host.remove_vm(1), nullptr);
   EXPECT_EQ(host.find_vm(1), nullptr);
   EXPECT_EQ(host.vm_count(), 1U);
+  // The removed VM is detached: its writes no longer touch the host.
+  const std::uint64_t version = host.version();
+  removed->set_cpu_quota(1.0);
+  EXPECT_EQ(host.version(), version);
 }
 
 TEST(Host, DuplicateIdThrows) {
